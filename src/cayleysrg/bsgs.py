@@ -11,11 +11,22 @@ always yields the same base, the same transversals and the same order.
 
 from __future__ import annotations
 
-import numpy as np
-
-from .core import Permutation
+from .core import Permutation, orbits
 
 __all__ = ["PermutationGroup"]
+
+
+def _distinct(perms) -> list[Permutation]:
+    """perms without repeats, first occurrence kept.  Keyed on the image
+    bytes, so unlike a hash key a collision cannot drop a generator."""
+    seen: set[bytes] = set()
+    out: list[Permutation] = []
+    for p in perms:
+        key = p.images.tobytes()
+        if key not in seen:
+            seen.add(key)
+            out.append(p)
+    return out
 
 
 class _Level:
@@ -83,13 +94,7 @@ class PermutationGroup:
                 raise ValueError(f"generator degree {g.degree} != {degree}")
 
         working = [g for g in gens if not g.is_identity()]
-        seen: set[int] = set()
-        strong: list[Permutation] = []
-        for g in working:
-            key = hash(g)
-            if key not in seen:
-                seen.add(key)
-                strong.append(g)
+        strong = _distinct(working)
 
         base: list[int] = []
         levels: list[_Level] = []
@@ -161,15 +166,19 @@ class PermutationGroup:
 
     @property
     def strong_generators(self) -> list[Permutation]:
-        seen: set[int] = set()
-        out: list[Permutation] = []
-        for lev in self._levels:
-            for g in lev.gens:
-                key = hash(g)
-                if key not in seen:
-                    seen.add(key)
-                    out.append(g)
-        return out
+        return _distinct(g for lev in self._levels for g in lev.gens)
+
+    def stabilizer_generators(self, v: int) -> list[Permutation]:
+        """Generators of the subgroup fixing v.
+
+        Free when v is the first base point: the strong generators of the
+        next level generate its stabiliser.  Any other point falls back to
+        the Schreier generators of point_stabilizer(v).
+        """
+        self._check_point(v)
+        if self._levels and self._levels[0].point == v:
+            return list(self._levels[1].gens) if len(self._levels) > 1 else []
+        return self.point_stabilizer(v).generators
 
     def transversal_sizes(self) -> list[int]:
         return [len(lev.transversal) for lev in self._levels]
@@ -203,18 +212,7 @@ class PermutationGroup:
 
     def orbit_of_point(self, v: int) -> set[int]:
         """Orbit of a point under the group, by closure under the generators."""
-        self._check_point(v)
-        gens = [g for g in self._generators if not g.is_identity()]
-        orbit = {v}
-        queue = [v]
-        while queue:
-            x = queue.pop()
-            for g in gens:
-                y = g.apply(x)
-                if y not in orbit:
-                    orbit.add(y)
-                    queue.append(y)
-        return orbit
+        return {x for (x,) in self.orbit_of_tuple((v,))}
 
     def orbit_of_tuple(self, t: tuple[int, ...]) -> set[tuple[int, ...]]:
         """Orbit of a short tuple under the componentwise action.
@@ -227,16 +225,7 @@ class PermutationGroup:
         for v in t:
             self._check_point(v)
         gens = [g.images.tolist() for g in self._generators if not g.is_identity()]
-        orbit = {t}
-        queue = [t]
-        while queue:
-            cur = queue.pop()
-            for img in gens:
-                nxt = tuple(img[v] for v in cur)
-                if nxt not in orbit:
-                    orbit.add(nxt)
-                    queue.append(nxt)
-        return orbit
+        return set(orbits(gens, [tuple(t)])[0])
 
     def point_stabilizer(self, v: int) -> PermutationGroup:
         """The subgroup fixing v, rebuilt as its own group.
@@ -258,19 +247,9 @@ class PermutationGroup:
                 if y not in reps:
                     reps[y] = g * reps[x]
                     queue.append(y)
-        stab_gens: list[Permutation] = []
-        seen: set[int] = set()
         rep_inv = {x: reps[x].inverse() for x in reps}
-        for x in queue:
-            rx = reps[x]
-            for g in gens:
-                h = rep_inv[g.apply(x)] * g * rx
-                if h.is_identity():
-                    continue
-                key = hash(h)
-                if key not in seen:
-                    seen.add(key)
-                    stab_gens.append(h)
+        schreier = (rep_inv[g.apply(x)] * g * reps[x] for x in queue for g in gens)
+        stab_gens = _distinct(h for h in schreier if not h.is_identity())
         if not stab_gens:
             stab_gens = [ident]
         return PermutationGroup.from_generators(stab_gens)

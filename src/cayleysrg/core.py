@@ -21,6 +21,7 @@ __all__ = [
     "units",
     "Permutation",
     "perm_from_pair_map",
+    "orbits",
 ]
 
 MIN_MODULUS = 4
@@ -242,3 +243,32 @@ def perm_from_pair_map(n: int, fn: Callable[[ZnPair], ZnPair]) -> Permutation:
             raise ValueError(f"pair map changed modulus: {n} to {q.n}")
         images[v] = q.index
     return Permutation(images)
+
+
+def orbits(gen_images: list[list[int]], objects) -> list[dict]:
+    """Orbits of tuples of points under the group the generators generate.
+
+    gen_images holds each generator as its list of images; a tuple moves
+    componentwise.  Every object not already placed seeds a new orbit, closed
+    under the generators.  Each orbit is a dict in discovery order: its first
+    key is the seed, and each later member maps to (parent, i) with
+    gen_images[i] carrying parent onto it, so the dict is also a Schreier
+    tree.  Objects in ascending order make every seed its orbit's least member.
+    """
+    placed: set = set()
+    out: list[dict] = []
+    for seed in objects:
+        if seed in placed:
+            continue
+        orbit = {seed: None}
+        queue = [seed]
+        while queue:
+            cur = queue.pop()
+            for i, img in enumerate(gen_images):
+                nxt = tuple([img[x] for x in cur])
+                if nxt not in orbit:
+                    orbit[nxt] = (cur, i)
+                    queue.append(nxt)
+        placed.update(orbit)
+        out.append(orbit)
+    return out

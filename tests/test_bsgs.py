@@ -6,6 +6,7 @@ from cayleysrg import (
     Permutation,
     PermutationGroup,
     ZnPair,
+    claimed_aut_group,
     clique_rotation,
     coordinate_swap,
     translation,
@@ -67,6 +68,12 @@ class TestConstruction:
         for size in grp.transversal_sizes():
             prod *= size
         assert prod == grp.order()
+
+    def test_hash_collisions_drop_no_generator(self, monkeypatch):
+        # generators are told apart by their images, not by hash()
+        monkeypatch.setattr(Permutation, "__hash__", lambda self: 0)
+        assert claimed_aut_group(6).order() == 6 * 36 * 2
+        assert len(claimed_aut_group(6).point_stabilizer(0).generators) > 1
 
     def test_generators_kept_verbatim(self):
         gens = [coordinate_swap(5).perm, Permutation.identity(25)]
@@ -162,6 +169,34 @@ class TestPointStabilizer:
     def test_stabilizer_of_trivial_group(self):
         grp = PermutationGroup.from_generators([Permutation.identity(9)])
         assert grp.point_stabilizer(3).order() == 1
+
+
+class TestStabilizerGenerators:
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+    def test_first_base_point_needs_no_rebuild(self, claimed_group, n, monkeypatch):
+        grp = claimed_group(n)
+        assert grp.base[0] == 0
+        monkeypatch.setattr(PermutationGroup, "point_stabilizer", None)
+        gens = grp.stabilizer_generators(0)
+        assert all(p.apply(0) == 0 for p in gens)
+        assert PermutationGroup.from_generators(gens).order() == grp.order() // (n * n)
+
+    @pytest.mark.parametrize("point", [1, 7])
+    def test_other_points_fall_back_to_schreier_generators(self, claimed_group, point):
+        grp = claimed_group(5)
+        gens = grp.stabilizer_generators(point)
+        assert all(p.apply(point) == point for p in gens)
+        assert PermutationGroup.from_generators(gens).order() == grp.order() // 25
+
+    def test_regular_group_has_trivial_stabilizer(self):
+        grp = PermutationGroup.from_generators(
+            [translation(5, 1, 0).perm, translation(5, 0, 1).perm]
+        )
+        assert grp.stabilizer_generators(grp.base[0]) == []
+
+    def test_point_out_of_range_rejected(self, claimed_group):
+        with pytest.raises(ValueError):
+            claimed_group(4).stabilizer_generators(16)
 
 
 class TestElements:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cayleysrg import Permutation, ZnPair, perm_from_pair_map, units
+from cayleysrg.core import orbits
 
 
 class TestZnPair:
@@ -187,3 +188,28 @@ class TestPermFromPairMap:
     def test_non_injective_map_rejected(self):
         with pytest.raises(ValueError):
             perm_from_pair_map(4, lambda q: ZnPair(0, 0, 4))
+
+
+class TestOrbits:
+    # two generators on 6 points: (0 1 2) and (3 4)
+    GENS = [[1, 2, 0, 3, 4, 5], [0, 1, 2, 4, 3, 5]]
+
+    def test_points_split_into_orbits_seeded_by_least_member(self):
+        parts = orbits(self.GENS, [(v,) for v in range(6)])
+        assert [next(iter(o)) for o in parts] == [(0,), (3,), (5,)]
+        assert [sorted(o) for o in parts] == [[(0,), (1,), (2,)], [(3,), (4,)], [(5,)]]
+
+    def test_orbit_dict_is_a_schreier_tree(self):
+        pairs = [(a, b) for a in range(6) for b in range(6) if a != b]
+        parts = orbits(self.GENS, pairs)
+        assert sum(len(o) for o in parts) == len(pairs)
+        for orbit in parts:
+            seed, *rest = orbit
+            assert orbit[seed] is None
+            for member in rest:
+                parent, i = orbit[member]
+                assert tuple(self.GENS[i][x] for x in parent) == member
+
+    def test_no_generators_gives_singletons(self):
+        parts = orbits([], [(2, 1), (0, 1)])
+        assert [list(o) for o in parts] == [[(2, 1)], [(0, 1)]]

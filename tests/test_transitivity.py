@@ -1,9 +1,11 @@
 import pytest
 
+import cayleysrg.transitivity as transitivity
 from cayleysrg import (
     AutomorphismError,
     Permutation,
     PermutationGroup,
+    TransitivityReport,
     ZnPair,
     classify,
     classify_action,
@@ -15,6 +17,7 @@ from cayleysrg import (
     is_vertex_transitive,
     translation,
 )
+from cayleysrg.bitset import iter_bits
 
 
 def v(i, j, n):
@@ -22,6 +25,124 @@ def v(i, j, n):
 
 
 PRIMES = {5, 7, 11, 13}
+
+
+# Oracle for the rooted engine: close every vertex, edge, arc, distance pair
+# and 2-arc of the graph under the whole group.
+
+def _partition_pairs(gens, pairs, fold):
+    """Orbit partition of ordered pairs; fold=True identifies (a,b) with (b,a)."""
+    seen = set()
+    sizes, seeds = [], []
+    for pair in pairs:
+        if pair in seen:
+            continue
+        orbit = {pair}
+        queue = [pair]
+        while queue:
+            a, b = queue.pop()
+            for img in gens:
+                x, y = img[a], img[b]
+                if fold and y < x:
+                    x, y = y, x
+                if (x, y) not in orbit:
+                    orbit.add((x, y))
+                    queue.append((x, y))
+        seen |= orbit
+        sizes.append(len(orbit))
+        seeds.append(pair)
+    return sizes, seeds
+
+
+def _partition_triples(gens, triples):
+    seen = set()
+    sizes, seeds = [], []
+    for triple in triples:
+        if triple in seen:
+            continue
+        orbit = {triple}
+        queue = [triple]
+        while queue:
+            a, b, c = queue.pop()
+            for img in gens:
+                nxt = (img[a], img[b], img[c])
+                if nxt not in orbit:
+                    orbit.add(nxt)
+                    queue.append(nxt)
+        seen |= orbit
+        sizes.append(len(orbit))
+        seeds.append(triple)
+    return sizes, seeds
+
+
+def _full_closure_report(grp, g):
+    gens = [p.images.tolist() for p in grp.generators if not p.is_identity()]
+    vc, adj = g.vertex_count, g.adjacency
+
+    def witness(seeds):
+        return (seeds[0], seeds[1]) if len(seeds) > 1 else None
+
+    # a vertex orbit is the orbit of the pairs (v, v)
+    v_sizes, v_seeds = _partition_pairs(gens, [(v, v) for v in range(vc)], fold=False)
+    e_sizes, e_seeds = _partition_pairs(
+        gens, [(u, v) for u in range(vc) for v in iter_bits(adj[u]) if v > u], fold=True)
+    a_sizes, a_seeds = _partition_pairs(
+        gens, [(u, v) for u in range(vc) for v in iter_bits(adj[u])], fold=False)
+    t_sizes, t_seeds = _partition_triples(gens, [
+        (u, v, w) for u in range(vc) for v in iter_bits(adj[u])
+        for w in iter_bits(adj[v] & ~(1 << u))])
+    dist = [g.bfs_distances(u) for u in range(vc)]
+    per_distance, d_witness = [], None
+    for d in range(max(map(max, dist)) + 1):
+        sizes, seeds = _partition_pairs(
+            gens, [(u, v) for u in range(vc) for v in range(vc) if dist[u][v] == d],
+            fold=False)
+        per_distance.append(tuple(sizes))
+        d_witness = d_witness or witness(seeds)
+    return TransitivityReport(
+        n=g.n,
+        vertex_transitive=len(v_sizes) == 1,
+        edge_transitive=len(e_sizes) == 1,
+        arc_transitive=len(a_sizes) == 1,
+        distance_transitive=d_witness is None,
+        two_arc_transitive=len(t_sizes) == 1,
+        witnesses={
+            "vertex": witness([(u,) for u, _ in v_seeds]),
+            "edge": witness(e_seeds),
+            "arc": witness(a_seeds),
+            "distance": d_witness,
+            "two_arc": witness(t_seeds),
+        },
+        orbit_counts={
+            "edges": tuple(e_sizes),
+            "arcs": tuple(a_sizes),
+            "distance2_pairs": per_distance[2] if len(per_distance) > 2 else (),
+            "two_arcs": tuple(t_sizes),
+        },
+    )
+
+
+class TestRootedEngineMatchesFullClosure:
+    @pytest.mark.parametrize("n", range(4, 14))
+    def test_claimed_group(self, claimed_group, graph, n):
+        grp, g = claimed_group(n), graph(n)
+        assert classify_action(grp, g) == _full_closure_report(grp, g)
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_origin_stabilizer(self, origin_stabilizer, graph, n):
+        grp, g = origin_stabilizer(n), graph(n)
+        rep = classify_action(grp, g)
+        assert not rep.vertex_transitive
+        assert rep == _full_closure_report(grp, g)
+
+    def test_trivial_group(self, graph):
+        grp, g = PermutationGroup.from_generators([Permutation.identity(16)]), graph(4)
+        assert classify_action(grp, g) == _full_closure_report(grp, g)
+
+    def test_translations_only(self, graph):
+        grp = PermutationGroup.from_generators(
+            [translation(5, 1, 0).perm, translation(5, 0, 1).perm])
+        assert classify_action(grp, graph(5)) == _full_closure_report(grp, graph(5))
 
 
 class TestClassification:
@@ -138,6 +259,23 @@ class TestGenericActions:
         grp = PermutationGroup.from_generators([Permutation(imgs)])
         with pytest.raises(AutomorphismError):
             is_edge_transitive(grp, g)
+
+    def test_classify_checks_each_generator_once(self, claimed_group, graph, monkeypatch):
+        checked = []
+        monkeypatch.setattr(transitivity, "check_graph_automorphism",
+                            lambda g, p: checked.append(p))
+        grp = claimed_group(6)
+        classify_action(grp, graph(6))
+        assert checked == grp.generators
+
+    def test_context_of_another_group_is_not_trusted(self, claimed_group, graph):
+        g = graph(4)
+        rooted = transitivity._check_action(claimed_group(4), g)
+        imgs = list(range(16))
+        imgs[1], imgs[2] = imgs[2], imgs[1]
+        bad = PermutationGroup.from_generators([Permutation(imgs)])
+        with pytest.raises(AutomorphismError):
+            is_two_arc_transitive(bad, g, rooted)
 
     def test_degree_mismatch_rejected(self, graph):
         grp = PermutationGroup.from_generators([coordinate_swap(5).perm])
