@@ -1,10 +1,11 @@
-"""Small helpers for vertex sets stored as Python int bitmasks."""
+"""Small helpers for vertex sets stored as Python int bitmasks, and the one
+breadth-first search of the package."""
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterator, Sequence
 
-__all__ = ["iter_bits", "bit_indices", "from_indices"]
+__all__ = ["iter_bits", "bit_indices", "bfs_layers"]
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -19,8 +20,18 @@ def bit_indices(mask: int) -> list[int]:
     return list(iter_bits(mask))
 
 
-def from_indices(indices: Iterable[int]) -> int:
-    mask = 0
-    for v in indices:
-        mask |= 1 << v
-    return mask
+def bfs_layers(adjacency: Sequence[int], source: int) -> list[int]:
+    """Distance layers from source as bitmasks: layers[d] holds the vertices
+    at distance d, so layers[0] is 1 << source.  The list stops at the last
+    non-empty layer; vertices that source cannot reach lie in no layer.
+    The layers are disjoint, so their sum is the set of reached vertices."""
+    layers = []
+    visited = frontier = 1 << source
+    while frontier:
+        layers.append(frontier)
+        reach = 0
+        for u in iter_bits(frontier):
+            reach |= adjacency[u]
+        frontier = reach & ~visited
+        visited |= frontier
+    return layers

@@ -234,24 +234,14 @@ class PermutationGroup:
         order(self) == len(orbit_of_point(v)) * order(result) holds exactly.
         """
         self._check_point(v)
-        gens = [g for g in self._generators if not g.is_identity()]
-        ident = Permutation.identity(self._degree)
-        reps = {v: ident}
-        queue = [v]
-        qi = 0
-        while qi < len(queue):
-            x = queue[qi]
-            qi += 1
-            for g in gens:
-                y = g.apply(x)
-                if y not in reps:
-                    reps[y] = g * reps[x]
-                    queue.append(y)
-        rep_inv = {x: reps[x].inverse() for x in reps}
-        schreier = (rep_inv[g.apply(x)] * g * reps[x] for x in queue for g in gens)
+        lev = _Level(v)
+        lev.gens = [g for g in self._generators if not g.is_identity()]
+        lev.recompute_orbit(self._degree)
+        schreier = (lev.transversal_inv[g.apply(x)] * g * rep
+                    for x, rep in lev.transversal.items() for g in lev.gens)
         stab_gens = _distinct(h for h in schreier if not h.is_identity())
         if not stab_gens:
-            stab_gens = [ident]
+            stab_gens = [Permutation.identity(self._degree)]
         return PermutationGroup.from_generators(stab_gens)
 
     def elements(self, max_size: int = 1_000_000) -> list[Permutation]:

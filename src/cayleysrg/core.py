@@ -48,6 +48,9 @@ class ZnPair:
 
     def __post_init__(self) -> None:
         _check_modulus(self.n)
+        for x in (self.i, self.j):
+            if not isinstance(x, int) or isinstance(x, bool):
+                raise ValueError(f"entries must be ints, got {type(x).__name__}")
         if not (0 <= self.i < self.n and 0 <= self.j < self.n):
             raise ValueError(
                 f"entries must be reduced residues mod {self.n}, got ({self.i}, {self.j})"
@@ -121,9 +124,12 @@ class Permutation:
     __slots__ = ("_images", "_hash")
 
     def __init__(self, images) -> None:
-        arr = np.asarray(images, dtype=np.int64)
+        arr = np.asarray(images)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("images must be a nonempty one-dimensional sequence")
+        if not np.issubdtype(arr.dtype, np.integer):
+            raise ValueError(f"images must be integers, got dtype {arr.dtype}")
+        arr = arr.astype(np.int64, copy=False)
         d = arr.size
         if arr.min() < 0 or arr.max() >= d:
             raise ValueError("image values must lie in range(degree)")

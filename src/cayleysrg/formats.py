@@ -16,7 +16,6 @@ from .bitset import iter_bits
 __all__ = ["to_graph6", "from_graph6", "to_dot"]
 
 _OFFSET = 63
-_WEIGHTS = np.array([32, 16, 8, 4, 2, 1], dtype=np.int64)
 
 
 def _encode_count(vc: int) -> str:
@@ -47,8 +46,9 @@ def to_graph6(g) -> str:
     pad = -bits.size % 6
     if pad:
         bits = np.concatenate([bits, np.zeros(pad, np.uint8)])
-    values = bits.reshape(-1, 6).astype(np.int64) @ _WEIGHTS
-    body = (values + _OFFSET).astype(np.uint8).tobytes()
+    # each group of six bits, padded to a big-endian byte, is its value << 2
+    values = np.packbits(bits.reshape(-1, 6), axis=1)[:, 0] >> 2
+    body = (values + _OFFSET).tobytes()
     return _encode_count(vc) + body.decode("ascii")
 
 

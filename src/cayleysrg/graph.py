@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitset import iter_bits
+from .bitset import bfs_layers, iter_bits
 from .core import ZnPair, _check_modulus
 
 __all__ = [
@@ -102,19 +102,9 @@ class CayleyGraph:
         """Exact distances from source; unreachable vertices get -1."""
         self._check_vertex(source)
         dist = [-1] * self.vertex_count
-        dist[source] = 0
-        visited = frontier = 1 << source
-        d = 0
-        while frontier:
-            layer = 0
-            for u in iter_bits(frontier):
-                layer |= self.adjacency[u]
-            layer &= ~visited
-            d += 1
-            for u in iter_bits(layer):
-                dist[u] = d
-            visited |= layer
-            frontier = layer
+        for d, layer in enumerate(bfs_layers(self.adjacency, source)):
+            for v in iter_bits(layer):
+                dist[v] = d
         return dist
 
 

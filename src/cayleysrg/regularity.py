@@ -4,14 +4,17 @@ Everything here is exhaustive counting over adjacency bitmasks, no formulas
 are trusted.  The functions take any object with vertex_count and adjacency
 attributes (the CayleyGraph from this package or a stripped-down stand-in
 in tests), so deliberately broken graphs can be fed in to exercise the
-refusal paths.
+refusal paths.  Distances come from bitset.bfs_layers, one BFS per vertex
+whose layers are counted and then dropped: beyond the adjacency rows the
+memory is O(n^2) for the n^2 vertices of the family, where an all-pairs
+distance table would hold n^4 entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitset import iter_bits
+from .bitset import bfs_layers, iter_bits
 
 __all__ = [
     "RegularityRefusal",
@@ -72,26 +75,17 @@ class IntersectionArray:
             raise ValueError(f"c_1 must be 1, got {self.c[0]}")
 
 
-def _reach_all(vertex_count: int, adjacency) -> int:
-    visited = frontier = 1
-    while frontier:
-        layer = 0
-        for u in iter_bits(frontier):
-            layer |= adjacency[u]
-        frontier = layer & ~visited
-        visited |= frontier
-    return visited
-
-
-def _require_connected(vertex_count: int, adjacency) -> None:
-    visited = _reach_all(vertex_count, adjacency)
-    full = (1 << vertex_count) - 1
-    if visited != full:
-        missing = next(iter_bits(full & ~visited))
+def _connected_layers(vertex_count: int, adjacency, v: int) -> list[int]:
+    """The BFS layers from v, refused unless they reach every vertex."""
+    layers = bfs_layers(adjacency, v)
+    unreached = ((1 << vertex_count) - 1) & ~sum(layers)
+    if unreached:
+        missing = next(iter_bits(unreached))
         raise RegularityRefusal(
-            f"graph is disconnected: vertex {missing} unreachable from 0",
-            witness=(0, missing),
+            f"graph is disconnected: vertex {missing} unreachable from {v}",
+            witness=(v, missing),
         )
+    return layers
 
 
 def _require_regular(vertex_count: int, adjacency) -> int:
@@ -118,7 +112,7 @@ def check_strongly_regular(g) -> SrgParams:
     if vc < 2:
         raise RegularityRefusal("need at least two vertices", witness=None)
     k = _require_regular(vc, adjacency)
-    _require_connected(vc, adjacency)
+    _connected_layers(vc, adjacency, 0)
 
     lam = mu = None
     lam_at = mu_at = None
@@ -152,91 +146,57 @@ def check_strongly_regular(g) -> SrgParams:
     return SrgParams(v=vc, k=k, lam=lam, mu=mu)
 
 
-def _bfs_layers(vertex_count: int, adjacency, source: int) -> list[int]:
-    dist = [-1] * vertex_count
-    dist[source] = 0
-    visited = frontier = 1 << source
-    d = 0
-    while frontier:
-        layer = 0
-        for u in iter_bits(frontier):
-            layer |= adjacency[u]
-        layer &= ~visited
-        d += 1
-        for u in iter_bits(layer):
-            dist[u] = d
-        visited |= layer
-        frontier = layer
-    return dist
-
-
 def diameter(g) -> int:
     """Largest eccentricity, by BFS from every vertex.  Refuses disconnected
     input since the diameter would be infinite."""
     vc = g.vertex_count
-    adjacency = g.adjacency
-    if vc == 1:
-        return 0
-    best = 0
-    for v in range(vc):
-        dist = _bfs_layers(vc, adjacency, v)
-        far = max(dist)
-        if min(dist) < 0:
-            missing = dist.index(-1)
-            raise RegularityRefusal(
-                f"graph is disconnected: vertex {missing} unreachable from {v}",
-                witness=(v, missing),
-            )
-        best = max(best, far)
-    return best
+    eccentricities = [len(_connected_layers(vc, g.adjacency, v)) - 1 for v in range(vc)]
+    return max(eccentricities, default=0)
+
+
+def _settle(counts: dict[int, int], name: str, d: int, seen: int, v: int, u: int) -> None:
+    established = counts.setdefault(d, seen)
+    if seen != established:
+        raise RegularityRefusal(
+            f"{name}_{d} is not constant: pair ({v}, {u}) sees {seen}, "
+            f"established {established}",
+            witness=(v, u),
+        )
 
 
 def intersection_array(g) -> IntersectionArray:
     """Certify distance regularity and return the intersection numbers.
 
     For every vertex pair at distance i the counts of neighbours one layer
-    closer (c_i) and one layer further (b_i) must depend on i alone; the
-    first disagreement is refused with the offending pair.
+    closer (c_i) and one layer further (b_i) must depend on i alone, and
+    every vertex must have the same eccentricity; the first disagreement is
+    refused with the offending pair.
     """
     vc = g.vertex_count
     adjacency = g.adjacency
-    if vc == 1:
-        return IntersectionArray(b=(), c=(), diameter=0)
     _require_regular(vc, adjacency)
-    _require_connected(vc, adjacency)
 
-    all_dist = [_bfs_layers(vc, adjacency, v) for v in range(vc)]
-    diam = max(max(row) for row in all_dist)
-
-    b: list[int | None] = [None] * (diam + 1)
-    c: list[int | None] = [None] * (diam + 1)
+    b: dict[int, int] = {}
+    c: dict[int, int] = {}
     for v in range(vc):
-        dist = all_dist[v]
-        layers = [0] * (diam + 1)
-        for u, d in enumerate(dist):
-            layers[d] |= 1 << u
-        for u, d in enumerate(dist):
-            row = adjacency[u]
-            if d < diam:
-                up = (row & layers[d + 1]).bit_count()
-                if b[d] is None:
-                    b[d] = up
-                elif b[d] != up:
-                    raise RegularityRefusal(
-                        f"b_{d} is not constant: pair ({v}, {u}) sees {up}, "
-                        f"established {b[d]}",
-                        witness=(v, u),
-                    )
-            if d > 0:
-                down = (row & layers[d - 1]).bit_count()
-                if c[d] is None:
-                    c[d] = down
-                elif c[d] != down:
-                    raise RegularityRefusal(
-                        f"c_{d} is not constant: pair ({v}, {u}) sees {down}, "
-                        f"established {c[d]}",
-                        witness=(v, u),
-                    )
+        layers = _connected_layers(vc, adjacency, v)
+        if v == 0:
+            diam = len(layers) - 1
+        elif len(layers) - 1 != diam:
+            raise RegularityRefusal(
+                f"eccentricities differ: vertex 0 has {diam}, "
+                f"vertex {v} has {len(layers) - 1}",
+                witness=(0, v),
+            )
+        for d, layer in enumerate(layers):
+            for u in iter_bits(layer):
+                row = adjacency[u]
+                if d < diam:
+                    _settle(b, "b", d, (row & layers[d + 1]).bit_count(), v, u)
+                if d > 0:
+                    _settle(c, "c", d, (row & layers[d - 1]).bit_count(), v, u)
     return IntersectionArray(
-        b=tuple(b[:diam]), c=tuple(c[1:]), diameter=diam
+        b=tuple(b[d] for d in range(diam)),
+        c=tuple(c[d] for d in range(1, diam + 1)),
+        diameter=diam,
     )

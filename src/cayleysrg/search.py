@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitset import iter_bits
+from .bitset import bfs_layers, iter_bits
 from .core import Permutation
 from .graph import CayleyGraph
 
@@ -43,28 +43,15 @@ def common_neighbor_count(g: CayleyGraph, u: int, v: int) -> int:
     return (g.adjacency[u] & g.adjacency[v]).bit_count()
 
 
-def _bfs_order(g: CayleyGraph) -> list[int]:
-    order = [0]
-    seen = 1
-    qi = 0
-    while qi < len(order):
-        v = order[qi]
-        qi += 1
-        for w in iter_bits(g.adjacency[v] & ~seen):
-            seen |= 1 << w
-            order.append(w)
-    return order
-
-
 def enumerate_automorphisms(g: CayleyGraph) -> AutomorphismList:
     """Enumerate all automorphisms of g by exhaustive backtracking.
 
-    Vertices are assigned images in BFS order from vertex 0.  Each
-    unassigned vertex keeps a candidate bitmask; assigning an image
-    intersects every candidate set with the neighbourhood (or the
-    complement) of the chosen image, so any partial map that disagrees
-    with adjacency dies as soon as the disagreement appears.  The
-    traversal order is fixed, hence so is the output order.
+    Vertices are assigned images in BFS order from vertex 0, layer by layer
+    and ascending within a layer.  Each unassigned vertex keeps a candidate
+    bitmask; assigning an image intersects every candidate set with the
+    neighbourhood (or the complement) of the chosen image, so any partial
+    map that disagrees with adjacency dies as soon as the disagreement
+    appears.  The traversal order is fixed, hence so is the output order.
     """
     if g.n > BRUTE_FORCE_MAX_MODULUS:
         raise ValueError(
@@ -74,7 +61,7 @@ def enumerate_automorphisms(g: CayleyGraph) -> AutomorphismList:
     vc = g.vertex_count
     adj = g.adjacency
     full = (1 << vc) - 1
-    order = _bfs_order(g)
+    order = [v for layer in bfs_layers(adj, 0) for v in iter_bits(layer)]
     images = [0] * vc
     found: list[Permutation] = []
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .bitset import iter_bits
+from .bitset import bfs_layers, iter_bits
 from .bsgs import PermutationGroup
 from .core import orbits
 from .graph import CayleyGraph, build_graph
@@ -209,19 +209,20 @@ def is_distance_transitive(grp: PermutationGroup, g: CayleyGraph,
     """One orbit on ordered pairs at each distance 0..D or not.
 
     Distances come from one BFS per root; the graph must be connected,
-    which holds for every graph this package builds.
+    which holds for every graph this package builds.  A root nearer than d
+    to every vertex has no objects at distance d.
     """
     ctx = _context(grp, g, rooted)
-    dist = {r: g.bfs_distances(r) for r in ctx.roots}
-    if any(min(row) < 0 for row in dist.values()):
+    layers = {r: bfs_layers(g.adjacency, r) for r in ctx.roots}
+    if any(sum(ls).bit_count() != g.vertex_count for ls in layers.values()):
         raise ValueError("distance transitivity needs a connected graph")
 
     per_distance: list[tuple[int, ...]] = []
     witness = None
     witness_distance = None
-    for d in range(max(max(row) for row in dist.values()) + 1):
+    for d in range(max(len(ls) for ls in layers.values())):
         res = _result(ctx.partition(
-            lambda r: [(r, v) for v, dv in enumerate(dist[r]) if dv == d]
+            lambda r: [(r, v) for v in iter_bits(layers[r][d] if d < len(layers[r]) else 0)]
         ))
         per_distance.append(res.orbit_sizes)
         if witness is None and not res.transitive:

@@ -64,6 +64,13 @@ class TestZnPair:
         with pytest.raises(ValueError):
             ZnPair(0, 0, 3)
 
+    @pytest.mark.parametrize("i, j", [(0.5, 0), (0, 2.0), (True, 0), (0, False),
+                                      (np.int64(1), 0)])
+    def test_non_int_entries_rejected(self, i, j):
+        # a float entry used to be accepted and gave a fractional index
+        with pytest.raises(ValueError, match="entries must be ints"):
+            ZnPair(i, j, 5)
+
     @given(
         n=st.integers(min_value=4, max_value=40),
         ai=st.integers(min_value=0, max_value=1000),
@@ -129,8 +136,20 @@ class TestPermutation:
             Permutation([0, 0, 2])
         with pytest.raises(ValueError):
             Permutation([0, 1, 3])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="nonempty one-dimensional"):
             Permutation([])
+
+    @pytest.mark.parametrize("images", [[0.7, 1.2], [1.0, 0.0], [True, False],
+                                        np.array([0, 1], dtype=np.float32)])
+    def test_rejects_non_integer_images(self, images):
+        # floats used to be truncated, so [0.7, 1.2] became the identity
+        with pytest.raises(ValueError, match="must be integers"):
+            Permutation(images)
+
+    def test_accepts_any_integer_dtype(self):
+        p = Permutation(np.array([1, 0, 2], dtype=np.uint8))
+        assert p.images.dtype == np.int64
+        assert p == Permutation([1, 0, 2])
 
     def test_degree_mismatch_rejected(self):
         with pytest.raises(ValueError, match="degree"):

@@ -38,6 +38,15 @@ def prism():
     return FakeGraph(6, edges)
 
 
+def petersen_lookalike():
+    # cubic on 10 vertices; seen from vertex 0 it is a Moore tree of depth
+    # 2 like the Petersen graph (b_0 = 3, b_1 = 2, c_1 = 1, c_2 = 1), but
+    # vertex 1 has eccentricity 3
+    edges = [(0, 5), (0, 8), (0, 9), (1, 3), (1, 4), (1, 9), (2, 4), (2, 5),
+             (2, 6), (3, 7), (3, 8), (4, 9), (5, 6), (6, 7), (7, 8)]
+    return FakeGraph(10, edges)
+
+
 def drop_edge(g, u, v):
     out = FakeGraph(g.vertex_count, [])
     out.adjacency = list(g.adjacency)
@@ -115,6 +124,24 @@ class TestIntersectionArray:
         with pytest.raises(RegularityRefusal) as exc:
             intersection_array(prism())
         assert exc.value.witness is not None
+
+    def test_unequal_eccentricities_refused(self):
+        with pytest.raises(RegularityRefusal, match="eccentricities differ") as exc:
+            intersection_array(petersen_lookalike())
+        assert exc.value.witness == (0, 1)
+        assert diameter(petersen_lookalike()) == 3
+
+    def test_single_vertex(self):
+        assert intersection_array(FakeGraph(1, [])) == IntersectionArray(
+            b=(), c=(), diameter=0
+        )
+
+    def test_disconnected_refused(self):
+        two_triangles = FakeGraph(6, [(0, 1), (1, 2), (0, 2),
+                                      (3, 4), (4, 5), (3, 5)])
+        with pytest.raises(RegularityRefusal, match="disconnected") as exc:
+            intersection_array(two_triangles)
+        assert exc.value.witness == (0, 3)
 
     def test_irregular_graph_refused(self, graph):
         with pytest.raises(RegularityRefusal, match="degrees differ"):
