@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-__all__ = ["iter_bits", "bit_indices", "bfs_layers"]
+__all__ = ["iter_bits", "bfs_layers"]
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -16,19 +16,20 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def bit_indices(mask: int) -> list[int]:
-    return list(iter_bits(mask))
-
-
 def bfs_layers(adjacency: Sequence[int], source: int) -> list[int]:
     """Distance layers from source as bitmasks: layers[d] holds the vertices
     at distance d, so layers[0] is 1 << source.  The list stops at the last
     non-empty layer; vertices that source cannot reach lie in no layer.
-    The layers are disjoint, so their sum is the set of reached vertices."""
+    The layers are disjoint, so their sum is the set of reached vertices.
+    Once every vertex is reached the walk stops without reading the rows of
+    the last layer, which could only reach vertices already seen."""
     layers = []
+    everything = (1 << len(adjacency)) - 1
     visited = frontier = 1 << source
     while frontier:
         layers.append(frontier)
+        if visited == everything:
+            break
         reach = 0
         for u in iter_bits(frontier):
             reach |= adjacency[u]

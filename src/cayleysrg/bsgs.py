@@ -169,16 +169,23 @@ class PermutationGroup:
         return _distinct(g for lev in self._levels for g in lev.gens)
 
     def stabilizer_generators(self, v: int) -> list[Permutation]:
-        """Generators of the subgroup fixing v.
+        """Generators of the subgroup fixing v; empty when that subgroup is
+        trivial.
 
         Free when v is the first base point: the strong generators of the
-        next level generate its stabiliser.  Any other point falls back to
-        the Schreier generators of point_stabilizer(v).
+        next level generate its stabiliser.  For any other point they are
+        the Schreier generators of the orbit of v, so that
+        order(self) == len(orbit_of_point(v)) * order of the subgroup.
         """
         self._check_point(v)
         if self._levels and self._levels[0].point == v:
             return list(self._levels[1].gens) if len(self._levels) > 1 else []
-        return self.point_stabilizer(v).generators
+        lev = _Level(v)
+        lev.gens = [g for g in self._generators if not g.is_identity()]
+        lev.recompute_orbit(self._degree)
+        schreier = (lev.transversal_inv[g.apply(x)] * g * rep
+                    for x, rep in lev.transversal.items() for g in lev.gens)
+        return _distinct(h for h in schreier if not h.is_identity())
 
     def transversal_sizes(self) -> list[int]:
         return [len(lev.transversal) for lev in self._levels]
@@ -228,21 +235,10 @@ class PermutationGroup:
         return set(orbits(gens, [tuple(t)])[0])
 
     def point_stabilizer(self, v: int) -> PermutationGroup:
-        """The subgroup fixing v, rebuilt as its own group.
-
-        Generators come from Schreier's lemma applied to the orbit of v, so
-        order(self) == len(orbit_of_point(v)) * order(result) holds exactly.
-        """
-        self._check_point(v)
-        lev = _Level(v)
-        lev.gens = [g for g in self._generators if not g.is_identity()]
-        lev.recompute_orbit(self._degree)
-        schreier = (lev.transversal_inv[g.apply(x)] * g * rep
-                    for x, rep in lev.transversal.items() for g in lev.gens)
-        stab_gens = _distinct(h for h in schreier if not h.is_identity())
-        if not stab_gens:
-            stab_gens = [Permutation.identity(self._degree)]
-        return PermutationGroup.from_generators(stab_gens)
+        """The subgroup fixing v, compiled as its own group from
+        stabilizer_generators(v)."""
+        gens = self.stabilizer_generators(v) or [Permutation.identity(self._degree)]
+        return PermutationGroup.from_generators(gens)
 
     def elements(self, max_size: int = 1_000_000) -> list[Permutation]:
         """All elements, by closure from the identity.  Guarded by max_size

@@ -12,8 +12,18 @@ neighbourhood; scalings act trivially on the cliques, the swap exchanges
 the two axis cliques, and the rotation cycles all three.  Together with
 the translations they generate a group of order 6 * n**2 * phi(n), which
 is the group this package's analysis claims to be the full automorphism
-group of the graph.  Each factory verifies the automorphism property
-against a freshly built graph before handing the permutation back.
+group of the graph.
+
+Each factory verifies the automorphism property before handing the
+permutation back, through the Cayley structure rather than the adjacency
+rows: every named map is affine, x -> Mx + t on Z_n x Z_n.  A translation
+is an automorphism of any Cayley graph, and a linear M is one exactly when
+M(S) = S (Babai, Spectra of Cayley graphs, JCTB 1979).  So the factory
+reads M and t off the permutation, checks that the permutation is that
+affine map on every vertex, and compares M(S) with S: O(n**2) array work
+and O(|S|) set work, with no graph built.  The exhaustive row-by-row
+check_graph_automorphism stays for arbitrary permutations; the
+transitivity analysis runs it on every generator against the real graph.
 """
 
 from __future__ import annotations
@@ -21,10 +31,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .bitset import iter_bits
 from .bsgs import PermutationGroup
 from .core import Permutation, ZnPair, perm_from_pair_map, units
-from .graph import CayleyGraph, build_graph, zero_neighborhood_cliques
+from .graph import CayleyGraph, build_graph, connection_set, zero_neighborhood_cliques
 
 __all__ = [
     "AutomorphismError",
@@ -66,8 +78,8 @@ class NamedAutomorphism:
 
 @lru_cache(maxsize=64)
 def _graph(n: int) -> CayleyGraph:
-    # Factories below verify against the graph; cache it so building a
-    # generator list does not reconstruct adjacency a dozen times.
+    # clique_action reads the origin's cliques off the graph; cache it so
+    # labelling every element of a stabiliser builds the graph once.
     return build_graph(n)
 
 
@@ -96,9 +108,7 @@ def is_graph_automorphism(g: CayleyGraph, p: Permutation) -> bool:
     return _automorphism_witness(g, p) is None
 
 
-def check_graph_automorphism(g: CayleyGraph, p: Permutation) -> None:
-    """Raise AutomorphismError with the offending pair if p breaks adjacency."""
-    witness = _automorphism_witness(g, p)
+def _refuse(witness) -> None:
     if witness is not None:
         raise AutomorphismError(
             f"not an automorphism: adjacency disagrees around vertex pair {witness}",
@@ -106,9 +116,45 @@ def check_graph_automorphism(g: CayleyGraph, p: Permutation) -> None:
         )
 
 
+def check_graph_automorphism(g: CayleyGraph, p: Permutation) -> None:
+    """Raise AutomorphismError with the offending pair if p breaks adjacency."""
+    _refuse(_automorphism_witness(g, p))
+
+
+def _affine_witness(n: int, p: Permutation):
+    """For an affine p, the pair _automorphism_witness would report for p on
+    the graph of modulus n, or None when p is an automorphism.
+
+    t is the image of (0, 0), and the columns of M are the images of (1, 0)
+    and (0, 1) minus t.  A permutation that is not x -> Mx + t on every
+    vertex is refused with the first vertex where it differs.  For an affine
+    map the first row of the exhaustive check fails exactly when M(S) != S,
+    and every later row passes when it holds, so the answer is None or
+    (0, w), w the least vertex of p(N(0)) symmetric-difference N(p(0)).
+    """
+    if p.degree != n * n:
+        raise ValueError(f"degree {p.degree} does not match {n * n} vertices")
+    imgs = p.images
+    tx, ty = divmod(int(imgs[0]), n)
+    (ax, ay), (bx, by) = divmod(int(imgs[n]), n), divmod(int(imgs[1]), n)
+    x, y = np.divmod(np.arange(n * n), n)
+    affine = (((ax - tx) * x + (bx - tx) * y + tx) % n * n
+              + ((ay - ty) * x + (by - ty) * y + ty) % n)
+    stray = np.flatnonzero(affine != imgs)
+    if stray.size:
+        raise AutomorphismError(
+            f"map is not affine on Z_{n} x Z_{n}: vertex {stray[0]} breaks x -> Mx + t",
+            witness=int(stray[0]),
+        )
+    hood = connection_set(n).members
+    mapped = {int(imgs[s.index]) for s in hood}
+    expected = {(ZnPair(tx, ty, n) + s).index for s in hood}
+    return (0, min(mapped ^ expected)) if mapped != expected else None
+
+
 def _named(kind: str, params: tuple[int, ...], n: int, fn) -> NamedAutomorphism:
     perm = perm_from_pair_map(n, fn)
-    check_graph_automorphism(_graph(n), perm)
+    _refuse(_affine_witness(n, perm))
     return NamedAutomorphism(kind=kind, params=params, n=n, perm=perm)
 
 

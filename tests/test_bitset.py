@@ -1,4 +1,4 @@
-from cayleysrg.bitset import bfs_layers, bit_indices
+from cayleysrg.bitset import bfs_layers, iter_bits
 
 
 def adjacency_of(vertex_count, edges):
@@ -9,11 +9,23 @@ def adjacency_of(vertex_count, edges):
     return rows
 
 
+class RecordingRows(list):
+    """Adjacency rows that remember which vertices were looked up."""
+
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.read = []
+
+    def __getitem__(self, v):
+        self.read.append(v)
+        return super().__getitem__(v)
+
+
 class TestBfsLayers:
     def test_path_layers_from_an_end_and_the_middle(self):
         path = adjacency_of(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-        assert [bit_indices(x) for x in bfs_layers(path, 0)] == [[0], [1], [2], [3], [4]]
-        assert [bit_indices(x) for x in bfs_layers(path, 2)] == [[2], [1, 3], [0, 4]]
+        assert [list(iter_bits(x)) for x in bfs_layers(path, 0)] == [[0], [1], [2], [3], [4]]
+        assert [list(iter_bits(x)) for x in bfs_layers(path, 2)] == [[2], [1, 3], [0, 4]]
 
     def test_single_vertex(self):
         assert bfs_layers([0], 0) == [1]
@@ -25,7 +37,7 @@ class TestBfsLayers:
         # two triangles: the second one is never reached from vertex 4
         rows = adjacency_of(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
         layers = bfs_layers(rows, 4)
-        assert [bit_indices(x) for x in layers] == [[4], [3, 5]]
+        assert [list(iter_bits(x)) for x in layers] == [[4], [3, 5]]
         assert sum(layers) == 0b111000
 
     def test_layers_are_disjoint_and_end_nonempty(self, graph):
@@ -34,3 +46,16 @@ class TestBfsLayers:
         assert layers[0] == 1 << 7 and all(layers)
         assert sum(x.bit_count() for x in layers) == sum(layers).bit_count() == 36
         assert [x.bit_count() for x in layers] == [1, 15, 20]
+
+    def test_rows_of_a_last_layer_that_completes_the_graph_are_not_read(self):
+        # the last layer {3, 4} of this tree reaches every vertex, so its
+        # rows cannot add anything; the layers stay those of a full walk
+        rows = RecordingRows(adjacency_of(5, [(0, 1), (0, 2), (1, 3), (2, 4)]))
+        layers = bfs_layers(rows, 0)
+        assert [list(iter_bits(x)) for x in layers] == [[0], [1, 2], [3, 4]]
+        assert sorted(rows.read) == [0, 1, 2]
+
+    def test_walk_that_leaves_vertices_unreached_reads_every_reached_row(self):
+        rows = RecordingRows(adjacency_of(4, [(0, 1), (1, 2)]))
+        assert [list(iter_bits(x)) for x in bfs_layers(rows, 0)] == [[0], [1], [2]]
+        assert sorted(rows.read) == [0, 1, 2]

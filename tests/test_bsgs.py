@@ -2,11 +2,13 @@ import random
 
 import pytest
 
+import cayleysrg.bsgs as bsgs
 from cayleysrg import (
     Permutation,
     PermutationGroup,
     ZnPair,
     claimed_aut_group,
+    claimed_origin_stabilizer,
     clique_rotation,
     coordinate_swap,
     translation,
@@ -153,6 +155,22 @@ class TestOrbits:
         assert all(g.is_adjacent(u, v) for u, v in arc_orbit)
 
 
+def schreier_stabilizer(grp, v):
+    """The stabiliser of v built from every Schreier generator of the orbit
+    of v, independently of the stabiliser chain of grp."""
+    gens = [g for g in grp.generators if not g.is_identity()]
+    rep = {v: Permutation.identity(grp.degree)}
+    queue = [v]
+    for x in queue:
+        for g in gens:
+            y = g.apply(x)
+            if y not in rep:
+                rep[y] = g * rep[x]
+                queue.append(y)
+    schreier = [rep[g.apply(x)].inverse() * g * rep[x] for x in rep for g in gens]
+    return PermutationGroup.from_generators(schreier)
+
+
 class TestPointStabilizer:
     @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
     @pytest.mark.parametrize("point", [0, 7])
@@ -170,6 +188,17 @@ class TestPointStabilizer:
         grp = PermutationGroup.from_generators([Permutation.identity(9)])
         assert grp.point_stabilizer(3).order() == 1
 
+    @pytest.mark.parametrize("make, point, first_base_point", [
+        (claimed_aut_group, 7, False),
+        (claimed_origin_stabilizer, 1, True),
+    ])
+    def test_matches_the_schreier_built_group(self, make, point, first_base_point):
+        grp = make(5)
+        assert (grp.base[0] == point) == first_base_point
+        stab = grp.point_stabilizer(point)
+        assert grp.order() == len(grp.orbit_of_point(point)) * stab.order()
+        assert set(stab.elements()) == set(schreier_stabilizer(grp, point).elements())
+
 
 class TestStabilizerGenerators:
     @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
@@ -177,7 +206,9 @@ class TestStabilizerGenerators:
         grp = claimed_group(n)
         assert grp.base[0] == 0
         monkeypatch.setattr(PermutationGroup, "point_stabilizer", None)
+        monkeypatch.setattr(bsgs._Level, "recompute_orbit", None)
         gens = grp.stabilizer_generators(0)
+        monkeypatch.undo()
         assert all(p.apply(0) == 0 for p in gens)
         assert PermutationGroup.from_generators(gens).order() == grp.order() // (n * n)
 

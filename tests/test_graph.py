@@ -9,6 +9,7 @@ from cayleysrg import (
     translation,
     zero_neighborhood_cliques,
 )
+from cayleysrg.graph import _check_symmetric
 
 
 class TestConnectionSet:
@@ -98,6 +99,38 @@ class TestBuildGraph:
                     assert g.is_adjacent(u, w) == g.is_adjacent(t.apply(u), t.apply(w))
 
 
+def reference_rows(n):
+    """Adjacency rows set bit by bit, one offset of S at a time."""
+    offsets = sorted((s.i, s.j) for s in connection_set(n).members)
+    rows = []
+    for v in range(n * n):
+        i, j = divmod(v, n)
+        bits = 0
+        for si, sj in offsets:
+            bits |= 1 << (((i + si) % n) * n + (j + sj) % n)
+        rows.append(bits)
+    return rows
+
+
+class TestRowsByTranslation:
+    @pytest.mark.parametrize("n", range(4, 21))
+    def test_rows_equal_the_per_offset_construction(self, n):
+        assert list(build_graph(n).adjacency) == reference_rows(n)
+
+    @pytest.mark.parametrize("n, v, w, pair", [
+        (5, 3, 17, (3, 17)),        # a bit added
+        (5, 0, 1, (1, 0)),          # a bit removed: 1 still lists 0
+        (24, 575, 2, (575, 2)),     # 576 vertices: below the block diagonal
+        (24, 40, 530, (40, 530)),   # and above it
+    ])
+    def test_one_flipped_bit_is_named(self, n, v, w, pair):
+        rows = reference_rows(n)
+        _check_symmetric(rows)
+        rows[v] ^= 1 << w
+        with pytest.raises(RuntimeError, match=rf"not symmetric on \({pair[0]}, {pair[1]}\)"):
+            _check_symmetric(rows)
+
+
 class TestBfsDistances:
     def test_distances_from_origin_at_five(self, graph):
         g = graph(5)
@@ -166,8 +199,8 @@ class TestZeroNeighborhoodCliques:
                 self.adjacency = adjacency
 
             def neighbors(self, v):
-                from cayleysrg.bitset import bit_indices
-                return bit_indices(self.adjacency[v])
+                from cayleysrg.bitset import iter_bits
+                return list(iter_bits(self.adjacency[v]))
 
             def is_adjacent(self, u, v):
                 return bool(self.adjacency[u] >> v & 1)

@@ -9,7 +9,7 @@ from cayleysrg import (
     diameter,
     intersection_array,
 )
-from cayleysrg.bitset import bfs_layers, bit_indices
+from cayleysrg.bitset import bfs_layers, iter_bits
 
 nx = pytest.importorskip("networkx")
 
@@ -29,7 +29,7 @@ def to_networkx(g):
     G = nx.Graph()
     G.add_nodes_from(range(g.vertex_count))
     G.add_edges_from((u, w) for u in range(g.vertex_count)
-                     for w in bit_indices(g.adjacency[u]) if w > u)
+                     for w in iter_bits(g.adjacency[u]) if w > u)
     return G
 
 
@@ -107,4 +107,4 @@ class TestFrucht:
             lengths = nx.single_source_shortest_path_length(G, source)
             layers = bfs_layers(frucht.adjacency, source)
             assert len(layers) - 1 == nx.eccentricity(G, source)
-            assert {v: d for d, x in enumerate(layers) for v in bit_indices(x)} == lengths
+            assert {v: d for d, x in enumerate(layers) for v in iter_bits(x)} == lengths

@@ -1,5 +1,6 @@
 import pytest
 
+import cayleysrg.symmetries as symmetries
 from cayleysrg import (
     AutomorphismError,
     CliqueActionLabel,
@@ -12,10 +13,12 @@ from cayleysrg import (
     clique_rotation,
     coordinate_swap,
     is_graph_automorphism,
+    perm_from_pair_map,
     translation,
     unit_scaling,
     units,
 )
+from cayleysrg.symmetries import _affine_witness, _automorphism_witness
 
 
 def v(i, j, n):
@@ -58,6 +61,60 @@ class TestFactories:
         ] + [unit_scaling(n, u).perm for u in units(n)]
         for p in perms:
             assert is_graph_automorphism(g, p)
+
+
+def _neighbour_transposition(n):
+    imgs = list(range(n * n))
+    x, y = v(1, 0, n), v(1, 1, n)
+    imgs[x], imgs[y] = imgs[y], imgs[x]
+    return Permutation(imgs)
+
+
+class TestAffineCheck:
+    """The factories' affine check against the exhaustive row check."""
+
+    @pytest.mark.parametrize("n", range(4, 14))
+    def test_agrees_with_the_row_check(self, graph, n):
+        maps = [lambda p: ZnPair((p.i + p.j) % n, p.j, n)]
+        if n % 2:
+            maps.append(lambda p: ZnPair(p.i, 2 * p.j % n, n))
+        perms = [perm_from_pair_map(n, fn) for fn in maps]
+        perms += [translation(n, a, b).perm for a, b in [(1, 0), (0, 1), (2, n - 1)]]
+        perms += [unit_scaling(n, u).perm for u in units(n)]
+        perms += [coordinate_swap(n).perm, clique_rotation(n).perm]
+        for p in perms:
+            assert _affine_witness(n, p) == _automorphism_witness(graph(n), p)
+
+    def test_non_automorphisms_and_their_witnesses(self, graph):
+        double = perm_from_pair_map(5, lambda p: ZnPair(p.i, 2 * p.j % 5, 5))
+        shear = perm_from_pair_map(5, lambda p: ZnPair((p.i + p.j) % 5, p.j, 5))
+        assert _affine_witness(5, double) == _automorphism_witness(graph(5), double) == (0, 6)
+        assert _affine_witness(5, shear) == _automorphism_witness(graph(5), shear) == (0, 1)
+
+    @pytest.mark.parametrize("n", range(4, 14))
+    def test_non_affine_map_is_refused(self, graph, n):
+        p = _neighbour_transposition(n)
+        assert _automorphism_witness(graph(n), p) is not None
+        with pytest.raises(AutomorphismError, match="not affine") as exc:
+            _affine_witness(n, p)
+        assert exc.value.witness == v(1, 1, n)
+
+    def test_factory_refuses_a_map_that_is_not_an_automorphism(self):
+        with pytest.raises(AutomorphismError, match="not an automorphism") as exc:
+            symmetries._named("shear", (), 5, lambda p: ZnPair((p.i + p.j) % 5, p.j, 5))
+        assert exc.value.witness == (0, 1)
+
+    def test_factories_build_no_graph(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError("a factory built the graph")
+
+        monkeypatch.setattr(symmetries, "build_graph", refuse)
+        monkeypatch.setattr(symmetries, "_graph", refuse)
+        assert claimed_aut_group(11).order() == 6 * 121 * 10
+
+    def test_degree_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="does not match"):
+            _affine_witness(4, Permutation.identity(25))
 
 
 class TestRelations:
@@ -103,10 +160,7 @@ class TestRelations:
 class TestAutomorphismCheck:
     def test_transposition_of_neighbours_is_rejected(self, graph):
         g = graph(4)
-        imgs = list(range(16))
-        x, y = v(1, 0, 4), v(1, 1, 4)
-        imgs[x], imgs[y] = imgs[y], imgs[x]
-        p = Permutation(imgs)
+        p = _neighbour_transposition(4)
         assert not is_graph_automorphism(g, p)
         with pytest.raises(AutomorphismError) as exc:
             check_graph_automorphism(g, p)
