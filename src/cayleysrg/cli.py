@@ -5,15 +5,17 @@ Three subcommands:
     cayleysrg analyze N [--oracle]
         Build the graph for modulus N, certify regularity, build the
         claimed automorphism group and its origin stabiliser, classify
-        transitivity, optionally cross-check against the brute-force
-        enumeration (N <= 7), and print one JSON report to stdout.
+        transitivity, optionally cross-check against the independent
+        automorphism count of search.py (N <= 16), and print one JSON
+        report to stdout.
 
     cayleysrg export N --format {graph6,dot}
         Print the graph in the requested format.
 
     cayleysrg verify LO..HI [--oracle-upto M]
         Run the analyze checks for every modulus in the range, print a
-        JSON summary to stdout and a table to stderr.
+        JSON summary to stdout and a table to stderr, one row as soon as
+        each modulus finishes.
 
 JSON always goes to stdout, everything human-oriented to stderr.  Exit 0
 means every predicted value matched, 1 means some check failed, 2 means
@@ -26,6 +28,7 @@ import argparse
 import json
 import sys
 import time
+from typing import Callable
 
 from .core import units
 from .graph import GRAPH_MAX_MODULUS, build_graph
@@ -127,10 +130,12 @@ def analyze_report(n: int, with_oracle: bool = False) -> tuple[dict, list[str]]:
 
     oracle = None
     if with_oracle:
+        # The representatives generate Aut, so all of them in the claimed
+        # group means Aut <= G; with |Aut| = |G| the two are equal.
         t = time.perf_counter()
         found = enumerate_automorphisms(g)
         agreement = len(found) == group_order and all(
-            grp.contains(p) for p in found.elements
+            grp.contains(p) for p in found.representatives
         )
         oracle = {"brute_order": len(found), "agreement": agreement}
         timings["oracle"] = round(time.perf_counter() - t, 6)
@@ -169,8 +174,12 @@ def analyze_report(n: int, with_oracle: bool = False) -> tuple[dict, list[str]]:
     return report, failures
 
 
-def verify_range(lo: int, hi: int, oracle_upto: int | None = None) -> dict:
-    """Analyze every modulus in [lo, hi] and collect pass/fail rows."""
+def verify_range(lo: int, hi: int, oracle_upto: int | None = None,
+                 on_row: Callable[[dict], None] | None = None) -> dict:
+    """Analyze every modulus in [lo, hi] and collect pass/fail rows.
+
+    on_row, when given, receives each row as soon as its modulus finishes.
+    """
     results = []
     for n in range(lo, hi + 1):
         with_oracle = oracle_upto is not None and n <= oracle_upto
@@ -189,6 +198,8 @@ def verify_range(lo: int, hi: int, oracle_upto: int | None = None) -> dict:
             "failed_checks": failures,
             "passed": not failures,
         })
+        if on_row is not None:
+            on_row(results[-1])
     return {
         "lo": lo,
         "hi": hi,
@@ -198,21 +209,23 @@ def verify_range(lo: int, hi: int, oracle_upto: int | None = None) -> dict:
     }
 
 
-def _print_verify_table(summary: dict) -> None:
+def _print_verify_head() -> None:
     head = f"{'n':>4}  {'order':>10}  {'edge':>5}  {'arc':>5}  {'dist':>5}  {'2arc':>5}  {'oracle':>7}  result"
-    print(head, file=sys.stderr)
-    for row in summary["results"]:
-        tr = row["transitivity"]
-        oracle = row["oracle"]
-        otext = "-" if oracle is None else f"{oracle['brute_order']}"
-        status = "ok" if row["passed"] else "FAIL(" + ",".join(row["failed_checks"]) + ")"
-        print(
-            f"{row['n']:>4}  {row['claimed_group_order']:>10}  "
-            f"{str(tr['edge_transitive']):>5}  {str(tr['arc_transitive']):>5}  "
-            f"{str(tr['distance_transitive']):>5}  {str(tr['two_arc_transitive']):>5}  "
-            f"{otext:>7}  {status}",
-            file=sys.stderr,
-        )
+    print(head, file=sys.stderr, flush=True)
+
+
+def _print_verify_row(row: dict) -> None:
+    tr = row["transitivity"]
+    oracle = row["oracle"]
+    otext = "-" if oracle is None else f"{oracle['brute_order']}"
+    status = "ok" if row["passed"] else "FAIL(" + ",".join(row["failed_checks"]) + ")"
+    print(
+        f"{row['n']:>4}  {row['claimed_group_order']:>10}  "
+        f"{str(tr['edge_transitive']):>5}  {str(tr['arc_transitive']):>5}  "
+        f"{str(tr['distance_transitive']):>5}  {str(tr['two_arc_transitive']):>5}  "
+        f"{otext:>7}  {status}",
+        file=sys.stderr, flush=True,
+    )
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -232,7 +245,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_an = sub.add_parser("analyze", help="full analysis of one modulus as JSON")
     p_an.add_argument("n", type=int)
     p_an.add_argument("--oracle", action="store_true",
-                      help=f"cross-check by brute force (n <= {BRUTE_FORCE_MAX_MODULUS})")
+                      help="cross-check against the automorphism group counted "
+                           f"from the graph alone (n <= {BRUTE_FORCE_MAX_MODULUS})")
 
     p_ex = sub.add_parser("export", help="write the graph to stdout")
     p_ex.add_argument("n", type=int)
@@ -241,7 +255,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ve = sub.add_parser("verify", help="check a whole range of moduli")
     p_ve.add_argument("range", help="inclusive modulus range, e.g. 4..10")
     p_ve.add_argument("--oracle-upto", type=int, default=None,
-                      help="also brute-force moduli up to this bound")
+                      help="also run the --oracle cross-check on moduli up to this bound")
     return parser
 
 
@@ -283,9 +297,10 @@ def main(argv=None) -> int:
             parser.error(f"range must satisfy 4 <= lo <= hi <= {GRAPH_MAX_MODULUS}")
         if args.oracle_upto is not None and args.oracle_upto > BRUTE_FORCE_MAX_MODULUS:
             parser.error(f"--oracle-upto must be <= {BRUTE_FORCE_MAX_MODULUS}")
-        summary = verify_range(lo, hi, oracle_upto=args.oracle_upto)
+        _print_verify_head()
+        summary = verify_range(lo, hi, oracle_upto=args.oracle_upto,
+                               on_row=_print_verify_row)
         print(json.dumps(summary, indent=2))
-        _print_verify_table(summary)
         return 0 if summary["all_passed"] else 1
 
     parser.error(f"unknown command {args.command!r}")

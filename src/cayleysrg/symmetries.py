@@ -205,8 +205,8 @@ def claimed_aut_group(n: int) -> PermutationGroup:
 
     Generated by the two axis translations, all unit scalings, the swap and
     the rotation.  Its order works out to 6 * n**2 * phi(n); whether it is
-    the full automorphism group is exactly what the brute-force oracle
-    cross-checks at small n.
+    the full automorphism group is exactly what the oracle in search.py
+    cross-checks for n <= 16, by counting Aut from the graph alone.
     """
     gens = [translation(n, 1, 0).perm, translation(n, 0, 1).perm]
     gens.extend(_origin_stabilizer_perms(n))

@@ -1,8 +1,16 @@
+import contextlib
+import io
 import json
 
 import pytest
 
-from cayleysrg import from_graph6
+import cayleysrg.cli as cli
+from cayleysrg import (
+    BRUTE_FORCE_MAX_MODULUS,
+    PermutationGroup,
+    from_graph6,
+    translation,
+)
 from cayleysrg.cli import analyze_report, main, predicted_values, verify_range
 
 REPORT_KEYS = [
@@ -63,9 +71,24 @@ class TestAnalyze:
 
     def test_oracle_cap_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["analyze", "8", "--oracle"])
+            main(["analyze", str(BRUTE_FORCE_MAX_MODULUS + 1), "--oracle"])
         assert exc.value.code == 2
         capsys.readouterr()
+
+    def test_oracle_refuses_a_proper_subgroup(self, capsys, monkeypatch):
+        def translations(n):
+            return PermutationGroup.from_generators(
+                [translation(n, 1, 0).perm, translation(n, 0, 1).perm])
+
+        monkeypatch.setattr(cli, "claimed_aut_group", translations)
+        code, out, err = run_cli(capsys, "analyze", "5", "--oracle")
+        assert code == 1
+        report = json.loads(out)
+        assert report["claimed_group_order"] == 25
+        assert report["oracle"] == {"brute_order": 600, "agreement": False}
+        _, failures = analyze_report(5, with_oracle=True)
+        assert "oracle" in failures
+        assert "MISMATCH" in err and "oracle" in err
 
 
 class TestExport:
@@ -128,6 +151,31 @@ class TestVerify:
 
     def test_oracle_upto_cap(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["verify", "4..5", "--oracle-upto", "8"])
+            main(["verify", "4..5", "--oracle-upto", str(BRUTE_FORCE_MAX_MODULUS + 1)])
         assert exc.value.code == 2
         capsys.readouterr()
+
+    def test_rows_are_printed_as_each_modulus_finishes(self, monkeypatch):
+        err = io.StringIO()
+        seen_before = {}
+        inner = cli.analyze_report
+
+        def spy(n, with_oracle=False):
+            seen_before[n] = err.getvalue()
+            return inner(n, with_oracle=with_oracle)
+
+        monkeypatch.setattr(cli, "analyze_report", spy)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["verify", "4..6", "--oracle-upto", "4"])
+        assert code == 0
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 4 and lines[0].split() == [
+            "n", "order", "edge", "arc", "dist", "2arc", "oracle", "result"]
+        # the header precedes the first modulus, and each row the next one
+        assert seen_before[4].splitlines() == lines[:1]
+        assert seen_before[5].splitlines() == lines[:2]
+        assert seen_before[6].splitlines() == lines[:3]
+        assert lines[1].split() == ["4", "192", "False", "False", "False", "False", "192", "ok"]
+        assert lines[3].split()[-2:] == ["-", "ok"]
+        assert json.loads(out.getvalue())["all_passed"] is True

@@ -1,4 +1,5 @@
-"""The regularity certificates and the BFS, checked against networkx."""
+"""The regularity certificates, the BFS and the automorphism count,
+checked against networkx."""
 
 import pytest
 
@@ -7,6 +8,7 @@ from cayleysrg import (
     RegularityRefusal,
     check_strongly_regular,
     diameter,
+    enumerate_automorphisms,
     intersection_array,
 )
 from cayleysrg.bitset import bfs_layers, iter_bits
@@ -84,6 +86,17 @@ def test_bfs_layers_agree(graph, nx_graph, n):
         for v, d in lengths.items():
             expected[d] |= 1 << v
         assert bfs_layers(g.adjacency, source) == expected
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_automorphism_count_agrees(graph, nx_graph, n):
+    # VF2 lists every automorphism: 0.6 s at n = 4, 3.2 s at n = 5 and about
+    # 22 s at n = 6 (2 vCPUs, CPython 3.11), so n = 6 is left out
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    G = nx_graph(n)
+    vf2 = sum(1 for _ in GraphMatcher(G, G).isomorphisms_iter())
+    assert vf2 == len(enumerate_automorphisms(graph(n)))
 
 
 class TestFrucht:
