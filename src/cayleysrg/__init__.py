@@ -5,8 +5,8 @@ difference lies on a coordinate axis or the main diagonal.  The package
 builds the graphs, certifies their regularity parameters by exhaustive
 counting, constructs the predicted automorphism group from explicit
 coordinate maps, cross-checks it against an independent count of the
-automorphism group along a stabiliser chain (n <= 16), and classifies vertex, edge, arc, distance and 2-arc transitivity by
-orbit computation.
+automorphism group along a stabiliser chain (n <= 16), and classifies
+vertex, edge, arc, distance and 2-arc transitivity by orbit computation.
 """
 
 from .bsgs import PermutationGroup

@@ -28,7 +28,6 @@ import argparse
 import json
 import sys
 import time
-from typing import Callable
 
 from .core import units
 from .graph import GRAPH_MAX_MODULUS, build_graph
@@ -174,12 +173,15 @@ def analyze_report(n: int, with_oracle: bool = False) -> tuple[dict, list[str]]:
     return report, failures
 
 
-def verify_range(lo: int, hi: int, oracle_upto: int | None = None,
-                 on_row: Callable[[dict], None] | None = None) -> dict:
+def verify_range(lo: int, hi: int, oracle_upto: int | None = None) -> dict:
     """Analyze every modulus in [lo, hi] and collect pass/fail rows.
 
-    on_row, when given, receives each row as soon as its modulus finishes.
+    Prints the table header to stderr first, then each row as soon as its
+    modulus finishes.
     """
+    head = (f"{'n':>4}  {'order':>10}  {'edge':>5}  {'arc':>5}  {'dist':>5}  "
+            f"{'2arc':>5}  {'oracle':>7}  result")
+    print(head, file=sys.stderr, flush=True)
     results = []
     for n in range(lo, hi + 1):
         with_oracle = oracle_upto is not None and n <= oracle_upto
@@ -198,8 +200,7 @@ def verify_range(lo: int, hi: int, oracle_upto: int | None = None,
             "failed_checks": failures,
             "passed": not failures,
         })
-        if on_row is not None:
-            on_row(results[-1])
+        _print_verify_row(results[-1])
     return {
         "lo": lo,
         "hi": hi,
@@ -207,11 +208,6 @@ def verify_range(lo: int, hi: int, oracle_upto: int | None = None,
         "results": results,
         "all_passed": all(row["passed"] for row in results),
     }
-
-
-def _print_verify_head() -> None:
-    head = f"{'n':>4}  {'order':>10}  {'edge':>5}  {'arc':>5}  {'dist':>5}  {'2arc':>5}  {'oracle':>7}  result"
-    print(head, file=sys.stderr, flush=True)
 
 
 def _print_verify_row(row: dict) -> None:
@@ -297,9 +293,7 @@ def main(argv=None) -> int:
             parser.error(f"range must satisfy 4 <= lo <= hi <= {GRAPH_MAX_MODULUS}")
         if args.oracle_upto is not None and args.oracle_upto > BRUTE_FORCE_MAX_MODULUS:
             parser.error(f"--oracle-upto must be <= {BRUTE_FORCE_MAX_MODULUS}")
-        _print_verify_head()
-        summary = verify_range(lo, hi, oracle_upto=args.oracle_upto,
-                               on_row=_print_verify_row)
+        summary = verify_range(lo, hi, oracle_upto=args.oracle_upto)
         print(json.dumps(summary, indent=2))
         return 0 if summary["all_passed"] else 1
 

@@ -3,10 +3,10 @@ side of the analysis.
 
 This module deliberately shares nothing with the symmetry construction in
 symmetries.py or the group machinery in bsgs.py; from core it takes only
-the Permutation type and the orbit routine.  It computes the automorphism group of a graph from its adjacency
-alone, so agreement between its count and the order of the claimed group
-is evidence about the graph, not about one implementation echoing the
-other.
+the Permutation type and the orbit routine.  It computes the automorphism
+group of a graph from its adjacency alone, so agreement between its count
+and the order of the claimed group is evidence about the graph, not about
+one implementation echoing the other.
 
 The search follows McKay & Piperno, *Practical graph isomorphism II*
 (J. Symb. Comput. 2014), without the canonical labelling:
@@ -25,8 +25,7 @@ The search follows McKay & Piperno, *Practical graph isomorphism II*
   automorphism per image gives a transversal chain that generates Aut.
 
 Levels are counted from the deepest up.  A candidate that the automorphisms
-found so far already reach from b_i needs no search, nor does one they
-reach from a candidate whose search failed.
+found so far already reach from b_i needs no search.
 """
 
 from __future__ import annotations
@@ -120,7 +119,8 @@ def _refine(adj, part: _Partition, splitters: list[int], expect=None):
     it, starting from the cells named in splitters.
 
     Splitting cell C by splitter W orders the fragments by their number of
-    neighbours in W.  Every step reads and names only cell starts, so the
+    out-neighbours in W, which is 0 for every vertex of C that W does not
+    reach; the rows need not be symmetric.  Every step reads and names only cell starts, so the
     result and the trace, one (splitter, cell, sorted (count, size) pairs)
     event per cell that W touches, commute with every relabelling of the
     graph.  With expect given, the refinement stops and returns None at the
@@ -147,7 +147,7 @@ def _refine(adj, part: _Partition, splitters: list[int], expect=None):
             groups = by_cell[c]
             rest = cells[c] & ~hit
             if rest:
-                groups[0] = rest
+                groups[0] = groups.get(0, 0) | rest
             counts = sorted(groups)
             sizes = [groups[k].bit_count() for k in counts]
             event = (s, c, tuple(zip(counts, sizes)))
@@ -252,7 +252,8 @@ class _Search:
 def enumerate_automorphisms(g) -> AutomorphismList:
     """The automorphism group of g, counted along a stabiliser chain.
 
-    g needs only vertex_count and adjacency, the rows as int bitmasks.
+    g needs only vertex_count and adjacency, the rows as int bitmasks;
+    row v holds the out-neighbours of v, so digraphs are counted too.
     The result is deterministic: the same graph gives the same base and
     transversals.
     """
@@ -270,15 +271,11 @@ def enumerate_automorphisms(g) -> AutomorphismList:
     for level in reversed(range(len(search.base))):
         x = search.base[level]
         tree = orbits(gens, [(x,)])[0]
-        failed = 0
         for y in iter_bits(search.nodes[level].cells[search.targets[level]]):
-            if (y,) in tree or failed >> y & 1:
+            if (y,) in tree:
                 continue
             images = search.extend(level, y)
-            if images is None:
-                for (z,) in orbits(gens, [(y,)])[0]:
-                    failed |= 1 << z
-            else:
+            if images is not None:
                 gens.append(images)
                 found.append(Permutation(images))
                 tree = orbits(gens, [(x,)])[0]

@@ -1,5 +1,8 @@
 import ast
+import itertools
 import math
+import random
+from types import SimpleNamespace
 from pathlib import Path
 
 import pytest
@@ -231,6 +234,23 @@ class TestOutsideTheFamily:
         assert found.base == ()
         assert len(found) == 1
         assert found.elements == (Permutation.identity(1),)
+
+    def test_digraphs_against_every_permutation(self):
+        # Rows that are not symmetric: refinement meets vertices that a
+        # splitter reaches but that have no out-neighbour in it.
+        rnd = random.Random(1)
+        for _ in range(60):
+            vc = rnd.randint(2, 6)
+            rows = [sum(1 << v for v in range(vc) if v != u and rnd.random() < 0.4)
+                    for u in range(vc)]
+            expected = {
+                p for p in itertools.permutations(range(vc))
+                if all(rows[p[u]] == sum(1 << p[v] for v in iter_bits(rows[u]))
+                       for u in range(vc))
+            }
+            found = enumerate_automorphisms(SimpleNamespace(vertex_count=vc, adjacency=rows))
+            assert len(found) == len(expected), rows
+            assert {tuple(p.images.tolist()) for p in found.elements} == expected, rows
 
 
 class TestCommonNeighborCount:
