@@ -31,7 +31,6 @@ from .regularity import (
 from .search import (
     BRUTE_FORCE_MAX_MODULUS,
     AutomorphismList,
-    common_neighbor_count,
     enumerate_automorphisms,
 )
 from .symmetries import (
@@ -43,7 +42,6 @@ from .symmetries import (
     clique_action,
     clique_rotation,
     coordinate_swap,
-    is_graph_automorphism,
     check_graph_automorphism,
     translation,
     unit_scaling,
@@ -73,9 +71,9 @@ __all__ = [
     "check_strongly_regular", "intersection_array", "diameter",
     "NamedAutomorphism", "AutomorphismError", "CliqueActionLabel",
     "translation", "unit_scaling", "coordinate_swap", "clique_rotation",
-    "is_graph_automorphism", "check_graph_automorphism",
+    "check_graph_automorphism",
     "claimed_aut_group", "claimed_origin_stabilizer", "clique_action",
-    "AutomorphismList", "enumerate_automorphisms", "common_neighbor_count",
+    "AutomorphismList", "enumerate_automorphisms",
     "BRUTE_FORCE_MAX_MODULUS",
     "TransitivityResult", "DistanceTransitivityResult", "TransitivityReport",
     "is_vertex_transitive", "is_edge_transitive", "is_arc_transitive",

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .bitset import bfs_layers, iter_bits
 from .core import ZnPair, _check_modulus
 
@@ -30,9 +28,10 @@ __all__ = [
 ]
 
 # The rows hold n**4 bits, and the build does O(n**4) bit work: it takes
-# 0.17 s at n = 80, 0.37 s and 54 MB peak RSS at n = 100, and 1.7 s and
-# 155 MB at n = 150 (2 vCPUs, CPython 3.11).  The rows alone pass 1 GB near
-# n = 300, so moduli near this cap are accepted but not practical.
+# 0.02 s at n = 80, 0.05 s and 41 MB peak RSS at n = 100, and 0.20 s and
+# 93 MB at n = 150 (best of 3, 2 vCPUs, CPython 3.11.7).  The rows alone
+# pass 1 GB near n = 300, so moduli near this cap are accepted but not
+# practical.
 GRAPH_MAX_MODULUS = 1000
 
 
@@ -119,16 +118,19 @@ def build_graph(n: int) -> CayleyGraph:
     The graph is a Cayley graph, so translation by (i, 0) carries row (0, j)
     onto row (i, j): in the row-major order that is a rotation by i*n bits
     over n**2 bits.  Only the n rows (0, j) are set bit by bit from S; every
-    other row is one big-int rotation, O(n**2) of them in all.  Every row is
-    still checked: no self-loop and degree 3n - 3 row by row, and symmetry
-    of the whole adjacency matrix in blocks.  The symmetry check holds a
-    packed copy of the matrix, so the peak memory is about twice the rows'
-    n**4 bits.  A bad row is an internal error, not a recoverable condition.
+    other row is one big-int rotation, O(n**2) of them in all.  S = -S makes
+    the adjacency symmetric, since w - v lies in S exactly when v - w does,
+    so a connection set that is not closed under negation is refused.  Every
+    row is still checked for a self-loop and for degree 3n - 3.  A bad row
+    is an internal error, not a recoverable condition.
     """
     _check_modulus(n)
     if n > GRAPH_MAX_MODULUS:
         raise ValueError(f"modulus {n} exceeds the supported cap {GRAPH_MAX_MODULUS}")
     conn = connection_set(n)
+    for s in conn.members:
+        if -s not in conn.members:
+            raise RuntimeError(f"connection set holds ({s.i}, {s.j}) but not its negative")
     vertex_count = n * n
     full = (1 << vertex_count) - 1
     first_rows = []
@@ -149,42 +151,7 @@ def build_graph(n: int) -> CayleyGraph:
             raise RuntimeError(f"vertex {v} adjacent to itself")
         if row.bit_count() != k:
             raise RuntimeError(f"vertex {v} has degree {row.bit_count()}, expected {k}")
-    _check_symmetric(rows)
     return CayleyGraph(n=n, connection=conn, adjacency=tuple(rows))
-
-
-# Rows and columns per block of the symmetry check: one block unpacks to
-# 512 x 512 bytes, while the whole matrix at n = 80 would take 41 MB.
-_BLOCK = 512
-
-
-def _check_symmetric(rows: list[int]) -> None:
-    """Refuse rows whose adjacency matrix is not symmetric, naming a pair
-    (v, w) with w in row v but v not in row w.
-
-    The rows are packed into bytes once, and each block on or above the
-    diagonal is unpacked and compared with the transpose of its mirror block.
-    """
-    count = len(rows)
-    width = (count + 7) // 8
-    packed = np.empty((count, width), dtype=np.uint8)
-    for v, row in enumerate(rows):
-        packed[v] = np.frombuffer(row.to_bytes(width, "little"), dtype=np.uint8)
-
-    def block(r: int, c: int) -> np.ndarray:
-        return np.unpackbits(packed[r:r + _BLOCK, c // 8:(c + _BLOCK) // 8], axis=1,
-                             count=min(_BLOCK, count - c), bitorder="little")
-
-    for r in range(0, count, _BLOCK):
-        for c in range(r, count, _BLOCK):
-            upper = block(r, c)
-            differ = np.argwhere(upper != block(c, r).T)
-            if differ.size:
-                i, j = differ[0]
-                v, w = r + int(i), c + int(j)
-                if not upper[i, j]:
-                    v, w = w, v
-                raise RuntimeError(f"adjacency not symmetric on ({v}, {w})")
 
 
 @dataclass(frozen=True)

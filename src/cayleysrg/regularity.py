@@ -170,10 +170,13 @@ def intersection_array(g) -> IntersectionArray:
     For every vertex pair at distance i the counts of neighbours one layer
     closer (c_i) and one layer further (b_i) must depend on i alone, and
     every vertex must have the same eccentricity; the first disagreement is
-    refused with the offending pair.
+    refused with the offending pair.  A graph with no vertices is refused; a
+    single vertex has diameter 0.
     """
     vc = g.vertex_count
     adjacency = g.adjacency
+    if vc < 1:
+        raise RegularityRefusal("need at least one vertex", witness=None)
     _require_regular(vc, adjacency)
 
     b: dict[int, int] = {}

@@ -40,8 +40,7 @@ import numpy as np
 from .bitset import iter_bits
 from .core import Permutation, orbits
 
-__all__ = ["BRUTE_FORCE_MAX_MODULUS", "AutomorphismList", "enumerate_automorphisms",
-           "common_neighbor_count"]
+__all__ = ["BRUTE_FORCE_MAX_MODULUS", "AutomorphismList", "enumerate_automorphisms"]
 
 # Largest modulus the oracle accepts, as vertex_count <= cap**2.  At the cap
 # (256 vertices) the oracle stage of analyze, this count plus one sift per
@@ -83,13 +82,6 @@ class AutomorphismList:
         return tuple(products)
 
 
-def common_neighbor_count(g, u: int, v: int) -> int:
-    """Number of common neighbours of two distinct vertices."""
-    if u == v:
-        raise ValueError("common neighbours are only defined for distinct vertices")
-    return (g.adjacency[u] & g.adjacency[v]).bit_count()
-
-
 class _Partition:
     """An ordered partition of the vertices.  A cell is named by its start,
     the number of vertices in earlier cells, so splitting one cell renames
@@ -120,11 +112,11 @@ def _refine(adj, part: _Partition, splitters: list[int], expect=None):
 
     Splitting cell C by splitter W orders the fragments by their number of
     out-neighbours in W, which is 0 for every vertex of C that W does not
-    reach; the rows need not be symmetric.  Every step reads and names only cell starts, so the
-    result and the trace, one (splitter, cell, sorted (count, size) pairs)
-    event per cell that W touches, commute with every relabelling of the
-    graph.  With expect given, the refinement stops and returns None at the
-    first event that differs from it.
+    reach; the rows need not be symmetric.  Every step reads and names only
+    cell starts, so the result and the trace, one (splitter, cell, sorted
+    (count, size) pairs) event per cell that W touches, commute with every
+    relabelling of the graph.  With expect given, the refinement stops and
+    returns None at the first event that differs from it.
     """
     trace = []
     pending = set(splitters)
@@ -151,7 +143,8 @@ def _refine(adj, part: _Partition, splitters: list[int], expect=None):
             counts = sorted(groups)
             sizes = [groups[k].bit_count() for k in counts]
             event = (s, c, tuple(zip(counts, sizes)))
-            if expect is not None and (len(trace) == len(expect) or expect[len(trace)] != event):
+            if expect is not None and (
+                    len(trace) == len(expect) or expect[len(trace)] != event):
                 return None
             trace.append(event)
             if len(counts) == 1:

@@ -254,7 +254,8 @@ def classify_action(grp: PermutationGroup, g: CayleyGraph) -> TransitivityReport
         raise RuntimeError("orbit engine inconsistency: arc without edge transitivity")
     if two_arc.transitive and not arc.transitive:
         raise RuntimeError("orbit engine inconsistency: 2-arc without arc transitivity")
-    if distance.transitive and len(distance.orbit_sizes_by_distance) > 1 and not arc.transitive:
+    if (distance.transitive and len(distance.orbit_sizes_by_distance) > 1
+            and not arc.transitive):
         raise RuntimeError("orbit engine inconsistency: distance without arc transitivity")
 
     return TransitivityReport(

@@ -6,6 +6,28 @@ from cayleysrg import (
     claimed_origin_stabilizer,
     enumerate_automorphisms,
 )
+from cayleysrg.bitset import iter_bits
+
+
+def automorphism_witness(g, p):
+    """First adjacency discrepancy of p on g, or None if p is an automorphism.
+
+    The exhaustive oracle for check_graph_automorphism: every row is
+    checked, the image of the neighbourhood of v against the neighbourhood
+    of the image of v, and the first pair (v, w) where they differ is named.
+    Quadratic, exact, and blind to the Cayley structure.
+    """
+    if p.degree != g.vertex_count:
+        raise ValueError(f"degree {p.degree} does not match {g.vertex_count} vertices")
+    imgs = p.images.tolist()
+    for v in range(g.vertex_count):
+        mapped = 0
+        for w in iter_bits(g.adjacency[v]):
+            mapped |= 1 << imgs[w]
+        expected = g.adjacency[imgs[v]]
+        if mapped != expected:
+            return (v, next(iter_bits(mapped ^ expected)))
+    return None
 
 
 def _memo(fn):

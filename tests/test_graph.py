@@ -1,15 +1,52 @@
 import random
 
+import numpy as np
 import pytest
 
+import cayleysrg.graph as graph_module
 from cayleysrg import (
+    ConnectionSet,
     ZnPair,
     build_graph,
     connection_set,
     translation,
     zero_neighborhood_cliques,
 )
-from cayleysrg.graph import _check_symmetric
+
+
+# Rows and columns per block of the symmetry check: one block unpacks to
+# 512 x 512 bytes, while the whole matrix at n = 80 would take 41 MB.
+_BLOCK = 512
+
+
+def _check_symmetric(rows: list[int]) -> None:
+    """Refuse rows whose adjacency matrix is not symmetric, naming a pair
+    (v, w) with w in row v but v not in row w.
+
+    The oracle for the S = -S argument of build_graph.  The rows are packed
+    into bytes once, and each block on or above the diagonal is unpacked and
+    compared with the transpose of its mirror block.
+    """
+    count = len(rows)
+    width = (count + 7) // 8
+    packed = np.empty((count, width), dtype=np.uint8)
+    for v, row in enumerate(rows):
+        packed[v] = np.frombuffer(row.to_bytes(width, "little"), dtype=np.uint8)
+
+    def block(r: int, c: int) -> np.ndarray:
+        return np.unpackbits(packed[r:r + _BLOCK, c // 8:(c + _BLOCK) // 8], axis=1,
+                             count=min(_BLOCK, count - c), bitorder="little")
+
+    for r in range(0, count, _BLOCK):
+        for c in range(r, count, _BLOCK):
+            upper = block(r, c)
+            differ = np.argwhere(upper != block(c, r).T)
+            if differ.size:
+                i, j = differ[0]
+                v, w = r + int(i), c + int(j)
+                if not upper[i, j]:
+                    v, w = w, v
+                raise RuntimeError(f"adjacency not symmetric on ({v}, {w})")
 
 
 class TestConnectionSet:
@@ -129,6 +166,17 @@ class TestRowsByTranslation:
         rows[v] ^= 1 << w
         with pytest.raises(RuntimeError, match=rf"not symmetric on \({pair[0]}, {pair[1]}\)"):
             _check_symmetric(rows)
+
+    @pytest.mark.parametrize("n", list(range(4, 32)) + [80])
+    def test_rows_are_symmetric(self, n):
+        _check_symmetric(list(build_graph(n).adjacency))
+
+    def test_connection_set_without_a_negative_is_refused(self, monkeypatch):
+        full = connection_set(5)
+        lopsided = ConnectionSet(n=5, members=full.members - {ZnPair(1, 0, 5)})
+        monkeypatch.setattr(graph_module, "connection_set", lambda n: lopsided)
+        with pytest.raises(RuntimeError, match=r"holds \(4, 0\) but not its negative"):
+            build_graph(5)
 
 
 class TestBfsDistances:

@@ -136,6 +136,11 @@ class TestIntersectionArray:
             b=(), c=(), diameter=0
         )
 
+    def test_no_vertices_refused(self):
+        with pytest.raises(RegularityRefusal, match="at least one vertex") as exc:
+            intersection_array(FakeGraph(0, []))
+        assert exc.value.witness is None
+
     def test_disconnected_refused(self):
         two_triangles = FakeGraph(6, [(0, 1), (1, 2), (0, 2),
                                       (3, 4), (4, 5), (3, 5)])

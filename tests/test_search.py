@@ -12,13 +12,11 @@ from cayleysrg import (
     BRUTE_FORCE_MAX_MODULUS,
     Permutation,
     build_graph,
-    check_strongly_regular,
-    common_neighbor_count,
     enumerate_automorphisms,
-    is_graph_automorphism,
     units,
 )
 from cayleysrg.bitset import bfs_layers, iter_bits
+from conftest import automorphism_witness
 
 # Orders the enumeration must reproduce: 6 * n**2 * phi(n).
 EXPECTED_COUNTS = {4: 192, 5: 600, 6: 432}
@@ -111,7 +109,7 @@ class TestEnumeration:
     def test_every_element_is_an_automorphism(self, brute_list, graph, n):
         g = graph(n)
         for p in brute_list(n).elements:
-            assert is_graph_automorphism(g, p)
+            assert automorphism_witness(g, p) is None
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_no_duplicates_and_identity_present(self, brute_list, n):
@@ -177,7 +175,7 @@ class TestStabiliserChain:
             for u in transversal:
                 assert all(u(b) == b for b in fixed)
         for p in found.representatives:
-            assert is_graph_automorphism(g, p)
+            assert automorphism_witness(g, p) is None
 
     @pytest.mark.parametrize("n", [5, 6, 9])
     def test_deterministic_chain(self, n):
@@ -252,28 +250,3 @@ class TestOutsideTheFamily:
             assert len(found) == len(expected), rows
             assert {tuple(p.images.tolist()) for p in found.elements} == expected, rows
 
-
-class TestCommonNeighborCount:
-    def test_adjacent_example(self, graph):
-        g = graph(4)
-        # (0,0) and (1,0) are adjacent; common neighbourhood has size lambda
-        assert common_neighbor_count(g, 0, 4) == 4
-
-    def test_same_vertex_rejected(self, graph):
-        with pytest.raises(ValueError, match="distinct"):
-            common_neighbor_count(graph(4), 3, 3)
-
-    @pytest.mark.parametrize("n", [4, 5])
-    def test_counts_match_srg_parameters(self, graph, n):
-        g = graph(n)
-        srg = check_strongly_regular(g)
-        for u in range(g.vertex_count):
-            for w in range(u + 1, g.vertex_count):
-                expected = srg.lam if g.is_adjacent(u, w) else srg.mu
-                assert common_neighbor_count(g, u, w) == expected
-
-    def test_independent_count_via_neighbor_sets(self, graph):
-        g = graph(5)
-        for u, w in [(0, 1), (0, 13), (7, 20)]:
-            direct = len(set(g.neighbors(u)) & set(g.neighbors(w)))
-            assert common_neighbor_count(g, u, w) == direct

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 import cayleysrg.symmetries as symmetries
@@ -12,13 +14,13 @@ from cayleysrg import (
     clique_action,
     clique_rotation,
     coordinate_swap,
-    is_graph_automorphism,
     perm_from_pair_map,
     translation,
     unit_scaling,
     units,
 )
-from cayleysrg.symmetries import _affine_witness, _automorphism_witness
+from cayleysrg.symmetries import _affine_witness
+from conftest import automorphism_witness
 
 
 def v(i, j, n):
@@ -60,7 +62,7 @@ class TestFactories:
             clique_rotation(n).perm,
         ] + [unit_scaling(n, u).perm for u in units(n)]
         for p in perms:
-            assert is_graph_automorphism(g, p)
+            assert automorphism_witness(g, p) is None
 
 
 def _neighbour_transposition(n):
@@ -70,11 +72,35 @@ def _neighbour_transposition(n):
     return Permutation(imgs)
 
 
+def _random_affine(n, rng):
+    """x -> Mx + t for a random invertible M and a random t."""
+    while True:
+        a, b, c, d = (rng.randrange(n) for _ in range(4))
+        if (a * d - b * c) % n in units(n):
+            break
+    tx, ty = rng.randrange(n), rng.randrange(n)
+    return perm_from_pair_map(
+        n, lambda p: ZnPair((a * p.i + b * p.j + tx) % n, (c * p.i + d * p.j + ty) % n, n)
+    )
+
+
+def _check_outcome(g, p):
+    """check_graph_automorphism's answer: None, ("affine", pair) or
+    ("not affine", vertex)."""
+    try:
+        check_graph_automorphism(g, p)
+    except AutomorphismError as exc:
+        return ("not affine" if "not affine" in str(exc) else "affine", exc.witness)
+    return None
+
+
 class TestAffineCheck:
-    """The factories' affine check against the exhaustive row check."""
+    """The one automorphism check against the exhaustive row sweep."""
 
     @pytest.mark.parametrize("n", range(4, 14))
     def test_agrees_with_the_row_check(self, graph, n):
+        g = graph(n)
+        rng = random.Random(n)
         maps = [lambda p: ZnPair((p.i + p.j) % n, p.j, n)]
         if n % 2:
             maps.append(lambda p: ZnPair(p.i, 2 * p.j % n, n))
@@ -82,21 +108,30 @@ class TestAffineCheck:
         perms += [translation(n, a, b).perm for a, b in [(1, 0), (0, 1), (2, n - 1)]]
         perms += [unit_scaling(n, u).perm for u in units(n)]
         perms += [coordinate_swap(n).perm, clique_rotation(n).perm]
+        perms.append(_neighbour_transposition(n))
+        perms += [Permutation(rng.sample(range(n * n), n * n)) for _ in range(20)]
+        perms += [_random_affine(n, rng) for _ in range(20)]
         for p in perms:
-            assert _affine_witness(n, p) == _automorphism_witness(graph(n), p)
+            row = automorphism_witness(g, p)
+            outcome = _check_outcome(g, p)
+            assert (outcome is None) == (row is None)
+            if outcome is not None and outcome[0] == "affine":
+                assert outcome[1] == row
 
     def test_non_automorphisms_and_their_witnesses(self, graph):
         double = perm_from_pair_map(5, lambda p: ZnPair(p.i, 2 * p.j % 5, 5))
         shear = perm_from_pair_map(5, lambda p: ZnPair((p.i + p.j) % 5, p.j, 5))
-        assert _affine_witness(5, double) == _automorphism_witness(graph(5), double) == (0, 6)
-        assert _affine_witness(5, shear) == _automorphism_witness(graph(5), shear) == (0, 1)
+        assert _check_outcome(graph(5), double) == ("affine", (0, 6))
+        assert _check_outcome(graph(5), shear) == ("affine", (0, 1))
+        assert automorphism_witness(graph(5), double) == (0, 6)
+        assert automorphism_witness(graph(5), shear) == (0, 1)
 
     @pytest.mark.parametrize("n", range(4, 14))
     def test_non_affine_map_is_refused(self, graph, n):
         p = _neighbour_transposition(n)
-        assert _automorphism_witness(graph(n), p) is not None
+        assert automorphism_witness(graph(n), p) is not None
         with pytest.raises(AutomorphismError, match="not affine") as exc:
-            _affine_witness(n, p)
+            check_graph_automorphism(graph(n), p)
         assert exc.value.witness == v(1, 1, n)
 
     def test_factory_refuses_a_map_that_is_not_an_automorphism(self):
@@ -161,14 +196,19 @@ class TestAutomorphismCheck:
     def test_transposition_of_neighbours_is_rejected(self, graph):
         g = graph(4)
         p = _neighbour_transposition(4)
-        assert not is_graph_automorphism(g, p)
+        assert automorphism_witness(g, p) is not None
         with pytest.raises(AutomorphismError) as exc:
             check_graph_automorphism(g, p)
         assert exc.value.witness is not None
 
     def test_degree_mismatch_rejected(self, graph):
         with pytest.raises(ValueError, match="does not match"):
-            is_graph_automorphism(graph(4), Permutation.identity(25))
+            check_graph_automorphism(graph(4), Permutation.identity(25))
+
+    @pytest.mark.parametrize("n", range(4, 11))
+    def test_every_automorphism_the_oracle_finds_passes(self, graph, brute_list, n):
+        for p in brute_list(n).elements:
+            check_graph_automorphism(graph(n), p)
 
 
 class TestClaimedGroups:
