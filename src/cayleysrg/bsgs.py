@@ -1,17 +1,20 @@
 """Deterministic Schreier-Sims engine for permutation groups.
 
 Groups are handed in as generator lists and compiled once into a base and
-strong generating set.  The construction is the classic bottom-up one: per
-level compute the orbit of the base point with an explicit transversal,
-sift every Schreier generator through the deeper levels, and whenever a
-residue survives, append it as a strong generator and resume from the level
-it got stuck at.  No randomisation anywhere, so a fixed generator list
-always yields the same base, the same transversals and the same order.
+strong generating set, by the sift-and-insert form of Schreier-Sims
+(Seress, *Permutation Group Algorithms*, 2003, section 4.2).  Every input
+generator and every Schreier generator is sifted through the partial chain
+in the same way.  A residue that survives joins the levels it passes and
+extends the base when it fixes every base point; the levels it joined are
+then checked again from the deepest up.  An input that sifts to the
+identity is already in the group and never becomes a strong generator.
+No randomisation anywhere, so a fixed generator list always yields the
+same base, the same transversals and the same order.
 """
 
 from __future__ import annotations
 
-from .core import Permutation, orbits
+from .core import Permutation, orbits, transversal
 
 __all__ = ["PermutationGroup"]
 
@@ -30,8 +33,9 @@ def _distinct(perms) -> list[Permutation]:
 
 
 class _Level:
-    """One stabiliser level: a base point, the strong generators fixing all
-    earlier base points, and the orbit transversal of the point."""
+    """One stabiliser level: a base point, the strong generators that joined
+    it, which fix all earlier base points, and the orbit transversal of the
+    point."""
 
     __slots__ = ("point", "gens", "transversal", "transversal_inv")
 
@@ -42,30 +46,16 @@ class _Level:
         self.transversal_inv: dict[int, Permutation] = {}
 
     def recompute_orbit(self, degree: int) -> None:
-        ident = Permutation.identity(degree)
-        self.transversal = {self.point: ident}
-        self.transversal_inv = {self.point: ident}
-        queue = [self.point]
-        qi = 0
-        while qi < len(queue):
-            gamma = queue[qi]
-            qi += 1
-            rep = self.transversal[gamma]
-            for s in self.gens:
-                delta = s.apply(gamma)
-                if delta not in self.transversal:
-                    u = s * rep
-                    self.transversal[delta] = u
-                    self.transversal_inv[delta] = u.inverse()
-                    queue.append(delta)
+        self.transversal = transversal(self.gens, self.point, degree)
+        self.transversal_inv = {x: u.inverse() for x, u in self.transversal.items()}
 
 
 class PermutationGroup:
     """A permutation group with a base and strong generating set.
 
     Build with from_generators.  The input generator list is kept verbatim
-    (identities are skipped internally); membership, order and stabilisers
-    all run off the compiled chain.
+    (inputs already in the group are not strong generators); membership,
+    order and stabilisers all run off the compiled chain.
     """
 
     def __init__(self, generators: list[Permutation], degree: int,
@@ -78,10 +68,14 @@ class PermutationGroup:
     def from_generators(cls, generators) -> PermutationGroup:
         """Compile a base and strong generating set from the generators.
 
-        The list must be nonempty so that the degree is known; passing only
-        identity permutations yields the trivial group.  Base points are
-        chosen as the smallest point moved by whichever element forced the
-        extension, which keeps rebuilds reproducible.
+        Each input is sifted through the partial chain like a Schreier
+        residue, so one that sifts to the identity, such as a repeat, an
+        identity or a power of an earlier input, is dropped.  The list must
+        be nonempty so that the degree is known; passing only identity
+        permutations yields the trivial group.  Base points are chosen as
+        the smallest point moved by whichever residue forced the extension,
+        which keeps rebuilds reproducible.  Every input is checked for
+        membership in the finished chain.
         """
         gens = list(generators)
         if not gens:
@@ -93,61 +87,41 @@ class PermutationGroup:
             if g.degree != degree:
                 raise ValueError(f"generator degree {g.degree} != {degree}")
 
-        working = [g for g in gens if not g.is_identity()]
-        strong = _distinct(working)
-
-        base: list[int] = []
         levels: list[_Level] = []
-
-        def fixes_prefix(p: Permutation, upto: int) -> bool:
-            return all(p.apply(base[t]) == base[t] for t in range(upto))
-
-        def extend_base(p: Permutation) -> None:
-            pt = p.min_moved_point()
-            if pt is None:
-                raise RuntimeError("attempted base extension with the identity")
-            base.append(pt)
-            levels.append(_Level(pt))
-
-        for g in strong:
-            if fixes_prefix(g, len(base)):
-                extend_base(g)
-        for i, lev in enumerate(levels):
-            lev.gens = [g for g in strong if fixes_prefix(g, i)]
-            lev.recompute_orbit(degree)
-
         group = cls(gens, degree, levels)
 
+        def sift_in(p: Permutation, lo: int) -> int | None:
+            """Sift p from level lo; a residue that stops at level j joins
+            levels lo..j.  Returns j, or None when p sifts to the identity."""
+            residue, j = group._strip(p, start=lo)
+            if residue.is_identity():
+                return None
+            if j == len(levels):
+                levels.append(_Level(residue.min_moved_point()))
+            for k in range(lo, j + 1):
+                levels[k].gens.append(residue)
+                levels[k].recompute_orbit(degree)
+            return j
+
+        for g in gens:
+            sift_in(g, 0)
+        # Levels past i form a complete chain for the group their strong
+        # generators generate; level i is complete once every Schreier
+        # generator sifts to the identity through them.
         i = len(levels) - 1
         while i >= 0:
             lev = levels[i]
-            stuck = None
-            for gamma in list(lev.transversal.keys()):
-                rep = lev.transversal[gamma]
-                for s in lev.gens:
-                    u_inv = lev.transversal_inv[s.apply(gamma)]
-                    schreier = u_inv * s * rep
-                    if schreier.is_identity():
-                        continue
-                    residue, j = group._strip(schreier, start=i + 1)
-                    if residue.is_identity():
-                        continue
-                    stuck = (residue, j)
+            schreier = (lev.transversal_inv[s.apply(x)] * s * rep
+                        for x, rep in lev.transversal.items() for s in lev.gens)
+            for h in schreier:
+                j = sift_in(h, i + 1)
+                if j is not None:
+                    i = j
                     break
-                if stuck is not None:
-                    break
-            if stuck is None:
+            else:
                 i -= 1
-                continue
-            residue, j = stuck
-            if j == len(levels):
-                extend_base(residue)
-            for k in range(i + 1, j + 1):
-                levels[k].gens.append(residue)
-                levels[k].recompute_orbit(degree)
-            i = j
 
-        for g in working:
+        for g in gens:
             if not group.contains(g):
                 raise RuntimeError("chain construction failed its membership self-check")
         return group
@@ -180,11 +154,10 @@ class PermutationGroup:
         self._check_point(v)
         if self._levels and self._levels[0].point == v:
             return list(self._levels[1].gens) if len(self._levels) > 1 else []
-        lev = _Level(v)
-        lev.gens = [g for g in self._generators if not g.is_identity()]
-        lev.recompute_orbit(self._degree)
-        schreier = (lev.transversal_inv[g.apply(x)] * g * rep
-                    for x, rep in lev.transversal.items() for g in lev.gens)
+        gens = [g for g in self._generators if not g.is_identity()]
+        reps = transversal(gens, v, self._degree)
+        schreier = (reps[g.apply(x)].inverse() * g * rep
+                    for x, rep in reps.items() for g in gens)
         return _distinct(h for h in schreier if not h.is_identity())
 
     def transversal_sizes(self) -> list[int]:
@@ -241,27 +214,17 @@ class PermutationGroup:
         return PermutationGroup.from_generators(gens)
 
     def elements(self, max_size: int = 1_000_000) -> list[Permutation]:
-        """All elements, by closure from the identity.  Guarded by max_size
-        since the groups this package builds grow quadratically with n."""
+        """All elements, as the orbit of the identity's image tuple under
+        the generators.  Guarded by max_size since the groups this package
+        builds grow quadratically with n."""
         total = self.order()
         if total > max_size:
             raise ValueError(f"group order {total} exceeds max_size {max_size}")
-        gens = [g for g in self._generators if not g.is_identity()]
-        ident = Permutation.identity(self._degree)
-        out = [ident]
-        seen = {ident}
-        qi = 0
-        while qi < len(out):
-            cur = out[qi]
-            qi += 1
-            for g in gens:
-                nxt = g * cur
-                if nxt not in seen:
-                    seen.add(nxt)
-                    out.append(nxt)
-        if len(out) != total:
-            raise RuntimeError(f"closure found {len(out)} elements, chain says {total}")
-        return out
+        gens = [g.images.tolist() for g in self._generators if not g.is_identity()]
+        closure = orbits(gens, [tuple(range(self._degree))])[0]
+        if len(closure) != total:
+            raise RuntimeError(f"closure found {len(closure)} elements, chain says {total}")
+        return [Permutation(images) for images in closure]
 
     def _check_point(self, v: int) -> None:
         if not (0 <= v < self._degree):

@@ -22,6 +22,7 @@ __all__ = [
     "Permutation",
     "perm_from_pair_map",
     "orbits",
+    "transversal",
 ]
 
 MIN_MODULUS = 4
@@ -277,4 +278,23 @@ def orbits(gen_images: list[list[int]], objects) -> list[dict]:
                     queue.append(nxt)
         placed.update(orbit)
         out.append(orbit)
+    return out
+
+
+def transversal(perms: list[Permutation], point: int, degree: int) -> dict[int, Permutation]:
+    """The orbit of point under the group perms generate, each member keyed
+    to an element carrying point onto it.
+
+    Read off the Schreier tree that orbits returns, so the first key is
+    point itself, mapped by the identity, and every later element is a
+    generator times the element of its parent.
+    """
+    tree = orbits([p.images.tolist() for p in perms], [(point,)])[0]
+    out: dict[int, Permutation] = {}
+    for (x,), link in tree.items():
+        if link is None:
+            out[x] = Permutation.identity(degree)
+        else:
+            (parent,), i = link
+            out[x] = perms[i] * out[parent]
     return out

@@ -147,11 +147,13 @@ def check_strongly_regular(g) -> SrgParams:
 
 
 def diameter(g) -> int:
-    """Largest eccentricity, by BFS from every vertex.  Refuses disconnected
-    input since the diameter would be infinite."""
+    """Largest eccentricity, by BFS from every vertex.  Refuses a graph with
+    no vertices, and disconnected input since the diameter would be
+    infinite."""
     vc = g.vertex_count
-    eccentricities = [len(_connected_layers(vc, g.adjacency, v)) - 1 for v in range(vc)]
-    return max(eccentricities, default=0)
+    if vc < 1:
+        raise RegularityRefusal("need at least one vertex", witness=None)
+    return max(len(_connected_layers(vc, g.adjacency, v)) - 1 for v in range(vc))
 
 
 def _settle(counts: dict[int, int], name: str, d: int, seen: int, v: int, u: int) -> None:

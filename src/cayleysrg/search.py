@@ -3,10 +3,10 @@ side of the analysis.
 
 This module deliberately shares nothing with the symmetry construction in
 symmetries.py or the group machinery in bsgs.py; from core it takes only
-the Permutation type and the orbit routine.  It computes the automorphism
-group of a graph from its adjacency alone, so agreement between its count
-and the order of the claimed group is evidence about the graph, not about
-one implementation echoing the other.
+the Permutation type, the orbit routine and the transversal read off it.
+It computes the automorphism group of a graph from its adjacency alone, so
+agreement between its count and the order of the claimed group is evidence
+about the graph, not about one implementation echoing the other.
 
 The search follows McKay & Piperno, *Practical graph isomorphism II*
 (J. Symb. Comput. 2014), without the canonical labelling:
@@ -38,7 +38,7 @@ from functools import cached_property
 import numpy as np
 
 from .bitset import iter_bits
-from .core import Permutation, orbits
+from .core import Permutation, orbits, transversal
 
 __all__ = ["BRUTE_FORCE_MAX_MODULUS", "AutomorphismList", "enumerate_automorphisms"]
 
@@ -263,24 +263,16 @@ def enumerate_automorphisms(g) -> AutomorphismList:
     transversals = []
     for level in reversed(range(len(search.base))):
         x = search.base[level]
-        tree = orbits(gens, [(x,)])[0]
+        reached = orbits(gens, [(x,)])[0]
         for y in iter_bits(search.nodes[level].cells[search.targets[level]]):
-            if (y,) in tree:
+            if (y,) in reached:
                 continue
             images = search.extend(level, y)
             if images is not None:
                 gens.append(images)
                 found.append(Permutation(images))
-                tree = orbits(gens, [(x,)])[0]
-        # tree is a Schreier tree, parents before children
-        reps: dict[int, Permutation] = {}
-        for (q,), link in tree.items():
-            if link is None:
-                reps[q] = Permutation.identity(vc)
-            else:
-                (p,), i = link
-                reps[q] = found[i] * reps[p]
-        transversals.append(tuple(reps.values()))
+                reached = orbits(gens, [(x,)])[0]
+        transversals.append(tuple(transversal(found, x, vc).values()))
     return AutomorphismList(
         vertex_count=vc,
         base=tuple(search.base),

@@ -83,6 +83,26 @@ class TestConstruction:
         assert grp.generators == gens
 
 
+class TestRedundantInputs:
+    @pytest.mark.parametrize("n", [17, 31])
+    def test_redundant_scalings_are_not_strong_generators(self, n):
+        grp = claimed_aut_group(n)
+        inputs = units(n).totient + 4
+        assert len(grp.strong_generators) < inputs
+        assert len(grp.generators) == inputs
+        assert all(g in grp for g in grp.generators)
+
+    def test_powers_of_the_first_input_are_dropped(self):
+        first = translation(7, 1, 1).perm
+        powers = [first]
+        for _ in range(8):
+            powers.append(powers[-1] * first)
+        grp = PermutationGroup.from_generators(powers)
+        assert len(grp.strong_generators) == 1
+        assert grp.order() == PermutationGroup.from_generators([first]).order() == 7
+        assert grp.generators == powers
+
+
 class TestMembership:
     def test_rotation_not_in_swap_group(self):
         grp = PermutationGroup.from_generators([coordinate_swap(6).perm])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cayleysrg import Permutation, ZnPair, perm_from_pair_map, units
-from cayleysrg.core import orbits
+from cayleysrg.core import orbits, transversal
 
 
 class TestZnPair:
@@ -232,3 +232,30 @@ class TestOrbits:
     def test_no_generators_gives_singletons(self):
         parts = orbits([], [(2, 1), (0, 1)])
         assert [list(o) for o in parts] == [[(2, 1)], [(0, 1)]]
+
+
+class TestTransversal:
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+    def test_every_base_level_of_the_claimed_groups(self, claimed_group, n):
+        grp = claimed_group(n)
+        elements = grp.elements()
+        for i, point in enumerate(grp.base):
+            fixed = grp.base[:i]
+            # a strong generating set: the members fixing base[:i] generate
+            # the stabiliser of base[:i]
+            perms = [g for g in grp.strong_generators if all(g.apply(b) == b for b in fixed)]
+            orbit = {p.apply(point) for p in elements if all(p.apply(b) == b for b in fixed)}
+            reps = transversal(perms, point, grp.degree)
+            assert set(reps) == orbit
+            assert len(reps) == grp.transversal_sizes()[i]
+            first, rep = next(iter(reps.items()))
+            assert first == point and rep.is_identity()
+            for x, u in reps.items():
+                assert u.apply(point) == x
+                assert all(u.apply(b) == b for b in fixed)
+                assert u in grp
+
+    def test_no_generators_gives_the_point_alone(self):
+        reps = transversal([], 3, 5)
+        assert list(reps) == [3]
+        assert reps[3] == Permutation.identity(5)

@@ -141,6 +141,11 @@ class TestIntersectionArray:
             intersection_array(FakeGraph(0, []))
         assert exc.value.witness is None
 
+    def test_no_vertices_diameter_refused(self):
+        with pytest.raises(RegularityRefusal, match="at least one vertex") as exc:
+            diameter(FakeGraph(0, []))
+        assert exc.value.witness is None
+
     def test_disconnected_refused(self):
         two_triangles = FakeGraph(6, [(0, 1), (1, 2), (0, 2),
                                       (3, 4), (4, 5), (3, 5)])
