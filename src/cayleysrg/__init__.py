@@ -5,7 +5,7 @@ difference lies on a coordinate axis or the main diagonal.  The package
 builds the graphs, certifies their regularity parameters by exhaustive
 counting, constructs the predicted automorphism group from explicit
 coordinate maps, cross-checks it against an independent count of the
-automorphism group along a stabiliser chain (n <= 16), and classifies
+automorphism group along a stabiliser chain (n <= 31), and classifies
 vertex, edge, arc, distance and 2-arc transitivity by orbit computation.
 """
 

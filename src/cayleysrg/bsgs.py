@@ -148,17 +148,12 @@ class PermutationGroup:
 
         Free when v is the first base point: the strong generators of the
         next level generate its stabiliser.  For any other point they are
-        the Schreier generators of the orbit of v, so that
-        order(self) == len(orbit_of_point(v)) * order of the subgroup.
+        the strong generators of point_stabilizer(v).
         """
         self._check_point(v)
         if self._levels and self._levels[0].point == v:
             return list(self._levels[1].gens) if len(self._levels) > 1 else []
-        gens = [g for g in self._generators if not g.is_identity()]
-        reps = transversal(gens, v, self._degree)
-        schreier = (reps[g.apply(x)].inverse() * g * rep
-                    for x, rep in reps.items() for g in gens)
-        return _distinct(h for h in schreier if not h.is_identity())
+        return self.point_stabilizer(v).strong_generators
 
     def transversal_sizes(self) -> list[int]:
         return [len(lev.transversal) for lev in self._levels]
@@ -208,10 +203,19 @@ class PermutationGroup:
         return set(orbits(gens, [tuple(t)])[0])
 
     def point_stabilizer(self, v: int) -> PermutationGroup:
-        """The subgroup fixing v, compiled as its own group from
-        stabilizer_generators(v)."""
-        gens = self.stabilizer_generators(v) or [Permutation.identity(self._degree)]
-        return PermutationGroup.from_generators(gens)
+        """The subgroup fixing v, compiled once: from the next level's strong
+        generators at the first base point, else from the Schreier generators
+        of the orbit of v under the strong generators."""
+        self._check_point(v)
+        if self._levels and self._levels[0].point == v:
+            gens = self.stabilizer_generators(v)
+        else:
+            strong = self.strong_generators
+            reps = transversal(strong, v, self._degree)
+            inv = {x: u.inverse() for x, u in reps.items()}
+            gens = _distinct(h for x, rep in reps.items() for g in strong
+                             if not (h := inv[g.apply(x)] * g * rep).is_identity())
+        return PermutationGroup.from_generators(gens or [Permutation.identity(self._degree)])
 
     def elements(self, max_size: int = 1_000_000) -> list[Permutation]:
         """All elements, as the orbit of the identity's image tuple under

@@ -3,7 +3,7 @@ side of the analysis.
 
 This module deliberately shares nothing with the symmetry construction in
 symmetries.py or the group machinery in bsgs.py; from core it takes only
-the Permutation type, the orbit routine and the transversal read off it.
+the Permutation type and the orbit routine.
 It computes the automorphism group of a graph from its adjacency alone, so
 agreement between its count and the order of the claimed group is evidence
 about the graph, not about one implementation echoing the other.
@@ -19,10 +19,12 @@ The search follows McKay & Piperno, *Practical graph isomorphism II*
   image of b_i under the automorphisms fixing b_1, ..., b_{i-1}.  One
   search per candidate looks for such an automorphism.  It refines after
   every individualisation, and drops a branch as soon as its refinement
-  trace departs from the base path's.
+  trace departs from the base path's.  A leaf is accepted when its
+  bijection carries every arc onto an arc.
 - Result.  The images of b_i form one orbit of the stabiliser of
-  b_1, ..., b_{i-1}; |Aut| is the product of the orbit sizes, and one
-  automorphism per image gives a transversal chain that generates Aut.
+  b_1, ..., b_{i-1}; |Aut| is the product of the orbit sizes.  The
+  automorphisms found reach every image at every level, so they generate
+  Aut; they and the orbit sizes are the whole result.
 
 Levels are counted from the deepest up.  A candidate that the automorphisms
 found so far already reach from b_i needs no search.
@@ -35,51 +37,45 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
 from .bitset import iter_bits
-from .core import Permutation, orbits, transversal
+from .core import Permutation, orbits
 
 __all__ = ["BRUTE_FORCE_MAX_MODULUS", "AutomorphismList", "enumerate_automorphisms"]
 
 # Largest modulus the oracle accepts, as vertex_count <= cap**2.  At the cap
-# (256 vertices) the oracle stage of analyze, this count plus one sift per
-# representative (279 of them), takes 0.1-0.3 s on 2 vCPUs with CPython
-# 3.11.7; the count alone takes 1.1 s at n = 31.
-BRUTE_FORCE_MAX_MODULUS = 16
+# (961 vertices) the count takes 1.0-1.6 s on 2 vCPUs with CPython 3.11.7,
+# and the oracle stage of analyze, the count plus one sift per generator
+# found (5 of them), about 1.5 s.  The counts for n = 17..31 take 10 s.
+BRUTE_FORCE_MAX_MODULUS = 31
 
 
 @dataclass(frozen=True)
 class AutomorphismList:
-    """The automorphism group of one graph as a chain of transversals.
+    """The automorphism group of one graph, as the automorphisms that the
+    search found and the orbit sizes along its base.
 
-    transversals[i] holds one automorphism fixing base[:i] for every image
-    of base[i] under such automorphisms, the identity first.  Every
-    automorphism is exactly one product u_0 * u_1 * ... * u_{k-1} with u_i
-    from transversals[i], so the length is the product of the transversal
-    sizes.
+    orbit_sizes[i] is the size of the orbit of base[i] under the
+    automorphisms fixing base[:i], so the length, the group order, is
+    their product.  The generators generate the whole group.
     """
 
     vertex_count: int
     base: tuple[int, ...]
-    transversals: tuple[tuple[Permutation, ...], ...]
+    generators: tuple[Permutation, ...]
+    orbit_sizes: tuple[int, ...]
 
     def __len__(self) -> int:
-        return math.prod(len(t) for t in self.transversals)
-
-    @property
-    def representatives(self) -> tuple[Permutation, ...]:
-        """The non-identity transversal elements, level by level.  They
-        generate the whole group."""
-        return tuple(u for t in self.transversals for u in t[1:])
+        return math.prod(self.orbit_sizes)
 
     @cached_property
     def elements(self) -> tuple[Permutation, ...]:
-        """Every automorphism, listed from the chain; len(self) of them."""
-        products = [Permutation.identity(self.vertex_count)]
-        for t in reversed(self.transversals):
-            products = [u * p for u in t for p in products]
-        return tuple(products)
+        """Every automorphism, as the orbit of the identity's image tuple
+        under the generators; len(self) of them."""
+        gens = [p.images.tolist() for p in self.generators]
+        closure = orbits(gens, [tuple(range(self.vertex_count))])[0]
+        if len(closure) != len(self):
+            raise RuntimeError(f"closure found {len(closure)} elements, not {len(self)}")
+        return tuple(Permutation(images) for images in closure)
 
 
 class _Partition:
@@ -194,10 +190,6 @@ class _Search:
     def __init__(self, g):
         self.adj = adj = list(g.adjacency)
         vc = g.vertex_count
-        width = (vc + 7) // 8
-        packed = np.frombuffer(b"".join(row.to_bytes(width, "little") for row in adj),
-                               dtype=np.uint8).reshape(vc, width)
-        self.matrix = np.unpackbits(packed, axis=1, bitorder="little")[:, :vc]
         root = _Partition({0: (1 << vc) - 1}, [0] * vc, (1 << vc) - 1 if vc > 1 else 0)
         _refine(adj, root, [0])
         self.nodes = [root]     # nodes[i]: the partition before b_i is split off
@@ -220,9 +212,11 @@ class _Search:
             images = [0] * len(self.leaf)
             for a, b in zip(self.leaf, part.labels()):
                 images[a] = b
-            m = self.matrix
-            perm = np.array(images)
-            return images if (m[np.ix_(perm, perm)] == m).all() else None
+            # A bijection maps the arcs one to one onto as many arcs, so it
+            # is an automorphism once every image of an arc is an arc.
+            arcs_kept = all(self.adj[images[v]] >> images[w] & 1
+                            for v, row in enumerate(self.adj) for w in iter_bits(row))
+            return images if arcs_kept else None
         c = self.targets[depth]
         for v in iter_bits(part.cells[c]):
             found = _individualise(self.adj, part, c, v, self.traces[depth])
@@ -247,8 +241,8 @@ def enumerate_automorphisms(g) -> AutomorphismList:
 
     g needs only vertex_count and adjacency, the rows as int bitmasks;
     row v holds the out-neighbours of v, so digraphs are counted too.
-    The result is deterministic: the same graph gives the same base and
-    transversals.
+    The result is deterministic: the same graph gives the same base,
+    generators and orbit sizes.
     """
     cap = BRUTE_FORCE_MAX_MODULUS ** 2
     if g.vertex_count > cap:
@@ -257,10 +251,8 @@ def enumerate_automorphisms(g) -> AutomorphismList:
             f"(modulus {BRUTE_FORCE_MAX_MODULUS}); build the claimed group instead"
         )
     search = _Search(g)
-    vc = g.vertex_count
     gens: list[list[int]] = []
-    found: list[Permutation] = []
-    transversals = []
+    orbit_sizes = []
     for level in reversed(range(len(search.base))):
         x = search.base[level]
         reached = orbits(gens, [(x,)])[0]
@@ -270,11 +262,11 @@ def enumerate_automorphisms(g) -> AutomorphismList:
             images = search.extend(level, y)
             if images is not None:
                 gens.append(images)
-                found.append(Permutation(images))
                 reached = orbits(gens, [(x,)])[0]
-        transversals.append(tuple(transversal(found, x, vc).values()))
+        orbit_sizes.append(len(reached))
     return AutomorphismList(
-        vertex_count=vc,
+        vertex_count=g.vertex_count,
         base=tuple(search.base),
-        transversals=tuple(reversed(transversals)),
+        generators=tuple(Permutation(images) for images in gens),
+        orbit_sizes=tuple(reversed(orbit_sizes)),
     )

@@ -27,7 +27,7 @@ runs it on every generator the transitivity analysis is given.
 The check is sound: it never accepts a map that is not an automorphism.
 Its limit is that it refuses every map that is not affine, automorphism or
 not.  The paper proves that the family has no such automorphism, and the
-counting oracle in search.py confirms it independently for n <= 16.
+counting oracle in search.py confirms it independently for n <= 31.
 """
 
 from __future__ import annotations
@@ -191,7 +191,7 @@ def claimed_aut_group(n: int) -> PermutationGroup:
     Generated by the two axis translations, all unit scalings, the swap and
     the rotation.  Its order works out to 6 * n**2 * phi(n); whether it is
     the full automorphism group is exactly what the oracle in search.py
-    cross-checks for n <= 16, by counting Aut from the graph alone.
+    cross-checks for n <= 31, by counting Aut from the graph alone.
     """
     gens = [translation(n, 1, 0).perm, translation(n, 0, 1).perm]
     gens.extend(_origin_stabilizer_perms(n))

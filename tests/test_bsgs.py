@@ -239,6 +239,15 @@ class TestStabilizerGenerators:
         assert all(p.apply(point) == point for p in gens)
         assert PermutationGroup.from_generators(gens).order() == grp.order() // 25
 
+    @pytest.mark.parametrize("n", [16, 31])
+    def test_other_points_get_a_few_strong_generators(self, n):
+        grp = claimed_aut_group(n)
+        assert grp.base[0] != 1
+        gens = grp.stabilizer_generators(1)
+        assert 0 < len(gens) <= 5
+        assert all(p.apply(1) == 1 for p in gens)
+        assert PermutationGroup.from_generators(gens).order() == 6 * units(n).totient
+
     def test_regular_group_has_trivial_stabilizer(self):
         grp = PermutationGroup.from_generators(
             [translation(5, 1, 0).perm, translation(5, 0, 1).perm]

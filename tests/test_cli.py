@@ -11,7 +11,13 @@ from cayleysrg import (
     from_graph6,
     translation,
 )
-from cayleysrg.cli import analyze_report, main, predicted_values, verify_range
+from cayleysrg.cli import (
+    EXPORT_MAX_MODULUS,
+    analyze_report,
+    main,
+    predicted_values,
+    verify_range,
+)
 
 REPORT_KEYS = [
     "n", "srg_params", "intersection_array", "claimed_group_order",
@@ -109,6 +115,15 @@ class TestExport:
         with pytest.raises(SystemExit) as exc:
             main(["export", "111", "--format", "graph6"])
         assert exc.value.code == 2
+        capsys.readouterr()
+
+    def test_dot_has_the_same_cap(self, capsys, monkeypatch):
+        # refused before any row is built
+        monkeypatch.setattr(cli, "build_graph", None)
+        with pytest.raises(SystemExit) as exc:
+            main(["export", str(EXPORT_MAX_MODULUS + 1), "--format", "dot"])
+        assert exc.value.code == 2
+        assert EXPORT_MAX_MODULUS == 110
         capsys.readouterr()
 
     def test_format_required(self, capsys):

@@ -16,6 +16,7 @@ from cayleysrg import (
     units,
 )
 from cayleysrg.bitset import bfs_layers, iter_bits
+from cayleysrg.core import orbits
 from conftest import automorphism_witness
 
 # Orders the enumeration must reproduce: 6 * n**2 * phi(n).
@@ -163,18 +164,17 @@ class TestStabiliserChain:
         assert len(found) == 6 * n * n * units(n).totient
 
     @pytest.mark.parametrize("n", [4, 7, 12])
-    def test_transversals_form_a_chain(self, graph, n):
+    def test_basic_orbits_form_a_chain(self, graph, n):
         g = graph(n)
         found = enumerate_automorphisms(g)
-        assert len(found) == math.prod(len(t) for t in found.transversals)
-        for level, transversal in enumerate(found.transversals):
-            assert transversal[0].is_identity()
-            fixed = found.base[:level]
-            images = [u(found.base[level]) for u in transversal]
-            assert len(set(images)) == len(images)
-            for u in transversal:
-                assert all(u(b) == b for b in fixed)
-        for p in found.representatives:
+        assert len(found.orbit_sizes) == len(found.base)
+        assert len(found) == math.prod(found.orbit_sizes)
+        images = [p.images.tolist() for p in found.generators]
+        for level, size in enumerate(found.orbit_sizes):
+            fixing = [img for img in images
+                      if all(img[b] == b for b in found.base[:level])]
+            assert len(orbits(fixing, [(found.base[level],)])[0]) == size
+        for p in found.generators:
             assert automorphism_witness(g, p) is None
 
     @pytest.mark.parametrize("n", [5, 6, 9])
@@ -182,25 +182,30 @@ class TestStabiliserChain:
         first = enumerate_automorphisms(build_graph(n))
         second = enumerate_automorphisms(build_graph(n))
         assert first.base == second.base
-        assert first.transversals == second.transversals
+        assert first.generators == second.generators
+        assert first.orbit_sizes == second.orbit_sizes
 
-    def test_representatives_at_seven(self, graph):
-        # orbits 49, 18 and 2 along the base: 48 + 17 + 1 representatives
+    def test_generators_at_seven(self, graph):
+        # orbits 49, 18 and 2 along the base, reached by 5 automorphisms
         found = enumerate_automorphisms(graph(7))
-        assert [len(t) for t in found.transversals] == [49, 18, 2]
-        assert len(found.representatives) == 66
+        assert found.orbit_sizes == (49, 18, 2)
+        assert len(found.generators) == 5
 
     def test_search_shares_nothing_with_the_group_engine(self):
         tree = ast.parse(Path(search.__file__).read_text())
         imported = set()
+        from_package = set()
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom):
                 imported.add(node.module or "")
                 imported.update(alias.name for alias in node.names)
+                if node.level:
+                    from_package.update(f"{node.module}.{alias.name}" for alias in node.names)
             elif isinstance(node, ast.Import):
                 imported.update(alias.name for alias in node.names)
         parts = {part for name in imported for part in name.split(".")}
-        assert not parts & {"symmetries", "bsgs", "transitivity"}, imported
+        assert not parts & {"symmetries", "bsgs", "transitivity", "numpy"}, imported
+        assert from_package == {"core.Permutation", "core.orbits", "bitset.iter_bits"}
 
 
 class TestOutsideTheFamily:
@@ -224,7 +229,7 @@ class TestOutsideTheFamily:
     def test_frucht_has_only_the_identity(self):
         g, _ = FIXTURES["frucht"]
         found = enumerate_automorphisms(g)
-        assert found.representatives == ()
+        assert found.generators == ()
         assert found.elements == (Permutation.identity(12),)
 
     def test_single_vertex(self):
