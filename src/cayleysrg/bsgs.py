@@ -53,9 +53,12 @@ class _Level:
 class PermutationGroup:
     """A permutation group with a base and strong generating set.
 
-    Build with from_generators.  The input generator list is kept verbatim
-    (inputs already in the group are not strong generators); membership,
-    order and stabilisers all run off the compiled chain.
+    Build with from_generators, which keeps the input generator list
+    verbatim (inputs already in the group are not strong generators).  A
+    group from point_stabilizer at a point other than the first base point
+    is generated by its strong generators instead of the Schreier generators
+    it was compiled from.  Membership, order and stabilisers all run off the
+    compiled chain; orbit_of_tuple and elements close over the generators.
     """
 
     def __init__(self, generators: list[Permutation], degree: int,
@@ -205,17 +208,20 @@ class PermutationGroup:
     def point_stabilizer(self, v: int) -> PermutationGroup:
         """The subgroup fixing v, compiled once: from the next level's strong
         generators at the first base point, else from the Schreier generators
-        of the orbit of v under the strong generators."""
+        of the orbit of v under the strong generators.  In the second case
+        the group keeps only its strong generators as generators, a handful
+        where the Schreier generators number in the hundreds."""
         self._check_point(v)
+        identity = [Permutation.identity(self._degree)]
         if self._levels and self._levels[0].point == v:
-            gens = self.stabilizer_generators(v)
-        else:
-            strong = self.strong_generators
-            reps = transversal(strong, v, self._degree)
-            inv = {x: u.inverse() for x, u in reps.items()}
-            gens = _distinct(h for x, rep in reps.items() for g in strong
-                             if not (h := inv[g.apply(x)] * g * rep).is_identity())
-        return PermutationGroup.from_generators(gens or [Permutation.identity(self._degree)])
+            return PermutationGroup.from_generators(self.stabilizer_generators(v) or identity)
+        strong = self.strong_generators
+        reps = transversal(strong, v, self._degree)
+        inv = {x: u.inverse() for x, u in reps.items()}
+        gens = _distinct(h for x, rep in reps.items() for g in strong
+                         if not (h := inv[g.apply(x)] * g * rep).is_identity())
+        stab = PermutationGroup.from_generators(gens or identity)
+        return PermutationGroup(stab.strong_generators or identity, self._degree, stab._levels)
 
     def elements(self, max_size: int = 1_000_000) -> list[Permutation]:
         """All elements, as the orbit of the identity's image tuple under

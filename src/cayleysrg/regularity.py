@@ -1,13 +1,23 @@
 """Strong regularity and distance regularity checks.
 
-Everything here is exhaustive counting over adjacency bitmasks, no formulas
-are trusted.  The functions take any object with vertex_count and adjacency
+Everything here is counting over adjacency bitmasks, no formulas are
+trusted.  The functions take any object with vertex_count and adjacency
 attributes (the CayleyGraph from this package or a stripped-down stand-in
 in tests), so deliberately broken graphs can be fed in to exercise the
-refusal paths.  Distances come from bitset.bfs_layers, one BFS per vertex
-whose layers are counted and then dropped: beyond the adjacency rows the
-memory is O(n^2) for the n^2 vertices of the family, where an all-pairs
-distance table would hold n^4 entries.
+refusal paths.  Distances come from bitset.bfs_layers, whose layers are
+counted and then dropped: beyond the adjacency rows the memory is O(n^2)
+for the n^2 vertices of the family, where an all-pairs distance table would
+hold n^4 entries.
+
+Which vertices the pair scans start from is decided by _roots.  A graph on
+Z_n x Z_n whose rows are invariant under the translations +(1, 0) and
++(0, 1) has every translation as an automorphism, so the pair (u, v) looks
+exactly like (0, v - u) (Godsil & Royle, *Algebraic Graph Theory*, 2001,
+section 3.1) and vertex 0 alone is scanned.  That hypothesis is checked on
+the rows handed in, at a few big-int operations per row; it is never taken
+from the builder.  Every other graph is scanned from every vertex.  Rooted,
+the scan is the first iteration of the exhaustive one and, by the theorem,
+already decides it, so results, refusal messages and witnesses agree.
 """
 
 from __future__ import annotations
@@ -88,6 +98,34 @@ def _connected_layers(vertex_count: int, adjacency, v: int) -> list[int]:
     return layers
 
 
+def _roots(g) -> range:
+    """The vertices the pair scans start from: range(1) when the rows are
+    shown translation-invariant, else every vertex.
+
+    The rows qualify when g has an int n with vertex_count == n * n, vertex
+    (i, j) being row i * n + j, and both generating translations map rows
+    onto rows: row v + (1, 0) is row v rotated by n bits over n^2 bits, and
+    row v + (0, 1) is row v with each n-bit chunk rotated by one bit.  Those
+    two generate every translation, so each is then an automorphism.
+    """
+    vc = g.vertex_count
+    n = getattr(g, "n", None)
+    if not isinstance(n, int) or n < 2 or vc != n * n:
+        return range(vc)
+    adjacency = g.adjacency
+    full = (1 << vc) - 1
+    top = sum(1 << (i * n + n - 1) for i in range(n))
+    low = full & ~top
+    for v in range(vc):
+        row = adjacency[v]
+        if adjacency[(v + n) % vc] != (row << n | row >> (vc - n)) & full:
+            return range(vc)
+        right = v - v % n + (v + 1) % n
+        if adjacency[right] != (row & low) << 1 | (row & top) >> (n - 1):
+            return range(vc)
+    return range(1)
+
+
 def _require_regular(vertex_count: int, adjacency) -> int:
     k = adjacency[0].bit_count()
     for v in range(1, vertex_count):
@@ -101,11 +139,13 @@ def _require_regular(vertex_count: int, adjacency) -> int:
 
 
 def check_strongly_regular(g) -> SrgParams:
-    """Certify strong regularity by checking every vertex pair.
+    """Certify strong regularity by comparing common-neighbour counts.
 
-    Raises RegularityRefusal with a witnessing pair on the first violation:
-    irregular degrees, a disconnected graph, or two pairs of the same kind
-    with different common-neighbour counts.
+    Every pair (u, v) with u among _roots(g) is counted: the pairs through
+    vertex 0 when the rows are translation-invariant, every vertex pair
+    otherwise.  Raises RegularityRefusal with a witnessing pair on the
+    first violation: irregular degrees, a disconnected graph, or two pairs
+    of the same kind with different common-neighbour counts.
     """
     vc = g.vertex_count
     adjacency = g.adjacency
@@ -116,7 +156,7 @@ def check_strongly_regular(g) -> SrgParams:
 
     lam = mu = None
     lam_at = mu_at = None
-    for u in range(vc):
+    for u in _roots(g):
         row = adjacency[u]
         for v in range(u + 1, vc):
             common = (row & adjacency[v]).bit_count()
@@ -147,13 +187,14 @@ def check_strongly_regular(g) -> SrgParams:
 
 
 def diameter(g) -> int:
-    """Largest eccentricity, by BFS from every vertex.  Refuses a graph with
-    no vertices, and disconnected input since the diameter would be
-    infinite."""
+    """Largest eccentricity, by BFS from each of _roots(g): vertex 0 alone
+    when the rows are translation-invariant, since translations preserve
+    eccentricity, else every vertex.  Refuses a graph with no vertices, and
+    disconnected input since the diameter would be infinite."""
     vc = g.vertex_count
     if vc < 1:
         raise RegularityRefusal("need at least one vertex", witness=None)
-    return max(len(_connected_layers(vc, g.adjacency, v)) - 1 for v in range(vc))
+    return max(len(_connected_layers(vc, g.adjacency, v)) - 1 for v in _roots(g))
 
 
 def _settle(counts: dict[int, int], name: str, d: int, seen: int, v: int, u: int) -> None:
@@ -172,8 +213,11 @@ def intersection_array(g) -> IntersectionArray:
     For every vertex pair at distance i the counts of neighbours one layer
     closer (c_i) and one layer further (b_i) must depend on i alone, and
     every vertex must have the same eccentricity; the first disagreement is
-    refused with the offending pair.  A graph with no vertices is refused; a
-    single vertex has diameter 0.
+    refused with the offending pair.  One BFS runs from each of _roots(g):
+    from vertex 0 alone when the rows are translation-invariant, since a
+    translation carries the layers of 0 onto those of any vertex, else from
+    every vertex.  A graph with no vertices is refused; a single vertex has
+    diameter 0.
     """
     vc = g.vertex_count
     adjacency = g.adjacency
@@ -183,7 +227,7 @@ def intersection_array(g) -> IntersectionArray:
 
     b: dict[int, int] = {}
     c: dict[int, int] = {}
-    for v in range(vc):
+    for v in _roots(g):
         layers = _connected_layers(vc, adjacency, v)
         if v == 0:
             diam = len(layers) - 1

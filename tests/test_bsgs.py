@@ -219,6 +219,22 @@ class TestPointStabilizer:
         assert grp.order() == len(grp.orbit_of_point(point)) * stab.order()
         assert set(stab.elements()) == set(schreier_stabilizer(grp, point).elements())
 
+    @pytest.mark.parametrize("n", [16, 31])
+    def test_other_points_are_generated_by_their_strong_generators(self, claimed_group, n):
+        grp = claimed_group(n)
+        assert grp.base[0] != 1
+        stab = grp.point_stabilizer(1)
+        order = 6 * units(n).totient
+        assert len(stab.generators) <= 5
+        assert stab.order() == order
+        # distinct members of grp fixing 1, as many as the stabiliser has:
+        # the same set that closing over every Schreier generator gives
+        els = set(stab.elements())
+        assert len(els) == order
+        assert all(p.apply(1) == 1 and grp.contains(p) for p in els)
+        if n == 16:
+            assert els == set(schreier_stabilizer(grp, 1).elements())
+
 
 class TestStabilizerGenerators:
     @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])

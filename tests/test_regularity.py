@@ -47,6 +47,54 @@ def petersen_lookalike():
     return FakeGraph(10, edges)
 
 
+class Exhaustive:
+    """Only vertex_count and adjacency of g: without n the rows cannot be
+    shown translation-invariant, so every check scans from every vertex."""
+
+    def __init__(self, g):
+        self.vertex_count = g.vertex_count
+        self.adjacency = g.adjacency
+
+
+class Torus:
+    """Rows on Z_n x Z_n that claim the modulus n, as build_graph's do."""
+
+    def __init__(self, n, adjacency):
+        self.n = n
+        self.vertex_count = n * n
+        self.adjacency = adjacency
+
+
+class CountingRows(tuple):
+    """Adjacency rows that count how often a row is looked up."""
+
+    reads = 0
+
+    def __getitem__(self, v):
+        self.reads += 1
+        return super().__getitem__(v)
+
+
+def two_switch(rows, a, b, c, d):
+    """Swap the edges a-b and c-d for a-c and b-d; degrees are kept."""
+    rows = list(rows)
+    assert len({a, b, c, d}) == 4
+    assert rows[a] >> b & 1 and rows[c] >> d & 1
+    assert not rows[a] >> c & 1 and not rows[b] >> d & 1
+    for x, y, on in ((a, b, False), (c, d, False), (a, c, True), (b, d, True)):
+        for s, t in ((x, y), (y, x)):
+            rows[s] = rows[s] | 1 << t if on else rows[s] & ~(1 << t)
+    return tuple(rows)
+
+
+def outcome(check, g):
+    """check(g), or the message and witness of its refusal."""
+    try:
+        return check(g)
+    except RegularityRefusal as exc:
+        return str(exc), exc.witness
+
+
 def drop_edge(g, u, v):
     out = FakeGraph(g.vertex_count, [])
     out.adjacency = list(g.adjacency)
@@ -167,7 +215,7 @@ class TestIntersectionArray:
 
 
 class TestDiameter:
-    @pytest.mark.parametrize("n", range(4, 11))
+    @pytest.mark.parametrize("n", range(4, 17))
     def test_family_diameter_is_two(self, graph, n):
         assert diameter(graph(n)) == 2
 
@@ -180,3 +228,41 @@ class TestDiameter:
     def test_disconnected_refused(self):
         with pytest.raises(RegularityRefusal, match="disconnected"):
             diameter(FakeGraph(3, [(0, 1)]))
+
+
+class TestRootedScan:
+    @pytest.mark.parametrize("n", range(4, 17))
+    def test_rooted_and_exhaustive_scans_agree(self, graph, n):
+        g = graph(n)
+        for check in (check_strongly_regular, intersection_array, diameter):
+            assert check(g) == check(Exhaustive(g))
+
+    @pytest.mark.parametrize("switch, witness", [
+        # through vertex 0: both scans refuse in the first row
+        ((0, 1, 8, 6), (0, 3)),
+        # between (1, 2), (1, 3), (2, 1) and (2, 5), none of them 0 or a
+        # neighbour of 0: every pair through 0 looks as before
+        ((8, 9, 13, 17), (1, 8)),
+    ])
+    def test_two_switch_keeping_n_is_refused_as_exhaustively(self, graph, switch, witness):
+        rows = two_switch(graph(6).adjacency, *switch)
+        switched = Torus(6, rows)
+        for check, message in ((check_strongly_regular, "adjacent pairs disagree"),
+                               (intersection_array, "b_1 is not constant")):
+            refused = outcome(check, switched)
+            assert refused == outcome(check, Exhaustive(switched))
+            assert refused[0].startswith(message)
+            assert refused[1] == witness
+
+    def test_rows_read_grow_with_vertex_count_not_pairs(self, graph):
+        g = graph(20)
+        vc = g.vertex_count
+        for check in (check_strongly_regular, intersection_array, diameter):
+            rows = CountingRows(g.adjacency)
+            assert check(Torus(20, rows)) == check(g)
+            assert rows.reads <= 8 * vc
+
+    def test_modulus_that_does_not_match_the_vertex_count_is_not_trusted(self):
+        lookalike = petersen_lookalike()
+        lookalike.n = 3
+        assert diameter(lookalike) == 3
