@@ -3,7 +3,7 @@
 Vertices of the graphs built elsewhere in this package are pairs (i, j)
 with entries mod n, flattened row-major to the index i*n + j.  Everything
 downstream (the group engine, the graphs, the search code) works on flat
-indices; ZnPair is the friendly face for constructing and reading them.
+indices; ZnPair reads or builds one, perm_from_pair_map maps all at once.
 """
 
 from __future__ import annotations
@@ -235,21 +235,18 @@ class Permutation:
         return f"Permutation({text}, degree={self.degree})"
 
 
-def perm_from_pair_map(n: int, fn: Callable[[ZnPair], ZnPair]) -> Permutation:
+def perm_from_pair_map(n: int, fn: Callable[[NDArray, NDArray], tuple]) -> Permutation:
     """Build the vertex permutation induced by a map on pairs mod n.
 
-    The map must send Z_n x Z_n into itself bijectively; the bijection is
-    checked by the Permutation constructor.
+    fn is called once, on the coordinate arrays x, y of all n**2 vertices in
+    index order, and returns the arrays of their images, for example
+    lambda x, y: (y, x) for the swap.  The images are reduced mod n; that
+    they form a bijection is checked by the Permutation constructor.
     """
     _check_modulus(n)
-    images = np.empty(n * n, dtype=np.int64)
-    for v in range(n * n):
-        p = ZnPair.from_index(v, n)
-        q = fn(p)
-        if q.n != n:
-            raise ValueError(f"pair map changed modulus: {n} to {q.n}")
-        images[v] = q.index
-    return Permutation(images)
+    x, y = np.divmod(np.arange(n * n), n)
+    fx, fy = fn(x, y)
+    return Permutation(fx % n * n + fy % n)
 
 
 def orbits(gen_images: list[list[int]], objects) -> list[dict]:

@@ -244,6 +244,8 @@ def enumerate_automorphisms(g) -> AutomorphismList:
     The result is deterministic: the same graph gives the same base,
     generators and orbit sizes.
     """
+    if g.vertex_count < 1:
+        raise ValueError("need at least one vertex")
     cap = BRUTE_FORCE_MAX_MODULUS ** 2
     if g.vertex_count > cap:
         raise ValueError(

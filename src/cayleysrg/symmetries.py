@@ -19,9 +19,10 @@ rather than the adjacency rows: every named map is affine, x -> Mx + t on
 Z_n x Z_n.  A translation is an automorphism of any Cayley graph, and a
 linear M is one exactly when M(S) = S (Babai, Spectra of Cayley graphs,
 JCTB 1979).  So the check reads M and t off the permutation, checks that
-the permutation is that affine map on every vertex, and compares M(S) with
-S: O(n**2) array work and O(|S|) set work, with no graph built.  The
-factories run it on every map they hand back, and check_graph_automorphism
+it is that affine map on every vertex, and compares M(S) with t + S as
+sets of vertex indices: O(n**2) array work and O(|S|) set work, with no
+graph built.  The factories build every map as one array formula on the
+vertex coordinates and run the check on it, and check_graph_automorphism
 runs it on every generator the transitivity analysis is given.
 
 The check is sound: it never accepts a map that is not an automorphism.
@@ -38,7 +39,7 @@ from functools import lru_cache
 import numpy as np
 
 from .bsgs import PermutationGroup
-from .core import Permutation, ZnPair, perm_from_pair_map, units
+from .core import Permutation, perm_from_pair_map, units
 from .graph import CayleyGraph, build_graph, connection_set, zero_neighborhood_cliques
 
 __all__ = [
@@ -121,7 +122,7 @@ def _affine_witness(n: int, p: Permutation):
         )
     hood = connection_set(n).members
     mapped = {int(imgs[s.index]) for s in hood}
-    expected = {(ZnPair(tx, ty, n) + s).index for s in hood}
+    expected = {(s.i + tx) % n * n + (s.j + ty) % n for s in hood}
     return (0, min(mapped ^ expected)) if mapped != expected else None
 
 
@@ -146,36 +147,33 @@ def _named(kind: str, params: tuple[int, ...], n: int, fn) -> NamedAutomorphism:
 def translation(n: int, a: int, b: int) -> NamedAutomorphism:
     """The translation (x, y) -> (x + a, y + b); the regular action of the
     vertex group on itself."""
+    if type(a) is not int or type(b) is not int:
+        raise ValueError(f"translation offsets must be ints, got {a!r}, {b!r}")
     a %= n
     b %= n
-    shift = ZnPair(a, b, n)
-    return _named("translation", (a, b), n, lambda p: p + shift)
+    return _named("translation", (a, b), n, lambda x, y: (x + a, y + b))
 
 
 def unit_scaling(n: int, u: int) -> NamedAutomorphism:
     """The scaling (x, y) -> (u x, u y) for a unit u.  Non-units are refused
     since the map would collapse residues."""
+    if type(u) is not int:
+        raise ValueError(f"scaling factor must be an int, got {u!r}")
     u %= n
     if u not in units(n):
         raise ValueError(f"{u} is not a unit mod {n}, scaling would not be a bijection")
-    return _named(
-        "unit_scaling", (u,), n,
-        lambda p: ZnPair(u * p.i % n, u * p.j % n, n),
-    )
+    return _named("unit_scaling", (u,), n, lambda x, y: (u * x, u * y))
 
 
 def coordinate_swap(n: int) -> NamedAutomorphism:
     """The swap (x, y) -> (y, x).  Order 2; exchanges the two axis cliques."""
-    return _named("coordinate_swap", (), n, lambda p: ZnPair(p.j, p.i, n))
+    return _named("coordinate_swap", (), n, lambda x, y: (y, x))
 
 
 def clique_rotation(n: int) -> NamedAutomorphism:
     """The map (x, y) -> (-y, x - y).  Order 3; cycles the three cliques of
     the origin neighbourhood (row axis to column axis to diagonal)."""
-    return _named(
-        "clique_rotation", (), n,
-        lambda p: ZnPair(-p.j % n, (p.i - p.j) % n, n),
-    )
+    return _named("clique_rotation", (), n, lambda x, y: (-y, x - y))
 
 
 def _origin_stabilizer_perms(n: int) -> list[Permutation]:

@@ -1,6 +1,9 @@
+import numpy as np
 import pytest
 
 from cayleysrg import (
+    Permutation,
+    ZnPair,
     build_graph,
     claimed_aut_group,
     claimed_origin_stabilizer,
@@ -28,6 +31,21 @@ def automorphism_witness(g, p):
         if mapped != expected:
             return (v, next(iter_bits(mapped ^ expected)))
     return None
+
+
+def pair_map_reference(n, fn):
+    """The permutation a map on ZnPair induces, built one vertex at a time.
+
+    The oracle for core.perm_from_pair_map, which evaluates an array map
+    once on all coordinates: here fn takes and returns a ZnPair, and is
+    called n**2 times.
+    """
+    images = np.empty(n * n, dtype=np.int64)
+    for v in range(n * n):
+        q = fn(ZnPair.from_index(v, n))
+        assert q.n == n, f"pair map changed modulus: {n} to {q.n}"
+        images[v] = q.index
+    return Permutation(images)
 
 
 def _memo(fn):

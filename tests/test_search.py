@@ -238,6 +238,10 @@ class TestOutsideTheFamily:
         assert len(found) == 1
         assert found.elements == (Permutation.identity(1),)
 
+    def test_empty_graph_refused(self):
+        with pytest.raises(ValueError, match="need at least one vertex"):
+            enumerate_automorphisms(Plain(0, []))
+
     def test_digraphs_against_every_permutation(self):
         # Rows that are not symmetric: refinement meets vertices that a
         # splitter reaches but that have no out-neighbour in it.

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 import cayleysrg.symmetries as symmetries
@@ -20,7 +21,7 @@ from cayleysrg import (
     units,
 )
 from cayleysrg.symmetries import _affine_witness
-from conftest import automorphism_witness
+from conftest import automorphism_witness, pair_map_reference
 
 
 def v(i, j, n):
@@ -52,6 +53,38 @@ class TestFactories:
     def test_rotation_example(self):
         assert clique_rotation(5).perm.apply(v(2, 3, 5)) == v(2, 4, 5)
 
+    @pytest.mark.parametrize("bad", [1.0, np.int64(1), "1"], ids=type)
+    def test_non_int_parameters_refused(self, bad):
+        with pytest.raises(ValueError, match="offsets must be ints"):
+            translation(5, bad, 0)
+        with pytest.raises(ValueError, match="offsets must be ints"):
+            translation(5, 0, bad)
+        with pytest.raises(ValueError, match="factor must be an int"):
+            unit_scaling(5, bad)
+
+    @pytest.mark.parametrize("n", [*range(4, 14), 31])
+    def test_maps_match_the_per_vertex_reference(self, n):
+        cases = [
+            (translation(n, a, b),
+             lambda p, a=a, b=b: ZnPair((p.i + a) % n, (p.j + b) % n, n))
+            for a, b in [(1, 0), (0, 1), (2, n - 1)]
+        ]
+        cases += [
+            (unit_scaling(n, u), lambda p, u=u: ZnPair(u * p.i % n, u * p.j % n, n))
+            for u in units(n)
+        ]
+        cases.append((coordinate_swap(n), lambda p: ZnPair(p.j, p.i, n)))
+        cases.append((clique_rotation(n), lambda p: ZnPair(-p.j % n, (p.i - p.j) % n, n)))
+        for named, fn in cases:
+            assert named.perm == pair_map_reference(n, fn), named
+
+    def test_group_is_built_without_per_vertex_pairs(self, monkeypatch):
+        def refuse(v, n):
+            raise AssertionError("a vertex was built as a ZnPair")
+
+        monkeypatch.setattr(ZnPair, "from_index", refuse)
+        assert claimed_aut_group(11).order() == 6 * 121 * 10
+
     @pytest.mark.parametrize("n", range(4, 11))
     def test_factories_build_verified_automorphisms(self, graph, n):
         g = graph(n)
@@ -79,9 +112,7 @@ def _random_affine(n, rng):
         if (a * d - b * c) % n in units(n):
             break
     tx, ty = rng.randrange(n), rng.randrange(n)
-    return perm_from_pair_map(
-        n, lambda p: ZnPair((a * p.i + b * p.j + tx) % n, (c * p.i + d * p.j + ty) % n, n)
-    )
+    return perm_from_pair_map(n, lambda x, y: (a * x + b * y + tx, c * x + d * y + ty))
 
 
 def _check_outcome(g, p):
@@ -101,9 +132,9 @@ class TestAffineCheck:
     def test_agrees_with_the_row_check(self, graph, n):
         g = graph(n)
         rng = random.Random(n)
-        maps = [lambda p: ZnPair((p.i + p.j) % n, p.j, n)]
+        maps = [lambda x, y: (x + y, y)]
         if n % 2:
-            maps.append(lambda p: ZnPair(p.i, 2 * p.j % n, n))
+            maps.append(lambda x, y: (x, 2 * y))
         perms = [perm_from_pair_map(n, fn) for fn in maps]
         perms += [translation(n, a, b).perm for a, b in [(1, 0), (0, 1), (2, n - 1)]]
         perms += [unit_scaling(n, u).perm for u in units(n)]
@@ -119,8 +150,8 @@ class TestAffineCheck:
                 assert outcome[1] == row
 
     def test_non_automorphisms_and_their_witnesses(self, graph):
-        double = perm_from_pair_map(5, lambda p: ZnPair(p.i, 2 * p.j % 5, 5))
-        shear = perm_from_pair_map(5, lambda p: ZnPair((p.i + p.j) % 5, p.j, 5))
+        double = perm_from_pair_map(5, lambda x, y: (x, 2 * y))
+        shear = perm_from_pair_map(5, lambda x, y: (x + y, y))
         assert _check_outcome(graph(5), double) == ("affine", (0, 6))
         assert _check_outcome(graph(5), shear) == ("affine", (0, 1))
         assert automorphism_witness(graph(5), double) == (0, 6)
@@ -136,7 +167,7 @@ class TestAffineCheck:
 
     def test_factory_refuses_a_map_that_is_not_an_automorphism(self):
         with pytest.raises(AutomorphismError, match="not an automorphism") as exc:
-            symmetries._named("shear", (), 5, lambda p: ZnPair((p.i + p.j) % 5, p.j, 5))
+            symmetries._named("shear", (), 5, lambda x, y: (x + y, y))
         assert exc.value.witness == (0, 1)
 
     def test_factories_build_no_graph(self, monkeypatch):
