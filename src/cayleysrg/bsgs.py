@@ -10,9 +10,19 @@ then checked again from the deepest up.  An input that sifts to the
 identity is already in the group and never becomes a strong generator.
 No randomisation anywhere, so a fixed generator list always yields the
 same base, the same transversals and the same order.
+
+A chain can also be assembled instead of compiled, when theory already
+gives the orbit of the first base point: PermutationGroup.assemble takes
+that level's transversal, as any Mapping (one that builds its elements on
+request stores nothing), and a chain of the point stabiliser compiled on
+fewer points, and lifts the second.  Either way the levels past the first
+form a complete chain of the first base point's stabiliser, so
+point_stabilizer there reuses them as they are.
 """
 
 from __future__ import annotations
+
+from collections.abc import Callable, Mapping, Sequence
 
 from .core import Permutation, orbits, transversal
 
@@ -32,18 +42,32 @@ def _distinct(perms) -> list[Permutation]:
     return out
 
 
+def _checked(generators) -> tuple[list[Permutation], int]:
+    """The generators as a list, and their common degree."""
+    gens = list(generators)
+    if not gens:
+        raise ValueError("at least one generator is required")
+    degree = gens[0].degree
+    for g in gens:
+        if not isinstance(g, Permutation):
+            raise ValueError(f"generators must be Permutation, got {type(g).__name__}")
+        if g.degree != degree:
+            raise ValueError(f"generator degree {g.degree} != {degree}")
+    return gens, degree
+
+
 class _Level:
     """One stabiliser level: a base point, the strong generators that joined
     it, which fix all earlier base points, and the orbit transversal of the
-    point."""
+    point, a dict unless the chain was assembled with another Mapping."""
 
     __slots__ = ("point", "gens", "transversal", "transversal_inv")
 
     def __init__(self, point: int) -> None:
         self.point = point
         self.gens: list[Permutation] = []
-        self.transversal: dict[int, Permutation] = {}
-        self.transversal_inv: dict[int, Permutation] = {}
+        self.transversal: Mapping[int, Permutation] = {}
+        self.transversal_inv: Mapping[int, Permutation] = {}
 
     def recompute_orbit(self, degree: int) -> None:
         self.transversal = transversal(self.gens, self.point, degree)
@@ -53,12 +77,12 @@ class _Level:
 class PermutationGroup:
     """A permutation group with a base and strong generating set.
 
-    Build with from_generators, which keeps the input generator list
-    verbatim (inputs already in the group are not strong generators).  A
-    group from point_stabilizer at a point other than the first base point
-    is generated by its strong generators instead of the Schreier generators
-    it was compiled from.  Membership, order and stabilisers all run off the
-    compiled chain; orbit_of_tuple and elements close over the generators.
+    Build with from_generators or assemble, which keep the input generator
+    list verbatim (inputs already in the group are not strong generators).
+    A group from point_stabilizer is generated by the strong generators of
+    its first level, not by the Schreier generators it was compiled from.
+    Membership, order and stabilisers all run off the chain; orbit_of_tuple
+    and elements close over the generators.
     """
 
     def __init__(self, generators: list[Permutation], degree: int,
@@ -80,16 +104,7 @@ class PermutationGroup:
         which keeps rebuilds reproducible.  Every input is checked for
         membership in the finished chain.
         """
-        gens = list(generators)
-        if not gens:
-            raise ValueError("at least one generator is required")
-        degree = gens[0].degree
-        for g in gens:
-            if not isinstance(g, Permutation):
-                raise ValueError(f"generators must be Permutation, got {type(g).__name__}")
-            if g.degree != degree:
-                raise ValueError(f"generator degree {g.degree} != {degree}")
-
+        gens, degree = _checked(generators)
         levels: list[_Level] = []
         group = cls(gens, degree, levels)
 
@@ -123,11 +138,62 @@ class PermutationGroup:
                     break
             else:
                 i -= 1
+        return group._self_checked()
 
-        for g in gens:
-            if not group.contains(g):
+    @classmethod
+    def assemble(cls, generators, point: int,
+                 transversal: Mapping[int, Permutation],
+                 transversal_inv: Mapping[int, Permutation],
+                 stabilizer: PermutationGroup,
+                 lift: Callable[[Permutation], Permutation],
+                 points: Sequence[int]) -> PermutationGroup:
+        """The group the generators generate, from its first level and a
+        chain of the stabiliser of point compiled on fewer points, with no
+        Schreier-Sims at the full degree.
+
+        transversal maps each point x of the orbit of point to an element
+        carrying point onto x, and transversal_inv maps x to that element's
+        inverse; either may be any Mapping, for example one that builds its
+        elements on request.  stabilizer is a chain of a faithful copy of
+        the stabiliser: lift carries each of its elements to the element it
+        stands for, and points[x] is the point that x stands for, so that
+        lift(h) maps points[x] onto points[h(x)].  Every strong generator
+        and transversal element of stabilizer is lifted once.  The first
+        level is generated by the inputs that move point and the lifted
+        first-level generators of stabilizer.
+
+        That the orbit and the stabiliser are right is the caller's claim,
+        resting on theory; the chain is then complete.  The self-check of
+        from_generators runs here too: every input must sift to the
+        identity.
+        """
+        gens, degree = _checked(generators)
+        lifted: dict[Permutation, Permutation] = {}
+
+        def up(h: Permutation) -> Permutation:
+            if h not in lifted:
+                lifted[h] = lift(h)
+            return lifted[h]
+
+        tail = []
+        for lev in stabilizer._levels:
+            new = _Level(int(points[lev.point]))
+            new.gens = [up(h) for h in lev.gens]
+            new.transversal = {int(points[x]): up(u) for x, u in lev.transversal.items()}
+            new.transversal_inv = {int(points[x]): up(u)
+                                   for x, u in lev.transversal_inv.items()}
+            tail.append(new)
+        first = _Level(point)
+        first.gens = [g for g in gens if g.apply(point) != point]
+        first.gens += tail[0].gens if tail else []
+        first.transversal, first.transversal_inv = transversal, transversal_inv
+        return cls(gens, degree, [first, *tail])._self_checked()
+
+    def _self_checked(self) -> PermutationGroup:
+        for g in self._generators:
+            if not self.contains(g):
                 raise RuntimeError("chain construction failed its membership self-check")
-        return group
+        return self
 
     @property
     def degree(self) -> int:
@@ -206,15 +272,18 @@ class PermutationGroup:
         return set(orbits(gens, [tuple(t)])[0])
 
     def point_stabilizer(self, v: int) -> PermutationGroup:
-        """The subgroup fixing v, compiled once: from the next level's strong
-        generators at the first base point, else from the Schreier generators
-        of the orbit of v under the strong generators.  In the second case
-        the group keeps only its strong generators as generators, a handful
-        where the Schreier generators number in the hundreds."""
+        """The subgroup fixing v.  At the first base point it is the chain's
+        own tail, the levels past the first with the next level's strong
+        generators as generators, so nothing is compiled.  At any other
+        point it is compiled once from the Schreier generators of the orbit
+        of v under the strong generators, and keeps only its strong
+        generators as generators, a handful where the Schreier generators
+        number in the hundreds."""
         self._check_point(v)
         identity = [Permutation.identity(self._degree)]
         if self._levels and self._levels[0].point == v:
-            return PermutationGroup.from_generators(self.stabilizer_generators(v) or identity)
+            return PermutationGroup(self.stabilizer_generators(v) or identity,
+                                    self._degree, self._levels[1:])
         strong = self.strong_generators
         reps = transversal(strong, v, self._degree)
         inv = {x: u.inverse() for x, u in reps.items()}

@@ -3,19 +3,19 @@
 Three subcommands:
 
     cayleysrg analyze N [--oracle]
-        Build the graph for modulus N, certify regularity, build the
-        claimed automorphism group and its origin stabiliser, classify
-        transitivity, optionally cross-check against the independent
-        automorphism count of search.py (N <= 31), and print one JSON
-        report to stdout.
+        Build the graph for modulus N (N <= 190), certify regularity,
+        build the claimed automorphism group and its origin stabiliser,
+        classify transitivity, optionally cross-check against the
+        independent automorphism count of search.py (N <= 31), and print
+        one JSON report to stdout.
 
     cayleysrg export N --format {graph6,dot}
         Print the graph in the requested format (N <= 110).
 
     cayleysrg verify LO..HI [--oracle-upto M]
-        Run the analyze checks for every modulus in the range, print a
-        JSON summary to stdout and a table to stderr, one row as soon as
-        each modulus finishes.
+        Run the analyze checks for every modulus in the range (HI <= 190),
+        print a JSON summary to stdout and a table to stderr, one row as
+        soon as each modulus finishes.
 
 JSON always goes to stdout, everything human-oriented to stderr.  Exit 0
 means every predicted value matched, 1 means some check failed, 2 means
@@ -30,7 +30,7 @@ import sys
 import time
 
 from .core import units
-from .graph import GRAPH_MAX_MODULUS, build_graph
+from .graph import build_graph
 from .regularity import IntersectionArray, check_strongly_regular, intersection_array
 from .search import BRUTE_FORCE_MAX_MODULUS, enumerate_automorphisms
 from .symmetries import claimed_aut_group
@@ -40,6 +40,11 @@ from .formats import to_dot, to_graph6
 __all__ = ["main", "run", "analyze_report", "verify_range", "predicted_values"]
 
 EXPORT_MAX_MODULUS = 110  # both formats; DOT at the cap writes 32 MB in about 8 s
+# analyze and verify: every modulus up to the cap runs in 1 GB.  Peak RSS
+# grows with phi(n) * n**2, so primes cost most: 181, the largest prime
+# below the cap, takes 16 s and 889 MB, and 191 takes 23 s and 1065 MB
+# (2 vCPUs, CPython 3.11.7).  The vertex action of transitivity dominates.
+ANALYZE_MAX_MODULUS = 190
 
 
 def _is_prime(n: int) -> bool:
@@ -238,7 +243,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_an = sub.add_parser("analyze", help="full analysis of one modulus as JSON")
+    p_an = sub.add_parser("analyze", help="full analysis of one modulus as JSON "
+                                          f"(n <= {ANALYZE_MAX_MODULUS})")
     p_an.add_argument("n", type=int)
     p_an.add_argument("--oracle", action="store_true",
                       help="check the claimed group against the automorphisms found "
@@ -248,7 +254,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ex.add_argument("n", type=int)
     p_ex.add_argument("--format", required=True, choices=("graph6", "dot"))
 
-    p_ve = sub.add_parser("verify", help="check a whole range of moduli")
+    p_ve = sub.add_parser("verify", help="check a whole range of moduli "
+                                         f"(at most {ANALYZE_MAX_MODULUS})")
     p_ve.add_argument("range", help="inclusive modulus range, e.g. 4..10")
     p_ve.add_argument("--oracle-upto", type=int, default=None,
                       help="also run the --oracle cross-check on moduli up to this "
@@ -261,8 +268,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "analyze":
-        if not 4 <= args.n <= GRAPH_MAX_MODULUS:
-            parser.error(f"n must be between 4 and {GRAPH_MAX_MODULUS}")
+        if not 4 <= args.n <= ANALYZE_MAX_MODULUS:
+            parser.error(f"n must be between 4 and {ANALYZE_MAX_MODULUS}")
         if args.oracle and args.n > BRUTE_FORCE_MAX_MODULUS:
             parser.error(f"--oracle needs n <= {BRUTE_FORCE_MAX_MODULUS}")
         report, failures = analyze_report(args.n, with_oracle=args.oracle)
@@ -288,8 +295,8 @@ def main(argv=None) -> int:
             lo, hi = _parse_range(args.range)
         except ValueError as exc:
             parser.error(str(exc))
-        if not 4 <= lo <= hi <= GRAPH_MAX_MODULUS:
-            parser.error(f"range must satisfy 4 <= lo <= hi <= {GRAPH_MAX_MODULUS}")
+        if not 4 <= lo <= hi <= ANALYZE_MAX_MODULUS:
+            parser.error(f"range must satisfy 4 <= lo <= hi <= {ANALYZE_MAX_MODULUS}")
         if args.oracle_upto is not None and args.oracle_upto > BRUTE_FORCE_MAX_MODULUS:
             parser.error(f"--oracle-upto must be <= {BRUTE_FORCE_MAX_MODULUS}")
         summary = verify_range(lo, hi, oracle_upto=args.oracle_upto)

@@ -29,12 +29,25 @@ The check is sound: it never accepts a map that is not an automorphism.
 Its limit is that it refuses every map that is not affine, automorphism or
 not.  The paper proves that the family has no such automorphism, and the
 counting oracle in search.py confirms it independently for n <= 31.
+
+The claimed group is assembled on that certificate, not compiled by
+Schreier-Sims at degree n**2.  The translations form a regular normal
+subgroup T, so the group is the semidirect product of T and G_0, the
+group of the certified linear maps, and its order is n**2 * |G_0| (Dixon
+and Mortimer, Permutation Groups, 1996, on groups with a regular normal
+subgroup).  S spans Z_n x Z_n, so G_0 acts faithfully on the 3n - 3
+points of S, and is compiled there; each element of its chain is lifted
+back to the vertices by its matrix, read off the images of (1, 0) and
+(0, 1).  A first level at vertex 0 with the translations as its
+transversal, built on request, completes the chain.  Schreier-Sims on the
+same generators at degree n**2 is the tests' oracle for it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -86,6 +99,15 @@ def _graph(n: int) -> CayleyGraph:
     return build_graph(n)
 
 
+@lru_cache(maxsize=64)
+def _connection_indices(n: int) -> np.ndarray:
+    """The vertex indices of S, ascending and read-only; the affine check
+    and the restriction to S share one copy per modulus."""
+    hood = np.array(sorted(s.index for s in connection_set(n).members), dtype=np.int64)
+    hood.setflags(write=False)
+    return hood
+
+
 def _refuse(witness) -> None:
     if witness is not None:
         raise AutomorphismError(
@@ -120,9 +142,10 @@ def _affine_witness(n: int, p: Permutation):
             f"map is not affine on Z_{n} x Z_{n}: vertex {stray[0]} breaks x -> Mx + t",
             witness=int(stray[0]),
         )
-    hood = connection_set(n).members
-    mapped = {int(imgs[s.index]) for s in hood}
-    expected = {(s.i + tx) % n * n + (s.j + ty) % n for s in hood}
+    hood = _connection_indices(n)
+    si, sj = np.divmod(hood, n)
+    mapped = set(imgs[hood].tolist())
+    expected = set(((si + tx) % n * n + (sj + ty) % n).tolist())
     return (0, min(mapped ^ expected)) if mapped != expected else None
 
 
@@ -183,17 +206,73 @@ def _origin_stabilizer_perms(n: int) -> list[Permutation]:
     return perms
 
 
+class _Translations(Mapping):
+    """Vertex v -> the translation by sign * v, built on request in O(n**2).
+
+    With sign 1 it is the first-level transversal of the claimed group at
+    vertex 0, with sign -1 its inverses, and neither stores n**2
+    permutations of degree n**2.
+    """
+
+    def __init__(self, n: int, sign: int) -> None:
+        self._n = n
+        self._sign = sign
+
+    def __len__(self) -> int:
+        return self._n * self._n
+
+    def __iter__(self):
+        return iter(range(self._n * self._n))
+
+    def __contains__(self, v) -> bool:
+        return isinstance(v, int) and 0 <= v < self._n * self._n
+
+    def __getitem__(self, v: int) -> Permutation:
+        if v not in self:
+            raise KeyError(v)
+        a, b = (self._sign * c for c in divmod(v, self._n))
+        return perm_from_pair_map(self._n, lambda x, y: (x + a, y + b))
+
+
+def _restrict(hood: np.ndarray, p: Permutation) -> Permutation:
+    """A linear p with p(S) = S as a permutation of the ranks of S."""
+    return Permutation(np.searchsorted(hood, p.images[hood]))
+
+
+def _lift(n: int, hood: np.ndarray, q: Permutation) -> Permutation:
+    """The linear map of Z_n x Z_n that acts on the ranks of S as q.  Its
+    matrix columns are the images of (1, 0) and (0, 1), both in S."""
+    (a, c), (b, d) = (divmod(int(hood[q.apply(r)]), n)
+                      for r in np.searchsorted(hood, [n, 1]).tolist())
+    return perm_from_pair_map(n, lambda x, y: (a * x + b * y, c * x + d * y))
+
+
 def claimed_aut_group(n: int) -> PermutationGroup:
     """The automorphism group predicted for the graph of modulus n.
 
     Generated by the two axis translations, all unit scalings, the swap and
-    the rotation.  Its order works out to 6 * n**2 * phi(n); whether it is
-    the full automorphism group is exactly what the oracle in search.py
-    cross-checks for n <= 31, by counting Aut from the graph alone.
+    the rotation, every one certified an automorphism by the affine check
+    (M(S) = S for the linear ones; Babai 1979).  Its order works out to
+    6 * n**2 * phi(n); whether it is the full automorphism group is exactly
+    what the oracle in search.py cross-checks for n <= 31, by counting Aut
+    from the graph alone.
+
+    The chain is assembled, not compiled at degree n**2, and rests on three
+    facts.  Every generator passes the affine certificate.  The
+    translations form a regular normal subgroup T, so G is the semidirect
+    product of T and G_0, the stabiliser of vertex 0, and
+    |G| = n**2 * |G_0| (Dixon and Mortimer, Permutation Groups, 1996).  S
+    contains (1, 0) and (0, 1), so it spans Z_n x Z_n and G_0 acts
+    faithfully on its 3n - 3 points.  So G_0 is compiled on S and its chain
+    lifted back by matrix, behind a first level at vertex 0 whose
+    transversal, the translations, is built on request.
     """
-    gens = [translation(n, 1, 0).perm, translation(n, 0, 1).perm]
-    gens.extend(_origin_stabilizer_perms(n))
-    return PermutationGroup.from_generators(gens)
+    translations = [translation(n, 1, 0).perm, translation(n, 0, 1).perm]
+    linear = _origin_stabilizer_perms(n)
+    hood = _connection_indices(n)
+    g0 = PermutationGroup.from_generators([_restrict(hood, p) for p in linear])
+    return PermutationGroup.assemble(translations + linear, 0, _Translations(n, 1),
+                                     _Translations(n, -1), g0, partial(_lift, n, hood), hood)
 
 
 def claimed_origin_stabilizer(n: int) -> PermutationGroup:

@@ -83,6 +83,51 @@ class TestConstruction:
         assert grp.generators == gens
 
 
+class TestAssemble:
+    """A chain from a given first level and a stabiliser chain compiled on
+    fewer points: S_4 from the rotation of 0 1 2 3 and S_3 on 1, 2, 3."""
+
+    CYCLE = Permutation([1, 2, 3, 0])
+    SWAP = Permutation([1, 0, 2, 3])
+    POINTS = [1, 2, 3]
+    S3 = [Permutation([1, 0, 2]), Permutation([1, 2, 0])]
+
+    @staticmethod
+    def lift(h):
+        return Permutation([0] + [1 + x for x in h.images.tolist()])
+
+    def assemble(self, reps):
+        return PermutationGroup.assemble(
+            [self.CYCLE, self.SWAP], 0, reps, {x: u.inverse() for x, u in reps.items()},
+            PermutationGroup.from_generators(self.S3), self.lift, self.POINTS)
+
+    def powers(self):
+        reps, u = {}, Permutation.identity(4)
+        for _ in range(4):
+            reps[u.apply(0)] = u
+            u = self.CYCLE * u
+        return reps
+
+    def test_matches_the_compiled_chain(self):
+        grp = self.assemble(self.powers())
+        ref = PermutationGroup.from_generators([self.CYCLE, self.SWAP])
+        assert grp.order() == ref.order() == 24
+        assert grp.generators == [self.CYCLE, self.SWAP]
+        assert grp.base == [0, 1, 2] and grp.transversal_sizes() == [4, 3, 2]
+        assert set(grp.elements()) == set(ref.elements())
+        assert all(grp.contains(p) for p in ref.elements())
+        stab = grp.point_stabilizer(0)
+        assert stab.order() == 6 and stab.base == [1, 2]
+        assert set(stab.elements()) == {self.lift(h) for h in
+                                        PermutationGroup.from_generators(self.S3).elements()}
+
+    def test_a_wrong_transversal_fails_the_self_check(self):
+        reps = self.powers()
+        reps[1] = Permutation.identity(4)
+        with pytest.raises(RuntimeError, match="self-check"):
+            self.assemble(reps)
+
+
 class TestRedundantInputs:
     @pytest.mark.parametrize("n", [17, 31])
     def test_redundant_scalings_are_not_strong_generators(self, n):
@@ -234,6 +279,21 @@ class TestPointStabilizer:
         assert all(p.apply(1) == 1 and grp.contains(p) for p in els)
         if n == 16:
             assert els == set(schreier_stabilizer(grp, 1).elements())
+
+    @pytest.mark.parametrize("make, point", [
+        (claimed_aut_group, 0), (claimed_origin_stabilizer, 1),
+    ])
+    @pytest.mark.parametrize("n", [4, 5, 8])
+    def test_first_base_point_reuses_the_tail(self, make, point, n, monkeypatch):
+        grp = make(n)
+        assert grp.base[0] == point
+        monkeypatch.setattr(PermutationGroup, "from_generators", None)
+        stab = grp.point_stabilizer(point)
+        monkeypatch.undo()
+        assert stab.base == grp.base[1:]
+        assert stab.transversal_sizes() == grp.transversal_sizes()[1:]
+        assert stab.generators == grp.stabilizer_generators(point)
+        assert stab.order() * len(grp.orbit_of_point(point)) == grp.order()
 
 
 class TestStabilizerGenerators:

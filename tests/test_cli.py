@@ -12,6 +12,7 @@ from cayleysrg import (
     translation,
 )
 from cayleysrg.cli import (
+    ANALYZE_MAX_MODULUS,
     EXPORT_MAX_MODULUS,
     analyze_report,
     main,
@@ -73,6 +74,24 @@ class TestAnalyze:
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 2
+        capsys.readouterr()
+
+    def test_analyze_and_verify_share_the_measured_cap(self, capsys, monkeypatch):
+        # parsed only: stubs stand in for the analysis, so nothing is built
+        seen = []
+        monkeypatch.setattr(cli, "build_graph", None)
+        monkeypatch.setattr(cli, "analyze_report", lambda n, with_oracle=False:
+                            seen.append(("analyze", n)) or ({"n": n}, []))
+        monkeypatch.setattr(cli, "verify_range", lambda lo, hi, oracle_upto=None:
+                            seen.append(("verify", hi)) or {"all_passed": True})
+        assert ANALYZE_MAX_MODULUS == 190
+        assert main(["analyze", "190"]) == 0
+        assert main(["verify", "4..190"]) == 0
+        for argv in (["analyze", "191"], ["verify", "4..191"], ["verify", "191..191"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+        assert seen == [("analyze", 190), ("verify", 190)]
         capsys.readouterr()
 
     def test_oracle_cap_is_a_usage_error(self, capsys):

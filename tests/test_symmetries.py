@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from cayleysrg import (
     AutomorphismError,
     CliqueActionLabel,
     Permutation,
+    PermutationGroup,
     ZnPair,
     check_graph_automorphism,
     claimed_aut_group,
@@ -266,6 +268,71 @@ class TestClaimedGroups:
         grp = claimed_group(8)
         for p in origin_stabilizer(8).generators:
             assert grp.contains(p)
+
+
+class TestAssembledGroup:
+    """claimed_aut_group assembles T x| G_0 from G_0 on S; Schreier-Sims on
+    the same generators at degree n**2 is the oracle."""
+
+    @pytest.mark.parametrize("n", range(4, 32))
+    def test_matches_schreier_sims_at_full_degree(self, claimed_group, n):
+        grp = claimed_group(n)
+        ref = PermutationGroup.from_generators(grp.generators)
+        assert grp.order() == ref.order()
+        assert grp.base == ref.base
+        assert grp.transversal_sizes() == ref.transversal_sizes()
+
+        stab, ref_stab = (PermutationGroup.from_generators(h.stabilizer_generators(0))
+                          for h in (grp, ref))
+        assert stab.order() == ref_stab.order()
+        assert all(ref_stab.contains(p) for p in grp.stabilizer_generators(0))
+        assert all(stab.contains(p) for p in ref.stabilizer_generators(0))
+
+        rng = random.Random(n)
+        shear = perm_from_pair_map(n, lambda x, y: (x + y, y))
+        for _ in range(4):
+            word = Permutation.identity(n * n)
+            for _ in range(6):
+                word = rng.choice(grp.generators) * word
+            assert grp.contains(word) and ref.contains(word)
+            outsider = shear * translation(n, rng.randrange(n), rng.randrange(n)).perm
+            assert not grp.contains(outsider) and not ref.contains(outsider)
+            assert not grp.contains(word * outsider) and not ref.contains(word * outsider)
+
+    @pytest.mark.parametrize("n", [4, 7, 12, 31])
+    def test_no_schreier_sims_at_degree_n_squared(self, n, monkeypatch):
+        compile_chain = PermutationGroup.__dict__["from_generators"].__func__
+        degrees = []
+
+        def spy(cls, generators):
+            gens = list(generators)
+            degrees.append(gens[0].degree)
+            return compile_chain(cls, gens)
+
+        monkeypatch.setattr(PermutationGroup, "from_generators", classmethod(spy))
+        grp = claimed_aut_group(n)
+        assert grp.point_stabilizer(0).order() == 6 * units(n).totient
+        assert degrees == [3 * n - 3]
+
+    def test_no_table_of_n_to_the_fourth_entries(self):
+        n = 41
+        tracemalloc.start()
+        try:
+            grp = claimed_aut_group(n)
+            assert grp.point_stabilizer(0).order() == 6 * units(n).totient
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one n**2 x n**2 table of int64 alone would take n**4 * 8 bytes
+        assert peak < n ** 4 * 8
+
+    def test_translations_are_built_on_request(self, claimed_group):
+        transversal = claimed_group(6)._levels[0].transversal
+        assert not isinstance(transversal, dict) and len(transversal) == 36
+        assert 36 not in transversal and "7" not in transversal
+        assert transversal[v(2, 5, 6)] == translation(6, 2, 5).perm
+        with pytest.raises(KeyError):
+            transversal[-1]
 
 
 class TestCliqueAction:
