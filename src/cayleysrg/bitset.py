@@ -5,7 +5,10 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-__all__ = ["iter_bits", "bfs_layers"]
+import numpy as np
+from numpy.typing import NDArray
+
+__all__ = ["iter_bits", "bit_positions", "bfs_layers"]
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -14,6 +17,19 @@ def iter_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def bit_positions(masks: Sequence[int], size: int) -> tuple[NDArray, NDArray]:
+    """Every set bit of the masks, each mask below 2**size, as two arrays:
+    the index of its mask and its position, ascending in that order.  It is
+    iter_bits over all masks at once; only the nonzero bytes are unpacked."""
+    width = (size + 7) // 8
+    raw = b"".join(mask.to_bytes(width, "little") for mask in masks)
+    packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), width)
+    row, byte = np.nonzero(packed)
+    hit, low = np.nonzero(np.unpackbits(packed[row, byte][:, None], axis=1,
+                                        bitorder="little"))
+    return row[hit], byte[hit] * 8 + low
 
 
 def bfs_layers(adjacency: Sequence[int], source: int) -> list[int]:

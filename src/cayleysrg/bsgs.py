@@ -227,6 +227,15 @@ class PermutationGroup:
     def transversal_sizes(self) -> list[int]:
         return [len(lev.transversal) for lev in self._levels]
 
+    def transversal_inverse(self, x: int) -> Permutation:
+        """An element carrying x onto the first base point: the inverse of
+        the first level's transversal element at x, built on request when
+        the chain was assembled that way."""
+        self._check_point(x)
+        if not self._levels or x not in self._levels[0].transversal_inv:
+            raise ValueError(f"point {x} is not in the orbit of the first base point")
+        return self._levels[0].transversal_inv[x]
+
     def _strip(self, p: Permutation, start: int = 0) -> tuple[Permutation, int]:
         """Sift p through levels start.. and return (residue, stop level).
 

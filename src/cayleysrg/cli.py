@@ -3,7 +3,7 @@
 Three subcommands:
 
     cayleysrg analyze N [--oracle]
-        Build the graph for modulus N (N <= 190), certify regularity,
+        Build the graph for modulus N (N <= 232), certify regularity,
         build the claimed automorphism group and its origin stabiliser,
         classify transitivity, optionally cross-check against the
         independent automorphism count of search.py (N <= 31), and print
@@ -13,7 +13,7 @@ Three subcommands:
         Print the graph in the requested format (N <= 110).
 
     cayleysrg verify LO..HI [--oracle-upto M]
-        Run the analyze checks for every modulus in the range (HI <= 190),
+        Run the analyze checks for every modulus in the range (HI <= 232),
         print a JSON summary to stdout and a table to stderr, one row as
         soon as each modulus finishes.
 
@@ -41,10 +41,12 @@ __all__ = ["main", "run", "analyze_report", "verify_range", "predicted_values"]
 
 EXPORT_MAX_MODULUS = 110  # both formats; DOT at the cap writes 32 MB in about 8 s
 # analyze and verify: every modulus up to the cap runs in 1 GB.  Peak RSS
-# grows with phi(n) * n**2, so primes cost most: 181, the largest prime
-# below the cap, takes 16 s and 889 MB, and 191 takes 23 s and 1065 MB
-# (2 vCPUs, CPython 3.11.7).  The vertex action of transitivity dominates.
-ANALYZE_MAX_MODULUS = 190
+# grows with phi(n) * n**2, so primes cost most: 229, the largest prime
+# below the cap, takes about 11 s and 957 MB, and 233 takes 1031 MB
+# (2 vCPUs, CPython 3.11.7).  The group stage dominates the memory: the
+# lifted chain of G_0 keeps its transversals at degree n**2, 547 MB at 229,
+# beside 354 MB of adjacency rows.
+ANALYZE_MAX_MODULUS = 232
 
 
 def _is_prime(n: int) -> bool:

@@ -22,6 +22,7 @@ __all__ = [
     "Permutation",
     "perm_from_pair_map",
     "orbits",
+    "orbit_labels",
     "transversal",
 ]
 
@@ -276,6 +277,51 @@ def orbits(gen_images: list[list[int]], objects) -> list[dict]:
         placed.update(orbit)
         out.append(orbit)
     return out
+
+
+def orbit_labels(codes: NDArray[np.int64], images) -> NDArray[np.int64]:
+    """Orbits of a group on objects given by codes, as least-member labels.
+
+    codes is the ascending array of the objects' int codes, and images holds
+    one array per generator: the codes of the images of codes, in the same
+    order.  labels[i] is the index of the least member of the orbit of
+    codes[i], so the least members are the indices with labels[i] == i, in
+    ascending order, and np.bincount(labels) at those indices gives the
+    orbit sizes.  No generators give singleton orbits.
+
+    Each generator becomes a permutation of indices by searchsorted; an
+    image missing from codes means the generators do not act on these
+    objects, and raises ValueError, as do a repeated image and codes that
+    do not ascend.  Labels start as the indices and take the minimum over
+    each generator's image and preimage, then jump to their own labels,
+    until nothing changes.  A label only ever names a member of the same
+    orbit and never grows, and at the fixed point it is constant along
+    every generator, hence on the orbit, where it can only be the least
+    member.
+    """
+    codes = np.asarray(codes, dtype=np.int64)
+    if (codes[1:] <= codes[:-1]).any():
+        raise ValueError("object codes must be strictly ascending")
+    steps = []
+    for img in images:
+        at = np.searchsorted(codes, img)
+        if at.shape != codes.shape or (at.size and (
+                at.max() >= codes.size or (codes[at] != img).any())):
+            raise ValueError("an image code is missing: the generators do not act "
+                             "on these objects")
+        if at.size and np.bincount(at).max() > 1:
+            raise ValueError("a generator maps two objects onto one")
+        back = np.empty_like(at)
+        back[at] = np.arange(at.size)
+        steps += [at, back]
+    labels = np.arange(codes.size)
+    while True:
+        prev = labels
+        for step in steps:
+            labels = np.minimum(labels, labels[step])
+        labels = labels[labels]
+        if np.array_equal(labels, prev):
+            return labels
 
 
 def transversal(perms: list[Permutation], point: int, degree: int) -> dict[int, Permutation]:

@@ -13,20 +13,31 @@ Theory, 2001):
     one-to-one with the G_r-orbits on the same objects starting at r, and
     the G-orbit of such an object x has size |G.r| * |G_r.x|.
 
-So one root per vertex orbit suffices, its smallest vertex.  For a
-vertex-transitive G that is vertex 0 alone, and the 2-arc question
-partitions k(k-1) objects instead of n^2 k(k-1).  G_r comes free from the
-base and strong generating set when r is the first base point.  A group
-that is not vertex-transitive (the trivial group, the origin stabiliser)
-takes one root per vertex orbit, with Schreier generators for G_r at the
-other roots.  Edge orbits are arc orbits paired with the orbits of their
-reversed arcs; the reversal of (r, v) is carried back to the root of v
-along the Schreier tree of the vertex orbit.
+So one root per vertex orbit suffices, its least vertex.  When the
+chain's first base point is 0 and its first-level transversal covers
+every vertex, G is vertex-transitive and the whole answer comes from the
+chain: the only root is 0, G_0 is generated by the next level's strong
+generators, and the first-level transversal carries any vertex back to 0.
+That is the case for the claimed groups, and then nothing is closed over
+the n^2 vertices.  Any other group (the trivial group, the origin
+stabiliser, a chain based elsewhere) has its vertices closed under its
+generators, with a Schreier forest of the vertex orbits to carry vertices
+to their roots and Schreier generators for the stabilisers of the roots
+past the first base point.
+
+At each root the objects are read off the adjacency rows and encoded as
+one ascending int array, a vertex w as w and a 2-arc tail (v, w) as
+v * n^2 + w, and their G_r-orbits come from core.orbit_labels, the one
+orbit kernel, which refuses generators that do not act on the objects.
+Edge orbits are arc orbits paired with the orbits of their reversed arcs;
+the reversal (v, r) of an arc at the root r is carried back to the root of
+v, once per arc orbit.
 
 Reports equal those of closing every object of the graph under G.  The
 least member of each G-orbit starts at its root, roots ascend and the
-objects at a root are listed in ascending order, so orbits come out in the
-order of their least members and witnesses are those least members.
+kernel lists the orbits at a root in order of their least members, so
+orbits come out in the order of their least members and witnesses are
+those least members.
 """
 
 from __future__ import annotations
@@ -34,9 +45,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .bitset import bfs_layers, iter_bits
+import numpy as np
+
+from .bitset import bfs_layers, bit_positions
 from .bsgs import PermutationGroup
-from .core import orbits
+from .core import orbit_labels
 from .graph import CayleyGraph, build_graph
 from .symmetries import check_graph_automorphism, claimed_aut_group
 
@@ -92,45 +105,95 @@ class TransitivityReport:
     orbit_counts: dict
 
 
-def _images(perms) -> list[list[int]]:
-    return [p.images.tolist() for p in perms if not p.is_identity()]
+def _moving(perms) -> list:
+    """The image arrays of the permutations that are not the identity."""
+    return [p.images for p in perms if not p.is_identity()]
+
+
+def _least(labels):
+    """The least members of the orbits that labels describe, and the sizes."""
+    firsts = np.flatnonzero(labels == np.arange(labels.size))
+    return firsts, np.bincount(labels)[firsts]
+
+
+def _vertex_closure(images: list, count: int):
+    """The vertex orbits of the group the image arrays generate, closed over
+    all count vertices: their roots (least members), their sizes, and a
+    Schreier forest, via[v] naming a generator that carries a vertex one
+    step nearer the root onto v, and -1 at the roots."""
+    roots, sizes = _least(orbit_labels(np.arange(count), images))
+    via = np.full(count, -1)
+    seen = np.zeros(count, dtype=bool)
+    seen[roots] = True
+    frontier = roots
+    while frontier.size:
+        reached = [roots[:0]]
+        for i, img in enumerate(images):
+            targets = img[frontier]
+            fresh = np.unique(targets[~seen[targets]])
+            via[fresh] = i
+            seen[fresh] = True
+            reached.append(fresh)
+        frontier = np.concatenate(reached)
+    return roots.tolist(), sizes.tolist(), via
 
 
 class _Rooted:
     """A checked action split into vertex orbits, each with its root (its
-    smallest vertex) and generators of the root's stabiliser."""
+    least vertex) and the image arrays of generators of the root's
+    stabiliser."""
 
     def __init__(self, grp: PermutationGroup, g: CayleyGraph) -> None:
         self.group = grp
         self.graph = g
-        gens = [p for p in grp.generators if not p.is_identity()]
-        self.inverse_images = [p.inverse().images.tolist() for p in gens]
-        self.vertex_orbits = orbits(_images(gens), [(v,) for v in range(g.vertex_count)])
-        self.orbit_of = {v: orbit for orbit in self.vertex_orbits for (v,) in orbit}
-        self.roots = [next(iter(orbit))[0] for orbit in self.vertex_orbits]
-        self.stabilizers = [_images(grp.stabilizer_generators(r)) for r in self.roots]
-
-    def partition(self, rooted) -> list[tuple[dict, int]]:
-        """Every G-orbit on the objects that rooted(r) lists in ascending
-        order at each root r: its G_r-orbit there and its size under G."""
-        return [
-            (orbit, len(vertex_orbit) * len(orbit))
-            for r, vertex_orbit, stab in zip(self.roots, self.vertex_orbits, self.stabilizers)
-            for orbit in orbits(stab, rooted(r))
-        ]
+        count = g.vertex_count
+        self._via = None
+        if grp.base[:1] == [0] and grp.transversal_sizes()[0] == count:
+            self.roots, self.vertex_sizes = [0], [count]
+        else:
+            images = _moving(grp.generators)
+            self.roots, self.vertex_sizes, self._via = _vertex_closure(images, count)
+            self._inverses = [np.argsort(img) for img in images]
+        self.stabilizers = [_moving(grp.stabilizer_generators(r)) for r in self.roots]
 
     def to_root(self, obj: tuple[int, ...]) -> tuple[int, ...]:
         """The image of obj under an element of G carrying obj[0] to its root."""
-        tree = self.orbit_of[obj[0]]
-        while (step := tree[obj[:1]]) is not None:
-            inv = self.inverse_images[step[1]]
-            obj = tuple([inv[x] for x in obj])
+        if self._via is None:
+            t = self.group.transversal_inverse(obj[0]).images
+            return tuple(int(t[x]) for x in obj)
+        while (i := self._via[obj[0]]) >= 0:
+            inv = self._inverses[i]
+            obj = tuple(int(inv[x]) for x in obj)
         return obj
 
+    def partition(self, rooted):
+        """Every G-orbit on the objects that start at a root.
+
+        rooted(r) lists the objects at r without their first vertex, as the
+        rows of an int array in ascending order.  Returns each G-orbit as
+        its least member and its size under G, in order of least members,
+        and for each root the codes of its objects with the index of the
+        G-orbit of each.
+        """
+        count = self.graph.vertex_count
+        parts: list[tuple[tuple[int, ...], int]] = []
+        where = {}
+        for r, size, stab in zip(self.roots, self.vertex_sizes, self.stabilizers):
+            tails = rooted(r)
+            dims = (count,) * tails.shape[1]
+            codes = np.ravel_multi_index(tuple(tails.T), dims)
+            labels = orbit_labels(codes, [np.ravel_multi_index(tuple(img[tails].T), dims)
+                                          for img in stab])
+            firsts, sizes = _least(labels)
+            where[r] = (codes, len(parts) + np.searchsorted(firsts, labels))
+            parts += [((r, *tails[i].tolist()), size * s)
+                      for i, s in zip(firsts.tolist(), sizes.tolist())]
+        return parts, where
+
     @cached_property
-    def arc_orbits(self) -> list[tuple[dict, int]]:
-        adjacency = self.graph.adjacency
-        return self.partition(lambda r: [(r, v) for v in iter_bits(adjacency[r])])
+    def arc_orbits(self):
+        adjacency, count = self.graph.adjacency, self.graph.vertex_count
+        return self.partition(lambda r: bit_positions([adjacency[r]], count)[1][:, None])
 
 
 def _check_action(grp: PermutationGroup, g: CayleyGraph) -> _Rooted:
@@ -152,18 +215,17 @@ def _context(grp: PermutationGroup, g: CayleyGraph, rooted: _Rooted | None) -> _
     return _check_action(grp, g)
 
 
-def _result(parts: list[tuple[dict, int]]) -> TransitivityResult:
+def _result(parts: list[tuple[tuple[int, ...], int]]) -> TransitivityResult:
     sizes = tuple(size for _, size in parts)
     if len(parts) <= 1:
         return TransitivityResult(True, sizes, None)
-    first, second = (next(iter(orbit)) for orbit, _ in parts[:2])
-    return TransitivityResult(False, sizes, (first, second))
+    return TransitivityResult(False, sizes, (parts[0][0], parts[1][0]))
 
 
 def is_vertex_transitive(grp: PermutationGroup, g: CayleyGraph,
                          rooted: _Rooted | None = None) -> TransitivityResult:
     ctx = _context(grp, g, rooted)
-    return _result([(orbit, len(orbit)) for orbit in ctx.vertex_orbits])
+    return _result([((r,), size) for r, size in zip(ctx.roots, ctx.vertex_sizes)])
 
 
 def is_edge_transitive(grp: PermutationGroup, g: CayleyGraph,
@@ -174,34 +236,38 @@ def is_edge_transitive(grp: PermutationGroup, g: CayleyGraph,
     with half as many edges as arcs when the two orbits coincide.
     """
     ctx = _context(grp, g, rooted)
-    arcs = ctx.arc_orbits
-    index = {arc: i for i, (orbit, _) in enumerate(arcs) for arc in orbit}
+    arcs, where = ctx.arc_orbits
     parts = []
     paired: set[int] = set()
-    for i, (orbit, size) in enumerate(arcs):
+    for i, ((r, v), size) in enumerate(arcs):
         if i in paired:
             continue
-        r, v = next(iter(orbit))
-        j = index[ctx.to_root((v, r))]
+        root, x = ctx.to_root((v, r))
+        codes, orbit_of = where[root]
+        j = int(orbit_of[np.searchsorted(codes, x)])
         paired.add(j)
-        parts.append((orbit, size // 2 if j == i else size))
+        parts.append(((r, v), size // 2 if j == i else size))
     return _result(parts)
 
 
 def is_arc_transitive(grp: PermutationGroup, g: CayleyGraph,
                       rooted: _Rooted | None = None) -> TransitivityResult:
     """One orbit on ordered adjacent pairs or not."""
-    return _result(_context(grp, g, rooted).arc_orbits)
+    return _result(_context(grp, g, rooted).arc_orbits[0])
 
 
 def is_two_arc_transitive(grp: PermutationGroup, g: CayleyGraph,
                           rooted: _Rooted | None = None) -> TransitivityResult:
     """One orbit on paths u ~ v ~ w with w != u or not."""
     ctx = _context(grp, g, rooted)
-    adj = g.adjacency
-    return _result(ctx.partition(lambda r: [
-        (r, v, w) for v in iter_bits(adj[r]) for w in iter_bits(adj[v] & ~(1 << r))
-    ]))
+    adj, count = g.adjacency, g.vertex_count
+
+    def tails(r: int):
+        hood = bit_positions([adj[r]], count)[1]
+        at, w = bit_positions([adj[v] & ~(1 << r) for v in hood.tolist()], count)
+        return np.column_stack((hood[at], w))
+
+    return _result(ctx.partition(tails)[0])
 
 
 def is_distance_transitive(grp: PermutationGroup, g: CayleyGraph,
@@ -213,8 +279,9 @@ def is_distance_transitive(grp: PermutationGroup, g: CayleyGraph,
     to every vertex has no objects at distance d.
     """
     ctx = _context(grp, g, rooted)
+    count = g.vertex_count
     layers = {r: bfs_layers(g.adjacency, r) for r in ctx.roots}
-    if any(sum(ls).bit_count() != g.vertex_count for ls in layers.values()):
+    if any(sum(ls).bit_count() != count for ls in layers.values()):
         raise ValueError("distance transitivity needs a connected graph")
 
     per_distance: list[tuple[int, ...]] = []
@@ -222,8 +289,9 @@ def is_distance_transitive(grp: PermutationGroup, g: CayleyGraph,
     witness_distance = None
     for d in range(max(len(ls) for ls in layers.values())):
         res = _result(ctx.partition(
-            lambda r: [(r, v) for v in iter_bits(layers[r][d] if d < len(layers[r]) else 0)]
-        ))
+            lambda r: bit_positions([layers[r][d] if d < len(layers[r]) else 0],
+                                    count)[1][:, None]
+        )[0])
         per_distance.append(res.orbit_sizes)
         if witness is None and not res.transitive:
             witness = res.witness

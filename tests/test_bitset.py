@@ -1,4 +1,7 @@
-from cayleysrg.bitset import bfs_layers, iter_bits
+import numpy as np
+from hypothesis import given, strategies as st
+
+from cayleysrg.bitset import bfs_layers, bit_positions, iter_bits
 
 
 def adjacency_of(vertex_count, edges):
@@ -59,3 +62,22 @@ class TestBfsLayers:
         rows = RecordingRows(adjacency_of(4, [(0, 1), (1, 2)]))
         assert [list(iter_bits(x)) for x in bfs_layers(rows, 0)] == [[0], [1], [2]]
         assert sorted(rows.read) == [0, 1, 2]
+
+
+class TestBitPositions:
+    @given(st.lists(st.integers(0, 2**70 - 1), max_size=5), st.integers(70, 90))
+    def test_matches_iter_bits(self, masks, size):
+        rows, bits = bit_positions(masks, size)
+        assert list(zip(rows.tolist(), bits.tolist())) == [
+            (i, x) for i, mask in enumerate(masks) for x in iter_bits(mask)]
+
+    def test_empty_inputs(self):
+        for masks in ([], [0, 0]):
+            rows, bits = bit_positions(masks, 9)
+            assert rows.size == bits.size == 0
+
+    def test_rows_of_a_graph(self, graph):
+        g = graph(7)
+        rows, bits = bit_positions(g.adjacency, g.vertex_count)
+        assert np.array_equal(np.bincount(rows), [18] * 49)
+        assert bits[:18].tolist() == g.neighbors(0)

@@ -335,6 +335,23 @@ class TestStabilizerGenerators:
             claimed_group(4).stabilizer_generators(16)
 
 
+class TestTransversalInverse:
+    @pytest.mark.parametrize("make", [claimed_aut_group, lambda n: PermutationGroup.from_generators(
+        [translation(n, 1, 0).perm, translation(n, 0, 1).perm, coordinate_swap(n).perm])])
+    def test_carries_every_point_to_the_first_base_point(self, make):
+        grp = make(5)
+        for x in range(25):
+            t = grp.transversal_inverse(x)
+            assert t.apply(x) == grp.base[0] and t in grp
+
+    def test_point_off_the_first_orbit_refused(self, origin_stabilizer):
+        grp = origin_stabilizer(5)
+        with pytest.raises(ValueError, match="not in the orbit"):
+            grp.transversal_inverse(0)
+        with pytest.raises(ValueError, match="not in the orbit"):
+            PermutationGroup.from_generators([Permutation.identity(4)]).transversal_inverse(1)
+
+
 class TestElements:
     def test_elements_of_small_group(self):
         grp = PermutationGroup.from_generators(

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cayleysrg import Permutation, ZnPair, perm_from_pair_map, units
-from cayleysrg.core import orbits, transversal
+from cayleysrg.core import orbit_labels, orbits, transversal
 
 
 class TestZnPair:
@@ -228,6 +228,70 @@ class TestOrbits:
     def test_no_generators_gives_singletons(self):
         parts = orbits([], [(2, 1), (0, 1)])
         assert [list(o) for o in parts] == [[(2, 1)], [(0, 1)]]
+
+
+def _kernel_case(degree, gen_images, seeds):
+    """Pairs of points closed under the generators, as ascending codes
+    a * degree + b, with each generator's image codes."""
+    objects = sorted({x for orbit in orbits(gen_images, seeds) for x in orbit})
+    pairs = np.array(objects, dtype=np.int64).reshape(-1, 2)
+    codes = pairs[:, 0] * degree + pairs[:, 1]
+    images = [np.asarray(img)[pairs[:, 0]] * degree + np.asarray(img)[pairs[:, 1]]
+              for img in gen_images]
+    return objects, codes, images
+
+
+@st.composite
+def _actions(draw):
+    degree = draw(st.integers(1, 9))
+    points = list(range(degree))
+    gen_images = draw(st.lists(st.permutations(points), max_size=3))
+    seeds = draw(st.lists(st.tuples(st.sampled_from(points), st.sampled_from(points)),
+                          min_size=1, max_size=12))
+    return degree, [list(img) for img in gen_images], seeds
+
+
+class TestOrbitLabels:
+    @given(_actions())
+    def test_matches_the_closure(self, action):
+        degree, gen_images, seeds = action
+        objects, codes, images = _kernel_case(degree, gen_images, seeds)
+        labels = orbit_labels(codes, images)
+        expected = orbits(gen_images, objects)
+        firsts = np.flatnonzero(labels == np.arange(labels.size))
+        assert [objects[i] for i in firsts] == [next(iter(o)) for o in expected]
+        assert np.bincount(labels)[firsts].tolist() == [len(o) for o in expected]
+        least = {x: objects.index(next(iter(o))) for o in expected for x in o}
+        assert labels.tolist() == [least[x] for x in objects]
+
+    @pytest.mark.parametrize("gen_images", [[], [[0, 1, 2, 3]]])
+    def test_no_generators_or_the_identity_give_singletons(self, gen_images):
+        objects, codes, images = _kernel_case(4, gen_images, [(0, 1), (2, 3), (3, 0)])
+        assert orbit_labels(codes, images).tolist() == list(range(len(objects)))
+
+    def test_a_long_cycle_is_one_orbit(self):
+        # one cycle p(i) = i + 1 mod m: the least label must reach every index
+        m = 1000
+        labels = orbit_labels(np.arange(m), [(np.arange(m) + 1) % m])
+        assert (labels == 0).all()
+
+    def test_image_outside_the_objects_refused(self):
+        # (0 1 2 3) carries the object (0, 1) onto (1, 2), which is not listed
+        codes = np.array([0 * 4 + 1, 2 * 4 + 3])
+        images = [np.array([1 * 4 + 2, 3 * 4 + 0])]
+        with pytest.raises(ValueError, match="missing"):
+            orbit_labels(codes, images)
+        with pytest.raises(ValueError, match="missing"):
+            orbit_labels(codes, [np.array([1, 99])])
+
+    def test_repeated_image_refused(self):
+        with pytest.raises(ValueError, match="two objects onto one"):
+            orbit_labels(np.array([3, 5]), [np.array([5, 5])])
+
+    def test_codes_that_do_not_ascend_refused(self):
+        for codes in ([5, 3], [3, 3]):
+            with pytest.raises(ValueError, match="ascending"):
+                orbit_labels(np.array(codes), [])
 
 
 class TestTransversal:

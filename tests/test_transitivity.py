@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 import cayleysrg.transitivity as transitivity
@@ -18,6 +21,7 @@ from cayleysrg import (
     translation,
 )
 from cayleysrg.bitset import iter_bits
+from cayleysrg.cli import analyze_report
 
 
 def v(i, j, n):
@@ -122,11 +126,24 @@ def _full_closure_report(grp, g):
     )
 
 
+@pytest.fixture(scope="module")
+def claimed_oracle(claimed_group, graph):
+    """_full_closure_report for the claimed group, once per modulus."""
+    reports = {}
+
+    def get(n):
+        if n not in reports:
+            reports[n] = _full_closure_report(claimed_group(n), graph(n))
+        return reports[n]
+
+    return get
+
+
 class TestRootedEngineMatchesFullClosure:
     @pytest.mark.parametrize("n", range(4, 14))
-    def test_claimed_group(self, claimed_group, graph, n):
+    def test_claimed_group(self, claimed_group, graph, claimed_oracle, n):
         grp, g = claimed_group(n), graph(n)
-        assert classify_action(grp, g) == _full_closure_report(grp, g)
+        assert classify_action(grp, g) == claimed_oracle(n)
 
     @pytest.mark.parametrize("n", [5, 6])
     def test_origin_stabilizer(self, origin_stabilizer, graph, n):
@@ -143,6 +160,77 @@ class TestRootedEngineMatchesFullClosure:
         grp = PermutationGroup.from_generators(
             [translation(5, 1, 0).perm, translation(5, 0, 1).perm])
         assert classify_action(grp, graph(5)) == _full_closure_report(grp, graph(5))
+
+
+class TestFirstLevelRooting:
+    """A chain based at 0 whose first level covers every vertex is rooted at
+    0 alone; any other group closes the vertices under its generators."""
+
+    @pytest.mark.parametrize("n", range(4, 14))
+    def test_claimed_group_never_closes_the_vertices(self, claimed_group, graph,
+                                                     claimed_oracle, n, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the vertices were closed")
+
+        monkeypatch.setattr(transitivity, "_vertex_closure", refuse)
+        grp, g = claimed_group(n), graph(n)
+        rooted = transitivity._check_action(grp, g)
+        assert rooted.roots == [0] and rooted.vertex_sizes == [n * n]
+        assert classify_action(grp, g) == claimed_oracle(n)
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_chain_based_off_zero_closes_the_vertices(self, claimed_group, graph,
+                                                      claimed_oracle, n, monkeypatch):
+        # the linear generators first: the chain is based at the least point
+        # a unit scaling moves, not at 0, though the group is the same
+        gens = claimed_group(n).generators
+        grp, g = PermutationGroup.from_generators(gens[2:] + gens[:2]), graph(n)
+        assert grp.base[0] != 0 and grp.order() == claimed_group(n).order()
+        calls = []
+        closure = transitivity._vertex_closure
+        monkeypatch.setattr(transitivity, "_vertex_closure",
+                            lambda *args: calls.append(args) or closure(*args))
+        assert classify_action(grp, g) == claimed_oracle(n)
+        assert len(calls) == 1
+
+    def test_objects_the_group_does_not_act_on_are_refused(self, claimed_group, graph):
+        # a stand-in stabiliser generator that moves vertex 0 carries the
+        # arcs at 0 off the objects listed there
+        grp, g = claimed_group(5), graph(5)
+        rooted = transitivity._check_action(grp, g)
+        rooted.stabilizers = [[grp.generators[0].images]]
+        with pytest.raises(ValueError, match="do not act"):
+            is_arc_transitive(grp, g, rooted)
+
+
+# sha256 (first 16 hex digits) of the canonical JSON of the transitivity
+# block of analyze_report(n), recorded with the engine that closed every
+# vertex and partitioned with core.orbits.  The full-closure oracle above
+# stops at 13; these pin the reports up to 41.
+TRANSITIVITY_DIGESTS = {
+    4: "3a4ca2d1b28bffbb", 5: "001956b3c8ccf0ee", 6: "aef940908a0a881b",
+    7: "204bc13a6eff637e", 8: "c81ff2ea0b76223d", 9: "560d9f43490b4e97",
+    10: "c313a9d8a9722ed3", 11: "1692818e7a102618", 12: "50b3eff1d5da9c76",
+    13: "c0381828fc8e72ab", 14: "fd9173da0229786e", 15: "e7ed99c3dcca15c0",
+    16: "eafb062733892d7e", 17: "9fb8313fef0493c8", 18: "2de86b8f6abeddf0",
+    19: "d3129492815c68aa", 20: "21bfd80e1a270577", 21: "026c1a49724c6cde",
+    22: "b5ab91619ce3cf42", 23: "52a63df8027d14b5", 24: "91012c8f3fe3007f",
+    25: "ec31b4d4dc91dffe", 26: "4dbf785d5bc807e1", 27: "c6d6f5ffd9c6146d",
+    28: "08099917fa9c667b", 29: "7c5a417b2346e5c6", 30: "6fb28e8eaf11a045",
+    31: "ebd5f121563f453c", 32: "8ec9422e13bed2a2", 33: "6158298b78c45c2a",
+    34: "39a8fe24d1df0802", 35: "554feb672f8f1a41", 36: "26d3bb87d4ae561a",
+    37: "22787877769acf40", 38: "9e98560fcf132c24", 39: "09dbae79ef4da862",
+    40: "b8a436e539f287ee", 41: "404b464f49a9175a",
+}
+
+
+class TestPinnedReports:
+    @pytest.mark.parametrize("n", range(4, 42))
+    def test_transitivity_block(self, n):
+        report, failures = analyze_report(n)
+        assert failures == []
+        text = json.dumps(report["transitivity"], sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == TRANSITIVITY_DIGESTS[n]
 
 
 class TestClassification:
