@@ -4,10 +4,11 @@ The family: vertices are pairs mod n, two vertices adjacent when their
 difference lies on a coordinate axis or the main diagonal.  The package
 builds the graphs, certifies their regularity parameters by counting on
 the rows (from vertex 0 alone once the rows are shown invariant under
-translation, from every vertex otherwise), constructs the predicted automorphism group from explicit
-coordinate maps, cross-checks it against an independent count of the
-automorphism group along a stabiliser chain (n <= 31), and classifies
-vertex, edge, arc, distance and 2-arc transitivity by orbit computation.
+translation, from every vertex otherwise), constructs the predicted
+automorphism group from explicit coordinate maps, cross-checks it against
+an independent count of the automorphism group along a stabiliser chain
+(n <= 31), and classifies the vertex, edge, arc, distance and 2-arc
+transitivity of vertex-transitive groups by orbit computation at vertex 0.
 """
 
 from .bsgs import PermutationGroup

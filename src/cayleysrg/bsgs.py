@@ -17,7 +17,7 @@ that level's transversal, as any Mapping (one that builds its elements on
 request stores nothing), and a chain of the point stabiliser compiled on
 fewer points, and lifts the second.  Either way the levels past the first
 form a complete chain of the first base point's stabiliser, so
-point_stabilizer there reuses them as they are.
+point_stabilizer reuses them as they are; it serves that point only.
 """
 
 from __future__ import annotations
@@ -79,10 +79,10 @@ class PermutationGroup:
 
     Build with from_generators or assemble, which keep the input generator
     list verbatim (inputs already in the group are not strong generators).
-    A group from point_stabilizer is generated by the strong generators of
-    its first level, not by the Schreier generators it was compiled from.
-    Membership, order and stabilisers all run off the chain; orbit_of_tuple
-    and elements close over the generators.
+    A group from point_stabilizer is the chain's tail, generated by the
+    strong generators of its first level.  Membership, order and the
+    stabiliser of the first base point all run off the chain;
+    orbit_of_tuple and elements close over the generators.
     """
 
     def __init__(self, generators: list[Permutation], degree: int,
@@ -212,17 +212,17 @@ class PermutationGroup:
         return _distinct(g for lev in self._levels for g in lev.gens)
 
     def stabilizer_generators(self, v: int) -> list[Permutation]:
-        """Generators of the subgroup fixing v; empty when that subgroup is
-        trivial.
-
-        Free when v is the first base point: the strong generators of the
-        next level generate its stabiliser.  For any other point they are
-        the strong generators of point_stabilizer(v).
+        """Generators of the subgroup fixing the first base point v: the
+        strong generators of the next level, empty when that subgroup is
+        trivial.  A chain with no levels fixes every point; any other v is
+        refused.
         """
         self._check_point(v)
-        if self._levels and self._levels[0].point == v:
-            return list(self._levels[1].gens) if len(self._levels) > 1 else []
-        return self.point_stabilizer(v).strong_generators
+        if not self._levels:
+            return []
+        if self._levels[0].point != v:
+            raise ValueError(f"point {v} is not the first base point {self._levels[0].point}")
+        return list(self._levels[1].gens) if len(self._levels) > 1 else []
 
     def transversal_sizes(self) -> list[int]:
         return [len(lev.transversal) for lev in self._levels]
@@ -281,25 +281,13 @@ class PermutationGroup:
         return set(orbits(gens, [tuple(t)])[0])
 
     def point_stabilizer(self, v: int) -> PermutationGroup:
-        """The subgroup fixing v.  At the first base point it is the chain's
-        own tail, the levels past the first with the next level's strong
-        generators as generators, so nothing is compiled.  At any other
-        point it is compiled once from the Schreier generators of the orbit
-        of v under the strong generators, and keeps only its strong
-        generators as generators, a handful where the Schreier generators
-        number in the hundreds."""
-        self._check_point(v)
-        identity = [Permutation.identity(self._degree)]
-        if self._levels and self._levels[0].point == v:
-            return PermutationGroup(self.stabilizer_generators(v) or identity,
-                                    self._degree, self._levels[1:])
-        strong = self.strong_generators
-        reps = transversal(strong, v, self._degree)
-        inv = {x: u.inverse() for x, u in reps.items()}
-        gens = _distinct(h for x, rep in reps.items() for g in strong
-                         if not (h := inv[g.apply(x)] * g * rep).is_identity())
-        stab = PermutationGroup.from_generators(gens or identity)
-        return PermutationGroup(stab.strong_generators or identity, self._degree, stab._levels)
+        """The subgroup fixing the first base point v: the chain's own tail,
+        the levels past the first with the next level's strong generators
+        as generators, so nothing is compiled.  Like stabilizer_generators
+        it refuses any other point, unless the chain has no levels."""
+        gens = self.stabilizer_generators(v)
+        return PermutationGroup(gens or [Permutation.identity(self._degree)],
+                                self._degree, self._levels[1:])
 
     def elements(self, max_size: int = 1_000_000) -> list[Permutation]:
         """All elements, as the orbit of the identity's image tuple under

@@ -261,7 +261,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ve.add_argument("range", help="inclusive modulus range, e.g. 4..10")
     p_ve.add_argument("--oracle-upto", type=int, default=None,
                       help="also run the --oracle cross-check on moduli up to this "
-                           f"bound (at most {BRUTE_FORCE_MAX_MODULUS})")
+                           f"bound (4 to {BRUTE_FORCE_MAX_MODULUS})")
     return parser
 
 
@@ -299,8 +299,8 @@ def main(argv=None) -> int:
             parser.error(str(exc))
         if not 4 <= lo <= hi <= ANALYZE_MAX_MODULUS:
             parser.error(f"range must satisfy 4 <= lo <= hi <= {ANALYZE_MAX_MODULUS}")
-        if args.oracle_upto is not None and args.oracle_upto > BRUTE_FORCE_MAX_MODULUS:
-            parser.error(f"--oracle-upto must be <= {BRUTE_FORCE_MAX_MODULUS}")
+        if args.oracle_upto is not None and not 4 <= args.oracle_upto <= BRUTE_FORCE_MAX_MODULUS:
+            parser.error(f"--oracle-upto must be between 4 and {BRUTE_FORCE_MAX_MODULUS}")
         summary = verify_range(lo, hi, oracle_upto=args.oracle_upto)
         print(json.dumps(summary, indent=2))
         return 0 if summary["all_passed"] else 1

@@ -45,6 +45,7 @@ same generators at degree n**2 is the tests' oracle for it.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -225,12 +226,16 @@ class _Translations(Mapping):
         return iter(range(self._n * self._n))
 
     def __contains__(self, v) -> bool:
-        return isinstance(v, int) and 0 <= v < self._n * self._n
+        """Any integer v, numpy's included, in 0 <= v < n**2."""
+        try:
+            return 0 <= operator.index(v) < self._n * self._n
+        except TypeError:
+            return False
 
     def __getitem__(self, v: int) -> Permutation:
         if v not in self:
             raise KeyError(v)
-        a, b = (self._sign * c for c in divmod(v, self._n))
+        a, b = (self._sign * c for c in divmod(operator.index(v), self._n))
         return perm_from_pair_map(self._n, lambda x, y: (x + a, y + b))
 
 

@@ -2,42 +2,39 @@
 
 Each question asks whether a group G of graph automorphisms has a single
 orbit on one kind of object: vertices, edges, arcs, ordered pairs at a
-fixed distance, or 2-arcs (paths u ~ v ~ w with w != u).  The objects of
-the whole graph are never closed under G.  Every question is answered at
-roots instead, by the correspondence between orbitals and suborbits
-(Cameron, Permutation Groups, 1999; Godsil and Royle, Algebraic Graph
-Theory, 2001):
+fixed distance, or 2-arcs (paths u ~ v ~ w with w != u).  G must be
+vertex-transitive, which its chain shows when the first level's orbit,
+that of the first base point b, covers every vertex; any other group is
+refused with ValueError.  The objects of the whole graph are never closed
+under G.  Every question is answered at vertex 0 instead, by the
+correspondence between orbitals and suborbits (Cameron, Permutation
+Groups, 1999; Godsil and Royle, Algebraic Graph Theory, 2001):
 
-    Let r be a vertex and G_r its stabiliser.  The G-orbits on arcs,
-    2-arcs and distance-d pairs whose first vertex lies in G.r correspond
-    one-to-one with the G_r-orbits on the same objects starting at r, and
-    the G-orbit of such an object x has size |G.r| * |G_r.x|.
+    Let G be vertex-transitive and G_0 the stabiliser of vertex 0.  The
+    G-orbits on arcs, 2-arcs and distance-d pairs correspond one-to-one
+    with the G_0-orbits on the same objects starting at 0, and the G-orbit
+    of such an object x has size n^2 * |G_0.x|.
 
-So one root per vertex orbit suffices, its least vertex.  When the
-chain's first base point is 0 and its first-level transversal covers
-every vertex, G is vertex-transitive and the whole answer comes from the
-chain: the only root is 0, G_0 is generated by the next level's strong
-generators, and the first-level transversal carries any vertex back to 0.
-That is the case for the claimed groups, and then nothing is closed over
-the n^2 vertices.  Any other group (the trivial group, the origin
-stabiliser, a chain based elsewhere) has its vertices closed under its
-generators, with a Schreier forest of the vertex orbits to carry vertices
-to their roots and Schreier generators for the stabilisers of the roots
-past the first base point.
+When b = 0, as for the claimed groups, G_0 is generated by the next
+level's strong generators and the first-level transversal carries any
+vertex back to 0.  Otherwise both are conjugated by w, the first-level
+element carrying 0 onto b: G_0 is generated by w^-1 s w for the strong
+generators s of G_b, and w^-1 carries on to 0 from the vertex b that the
+transversal reaches.
 
-At each root the objects are read off the adjacency rows and encoded as
+At vertex 0 the objects are read off the adjacency rows and encoded as
 one ascending int array, a vertex w as w and a 2-arc tail (v, w) as
-v * n^2 + w, and their G_r-orbits come from core.orbit_labels, the one
+v * n^2 + w, and their G_0-orbits come from core.orbit_labels, the one
 orbit kernel, which refuses generators that do not act on the objects.
 Edge orbits are arc orbits paired with the orbits of their reversed arcs;
-the reversal (v, r) of an arc at the root r is carried back to the root of
-v, once per arc orbit.
+the reversal (v, 0) of an arc at 0 is carried back to 0, once per arc
+orbit.
 
-Reports equal those of closing every object of the graph under G.  The
-least member of each G-orbit starts at its root, roots ascend and the
-kernel lists the orbits at a root in order of their least members, so
-orbits come out in the order of their least members and witnesses are
-those least members.
+Reports equal those of closing every object of the graph under G.  Every
+G-orbit has a member starting at 0, the least vertex, and the kernel
+lists the orbits at 0 in order of their least members, so orbits come out
+in the order of their least members and witnesses are those least
+members.
 """
 
 from __future__ import annotations
@@ -116,84 +113,56 @@ def _least(labels):
     return firsts, np.bincount(labels)[firsts]
 
 
-def _vertex_closure(images: list, count: int):
-    """The vertex orbits of the group the image arrays generate, closed over
-    all count vertices: their roots (least members), their sizes, and a
-    Schreier forest, via[v] naming a generator that carries a vertex one
-    step nearer the root onto v, and -1 at the roots."""
-    roots, sizes = _least(orbit_labels(np.arange(count), images))
-    via = np.full(count, -1)
-    seen = np.zeros(count, dtype=bool)
-    seen[roots] = True
-    frontier = roots
-    while frontier.size:
-        reached = [roots[:0]]
-        for i, img in enumerate(images):
-            targets = img[frontier]
-            fresh = np.unique(targets[~seen[targets]])
-            via[fresh] = i
-            seen[fresh] = True
-            reached.append(fresh)
-        frontier = np.concatenate(reached)
-    return roots.tolist(), sizes.tolist(), via
-
-
 class _Rooted:
-    """A checked action split into vertex orbits, each with its root (its
-    least vertex) and the image arrays of generators of the root's
-    stabiliser."""
+    """A checked vertex-transitive action rooted at vertex 0: the image
+    arrays of generators of G_0, and elements of G carrying any vertex to 0,
+    both read off the chain's first level."""
 
     def __init__(self, grp: PermutationGroup, g: CayleyGraph) -> None:
+        if not grp.base or grp.transversal_sizes()[0] != g.vertex_count:
+            raise ValueError("the group is not vertex-transitive: its chain's first "
+                             "level does not cover every vertex")
         self.group = grp
         self.graph = g
-        count = g.vertex_count
-        self._via = None
-        if grp.base[:1] == [0] and grp.transversal_sizes()[0] == count:
-            self.roots, self.vertex_sizes = [0], [count]
-        else:
-            images = _moving(grp.generators)
-            self.roots, self.vertex_sizes, self._via = _vertex_closure(images, count)
-            self._inverses = [np.argsort(img) for img in images]
-        self.stabilizers = [_moving(grp.stabilizer_generators(r)) for r in self.roots]
+        gens = grp.stabilizer_generators(grp.base[0])
+        # Based at b != 0, conjugate by w = transversal_inverse(0), which
+        # carries 0 onto b: G_0 = w^-1 G_b w.
+        self._b_to_zero = None
+        if grp.base[0] != 0:
+            w = grp.transversal_inverse(0)
+            self._b_to_zero = w.inverse()
+            gens = [self._b_to_zero * s * w for s in gens]
+        self.stabilizer = _moving(gens)
 
     def to_root(self, obj: tuple[int, ...]) -> tuple[int, ...]:
-        """The image of obj under an element of G carrying obj[0] to its root."""
-        if self._via is None:
-            t = self.group.transversal_inverse(obj[0]).images
-            return tuple(int(t[x]) for x in obj)
-        while (i := self._via[obj[0]]) >= 0:
-            inv = self._inverses[i]
-            obj = tuple(int(inv[x]) for x in obj)
-        return obj
+        """The image of obj under an element of G carrying obj[0] to 0."""
+        t = self.group.transversal_inverse(obj[0])
+        if self._b_to_zero is not None:
+            t = self._b_to_zero * t
+        return tuple(int(t.images[x]) for x in obj)
 
-    def partition(self, rooted):
-        """Every G-orbit on the objects that start at a root.
+    def partition(self, tails: np.ndarray):
+        """Every G-orbit on the objects that start at 0.
 
-        rooted(r) lists the objects at r without their first vertex, as the
-        rows of an int array in ascending order.  Returns each G-orbit as
-        its least member and its size under G, in order of least members,
-        and for each root the codes of its objects with the index of the
-        G-orbit of each.
+        tails lists those objects without their first vertex, as the rows
+        of an int array in ascending order.  Returns each G-orbit as its
+        least member and its size under G, in order of least members, and
+        the codes of the objects with the index of the G-orbit of each.
         """
         count = self.graph.vertex_count
-        parts: list[tuple[tuple[int, ...], int]] = []
-        where = {}
-        for r, size, stab in zip(self.roots, self.vertex_sizes, self.stabilizers):
-            tails = rooted(r)
-            dims = (count,) * tails.shape[1]
-            codes = np.ravel_multi_index(tuple(tails.T), dims)
-            labels = orbit_labels(codes, [np.ravel_multi_index(tuple(img[tails].T), dims)
-                                          for img in stab])
-            firsts, sizes = _least(labels)
-            where[r] = (codes, len(parts) + np.searchsorted(firsts, labels))
-            parts += [((r, *tails[i].tolist()), size * s)
-                      for i, s in zip(firsts.tolist(), sizes.tolist())]
-        return parts, where
+        dims = (count,) * tails.shape[1]
+        codes = np.ravel_multi_index(tuple(tails.T), dims)
+        labels = orbit_labels(codes, [np.ravel_multi_index(tuple(img[tails].T), dims)
+                                      for img in self.stabilizer])
+        firsts, sizes = _least(labels)
+        parts = [((0, *tails[i].tolist()), count * s)
+                 for i, s in zip(firsts.tolist(), sizes.tolist())]
+        return parts, (codes, np.searchsorted(firsts, labels))
 
     @cached_property
     def arc_orbits(self):
-        adjacency, count = self.graph.adjacency, self.graph.vertex_count
-        return self.partition(lambda r: bit_positions([adjacency[r]], count)[1][:, None])
+        count = self.graph.vertex_count
+        return self.partition(bit_positions([self.graph.adjacency[0]], count)[1][:, None])
 
 
 def _check_action(grp: PermutationGroup, g: CayleyGraph) -> _Rooted:
@@ -224,8 +193,10 @@ def _result(parts: list[tuple[tuple[int, ...], int]]) -> TransitivityResult:
 
 def is_vertex_transitive(grp: PermutationGroup, g: CayleyGraph,
                          rooted: _Rooted | None = None) -> TransitivityResult:
-    ctx = _context(grp, g, rooted)
-    return _result([((r,), size) for r, size in zip(ctx.roots, ctx.vertex_sizes)])
+    """One orbit on vertices, with n^2 of them: only vertex-transitive
+    groups are accepted."""
+    _context(grp, g, rooted)
+    return _result([((0,), g.vertex_count)])
 
 
 def is_edge_transitive(grp: PermutationGroup, g: CayleyGraph,
@@ -236,17 +207,16 @@ def is_edge_transitive(grp: PermutationGroup, g: CayleyGraph,
     with half as many edges as arcs when the two orbits coincide.
     """
     ctx = _context(grp, g, rooted)
-    arcs, where = ctx.arc_orbits
+    arcs, (codes, orbit_of) = ctx.arc_orbits
     parts = []
     paired: set[int] = set()
-    for i, ((r, v), size) in enumerate(arcs):
+    for i, ((_, v), size) in enumerate(arcs):
         if i in paired:
             continue
-        root, x = ctx.to_root((v, r))
-        codes, orbit_of = where[root]
+        _, x = ctx.to_root((v, 0))
         j = int(orbit_of[np.searchsorted(codes, x)])
         paired.add(j)
-        parts.append(((r, v), size // 2 if j == i else size))
+        parts.append(((0, v), size // 2 if j == i else size))
     return _result(parts)
 
 
@@ -261,12 +231,10 @@ def is_two_arc_transitive(grp: PermutationGroup, g: CayleyGraph,
     """One orbit on paths u ~ v ~ w with w != u or not."""
     ctx = _context(grp, g, rooted)
     adj, count = g.adjacency, g.vertex_count
-
-    def tails(r: int):
-        hood = bit_positions([adj[r]], count)[1]
-        at, w = bit_positions([adj[v] & ~(1 << r) for v in hood.tolist()], count)
-        return np.column_stack((hood[at], w))
-
+    hood = bit_positions([adj[0]], count)[1]
+    at, w = bit_positions([adj[v] & ~1 for v in hood.tolist()], count)
+    tails = np.column_stack((hood[at], w))
+    del at, w  # at large n the partition sets the peak RSS of analyze
     return _result(ctx.partition(tails)[0])
 
 
@@ -274,24 +242,20 @@ def is_distance_transitive(grp: PermutationGroup, g: CayleyGraph,
                            rooted: _Rooted | None = None) -> DistanceTransitivityResult:
     """One orbit on ordered pairs at each distance 0..D or not.
 
-    Distances come from one BFS per root; the graph must be connected,
-    which holds for every graph this package builds.  A root nearer than d
-    to every vertex has no objects at distance d.
+    Distances come from one BFS from vertex 0; the graph must be
+    connected, which holds for every graph this package builds.
     """
     ctx = _context(grp, g, rooted)
     count = g.vertex_count
-    layers = {r: bfs_layers(g.adjacency, r) for r in ctx.roots}
-    if any(sum(ls).bit_count() != count for ls in layers.values()):
+    layers = bfs_layers(g.adjacency, 0)
+    if sum(layers).bit_count() != count:
         raise ValueError("distance transitivity needs a connected graph")
 
     per_distance: list[tuple[int, ...]] = []
     witness = None
     witness_distance = None
-    for d in range(max(len(ls) for ls in layers.values())):
-        res = _result(ctx.partition(
-            lambda r: bit_positions([layers[r][d] if d < len(layers[r]) else 0],
-                                    count)[1][:, None]
-        )[0])
+    for d, layer in enumerate(layers):
+        res = _result(ctx.partition(bit_positions([layer], count)[1][:, None])[0])
         per_distance.append(res.orbit_sizes)
         if witness is None and not res.transitive:
             witness = res.witness

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 import cayleysrg.bsgs as bsgs
@@ -238,23 +239,23 @@ def schreier_stabilizer(grp, v):
 
 class TestPointStabilizer:
     @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
-    @pytest.mark.parametrize("point", [0, 7])
+    @pytest.mark.parametrize("point", [0])
     def test_orbit_stabilizer_identity(self, claimed_group, n, point):
         grp = claimed_group(n)
         stab = grp.point_stabilizer(point)
         assert grp.order() == len(grp.orbit_of_point(point)) * stab.order()
 
     def test_stabilizer_elements_fix_the_point(self, claimed_group):
-        stab = claimed_group(5).point_stabilizer(7)
-        for p in stab.elements():
-            assert p.apply(7) == 7
+        grp = claimed_group(5)
+        els = set(grp.point_stabilizer(0).elements())
+        assert all(p.apply(0) == 0 and grp.contains(p) for p in els)
+        assert els == set(schreier_stabilizer(grp, 0).elements())
 
     def test_stabilizer_of_trivial_group(self):
         grp = PermutationGroup.from_generators([Permutation.identity(9)])
         assert grp.point_stabilizer(3).order() == 1
 
     @pytest.mark.parametrize("make, point, first_base_point", [
-        (claimed_aut_group, 7, False),
         (claimed_origin_stabilizer, 1, True),
     ])
     def test_matches_the_schreier_built_group(self, make, point, first_base_point):
@@ -264,21 +265,13 @@ class TestPointStabilizer:
         assert grp.order() == len(grp.orbit_of_point(point)) * stab.order()
         assert set(stab.elements()) == set(schreier_stabilizer(grp, point).elements())
 
-    @pytest.mark.parametrize("n", [16, 31])
-    def test_other_points_are_generated_by_their_strong_generators(self, claimed_group, n):
-        grp = claimed_group(n)
-        assert grp.base[0] != 1
-        stab = grp.point_stabilizer(1)
-        order = 6 * units(n).totient
-        assert len(stab.generators) <= 5
-        assert stab.order() == order
-        # distinct members of grp fixing 1, as many as the stabiliser has:
-        # the same set that closing over every Schreier generator gives
-        els = set(stab.elements())
-        assert len(els) == order
-        assert all(p.apply(1) == 1 and grp.contains(p) for p in els)
-        if n == 16:
-            assert els == set(schreier_stabilizer(grp, 1).elements())
+    def test_other_points_are_refused(self, claimed_group):
+        grp = claimed_group(5)
+        assert grp.base[0] != 7
+        with pytest.raises(ValueError, match="not the first base point 0"):
+            grp.point_stabilizer(7)
+        with pytest.raises(ValueError, match="not the first base point 0"):
+            grp.stabilizer_generators(7)
 
     @pytest.mark.parametrize("make, point", [
         (claimed_aut_group, 0), (claimed_origin_stabilizer, 1),
@@ -308,22 +301,6 @@ class TestStabilizerGenerators:
         assert all(p.apply(0) == 0 for p in gens)
         assert PermutationGroup.from_generators(gens).order() == grp.order() // (n * n)
 
-    @pytest.mark.parametrize("point", [1, 7])
-    def test_other_points_fall_back_to_schreier_generators(self, claimed_group, point):
-        grp = claimed_group(5)
-        gens = grp.stabilizer_generators(point)
-        assert all(p.apply(point) == point for p in gens)
-        assert PermutationGroup.from_generators(gens).order() == grp.order() // 25
-
-    @pytest.mark.parametrize("n", [16, 31])
-    def test_other_points_get_a_few_strong_generators(self, n):
-        grp = claimed_aut_group(n)
-        assert grp.base[0] != 1
-        gens = grp.stabilizer_generators(1)
-        assert 0 < len(gens) <= 5
-        assert all(p.apply(1) == 1 for p in gens)
-        assert PermutationGroup.from_generators(gens).order() == 6 * units(n).totient
-
     def test_regular_group_has_trivial_stabilizer(self):
         grp = PermutationGroup.from_generators(
             [translation(5, 1, 0).perm, translation(5, 0, 1).perm]
@@ -343,6 +320,9 @@ class TestTransversalInverse:
         for x in range(25):
             t = grp.transversal_inverse(x)
             assert t.apply(x) == grp.base[0] and t in grp
+            assert grp.transversal_inverse(np.int64(x)) == t
+        with pytest.raises(ValueError, match="not in the orbit"):
+            grp.transversal_inverse(1.5)
 
     def test_point_off_the_first_orbit_refused(self, origin_stabilizer):
         grp = origin_stabilizer(5)

@@ -189,6 +189,14 @@ class TestVerify:
         assert exc.value.code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("bound", [-3, 0, 3])
+    def test_oracle_upto_below_four_refused(self, bound, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "verify_range", None)  # parse only
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "4..5", "--oracle-upto", str(bound)])
+        assert exc.value.code == 2
+        assert "--oracle-upto must be between 4" in capsys.readouterr().err
+
     def test_rows_are_printed_as_each_modulus_finishes(self, monkeypatch):
         err = io.StringIO()
         seen_before = {}

@@ -329,8 +329,10 @@ class TestAssembledGroup:
     def test_translations_are_built_on_request(self, claimed_group):
         transversal = claimed_group(6)._levels[0].transversal
         assert not isinstance(transversal, dict) and len(transversal) == 36
-        assert 36 not in transversal and "7" not in transversal
+        assert 36 not in transversal and "7" not in transversal and 1.5 not in transversal
+        assert np.int64(7) in transversal
         assert transversal[v(2, 5, 6)] == translation(6, 2, 5).perm
+        assert transversal[np.int64(v(2, 5, 6))] == translation(6, 2, 5).perm
         with pytest.raises(KeyError):
             transversal[-1]
 
