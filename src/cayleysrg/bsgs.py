@@ -9,20 +9,25 @@ extends the base when it fixes every base point; the levels it joined are
 then checked again from the deepest up.  An input that sifts to the
 identity is already in the group and never becomes a strong generator.
 No randomisation anywhere, so a fixed generator list always yields the
-same base, the same transversals and the same order.
+same base, the same transversals and the same order.  A level keeps one
+side of its transversal: for each point x of its base point's orbit, an
+element carrying x back onto the base point, which is what sifting reads.
 
 A chain can also be assembled instead of compiled, when theory already
 gives the orbit of the first base point: PermutationGroup.assemble takes
 that level's transversal, as any Mapping (one that builds its elements on
 request stores nothing), and a chain of the point stabiliser compiled on
-fewer points, and lifts the second.  Either way the levels past the first
-form a complete chain of the first base point's stabiliser, so
+fewer points, and lifts the second once.  Either way the levels past the
+first form a complete chain of the first base point's stabiliser, so
 point_stabilizer reuses them as they are; it serves that point only.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from collections.abc import Callable, Mapping, Sequence
+from functools import cache
 
 from .core import Permutation, orbits, transversal
 
@@ -58,20 +63,20 @@ def _checked(generators) -> tuple[list[Permutation], int]:
 
 class _Level:
     """One stabiliser level: a base point, the strong generators that joined
-    it, which fix all earlier base points, and the orbit transversal of the
-    point, a dict unless the chain was assembled with another Mapping."""
+    it, which fix all earlier base points, and transversal_inv, mapping each
+    point of the base point's orbit to an element carrying it back onto the
+    base point; a dict unless the chain was assembled with another Mapping."""
 
-    __slots__ = ("point", "gens", "transversal", "transversal_inv")
+    __slots__ = ("point", "gens", "transversal_inv")
 
-    def __init__(self, point: int) -> None:
+    def __init__(self, point: int, gens=(), transversal_inv=None) -> None:
         self.point = point
-        self.gens: list[Permutation] = []
-        self.transversal: Mapping[int, Permutation] = {}
-        self.transversal_inv: Mapping[int, Permutation] = {}
+        self.gens: list[Permutation] = list(gens)
+        self.transversal_inv: Mapping[int, Permutation] = (
+            {} if transversal_inv is None else transversal_inv)
 
     def recompute_orbit(self, degree: int) -> None:
-        self.transversal = transversal(self.gens, self.point, degree)
-        self.transversal_inv = {x: u.inverse() for x, u in self.transversal.items()}
+        self.transversal_inv = transversal(self.gens, self.point, degree)
 
 
 class PermutationGroup:
@@ -129,8 +134,10 @@ class PermutationGroup:
         i = len(levels) - 1
         while i >= 0:
             lev = levels[i]
-            schreier = (lev.transversal_inv[s.apply(x)] * s * rep
-                        for x, rep in lev.transversal.items() for s in lev.gens)
+            # u_y^-1 * s * u_x, y = s(x): each u_x is inverted once per point x
+            schreier = (lev.transversal_inv[s.apply(x)] * s * u
+                        for x, u_inv in lev.transversal_inv.items()
+                        for u in (u_inv.inverse(),) for s in lev.gens)
             for h in schreier:
                 j = sift_in(h, i + 1)
                 if j is not None:
@@ -142,7 +149,6 @@ class PermutationGroup:
 
     @classmethod
     def assemble(cls, generators, point: int,
-                 transversal: Mapping[int, Permutation],
                  transversal_inv: Mapping[int, Permutation],
                  stabilizer: PermutationGroup,
                  lift: Callable[[Permutation], Permutation],
@@ -151,16 +157,17 @@ class PermutationGroup:
         chain of the stabiliser of point compiled on fewer points, with no
         Schreier-Sims at the full degree.
 
-        transversal maps each point x of the orbit of point to an element
-        carrying point onto x, and transversal_inv maps x to that element's
-        inverse; either may be any Mapping, for example one that builds its
-        elements on request.  stabilizer is a chain of a faithful copy of
-        the stabiliser: lift carries each of its elements to the element it
-        stands for, and points[x] is the point that x stands for, so that
-        lift(h) maps points[x] onto points[h(x)].  Every strong generator
-        and transversal element of stabilizer is lifted once.  The first
-        level is generated by the inputs that move point and the lifted
-        first-level generators of stabilizer.
+        transversal_inv maps each point x of the orbit of point to an
+        element carrying x back onto point; it may be any Mapping, for
+        example one that builds its elements on request.  stabilizer is a
+        chain of a faithful copy of the stabiliser: lift carries each of its
+        elements to the element it stands for, and points[x] is the point
+        that x stands for, so that lift(h) maps points[x] onto
+        points[h(x)].  Every strong generator and transversal element of
+        stabilizer is lifted once, and the lifted levels keep one
+        transversal each, as compiled levels do.  The first level is
+        generated by the inputs that move point and the lifted first-level
+        generators of stabilizer.
 
         That the orbit and the stabiliser are right is the caller's claim,
         resting on theory; the chain is then complete.  The self-check of
@@ -168,25 +175,12 @@ class PermutationGroup:
         identity.
         """
         gens, degree = _checked(generators)
-        lifted: dict[Permutation, Permutation] = {}
-
-        def up(h: Permutation) -> Permutation:
-            if h not in lifted:
-                lifted[h] = lift(h)
-            return lifted[h]
-
-        tail = []
-        for lev in stabilizer._levels:
-            new = _Level(int(points[lev.point]))
-            new.gens = [up(h) for h in lev.gens]
-            new.transversal = {int(points[x]): up(u) for x, u in lev.transversal.items()}
-            new.transversal_inv = {int(points[x]): up(u)
-                                   for x, u in lev.transversal_inv.items()}
-            tail.append(new)
-        first = _Level(point)
-        first.gens = [g for g in gens if g.apply(point) != point]
-        first.gens += tail[0].gens if tail else []
-        first.transversal, first.transversal_inv = transversal, transversal_inv
+        up = cache(lift)
+        tail = [_Level(int(points[lev.point]), map(up, lev.gens),
+                       {int(points[x]): up(u) for x, u in lev.transversal_inv.items()})
+                for lev in stabilizer._levels]
+        moving = [g for g in gens if g.apply(point) != point]
+        first = _Level(point, moving + (tail[0].gens if tail else []), transversal_inv)
         return cls(gens, degree, [first, *tail])._self_checked()
 
     def _self_checked(self) -> PermutationGroup:
@@ -217,7 +211,7 @@ class PermutationGroup:
         trivial.  A chain with no levels fixes every point; any other v is
         refused.
         """
-        self._check_point(v)
+        v = self._check_point(v)
         if not self._levels:
             return []
         if self._levels[0].point != v:
@@ -225,13 +219,13 @@ class PermutationGroup:
         return list(self._levels[1].gens) if len(self._levels) > 1 else []
 
     def transversal_sizes(self) -> list[int]:
-        return [len(lev.transversal) for lev in self._levels]
+        return [len(lev.transversal_inv) for lev in self._levels]
 
     def transversal_inverse(self, x: int) -> Permutation:
-        """An element carrying x onto the first base point: the inverse of
-        the first level's transversal element at x, built on request when
-        the chain was assembled that way."""
-        self._check_point(x)
+        """An element carrying x onto the first base point: the first
+        level's transversal element at x, built on request when the chain
+        was assembled that way."""
+        x = self._check_point(x)
         if not self._levels or x not in self._levels[0].transversal_inv:
             raise ValueError(f"point {x} is not in the orbit of the first base point")
         return self._levels[0].transversal_inv[x]
@@ -252,10 +246,7 @@ class PermutationGroup:
         return g, len(self._levels)
 
     def order(self) -> int:
-        total = 1
-        for lev in self._levels:
-            total *= len(lev.transversal)
-        return total
+        return math.prod(self.transversal_sizes())
 
     def contains(self, p: Permutation) -> bool:
         if p.degree != self._degree:
@@ -275,10 +266,9 @@ class PermutationGroup:
         """
         if not 1 <= len(t) <= 3:
             raise ValueError(f"tuple length must be 1, 2 or 3, got {len(t)}")
-        for v in t:
-            self._check_point(v)
+        t = tuple(self._check_point(v) for v in t)
         gens = [g.images.tolist() for g in self._generators if not g.is_identity()]
-        return set(orbits(gens, [tuple(t)])[0])
+        return set(orbits(gens, [t])[0])
 
     def point_stabilizer(self, v: int) -> PermutationGroup:
         """The subgroup fixing the first base point v: the chain's own tail,
@@ -302,9 +292,17 @@ class PermutationGroup:
             raise RuntimeError(f"closure found {len(closure)} elements, chain says {total}")
         return [Permutation(images) for images in closure]
 
-    def _check_point(self, v: int) -> None:
-        if not (0 <= v < self._degree):
+    def _check_point(self, v) -> int:
+        """v as an int; numpy integers pass, bools and non-integers do not."""
+        try:
+            point = operator.index(v)
+        except TypeError:
+            point = None
+        if point is None or isinstance(v, bool):
+            raise ValueError(f"point {v!r} is not an integer")
+        if not 0 <= point < self._degree:
             raise ValueError(f"point {v} out of range for degree {self._degree}")
+        return point
 
     def __contains__(self, p: Permutation) -> bool:
         return self.contains(p)

@@ -3,7 +3,7 @@
 Three subcommands:
 
     cayleysrg analyze N [--oracle]
-        Build the graph for modulus N (N <= 232), certify regularity,
+        Build the graph for modulus N (N <= 246), certify regularity,
         build the claimed automorphism group and its origin stabiliser,
         classify transitivity, optionally cross-check against the
         independent automorphism count of search.py (N <= 31), and print
@@ -13,7 +13,7 @@ Three subcommands:
         Print the graph in the requested format (N <= 110).
 
     cayleysrg verify LO..HI [--oracle-upto M]
-        Run the analyze checks for every modulus in the range (HI <= 232),
+        Run the analyze checks for every modulus in the range (HI <= 246),
         print a JSON summary to stdout and a table to stderr, one row as
         soon as each modulus finishes.
 
@@ -40,13 +40,14 @@ from .formats import to_dot, to_graph6
 __all__ = ["main", "run", "analyze_report", "verify_range", "predicted_values"]
 
 EXPORT_MAX_MODULUS = 110  # both formats; DOT at the cap writes 32 MB in about 8 s
-# analyze and verify: every modulus up to the cap runs in 1 GB.  Peak RSS
-# grows with phi(n) * n**2, so primes cost most: 229, the largest prime
-# below the cap, takes about 11 s and 957 MB, and 233 takes 1031 MB
-# (2 vCPUs, CPython 3.11.7).  The group stage dominates the memory: the
-# lifted chain of G_0 keeps its transversals at degree n**2, 547 MB at 229,
-# beside 354 MB of adjacency rows.
-ANALYZE_MAX_MODULUS = 232
+# analyze and verify: every modulus up to the cap runs in under 1000 MB.
+# Peak RSS grows with phi(n) * n**2 and with n**4, so large primes cost
+# most: 241, the largest prime below the cap, takes about 8 s and 986 MB,
+# while the composite 247 = 13 * 19 takes 1010 MB and the prime 251
+# 1117 MB (2 vCPUs, CPython 3.11.7).  At 241 the lifted chain of G_0, one
+# transversal per level at degree n**2, holds 321 MB, beside 404 MB of
+# adjacency rows.
+ANALYZE_MAX_MODULUS = 246
 
 
 def _is_prime(n: int) -> bool:

@@ -326,18 +326,16 @@ def orbit_labels(codes: NDArray[np.int64], images) -> NDArray[np.int64]:
 
 def transversal(perms: list[Permutation], point: int, degree: int) -> dict[int, Permutation]:
     """The orbit of point under the group perms generate, each member keyed
-    to an element carrying point onto it.
+    to an element carrying it back onto point.
 
     Read off the Schreier tree that orbits returns, so the first key is
-    point itself, mapped by the identity, and every later element is a
-    generator times the element of its parent.
+    point itself, mapped by the identity, and a member x reached from its
+    parent by perms[i] gets the parent's element times the inverse of
+    perms[i]: the inverse of the tree's path from point to x.
     """
     tree = orbits([p.images.tolist() for p in perms], [(point,)])[0]
-    out: dict[int, Permutation] = {}
-    for (x,), link in tree.items():
-        if link is None:
-            out[x] = Permutation.identity(degree)
-        else:
-            (parent,), i = link
-            out[x] = perms[i] * out[parent]
+    back = [p.inverse() for p in perms]
+    out = {point: Permutation.identity(degree)}
+    for (x,), ((parent,), i) in list(tree.items())[1:]:
+        out[x] = out[parent] * back[i]
     return out

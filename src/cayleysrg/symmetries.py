@@ -38,8 +38,8 @@ and Mortimer, Permutation Groups, 1996, on groups with a regular normal
 subgroup).  S spans Z_n x Z_n, so G_0 acts faithfully on the 3n - 3
 points of S, and is compiled there; each element of its chain is lifted
 back to the vertices by its matrix, read off the images of (1, 0) and
-(0, 1).  A first level at vertex 0 with the translations as its
-transversal, built on request, completes the chain.  Schreier-Sims on the
+(0, 1).  A first level at vertex 0, its transversal the translations back
+to 0 built on request, completes the chain.  Schreier-Sims on the
 same generators at degree n**2 is the tests' oracle for it.
 """
 
@@ -208,16 +208,16 @@ def _origin_stabilizer_perms(n: int) -> list[Permutation]:
 
 
 class _Translations(Mapping):
-    """Vertex v -> the translation by sign * v, built on request in O(n**2).
+    """Vertex v -> the translation by -v, which carries v back onto vertex 0,
+    built on request in O(n**2).
 
-    With sign 1 it is the first-level transversal of the claimed group at
-    vertex 0, with sign -1 its inverses, and neither stores n**2
-    permutations of degree n**2.
+    It is the first-level transversal of the claimed group at vertex 0, in
+    the one-sided form every chain level keeps, and it stores none of the
+    n**2 permutations of degree n**2.
     """
 
-    def __init__(self, n: int, sign: int) -> None:
+    def __init__(self, n: int) -> None:
         self._n = n
-        self._sign = sign
 
     def __len__(self) -> int:
         return self._n * self._n
@@ -235,8 +235,8 @@ class _Translations(Mapping):
     def __getitem__(self, v: int) -> Permutation:
         if v not in self:
             raise KeyError(v)
-        a, b = (self._sign * c for c in divmod(operator.index(v), self._n))
-        return perm_from_pair_map(self._n, lambda x, y: (x + a, y + b))
+        a, b = divmod(operator.index(v), self._n)
+        return perm_from_pair_map(self._n, lambda x, y: (x - a, y - b))
 
 
 def _restrict(hood: np.ndarray, p: Permutation) -> Permutation:
@@ -270,14 +270,14 @@ def claimed_aut_group(n: int) -> PermutationGroup:
     contains (1, 0) and (0, 1), so it spans Z_n x Z_n and G_0 acts
     faithfully on its 3n - 3 points.  So G_0 is compiled on S and its chain
     lifted back by matrix, behind a first level at vertex 0 whose
-    transversal, the translations, is built on request.
+    transversal, the translations back to 0, is built on request.
     """
     translations = [translation(n, 1, 0).perm, translation(n, 0, 1).perm]
     linear = _origin_stabilizer_perms(n)
     hood = _connection_indices(n)
     g0 = PermutationGroup.from_generators([_restrict(hood, p) for p in linear])
-    return PermutationGroup.assemble(translations + linear, 0, _Translations(n, 1),
-                                     _Translations(n, -1), g0, partial(_lift, n, hood), hood)
+    return PermutationGroup.assemble(translations + linear, 0, _Translations(n), g0,
+                                     partial(_lift, n, hood), hood)
 
 
 def claimed_origin_stabilizer(n: int) -> PermutationGroup:

@@ -99,13 +99,14 @@ class TestAssemble:
 
     def assemble(self, reps):
         return PermutationGroup.assemble(
-            [self.CYCLE, self.SWAP], 0, reps, {x: u.inverse() for x, u in reps.items()},
+            [self.CYCLE, self.SWAP], 0, reps,
             PermutationGroup.from_generators(self.S3), self.lift, self.POINTS)
 
     def powers(self):
+        """x -> the power of the rotation carrying x back onto 0."""
         reps, u = {}, Permutation.identity(4)
         for _ in range(4):
-            reps[u.apply(0)] = u
+            reps[u.apply(0)] = u.inverse()
             u = self.CYCLE * u
         return reps
 
@@ -321,7 +322,7 @@ class TestTransversalInverse:
             t = grp.transversal_inverse(x)
             assert t.apply(x) == grp.base[0] and t in grp
             assert grp.transversal_inverse(np.int64(x)) == t
-        with pytest.raises(ValueError, match="not in the orbit"):
+        with pytest.raises(ValueError, match="not an integer"):
             grp.transversal_inverse(1.5)
 
     def test_point_off_the_first_orbit_refused(self, origin_stabilizer):
@@ -330,6 +331,17 @@ class TestTransversalInverse:
             grp.transversal_inverse(0)
         with pytest.raises(ValueError, match="not in the orbit"):
             PermutationGroup.from_generators([Permutation.identity(4)]).transversal_inverse(1)
+
+
+@pytest.mark.parametrize("method", ["point_stabilizer", "stabilizer_generators",
+                                    "transversal_inverse"])
+@pytest.mark.parametrize("point", [1.5, "3", True, np.True_, None, np.float64(0.0)])
+@pytest.mark.parametrize("make", [claimed_aut_group,
+                                  lambda n: PermutationGroup.from_generators(
+                                      [Permutation.identity(n * n)])])
+def test_points_that_are_not_integers_are_refused(method, point, make):
+    with pytest.raises(ValueError, match="is not an integer"):
+        getattr(make(5), method)(point)
 
 
 class TestElements:

@@ -84,14 +84,14 @@ class TestAnalyze:
                             seen.append(("analyze", n)) or ({"n": n}, []))
         monkeypatch.setattr(cli, "verify_range", lambda lo, hi, oracle_upto=None:
                             seen.append(("verify", hi)) or {"all_passed": True})
-        assert ANALYZE_MAX_MODULUS == 232
-        assert main(["analyze", "232"]) == 0
-        assert main(["verify", "4..232"]) == 0
-        for argv in (["analyze", "233"], ["verify", "4..233"], ["verify", "233..233"]):
+        assert ANALYZE_MAX_MODULUS == 246
+        assert main(["analyze", "246"]) == 0
+        assert main(["verify", "4..246"]) == 0
+        for argv in (["analyze", "247"], ["verify", "4..247"], ["verify", "247..247"]):
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 2
-        assert seen == [("analyze", 232), ("verify", 232)]
+        assert seen == [("analyze", 246), ("verify", 246)]
         capsys.readouterr()
 
     def test_oracle_cap_is_a_usage_error(self, capsys):

@@ -311,7 +311,7 @@ class TestTransversal:
             first, rep = next(iter(reps.items()))
             assert first == point and rep.is_identity()
             for x, u in reps.items():
-                assert u.apply(point) == x
+                assert u.apply(x) == point
                 assert all(u.apply(b) == b for b in fixed)
                 assert u in grp
 

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -327,14 +328,31 @@ class TestAssembledGroup:
         assert peak < n ** 4 * 8
 
     def test_translations_are_built_on_request(self, claimed_group):
-        transversal = claimed_group(6)._levels[0].transversal
+        transversal = claimed_group(6)._levels[0].transversal_inv
         assert not isinstance(transversal, dict) and len(transversal) == 36
         assert 36 not in transversal and "7" not in transversal and 1.5 not in transversal
         assert np.int64(7) in transversal
-        assert transversal[v(2, 5, 6)] == translation(6, 2, 5).perm
-        assert transversal[np.int64(v(2, 5, 6))] == translation(6, 2, 5).perm
+        assert transversal[v(2, 5, 6)] == translation(6, -2, -5).perm
+        assert transversal[np.int64(v(2, 5, 6))] == translation(6, -2, -5).perm
         with pytest.raises(KeyError):
             transversal[-1]
+
+    @pytest.mark.parametrize("n", [31, 61])
+    def test_lifted_levels_keep_one_array_per_orbit_point(self, n):
+        # Whatever a level stores, at degree n**2 it may hold its strong
+        # generators and one element per orbit point, and nothing more.
+        for lev in claimed_aut_group(n)._levels[1:]:
+            stored = [getattr(lev, name) for name in type(lev).__slots__]
+            perms = [p for value in stored
+                     for p in (value.values() if isinstance(value, Mapping) else
+                               value if isinstance(value, list) else [value])
+                     if isinstance(p, Permutation)]
+            arrays = {id(p.images) for p in perms}
+            gens = {id(g.images) for g in lev.gens}
+            orbit = len(lev.transversal_inv)
+            assert all(p.degree == n * n for p in perms)
+            assert len({id(u.images) for u in lev.transversal_inv.values()}) == orbit
+            assert len(arrays - gens) <= orbit
 
 
 class TestCliqueAction:
