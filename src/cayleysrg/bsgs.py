@@ -25,11 +25,10 @@ point_stabilizer reuses them as they are; it serves that point only.
 from __future__ import annotations
 
 import math
-import operator
 from collections.abc import Callable, Mapping, Sequence
 from functools import cache
 
-from .core import Permutation, orbits, transversal
+from .core import Permutation, check_point, orbits, transversal
 
 __all__ = ["PermutationGroup"]
 
@@ -211,7 +210,7 @@ class PermutationGroup:
         trivial.  A chain with no levels fixes every point; any other v is
         refused.
         """
-        v = self._check_point(v)
+        v = check_point(v, self._degree)
         if not self._levels:
             return []
         if self._levels[0].point != v:
@@ -225,7 +224,7 @@ class PermutationGroup:
         """An element carrying x onto the first base point: the first
         level's transversal element at x, built on request when the chain
         was assembled that way."""
-        x = self._check_point(x)
+        x = check_point(x, self._degree)
         if not self._levels or x not in self._levels[0].transversal_inv:
             raise ValueError(f"point {x} is not in the orbit of the first base point")
         return self._levels[0].transversal_inv[x]
@@ -266,7 +265,7 @@ class PermutationGroup:
         """
         if not 1 <= len(t) <= 3:
             raise ValueError(f"tuple length must be 1, 2 or 3, got {len(t)}")
-        t = tuple(self._check_point(v) for v in t)
+        t = tuple(check_point(v, self._degree) for v in t)
         gens = [g.images.tolist() for g in self._generators if not g.is_identity()]
         return set(orbits(gens, [t])[0])
 
@@ -291,18 +290,6 @@ class PermutationGroup:
         if len(closure) != total:
             raise RuntimeError(f"closure found {len(closure)} elements, chain says {total}")
         return [Permutation(images) for images in closure]
-
-    def _check_point(self, v) -> int:
-        """v as an int; numpy integers pass, bools and non-integers do not."""
-        try:
-            point = operator.index(v)
-        except TypeError:
-            point = None
-        if point is None or isinstance(v, bool):
-            raise ValueError(f"point {v!r} is not an integer")
-        if not 0 <= point < self._degree:
-            raise ValueError(f"point {v} out of range for degree {self._degree}")
-        return point
 
     def __contains__(self, p: Permutation) -> bool:
         return self.contains(p)

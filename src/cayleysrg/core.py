@@ -9,6 +9,7 @@ indices; ZnPair reads or builds one, perm_from_pair_map maps all at once.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -24,9 +25,24 @@ __all__ = [
     "orbits",
     "orbit_labels",
     "transversal",
+    "check_point",
 ]
 
 MIN_MODULUS = 4
+
+
+def check_point(v, degree: int) -> int:
+    """v as an int in range(degree); numpy integers pass, bools and
+    non-integers do not.  Every bad point raises ValueError."""
+    try:
+        point = operator.index(v)
+    except TypeError:
+        point = None
+    if point is None or isinstance(v, bool):
+        raise ValueError(f"point {v!r} is not an integer")
+    if not 0 <= point < degree:
+        raise ValueError(f"point {v} out of range for degree {degree}")
+    return point
 
 
 def _check_modulus(n: int) -> None:
@@ -166,9 +182,7 @@ class Permutation:
         return self._images.size
 
     def apply(self, v: int) -> int:
-        if not (0 <= v < self.degree):
-            raise ValueError(f"point {v} out of range for degree {self.degree}")
-        return int(self._images[v])
+        return int(self._images[check_point(v, self.degree)])
 
     def __call__(self, v: int) -> int:
         return self.apply(v)

@@ -1,21 +1,44 @@
 """graph6 and DOT serialisation.
 
-The graph6 encoding follows the canonical description: a vertex count in
-6-bit chunks offset by 63, then the upper triangle of the adjacency matrix
-read column by column, packed big-endian six bits per printable byte.  The
-decoder is strict, it rejects bad lengths, out-of-range bytes and nonzero
-padding, so a round trip certifies the writer.
-"""
+graph6 writes a vertex count in 6-bit chunks offset by 63, then the upper
+triangle of the adjacency matrix read column by column: for v = 1, 2, ...
+the bits u < v of row v, in order, as one bit stream.  Row v starts at
+offset T(v) = v(v - 1)/2 of the stream.
+
+The writer builds the whole stream as one Python int, merging the two
+halves of each run of rows as lo | hi << (T(mid) - T(lo)); that is about
+log2(vc) passes over T(vc) bits.  The body is the stream cut into 6-bit
+groups, big-endian, each offset by 63, which is base64 of the stream with
+each byte read from its top bit, in another alphabet.  So the writer takes
+the stream's little-endian bytes, reverses the bits of each, encodes them
+with binascii, keeps the first ceil(T(vc)/6) characters (the padding bits
+are zero) and maps the base64 alphabet onto chr(63..126).
+
+The decoder is strict, it rejects bad lengths, out-of-range bytes and
+nonzero padding, and it reads bit by bit, independent of the writer, so a
+round trip certifies the writer."""
 
 from __future__ import annotations
 
+import binascii
+
 import numpy as np
 
-from .bitset import iter_bits
+from .bitset import bit_positions
 
 __all__ = ["to_graph6", "from_graph6", "to_dot"]
 
 _OFFSET = 63
+# Byte b with its eight bits in reverse order.
+_REVERSE_BITS = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+# The base64 alphabet onto the graph6 bytes chr(63..126), value for value.
+_BASE64_TO_GRAPH6 = bytes.maketrans(
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/",
+    bytes(range(_OFFSET, _OFFSET + 64)),
+)
+# Rows the DOT writer unpacks at once: the edge arrays of one block stay
+# small while each format call still covers thousands of edges.
+_DOT_BLOCK = 512
 
 
 def _encode_count(vc: int) -> str:
@@ -32,23 +55,26 @@ def _encode_count(vc: int) -> str:
     raise ValueError(f"{vc} vertices cannot be written in graph6")
 
 
+def _stream(adjacency, lo: int, hi: int) -> int:
+    """Rows lo..hi-1 as one bit stream: row v's bits u < v at offset
+    T(v) - T(lo), merged by halves."""
+    if hi - lo == 1:
+        return adjacency[lo] & ((1 << lo) - 1)
+    mid = (lo + hi) // 2
+    offset = (mid * (mid - 1) - lo * (lo - 1)) // 2
+    return _stream(adjacency, lo, mid) | _stream(adjacency, mid, hi) << offset
+
+
 def to_graph6(g) -> str:
     """Encode a graph (vertex_count plus adjacency bitmasks) as graph6."""
     vc = g.vertex_count
     if vc < 1:
         raise ValueError("graph6 needs at least one vertex")
-    pieces = []
-    for v in range(1, vc):
-        col = g.adjacency[v] & ((1 << v) - 1)
-        raw = col.to_bytes((v + 7) // 8, "little")
-        pieces.append(np.unpackbits(np.frombuffer(raw, np.uint8), bitorder="little")[:v])
-    bits = np.concatenate(pieces) if pieces else np.zeros(0, np.uint8)
-    pad = -bits.size % 6
-    if pad:
-        bits = np.concatenate([bits, np.zeros(pad, np.uint8)])
-    # each group of six bits, padded to a big-endian byte, is its value << 2
-    values = np.packbits(bits.reshape(-1, 6), axis=1)[:, 0] >> 2
-    body = (values + _OFFSET).tobytes()
+    nbits = vc * (vc - 1) // 2
+    raw = _stream(g.adjacency, 0, vc).to_bytes((nbits + 7) // 8, "little")
+    body = binascii.b2a_base64(raw.translate(_REVERSE_BITS), newline=False)
+    del raw  # one copy of the stream fewer while the body is copied twice
+    body = body[:(nbits + 5) // 6].translate(_BASE64_TO_GRAPH6)
     return _encode_count(vc) + body.decode("ascii")
 
 
@@ -110,15 +136,18 @@ def from_graph6(text: str) -> tuple[int, list[int]]:
 
 
 def to_dot(g) -> str:
-    """Undirected DOT text with vertices labelled by their residue pairs."""
-    n = g.n
-    lines = [f"graph cayley_{n} {{"]
-    for v in range(g.vertex_count):
-        i, j = divmod(v, n)
-        lines.append(f'  {v} [label="({i},{j})"];')
-    for u in range(g.vertex_count):
-        for v in iter_bits(g.adjacency[u]):
-            if v > u:
-                lines.append(f"  {u} -- {v};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    """Undirected DOT text with vertices labelled by their residue pairs.
+
+    Edges come as u -- v with u < v, ordered by u and then v; the rows are
+    read in blocks of _DOT_BLOCK, and each block is formatted at once."""
+    n, vc = g.n, g.vertex_count
+    pieces = [f"graph cayley_{n} {{\n"]
+    pieces.extend(f'  {v} [label="({v // n},{v % n})"];\n' for v in range(vc))
+    for start in range(0, vc, _DOT_BLOCK):
+        rows, cols = bit_positions(g.adjacency[start:start + _DOT_BLOCK], vc)
+        rows += start
+        upper = cols > rows
+        pairs = np.stack([rows[upper], cols[upper]], axis=1).ravel().tolist()
+        pieces.append(("  %d -- %d;\n" * (len(pairs) // 2)) % tuple(pairs))
+    pieces.append("}\n")
+    return "".join(pieces)

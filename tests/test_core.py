@@ -162,6 +162,14 @@ class TestPermutation:
         with pytest.raises(ValueError):
             p.apply(-1)
 
+    @pytest.mark.parametrize("point", [True, np.True_, 1.5, np.float64(0.0), "1", None])
+    def test_apply_refuses_points_that_are_not_integers(self, point):
+        with pytest.raises(ValueError, match="is not an integer"):
+            Permutation([1, 0, 2, 3]).apply(point)
+
+    def test_apply_accepts_numpy_integers(self):
+        assert Permutation([1, 0, 2, 3]).apply(np.int64(1)) == 0
+
     def test_equality_and_hash(self):
         p = Permutation([1, 0, 2])
         q = Permutation(np.array([1, 0, 2]))

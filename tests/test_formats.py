@@ -1,6 +1,44 @@
+import random
+
+import numpy as np
 import pytest
 
 from cayleysrg import build_graph, from_graph6, to_dot, to_graph6
+from cayleysrg.bitset import iter_bits
+from cayleysrg.formats import _encode_count
+
+
+def to_graph6_reference(g) -> str:
+    """The per-row graph6 writer: each row's bits u < v unpacked into its
+    own array, all rows concatenated and packed six bits at a time."""
+    vc = g.vertex_count
+    pieces = []
+    for v in range(1, vc):
+        col = g.adjacency[v] & ((1 << v) - 1)
+        raw = col.to_bytes((v + 7) // 8, "little")
+        pieces.append(np.unpackbits(np.frombuffer(raw, np.uint8), bitorder="little")[:v])
+    bits = np.concatenate(pieces) if pieces else np.zeros(0, np.uint8)
+    pad = -bits.size % 6
+    if pad:
+        bits = np.concatenate([bits, np.zeros(pad, np.uint8)])
+    # each group of six bits, padded to a big-endian byte, is its value << 2
+    values = np.packbits(bits.reshape(-1, 6), axis=1)[:, 0] >> 2
+    return _encode_count(vc) + (values + 63).tobytes().decode("ascii")
+
+
+def to_dot_reference(g) -> str:
+    """The row-by-row DOT writer: every row walked bit by bit."""
+    n = g.n
+    lines = [f"graph cayley_{n} {{"]
+    for v in range(g.vertex_count):
+        i, j = divmod(v, n)
+        lines.append(f'  {v} [label="({i},{j})"];')
+    for u in range(g.vertex_count):
+        for v in iter_bits(g.adjacency[u]):
+            if v > u:
+                lines.append(f"  {u} -- {v};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 class FakeGraph:
@@ -13,6 +51,12 @@ class FakeGraph:
             self.adjacency[v] |= 1 << u
 
 
+def random_graph(vertex_count, seed):
+    rng = random.Random(seed)
+    edges = [(u, v) for v in range(vertex_count) for u in range(v) if rng.random() < 0.5]
+    return FakeGraph(vertex_count, edges)
+
+
 class TestGraph6:
     def test_known_small_strings(self):
         # frozen reference values for the format itself
@@ -22,6 +66,26 @@ class TestGraph6:
         assert to_graph6(p4) == "Ch"
         c5 = FakeGraph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
         assert to_graph6(c5) == "Dhc"
+
+    # T(vc) = vc(vc - 1)/2 body bits: vc = 1..70 meets every residue of
+    # T(vc) mod 6 and mod 8, and both sides of the 62/63 header boundary.
+    @pytest.mark.parametrize("vertex_count", range(1, 71))
+    def test_matches_reference_on_random_graphs(self, vertex_count):
+        g = random_graph(vertex_count, seed=vertex_count)
+        s = to_graph6(g)
+        assert s == to_graph6_reference(g)
+        assert from_graph6(s) == (vertex_count, g.adjacency)
+
+    @pytest.mark.parametrize("n", [*range(4, 32), 80])
+    def test_matches_reference_on_built_graphs(self, graph, n):
+        g = graph(n)
+        s = to_graph6(g)
+        assert s == to_graph6_reference(g)
+        assert from_graph6(s) == (g.vertex_count, list(g.adjacency))
+
+    def test_no_vertices_rejected(self):
+        with pytest.raises(ValueError, match="at least one vertex"):
+            to_graph6(FakeGraph(0, []))
 
     def test_header_char_for_sixteen_vertices(self, graph):
         s = to_graph6(graph(4))
@@ -87,6 +151,10 @@ class TestGraph6:
 
 
 class TestDot:
+    @pytest.mark.parametrize("n", range(4, 17))
+    def test_matches_reference(self, graph, n):
+        assert to_dot(graph(n)) == to_dot_reference(graph(n))
+
     def test_statement_counts_at_four(self, graph):
         text = to_dot(graph(4))
         lines = text.splitlines()
