@@ -17,9 +17,11 @@ A chain can also be assembled instead of compiled, when theory already
 gives the orbit of the first base point: PermutationGroup.assemble takes
 that level's transversal, as any Mapping (one that builds its elements on
 request stores nothing), and a chain of the point stabiliser compiled on
-fewer points, and lifts the second once.  Either way the levels past the
-first form a complete chain of the first base point's stabiliser, so
-point_stabilizer reuses them as they are; it serves that point only.
+fewer points, lifts that chain's strong generators once and builds each
+lifted level's transversal as a compiled level does.  Either way the
+levels past the first form a complete chain of the first base point's
+stabiliser, so point_stabilizer reuses them as they are; it serves that
+point only.
 """
 
 from __future__ import annotations
@@ -159,12 +161,13 @@ class PermutationGroup:
         transversal_inv maps each point x of the orbit of point to an
         element carrying x back onto point; it may be any Mapping, for
         example one that builds its elements on request.  stabilizer is a
-        chain of a faithful copy of the stabiliser: lift carries each of its
-        elements to the element it stands for, and points[x] is the point
-        that x stands for, so that lift(h) maps points[x] onto
-        points[h(x)].  Every strong generator and transversal element of
-        stabilizer is lifted once, and the lifted levels keep one
-        transversal each, as compiled levels do.  The first level is
+        chain of a faithful copy of the stabiliser, on points that stand
+        for points of the full degree, so that lift(h) maps the point x
+        stands for onto the one h(x) stands for.  lift is applied to the
+        strong generators of stabilizer only, each distinct one once, and
+        points[b] is the point that its base point b stands for.  Each
+        lifted level then builds its transversal from its base point and
+        its lifted generators, as compiled levels do.  The first level is
         generated by the inputs that move point and the lifted first-level
         generators of stabilizer.
 
@@ -175,9 +178,10 @@ class PermutationGroup:
         """
         gens, degree = _checked(generators)
         up = cache(lift)
-        tail = [_Level(int(points[lev.point]), map(up, lev.gens),
-                       {int(points[x]): up(u) for x, u in lev.transversal_inv.items()})
+        tail = [_Level(int(points[lev.point]), map(up, lev.gens))
                 for lev in stabilizer._levels]
+        for lev in tail:
+            lev.recompute_orbit(degree)
         moving = [g for g in gens if g.apply(point) != point]
         first = _Level(point, moving + (tail[0].gens if tail else []), transversal_inv)
         return cls(gens, degree, [first, *tail])._self_checked()

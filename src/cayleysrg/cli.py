@@ -44,12 +44,13 @@ __all__ = ["main", "run", "analyze_report", "verify_range", "predicted_values"]
 # 2 vCPUs, CPython 3.11.7).
 EXPORT_MAX_MODULUS = 110
 # analyze and verify: every modulus up to the cap runs in under 1000 MB.
-# Peak RSS grows with phi(n) * n**2 and with n**4, so large primes cost
-# most: 241, the largest prime below the cap, takes about 8 s and 986 MB,
-# while the composite 247 = 13 * 19 takes 1010 MB and the prime 251
-# 1117 MB (2 vCPUs, CPython 3.11.7).  At 241 the lifted chain of G_0, one
-# transversal per level at degree n**2, holds 321 MB, beside 404 MB of
-# adjacency rows.
+# Peak RSS grows with n**4, the adjacency rows (404 MB at 241), and with
+# phi(n) * n**2, the lifted chain of G_0 with one transversal per level at
+# degree n**2 (321 MB at 241).  So a prime is not always the costliest:
+# past the cap the composite 247 = 13 * 19 takes 1010 MB, the prime 251
+# 1117 MB.  Measured up to the cap, 241 costs most, about 7.6 s and
+# 987 MB; 242..246 take 737-891 MB, and every n below 241 is smaller in
+# both terms (2 vCPUs, CPython 3.11.7).
 ANALYZE_MAX_MODULUS = 246
 
 

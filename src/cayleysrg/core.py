@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -264,15 +264,16 @@ def perm_from_pair_map(n: int, fn: Callable[[NDArray, NDArray], tuple]) -> Permu
     return Permutation(fx % n * n + fy % n)
 
 
-def orbits(gen_images: list[list[int]], objects) -> list[dict]:
+def orbits(gen_images: list[Sequence[int]], objects) -> list[dict]:
     """Orbits of tuples of points under the group the generators generate.
 
-    gen_images holds each generator as its list of images; a tuple moves
-    componentwise.  Every object not already placed seeds a new orbit, closed
-    under the generators.  Each orbit is a dict in discovery order: its first
-    key is the seed, and each later member maps to (parent, i) with
-    gen_images[i] carrying parent onto it, so the dict is also a Schreier
-    tree.  Objects in ascending order make every seed its orbit's least member.
+    gen_images holds each generator as the sequence of its images, a list
+    or a memoryview of an int64 array; a tuple moves componentwise.  Every
+    object not already placed seeds a new orbit, closed under the
+    generators.  Each orbit is a dict in discovery order: its first key is
+    the seed, and each later member maps to (parent, i) with gen_images[i]
+    carrying parent onto it, so the dict is also a Schreier tree.  Objects
+    in ascending order make every seed its orbit's least member.
     """
     placed: set = set()
     out: list[dict] = []
@@ -345,9 +346,11 @@ def transversal(perms: list[Permutation], point: int, degree: int) -> dict[int, 
     Read off the Schreier tree that orbits returns, so the first key is
     point itself, mapped by the identity, and a member x reached from its
     parent by perms[i] gets the parent's element times the inverse of
-    perms[i]: the inverse of the tree's path from point to x.
+    perms[i]: the inverse of the tree's path from point to x.  The tree
+    walks memoryviews of the image arrays, so a small orbit at a large
+    degree costs no list of every image.
     """
-    tree = orbits([p.images.tolist() for p in perms], [(point,)])[0]
+    tree = orbits([memoryview(p.images) for p in perms], [(point,)])[0]
     back = [p.inverse() for p in perms]
     out = {point: Permutation.identity(degree)}
     for (x,), ((parent,), i) in list(tree.items())[1:]:

@@ -15,8 +15,10 @@ with binascii, keeps the first ceil(T(vc)/6) characters (the padding bits
 are zero) and maps the base64 alphabet onto chr(63..126).
 
 The decoder is strict, it rejects bad lengths, out-of-range bytes and
-nonzero padding, and it reads bit by bit, independent of the writer, so a
-round trip certifies the writer."""
+nonzero padding.  It shares no code with the writer: it lists the set bits
+of the body, turns each into its edge by a search in the row offsets, and
+packs both ends of every edge into rows, so a round trip certifies the
+writer."""
 
 from __future__ import annotations
 
@@ -78,61 +80,57 @@ def to_graph6(g) -> str:
     return _encode_count(vc) + body.decode("ascii")
 
 
-def _decode_count(s: str) -> tuple[int, int]:
-    """Vertex count and the index where the adjacency body starts."""
-    if not s:
-        raise ValueError("empty graph6 string")
-    vals = [ord(ch) - _OFFSET for ch in s]
-    if any(v < 0 or v > 63 for v in vals):
-        raise ValueError("graph6 byte out of the printable range")
-    if vals[0] < 63:
-        return vals[0], 1
-    if len(s) >= 2 and vals[1] < 63:
-        if len(s) < 4:
-            raise ValueError("truncated graph6 vertex count")
-        return (vals[1] << 12) | (vals[2] << 6) | vals[3], 4
-    if len(s) < 8:
+def _decode_count(vals: np.ndarray) -> tuple[int, int]:
+    """Vertex count and the index where the adjacency body starts, from the
+    6-bit values of the string."""
+    head = vals[:8].tolist()
+    if head[0] < 63:
+        return head[0], 1
+    lo, start = (1, 4) if len(head) >= 2 and head[1] < 63 else (2, 8)
+    if len(head) < start:
         raise ValueError("truncated graph6 vertex count")
     vc = 0
-    for v in vals[2:8]:
+    for v in head[lo:start]:
         vc = vc << 6 | v
-    return vc, 8
+    return vc, start
 
 
 def from_graph6(text: str) -> tuple[int, list[int]]:
     """Decode graph6 into (vertex_count, adjacency bitmasks).
 
     The optional ">>graph6<<" prefix is allowed; anything else malformed
-    is rejected.
+    is rejected.  The set bits of the body are found with numpy, bit p of
+    the stream is the edge u < v with T(v) <= p = T(v) + u < T(v + 1), and
+    each edge sets its bit in both rows of a packed matrix.
     """
     s = text.strip()
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<"):]
-    vc, start = _decode_count(s)
-    body = s[start:]
+    if not s:
+        raise ValueError("empty graph6 string")
+    raw = np.frombuffer(s.encode("ascii"), dtype=np.uint8) if s.isascii() else None
+    if raw is None or raw.min() < _OFFSET or raw.max() > _OFFSET + 63:
+        raise ValueError("graph6 byte out of the printable range")
+    vals = raw - _OFFSET
+    vc, start = _decode_count(vals)
+    body = vals[start:]
     nbits = vc * (vc - 1) // 2
     needed = (nbits + 5) // 6
-    if len(body) != needed:
-        raise ValueError(f"graph6 body has {len(body)} bytes, expected {needed}")
-    adjacency = [0] * vc
-    pos = 0
-    val = 0
-    width = 0
-    for v in range(1, vc):
-        for u in range(v):
-            if width == 0:
-                val = ord(body[pos]) - _OFFSET
-                if not 0 <= val <= 63:
-                    raise ValueError("graph6 byte out of the printable range")
-                pos += 1
-                width = 6
-            width -= 1
-            if val >> width & 1:
-                adjacency[u] |= 1 << v
-                adjacency[v] |= 1 << u
-    if width and val & ((1 << width) - 1):
+    if body.size != needed:
+        raise ValueError(f"graph6 body has {body.size} bytes, expected {needed}")
+    # each 6-bit value shifted to the top of its byte, unpacked high bit first
+    at = np.flatnonzero(np.unpackbits(body << 2))
+    at = at // 8 * 6 + at % 8
+    if at.size and at[-1] >= nbits:
         raise ValueError("nonzero padding bits in graph6 body")
-    return vc, adjacency
+    firsts = np.arange(vc, dtype=np.int64) * np.arange(-1, vc - 1) // 2
+    v = np.searchsorted(firsts, at, side="right") - 1
+    u = at - firsts[v]
+    width = (vc + 7) // 8
+    packed = np.zeros((vc, width), dtype=np.uint8)
+    for row, col in ((u, v), (v, u)):
+        np.bitwise_or.at(packed, (row, col >> 3), (1 << (col & 7)).astype(np.uint8))
+    return vc, [int.from_bytes(r.tobytes(), "little") for r in packed]
 
 
 def to_dot(g) -> str:

@@ -36,9 +36,10 @@ subgroup T, so the group is the semidirect product of T and G_0, the
 group of the certified linear maps, and its order is n**2 * |G_0| (Dixon
 and Mortimer, Permutation Groups, 1996, on groups with a regular normal
 subgroup).  S spans Z_n x Z_n, so G_0 acts faithfully on the 3n - 3
-points of S, and is compiled there; each element of its chain is lifted
-back to the vertices by its matrix, read off the images of (1, 0) and
-(0, 1).  A first level at vertex 0, its transversal the translations back
+points of S, and is compiled there; the strong generators of its chain
+are lifted back to the vertices by their matrices, read off the images of
+(1, 0) and (0, 1), and each lifted level builds its own transversal from
+them.  A first level at vertex 0, its transversal the translations back
 to 0 built on request, completes the chain.  Schreier-Sims on the
 same generators at degree n**2 is the tests' oracle for it.
 """
@@ -268,9 +269,10 @@ def claimed_aut_group(n: int) -> PermutationGroup:
     product of T and G_0, the stabiliser of vertex 0, and
     |G| = n**2 * |G_0| (Dixon and Mortimer, Permutation Groups, 1996).  S
     contains (1, 0) and (0, 1), so it spans Z_n x Z_n and G_0 acts
-    faithfully on its 3n - 3 points.  So G_0 is compiled on S and its chain
-    lifted back by matrix, behind a first level at vertex 0 whose
-    transversal, the translations back to 0, is built on request.
+    faithfully on its 3n - 3 points.  So G_0 is compiled on S, and the
+    strong generators of its chain are lifted back by matrix, behind a
+    first level at vertex 0 whose transversal, the translations back to 0,
+    is built on request.
     """
     translations = [translation(n, 1, 0).perm, translation(n, 0, 1).perm]
     linear = _origin_stabilizer_perms(n)

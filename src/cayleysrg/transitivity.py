@@ -3,24 +3,21 @@
 Each question asks whether a group G of graph automorphisms has a single
 orbit on one kind of object: vertices, edges, arcs, ordered pairs at a
 fixed distance, or 2-arcs (paths u ~ v ~ w with w != u).  G must be
-vertex-transitive, which its chain shows when the first level's orbit,
-that of the first base point b, covers every vertex; any other group is
-refused with ValueError.  The objects of the whole graph are never closed
-under G.  Every question is answered at vertex 0 instead, by the
-correspondence between orbitals and suborbits (Cameron, Permutation
-Groups, 1999; Godsil and Royle, Algebraic Graph Theory, 2001):
+vertex-transitive, which its chain shows when the first level's orbit
+covers every vertex, and its chain must be based at vertex 0, as the
+claimed groups are; any other group or chain is refused with ValueError.
+The objects of the whole graph are never closed under G.  Every question
+is answered at vertex 0 instead, by the correspondence between orbitals
+and suborbits (Cameron, Permutation Groups, 1999; Godsil and Royle,
+Algebraic Graph Theory, 2001):
 
     Let G be vertex-transitive and G_0 the stabiliser of vertex 0.  The
     G-orbits on arcs, 2-arcs and distance-d pairs correspond one-to-one
     with the G_0-orbits on the same objects starting at 0, and the G-orbit
     of such an object x has size n^2 * |G_0.x|.
 
-When b = 0, as for the claimed groups, G_0 is generated by the next
-level's strong generators and the first-level transversal carries any
-vertex back to 0.  Otherwise both are conjugated by w, the first-level
-element carrying 0 onto b: G_0 is generated by w^-1 s w for the strong
-generators s of G_b, and w^-1 carries on to 0 from the vertex b that the
-transversal reaches.
+G_0 is generated by the next level's strong generators, and the
+first-level transversal carries any vertex back to 0.
 
 At vertex 0 the objects are read off the adjacency rows and encoded as
 one ascending int array, a vertex w as w and a 2-arc tail (v, w) as
@@ -114,32 +111,21 @@ def _least(labels):
 
 
 class _Rooted:
-    """A checked vertex-transitive action rooted at vertex 0: the image
-    arrays of generators of G_0, and elements of G carrying any vertex to 0,
-    both read off the chain's first level."""
+    """A checked vertex-transitive action rooted at vertex 0, the chain's
+    first base point: the image arrays of generators of G_0, read off the
+    next level, and the chain's group, whose first-level transversal
+    carries any vertex to 0."""
 
     def __init__(self, grp: PermutationGroup, g: CayleyGraph) -> None:
         if not grp.base or grp.transversal_sizes()[0] != g.vertex_count:
             raise ValueError("the group is not vertex-transitive: its chain's first "
                              "level does not cover every vertex")
+        if grp.base[0] != 0:
+            raise ValueError(f"the chain's first base point is {grp.base[0]}, "
+                             "not vertex 0")
         self.group = grp
         self.graph = g
-        gens = grp.stabilizer_generators(grp.base[0])
-        # Based at b != 0, conjugate by w = transversal_inverse(0), which
-        # carries 0 onto b: G_0 = w^-1 G_b w.
-        self._b_to_zero = None
-        if grp.base[0] != 0:
-            w = grp.transversal_inverse(0)
-            self._b_to_zero = w.inverse()
-            gens = [self._b_to_zero * s * w for s in gens]
-        self.stabilizer = _moving(gens)
-
-    def to_root(self, obj: tuple[int, ...]) -> tuple[int, ...]:
-        """The image of obj under an element of G carrying obj[0] to 0."""
-        t = self.group.transversal_inverse(obj[0])
-        if self._b_to_zero is not None:
-            t = self._b_to_zero * t
-        return tuple(int(t.images[x]) for x in obj)
+        self.stabilizer = _moving(grp.stabilizer_generators(0))
 
     def partition(self, tails: np.ndarray):
         """Every G-orbit on the objects that start at 0.
@@ -213,7 +199,8 @@ def is_edge_transitive(grp: PermutationGroup, g: CayleyGraph,
     for i, ((_, v), size) in enumerate(arcs):
         if i in paired:
             continue
-        _, x = ctx.to_root((v, 0))
+        # the reversed arc (v, 0), carried back to 0, is the arc (0, x)
+        x = ctx.group.transversal_inverse(v).apply(0)
         j = int(orbit_of[np.searchsorted(codes, x)])
         paired.add(j)
         parts.append(((0, v), size // 2 if j == i else size))

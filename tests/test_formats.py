@@ -26,6 +26,58 @@ def to_graph6_reference(g) -> str:
     return _encode_count(vc) + (values + 63).tobytes().decode("ascii")
 
 
+def from_graph6_reference(text: str) -> tuple[int, list[int]]:
+    """The bit-by-bit graph6 reader: the count and every body character
+    range-checked in Python, then each bit u < v of row v read in turn."""
+    s = text.strip()
+    if s.startswith(">>graph6<<"):
+        s = s[len(">>graph6<<"):]
+    if not s:
+        raise ValueError("empty graph6 string")
+    vals = [ord(ch) - 63 for ch in s]
+    if any(v < 0 or v > 63 for v in vals):
+        raise ValueError("graph6 byte out of the printable range")
+    if vals[0] < 63:
+        vc, start = vals[0], 1
+    elif len(s) >= 2 and vals[1] < 63:
+        if len(s) < 4:
+            raise ValueError("truncated graph6 vertex count")
+        vc, start = (vals[1] << 12) | (vals[2] << 6) | vals[3], 4
+    else:
+        if len(s) < 8:
+            raise ValueError("truncated graph6 vertex count")
+        vc, start = 0, 8
+        for v in vals[2:8]:
+            vc = vc << 6 | v
+    body = s[start:]
+    needed = (vc * (vc - 1) // 2 + 5) // 6
+    if len(body) != needed:
+        raise ValueError(f"graph6 body has {len(body)} bytes, expected {needed}")
+    adjacency = [0] * vc
+    pos = val = width = 0
+    for v in range(1, vc):
+        for u in range(v):
+            if width == 0:
+                val = ord(body[pos]) - 63
+                pos += 1
+                width = 6
+            width -= 1
+            if val >> width & 1:
+                adjacency[u] |= 1 << v
+                adjacency[v] |= 1 << u
+    if width and val & ((1 << width) - 1):
+        raise ValueError("nonzero padding bits in graph6 body")
+    return vc, adjacency
+
+
+def decoded(decode, text):
+    """decode(text), or the message of the ValueError it raises."""
+    try:
+        return decode(text)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
 def to_dot_reference(g) -> str:
     """The row-by-row DOT writer: every row walked bit by bit."""
     n = g.n
@@ -74,14 +126,15 @@ class TestGraph6:
         g = random_graph(vertex_count, seed=vertex_count)
         s = to_graph6(g)
         assert s == to_graph6_reference(g)
-        assert from_graph6(s) == (vertex_count, g.adjacency)
+        assert from_graph6(s) == from_graph6_reference(s) == (vertex_count, g.adjacency)
 
     @pytest.mark.parametrize("n", [*range(4, 32), 80])
     def test_matches_reference_on_built_graphs(self, graph, n):
         g = graph(n)
         s = to_graph6(g)
         assert s == to_graph6_reference(g)
-        assert from_graph6(s) == (g.vertex_count, list(g.adjacency))
+        assert from_graph6(s) == from_graph6_reference(s) == (g.vertex_count,
+                                                              list(g.adjacency))
 
     def test_no_vertices_rejected(self):
         with pytest.raises(ValueError, match="at least one vertex"):
@@ -132,6 +185,28 @@ class TestGraph6:
         tampered = s[:-1] + chr(((ord(s[-1]) - 63) | 1) + 63)
         with pytest.raises(ValueError, match="padding"):
             from_graph6(tampered)
+
+    @pytest.mark.parametrize("text", [
+        "", "  ", ">>graph6<<", "?", "@", "A_", "A`", "B", "Bw", "Bw?",
+        "~", "~?", "~?@", "~?@?", "~~", "~~?????", "~~??????", "~~???????",
+        "C~\x7f", "C~>", "Cé", "C\u20ac", "D" + "?" * 3, "Dhc", "Dhd", "Dhb",
+        "~?@?" + "?" * 336,
+    ])
+    def test_malformed_input_matches_the_reference(self, text):
+        # bad length, out-of-range byte, nonzero padding, truncated count
+        assert decoded(from_graph6, text) == decoded(from_graph6_reference, text)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_corrupted_strings_match_the_reference(self, seed):
+        rng = random.Random(seed)
+        s = to_graph6(random_graph(rng.randrange(1, 70), seed))
+        for _ in range(20):
+            i = rng.randrange(len(s) + 1)
+            edit = rng.choice(["drop", "insert", "replace"])
+            ch = chr(rng.randrange(32, 130))
+            t = (s[:i] + s[i + 1:] if edit == "drop" else
+                 s[:i] + ch + s[i:] if edit == "insert" else s[:i] + ch + s[i + 1:])
+            assert decoded(from_graph6, t) == decoded(from_graph6_reference, t)
 
     def test_empty_string_rejected(self):
         with pytest.raises(ValueError):

@@ -337,6 +337,34 @@ class TestAssembledGroup:
         with pytest.raises(KeyError):
             transversal[-1]
 
+    @pytest.mark.parametrize("n", range(4, 32))
+    def test_lifted_transversals_are_the_lifted_elements(self, claimed_group, n):
+        # the oracle lifts every transversal element of G_0 on S one by one;
+        # the chain lifts only strong generators and builds the rest itself
+        hood = symmetries._connection_indices(n)
+        g0 = PermutationGroup.from_generators(
+            [symmetries._restrict(hood, p) for p in symmetries._origin_stabilizer_perms(n)])
+        lifted = claimed_group(n)._levels[1:]
+        assert len(lifted) == len(g0._levels)
+        for lev, small in zip(lifted, g0._levels):
+            assert lev.point == hood[small.point]
+            assert lev.gens == [symmetries._lift(n, hood, h) for h in small.gens]
+            oracle = {int(hood[x]): symmetries._lift(n, hood, u)
+                      for x, u in small.transversal_inv.items()}
+            assert list(lev.transversal_inv.items()) == list(oracle.items())
+
+    @pytest.mark.parametrize("n", [17, 31])
+    def test_only_distinct_strong_generators_are_lifted(self, n, monkeypatch):
+        lifted = []
+        lift = symmetries._lift
+        monkeypatch.setattr(symmetries, "_lift",
+                            lambda n, hood, q: lifted.append(q) or lift(n, hood, q))
+        grp = claimed_aut_group(n)
+        strong = grp.point_stabilizer(0).strong_generators
+        assert len(lifted) == len(set(lifted)) == len(strong)
+        hood = symmetries._connection_indices(n)
+        assert {lift(n, hood, q) for q in lifted} == set(strong)
+
     @pytest.mark.parametrize("n", [31, 61])
     def test_lifted_levels_keep_one_array_per_orbit_point(self, n):
         # Whatever a level stores, at degree n**2 it may hold its strong

@@ -170,8 +170,8 @@ class TestRootedEngineMatchesFullClosure:
 
 
 class TestFirstLevelRooting:
-    """A vertex-transitive chain is rooted at vertex 0 alone, conjugated
-    there when its first base point is another vertex."""
+    """A vertex-transitive chain is rooted at vertex 0 alone, which must be
+    its first base point."""
 
     @pytest.mark.parametrize("n", range(4, 14))
     def test_claimed_group_never_closes_the_vertices(self, claimed_group, graph,
@@ -190,14 +190,15 @@ class TestFirstLevelRooting:
         assert counts and set(counts) <= at_zero
 
     @pytest.mark.parametrize("n", [5, 6])
-    def test_chain_based_off_zero_closes_the_vertices(self, claimed_group, graph,
-                                                      claimed_oracle, n):
+    def test_chain_based_off_zero_is_refused(self, claimed_group, graph, n):
         # the linear generators first: the chain is based at the least point
         # a unit scaling moves, not at 0, though the group is the same
         gens = claimed_group(n).generators
         grp, g = PermutationGroup.from_generators(gens[2:] + gens[:2]), graph(n)
         assert grp.base[0] != 0 and grp.order() == claimed_group(n).order()
-        assert classify_action(grp, g) == claimed_oracle(n)
+        for question in QUESTIONS:
+            with pytest.raises(ValueError, match="not vertex 0"):
+                question(grp, g)
 
     def test_objects_the_group_does_not_act_on_are_refused(self, claimed_group, graph):
         # a stand-in stabiliser generator that moves vertex 0 carries the
