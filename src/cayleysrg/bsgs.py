@@ -237,12 +237,16 @@ class PermutationGroup:
         """Sift p through levels start.. and return (residue, stop level).
 
         stop == len(levels) means p reduced against every level; membership
-        then hinges on the residue being the identity.
+        then hinges on the residue being the identity.  A level whose base
+        point the element already fixes is passed with no lookup and no
+        product: every transversal maps its base point to the identity.
         """
         g = p
         for idx in range(start, len(self._levels)):
             lev = self._levels[idx]
             target = g.apply(lev.point)
+            if target == lev.point:
+                continue
             if target not in lev.transversal_inv:
                 return g, idx
             g = lev.transversal_inv[target] * g

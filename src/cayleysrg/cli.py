@@ -31,6 +31,8 @@ import time
 
 from .core import units
 from .graph import build_graph
+# analyze_report never calls intersection_array; it stays a name here because
+# bench/tracing.py wraps every regularity entry point where cli imports it.
 from .regularity import IntersectionArray, check_strongly_regular, intersection_array
 from .search import BRUTE_FORCE_MAX_MODULUS, enumerate_automorphisms
 from .symmetries import claimed_aut_group
@@ -48,9 +50,9 @@ EXPORT_MAX_MODULUS = 110
 # phi(n) * n**2, the lifted chain of G_0 with one transversal per level at
 # degree n**2 (321 MB at 241).  So a prime is not always the costliest:
 # past the cap the composite 247 = 13 * 19 takes 1010 MB, the prime 251
-# 1117 MB.  Measured up to the cap, 241 costs most, about 7.6 s and
-# 987 MB; 242..246 take 737-891 MB, and every n below 241 is smaller in
-# both terms (2 vCPUs, CPython 3.11.7).
+# 1117 MB.  Measured as CI does, 241 costs most up to the cap, about
+# 5.5 s and 987 MB; 242..246 take 737-891 MB, and every n below 241 is
+# smaller in both terms (2 vCPUs, CPython 3.11.7).
 ANALYZE_MAX_MODULUS = 246
 
 
@@ -123,7 +125,9 @@ def analyze_report(n: int, with_oracle: bool = False) -> tuple[dict, list[str]]:
 
     t = time.perf_counter()
     srg = check_strongly_regular(g)
-    arr = intersection_array(g)
+    # Connected and not complete, as check_strongly_regular proved, an SRG has
+    # diameter 2 and this array (Brouwer, Cohen & Neumaier 1989, section 1.3).
+    arr = IntersectionArray(b=(srg.k, srg.k - srg.lam - 1), c=(1, srg.mu), diameter=2)
     timings["regularity"] = round(time.perf_counter() - t, 6)
 
     t = time.perf_counter()

@@ -96,9 +96,7 @@ class ZnPair:
     @classmethod
     def from_index(cls, v: int, n: int) -> ZnPair:
         _check_modulus(n)
-        if not (0 <= v < n * n):
-            raise ValueError(f"vertex index {v} out of range for modulus {n}")
-        return cls(v // n, v % n, n)
+        return cls(*divmod(check_point(v, n * n), n), n)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bitset import bfs_layers, iter_bits
-from .core import ZnPair, _check_modulus
+from .core import ZnPair, _check_modulus, check_point
 
 __all__ = [
     "GRAPH_MAX_MODULUS",
@@ -78,33 +78,25 @@ class CayleyGraph:
         self.connection = connection
         self.adjacency = adjacency
 
-    def _check_vertex(self, v: int) -> None:
-        if not (0 <= v < self.vertex_count):
-            raise ValueError(f"vertex {v} out of range for {self.vertex_count} vertices")
-
     def is_adjacent(self, u: int, v: int) -> bool:
-        self._check_vertex(u)
-        self._check_vertex(v)
+        u, v = check_point(u, self.vertex_count), check_point(v, self.vertex_count)
         return bool(self.adjacency[u] >> v & 1)
 
     def neighbors(self, v: int) -> list[int]:
-        self._check_vertex(v)
-        return list(iter_bits(self.adjacency[v]))
+        return list(iter_bits(self.adjacency[check_point(v, self.vertex_count)]))
 
     def degree_of(self, v: int) -> int:
-        self._check_vertex(v)
-        return self.adjacency[v].bit_count()
+        return self.adjacency[check_point(v, self.vertex_count)].bit_count()
 
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adjacency) // 2
 
     def pair_of(self, v: int) -> ZnPair:
-        self._check_vertex(v)
         return ZnPair.from_index(v, self.n)
 
     def bfs_distances(self, source: int) -> list[int]:
         """Exact distances from source; unreachable vertices get -1."""
-        self._check_vertex(source)
+        source = check_point(source, self.vertex_count)
         dist = [-1] * self.vertex_count
         for d, layer in enumerate(bfs_layers(self.adjacency, source)):
             for v in iter_bits(layer):

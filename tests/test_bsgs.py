@@ -123,6 +123,17 @@ class TestAssemble:
         assert set(stab.elements()) == {self.lift(h) for h in
                                         PermutationGroup.from_generators(self.S3).elements()}
 
+    def test_a_fixed_base_point_is_never_looked_up(self):
+        class Recording(dict):
+            def __getitem__(self, x):
+                asked.append(x)
+                return super().__getitem__(x)
+
+        asked = []
+        grp = self.assemble(Recording(self.powers()))
+        assert all(grp.contains(p) for p in grp.elements())
+        assert sorted(set(asked)) == [1, 2, 3]
+
     def test_a_wrong_transversal_fails_the_self_check(self):
         reps = self.powers()
         reps[1] = Permutation.identity(4)

@@ -5,6 +5,7 @@ import json
 import pytest
 
 import cayleysrg.cli as cli
+import cayleysrg.regularity as regularity
 from cayleysrg import (
     BRUTE_FORCE_MAX_MODULUS,
     PermutationGroup,
@@ -68,6 +69,20 @@ class TestAnalyze:
         first.pop("timings")
         second.pop("timings")
         assert json.dumps(first) == json.dumps(second)
+
+    @pytest.mark.parametrize("n", range(4, 42))
+    def test_intersection_array_is_read_off_the_srg_parameters(self, n, graph,
+                                                              monkeypatch):
+        # analyze scans the rows once; the layer scan stays as the oracle
+        def refuse(g):
+            raise AssertionError("analyze_report scanned for the intersection array")
+
+        monkeypatch.setattr(cli, "intersection_array", refuse)
+        report, failures = analyze_report(n)
+        assert failures == []
+        arr = regularity.intersection_array(graph(n))
+        assert report["intersection_array"] == {
+            "b": list(arr.b), "c": list(arr.c), "diameter": arr.diameter}
 
     def test_modulus_bounds_are_usage_errors(self, capsys):
         for argv in (["analyze", "3"], ["analyze", "1001"]):

@@ -118,6 +118,22 @@ class TestBuildGraph:
             g.is_adjacent(0, 16)
         with pytest.raises(ValueError):
             g.neighbors(-1)
+        checks = [lambda v: g.is_adjacent(v, 1), lambda v: g.is_adjacent(1, v),
+                  g.neighbors, g.degree_of, g.pair_of, g.bfs_distances,
+                  lambda v: ZnPair.from_index(v, 4)]
+        for check in checks:
+            for point in (True, np.True_, 1.5, np.float64(0.0), "1", None):
+                with pytest.raises(ValueError, match="is not an integer"):
+                    check(point)
+            for point in (16, -1):
+                with pytest.raises(ValueError, match="out of range"):
+                    check(point)
+        one = np.int64(1)
+        assert g.is_adjacent(0, one) and g.is_adjacent(one, 0)
+        assert g.neighbors(one) == g.neighbors(1)
+        assert g.degree_of(one) == 9
+        assert g.pair_of(one) == ZnPair.from_index(one, 4) == ZnPair(0, 1, 4)
+        assert g.bfs_distances(one) == g.bfs_distances(1)
 
     def test_modulus_bounds(self):
         with pytest.raises(ValueError):

@@ -365,6 +365,22 @@ class TestAssembledGroup:
         hood = symmetries._connection_indices(n)
         assert {lift(n, hood, q) for q in lifted} == set(strong)
 
+    @pytest.mark.parametrize("n, built", [(17, 27), (31, 41)])
+    def test_no_translation_is_built_for_a_fixed_base_point(self, n, built, monkeypatch):
+        asked, calls = [], []
+        get = symmetries._Translations.__getitem__
+        monkeypatch.setattr(symmetries._Translations, "__getitem__",
+                            lambda self, x: asked.append(x) or get(self, x))
+        build = symmetries.perm_from_pair_map
+        monkeypatch.setattr(symmetries, "perm_from_pair_map",
+                            lambda *args: calls.append(args) or build(*args))
+        grp = claimed_aut_group(n)
+        assert asked and 0 not in asked
+        # the 2 + phi(n) + 2 generators, the lifted strong generators of G_0,
+        # and one translation back to 0 for each input translation
+        strong = grp.point_stabilizer(0).strong_generators
+        assert len(calls) == units(n).totient + 6 + len(strong) == built
+
     @pytest.mark.parametrize("n", [31, 61])
     def test_lifted_levels_keep_one_array_per_orbit_point(self, n):
         # Whatever a level stores, at degree n**2 it may hold its strong
