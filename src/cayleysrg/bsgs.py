@@ -13,6 +13,19 @@ same base, the same transversals and the same order.  A level keeps one
 side of its transversal: for each point x of its base point's orbit, an
 element carrying x back onto the base point, which is what sifting reads.
 
+Sifts run on stacks.  The inputs, and then all Schreier generators of a
+level, are stripped as the rows of one image array, a block of
+core.BLOCK_ENTRIES entries at a time, and only the first row that does not
+sift to the identity is inserted, by the one-at-a-time sift.  The rows
+before it sift to the identity through a chain that has not changed, so
+the base, the strong generators and every transversal are those of
+sifting each row in turn.  A compile applies each of its levels to a
+stack through a table of the level's elements, as large as the level's own
+transversal and dropped when the compile ends.  The self-check of an
+assembled chain builds no table: its levels are stored at the full degree
+or built on request, so each is applied one product per distinct target
+among the rows.
+
 A chain can also be assembled instead of compiled, when theory already
 gives the orbit of the first base point: PermutationGroup.assemble takes
 that level's transversal, as any Mapping (one that builds its elements on
@@ -30,7 +43,9 @@ import math
 from collections.abc import Callable, Mapping, Sequence
 from functools import cache
 
-from .core import Permutation, check_point, orbits, transversal
+import numpy as np
+
+from .core import Permutation, block_rows, check_point, orbits, transversal
 
 __all__ = ["PermutationGroup"]
 
@@ -46,6 +61,18 @@ def _distinct(perms) -> list[Permutation]:
             seen.add(key)
             out.append(p)
     return out
+
+
+def _stacked(perms) -> np.ndarray:
+    """The image arrays of perms as the rows of one array."""
+    return np.stack([p.images for p in perms])
+
+
+def _stacks(perms: list[Permutation], degree: int):
+    """perms as stacked blocks of rows, each with the index of its first
+    row."""
+    step = block_rows(degree)
+    return ((i, _stacked(perms[i:i + step])) for i in range(0, len(perms), step))
 
 
 def _checked(generators) -> tuple[list[Permutation], int]:
@@ -78,6 +105,33 @@ class _Level:
 
     def recompute_orbit(self, degree: int) -> None:
         self.transversal_inv = transversal(self.gens, self.point, degree)
+
+    def table(self, degree: int) -> tuple[np.ndarray, np.ndarray]:
+        """The transversal as arrays: where[x] is the row of orbit point x
+        in images, -1 off the orbit, and images stacks the elements in the
+        order of transversal_inv."""
+        where = np.full(degree, -1, dtype=np.int64)
+        where[list(self.transversal_inv)] = np.arange(len(self.transversal_inv))
+        return where, _stacked(self.transversal_inv.values())
+
+    def schreier_stacks(self, degree: int):
+        """The products s * u_x for every orbit point x and strong
+        generator s, x first and s second, in blocks of rows, each with the
+        index of its first row; u_x is the inverse of transversal_inv[x].
+
+        Such a row carries the base point to s(x), so the step of this
+        level multiplies it by u_y^-1 = transversal_inv[y], y = s(x), and
+        turns it into the Schreier generator u_y^-1 * s * u_x."""
+        gens = _stacked(self.gens)
+        k = len(self.gens)
+        per = max(1, block_rows(degree) // k)
+        elements = list(self.transversal_inv.values())
+        for start in range(0, len(elements), per):
+            u_inv = _stacked(elements[start:start + per])
+            u = np.empty_like(u_inv)
+            u[np.arange(len(u_inv))[:, None], u_inv] = np.arange(degree)
+            rows = gens[np.arange(k)[None, :, None], u[:, None, :]]
+            yield start * k, rows.reshape(-1, degree)
 
 
 class PermutationGroup:
@@ -113,6 +167,10 @@ class PermutationGroup:
         gens, degree = _checked(generators)
         levels: list[_Level] = []
         group = cls(gens, degree, levels)
+        # Transversal tables of the levels, built on first use and dropped
+        # when the level changes; each is as large as the level's own
+        # transversal, at the compile's degree.
+        tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
         def sift_in(p: Permutation, lo: int) -> int | None:
             """Sift p from level lo; a residue that stops at level j joins
@@ -125,28 +183,40 @@ class PermutationGroup:
             for k in range(lo, j + 1):
                 levels[k].gens.append(residue)
                 levels[k].recompute_orbit(degree)
+                tables.pop(k, None)
             return j
 
-        for g in gens:
-            sift_in(g, 0)
+        def first_unsifted(stacks, lo: int) -> int | None:
+            """The index of the first row, over the (index of the first
+            row, rows) blocks in order, that does not sift to the identity
+            from level lo; None when every row does."""
+            for start, rows in stacks:
+                hit = np.flatnonzero(group._unsifted(rows, lo, tables))
+                if hit.size:
+                    return start + int(hit[0])
+            return None
+
+        todo = gens
+        while (k := first_unsifted(_stacks(todo, degree), 0)) is not None:
+            sift_in(todo[k], 0)
+            todo = todo[k + 1:]
         # Levels past i form a complete chain for the group their strong
         # generators generate; level i is complete once every Schreier
-        # generator sifts to the identity through them.
+        # generator sifts to the identity through them.  Stripped from
+        # level i itself, each row of schreier_stacks first becomes its
+        # Schreier generator, which fixes the base point of level i.
         i = len(levels) - 1
         while i >= 0:
             lev = levels[i]
-            # u_y^-1 * s * u_x, y = s(x): each u_x is inverted once per point x
-            schreier = (lev.transversal_inv[s.apply(x)] * s * u
-                        for x, u_inv in lev.transversal_inv.items()
-                        for u in (u_inv.inverse(),) for s in lev.gens)
-            for h in schreier:
-                j = sift_in(h, i + 1)
-                if j is not None:
-                    i = j
-                    break
-            else:
+            k = first_unsifted(lev.schreier_stacks(degree), i)
+            if k is None:
                 i -= 1
-        return group._self_checked()
+                continue
+            x, u_inv = list(lev.transversal_inv.items())[k // len(lev.gens)]
+            s = lev.gens[k % len(lev.gens)]
+            # u_y^-1 * s * u_x for y = s(x)
+            i = sift_in(lev.transversal_inv[s.apply(x)] * s * u_inv.inverse(), i + 1)
+        return group._self_checked(tables)
 
     @classmethod
     def assemble(cls, generators, point: int,
@@ -186,9 +256,11 @@ class PermutationGroup:
         first = _Level(point, moving + (tail[0].gens if tail else []), transversal_inv)
         return cls(gens, degree, [first, *tail])._self_checked()
 
-    def _self_checked(self) -> PermutationGroup:
-        for g in self._generators:
-            if not self.contains(g):
+    def _self_checked(self, tables=None) -> PermutationGroup:
+        """self, once every input generator sifts to the identity; the
+        inputs are stripped as stacks, a block at a time."""
+        for _, rows in _stacks(self._generators, self._degree):
+            if self._unsifted(rows, 0, tables).any():
                 raise RuntimeError("chain construction failed its membership self-check")
         return self
 
@@ -251,6 +323,42 @@ class PermutationGroup:
                 return g, idx
             g = lev.transversal_inv[target] * g
         return g, len(self._levels)
+
+    def _unsifted(self, rows: np.ndarray, start: int = 0, tables=None) -> np.ndarray:
+        """Sift every row of rows, a stack of image arrays, through levels
+        start.. as _strip does, and say which rows do not sift to the
+        identity.  rows is consumed.
+
+        A row whose target at some level is not in its orbit stops there.
+        tables, when given, holds a table per level index, built on first
+        use: the levels are then applied to all rows at once.  Without
+        tables each level is applied one product per distinct target, so
+        a transversal built on request or stored at a large degree is never
+        copied, and a row that fixes the base point asks nothing of it.
+        """
+        levels = self._levels
+        stopped = np.zeros(len(rows), dtype=bool)
+        for idx in range(start, len(levels)):
+            lev = levels[idx]
+            target = rows[:, lev.point]
+            if tables is not None:
+                if idx not in tables:
+                    tables[idx] = lev.table(self._degree)
+                where, images = tables[idx]
+                at = where[target]
+                stopped |= at < 0
+                rows = images[at[:, None], rows]
+                continue
+            moving = (target != lev.point) & ~stopped
+            for t in sorted(set(target[moving].tolist())):
+                sel = np.flatnonzero(moving & (target == t))
+                if t not in lev.transversal_inv:
+                    stopped[sel] = True
+                elif sel.size == len(rows):
+                    rows = lev.transversal_inv[t].images[rows]
+                else:
+                    rows[sel] = lev.transversal_inv[t].images[rows[sel]]
+        return stopped | (rows != np.arange(self._degree)).any(axis=1)
 
     def order(self) -> int:
         return math.prod(self.transversal_sizes())

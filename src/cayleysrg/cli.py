@@ -49,9 +49,9 @@ EXPORT_MAX_MODULUS = 110
 # Peak RSS grows with n**4, the adjacency rows (404 MB at 241), and with
 # phi(n) * n**2, the lifted chain of G_0 with one transversal per level at
 # degree n**2 (321 MB at 241).  So a prime is not always the costliest:
-# past the cap the composite 247 = 13 * 19 takes 1010 MB, the prime 251
-# 1117 MB.  Measured as CI does, 241 costs most up to the cap, about
-# 5.5 s and 987 MB; 242..246 take 737-891 MB, and every n below 241 is
+# past the cap the composite 247 = 13 * 19 takes 1004 MB, the prime 251
+# 1101 MB.  Measured as CI does, 241 costs most up to the cap, about
+# 5 s and 976 MB; 242..246 take 726-875 MB, and every n below 241 is
 # smaller in both terms (2 vCPUs, CPython 3.11.7).
 ANALYZE_MAX_MODULUS = 246
 

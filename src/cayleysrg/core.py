@@ -26,9 +26,22 @@ __all__ = [
     "orbit_labels",
     "transversal",
     "check_point",
+    "BLOCK_ENTRIES",
+    "block_rows",
 ]
 
 MIN_MODULUS = 4
+
+# Entries in one block of a stacked pass over image arrays.  A batch of
+# permutations is cut into blocks of this many entries, at least one row
+# each, so each temporary of a pass stays within 512 KB of int64, whatever
+# the number of rows, while every batch of the moduli up to 31 is one block.
+BLOCK_ENTRIES = 1 << 16
+
+
+def block_rows(degree: int) -> int:
+    """Rows of degree entries in one block of BLOCK_ENTRIES, at least one."""
+    return max(1, BLOCK_ENTRIES // degree)
 
 
 def check_point(v, degree: int) -> int:
@@ -297,7 +310,8 @@ def orbit_labels(codes: NDArray[np.int64], images) -> NDArray[np.int64]:
 
     codes is the ascending array of the objects' int codes, and images holds
     one array per generator: the codes of the images of codes, in the same
-    order.  labels[i] is the index of the least member of the orbit of
+    order.  images is read once, so it may be an iterator that makes each
+    array as it is read.  labels[i] is the index of the least member of the orbit of
     codes[i], so the least members are the indices with labels[i] == i, in
     ascending order, and np.bincount(labels) at those indices gives the
     orbit sizes.  No generators give singleton orbits.

@@ -99,7 +99,8 @@ def from_graph6(text: str) -> tuple[int, list[int]]:
     """Decode graph6 into (vertex_count, adjacency bitmasks).
 
     The optional ">>graph6<<" prefix is allowed; anything else malformed
-    is rejected.  The set bits of the body are found with numpy, bit p of
+    is rejected, and so is a graph with no vertices, which to_graph6 does
+    not write.  The set bits of the body are found with numpy, bit p of
     the stream is the edge u < v with T(v) <= p = T(v) + u < T(v + 1), and
     each edge sets its bit in both rows of a packed matrix.
     """
@@ -113,6 +114,8 @@ def from_graph6(text: str) -> tuple[int, list[int]]:
         raise ValueError("graph6 byte out of the printable range")
     vals = raw - _OFFSET
     vc, start = _decode_count(vals)
+    if vc < 1:
+        raise ValueError("graph6 needs at least one vertex")
     body = vals[start:]
     nbits = vc * (vc - 1) // 2
     needed = (nbits + 5) // 6

@@ -19,11 +19,15 @@ rather than the adjacency rows: every named map is affine, x -> Mx + t on
 Z_n x Z_n.  A translation is an automorphism of any Cayley graph, and a
 linear M is one exactly when M(S) = S (Babai, Spectra of Cayley graphs,
 JCTB 1979).  So the check reads M and t off the permutation, checks that
-it is that affine map on every vertex, and compares M(S) with t + S as
-sets of vertex indices: O(n**2) array work and O(|S|) set work, with no
-graph built.  The factories build every map as one array formula on the
-vertex coordinates and run the check on it, and check_graph_automorphism
-runs it on every generator the transitivity analysis is given.
+it is that affine map on every vertex, and checks that M(S) = t + S on
+vertex indices: O(n**2) array work per map, with no graph built.  The check
+runs on a stack of maps at once, their image arrays as the rows of one
+array, a block of rows at a time, and refuses the first bad map as
+checking one map at a time would.  The factories build every map as one
+array formula on the vertex coordinates and check it; claimed_aut_group
+checks its whole generating set as one stack, and
+check_graph_automorphism checks every generator the transitivity analysis
+is given as one stack.
 
 The check is sound: it never accepts a map that is not an automorphism.
 Its limit is that it refuses every map that is not affine, automorphism or
@@ -54,7 +58,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .bsgs import PermutationGroup
-from .core import Permutation, perm_from_pair_map, units
+from .core import Permutation, block_rows, check_point, perm_from_pair_map, units
 from .graph import CayleyGraph, build_graph, connection_set, zero_neighborhood_cliques
 
 __all__ = [
@@ -110,49 +114,67 @@ def _connection_indices(n: int) -> np.ndarray:
     return hood
 
 
-def _refuse(witness) -> None:
-    if witness is not None:
+def _certify(n: int, perms) -> None:
+    """Raise AutomorphismError at the first of perms that is not an affine
+    automorphism of the graph of modulus n.  The maps are checked as the
+    rows of stacked image arrays, a block of core.BLOCK_ENTRIES entries at
+    a time.
+
+    For each p, t is the image of (0, 0), and the columns of M are the
+    images of (1, 0) and (0, 1) minus t.  A p that is not x -> Mx + t on
+    every vertex is refused with the first vertex where it differs.  For an
+    affine p the first row of a row-by-row sweep fails exactly when
+    M(S) != S, and every later row passes when it holds, so p is refused
+    with (0, w), w the least vertex of p(N(0)) symmetric-difference
+    N(p(0)).  A p of the wrong degree raises ValueError once every p
+    before it has passed.
+    """
+    size = n * n
+    perms = list(perms)
+    fit = next((i for i, p in enumerate(perms) if p.degree != size), len(perms))
+    # int32 holds every value below, at most 3 n**2, for any n whose graph
+    # can be built, and its arithmetic is about 2.5 times faster
+    x, y = np.divmod(np.arange(size, dtype=np.int32), n)
+    hood = _connection_indices(n)
+    in_s = np.zeros(size, dtype=bool)
+    in_s[hood] = True
+    step = block_rows(size)
+    for start in range(0, fit, step):
+        imgs = np.stack([p.images for p in perms[start:min(start + step, fit)]],
+                        dtype=np.int32)
+        (tx, ty), (ax, ay), (bx, by) = (np.divmod(imgs[:, [c]], n) for c in (0, n, 1))
+        stray = imgs != (((ax - tx) * x + (bx - tx) * y + tx) % n * n
+                         + ((ay - ty) * x + (by - ty) * y + ty) % n)
+        # p(S) and t + S have |S| members each, so they are equal when
+        # p(s) - t lies in S for every s in S
+        mx, my = np.divmod(imgs[:, hood], n)
+        off_s = ~in_s[(mx - tx) % n * n + (my - ty) % n]
+        bad = np.flatnonzero(stray.any(axis=1) | off_s.any(axis=1))
+        if not bad.size:
+            continue
+        r = bad[0]
+        if stray[r].any():
+            v = int(np.argmax(stray[r]))
+            raise AutomorphismError(
+                f"map is not affine on Z_{n} x Z_{n}: vertex {v} breaks x -> Mx + t",
+                witness=v,
+            )
+        si, sj = np.divmod(hood, n)
+        mapped = set(imgs[r, hood].tolist())
+        expected = set(((si + tx[r]) % n * n + (sj + ty[r]) % n).tolist())
+        witness = (0, min(mapped ^ expected))
         raise AutomorphismError(
             f"not an automorphism: adjacency disagrees around vertex pair {witness}",
             witness=witness,
         )
+    if fit < len(perms):
+        raise ValueError(f"degree {perms[fit].degree} does not match {size} vertices")
 
 
-def _affine_witness(n: int, p: Permutation):
-    """For an affine p, the first pair (v, w) of a row-by-row sweep where p
-    breaks adjacency on the graph of modulus n, or None when p is an
-    automorphism.
-
-    t is the image of (0, 0), and the columns of M are the images of (1, 0)
-    and (0, 1) minus t.  A permutation that is not x -> Mx + t on every
-    vertex is refused with the first vertex where it differs.  For an affine
-    map the first row of that sweep fails exactly when M(S) != S, and every
-    later row passes when it holds, so the answer is None or (0, w), w the
-    least vertex of p(N(0)) symmetric-difference N(p(0)).
-    """
-    if p.degree != n * n:
-        raise ValueError(f"degree {p.degree} does not match {n * n} vertices")
-    imgs = p.images
-    tx, ty = divmod(int(imgs[0]), n)
-    (ax, ay), (bx, by) = divmod(int(imgs[n]), n), divmod(int(imgs[1]), n)
-    x, y = np.divmod(np.arange(n * n), n)
-    affine = (((ax - tx) * x + (bx - tx) * y + tx) % n * n
-              + ((ay - ty) * x + (by - ty) * y + ty) % n)
-    stray = np.flatnonzero(affine != imgs)
-    if stray.size:
-        raise AutomorphismError(
-            f"map is not affine on Z_{n} x Z_{n}: vertex {stray[0]} breaks x -> Mx + t",
-            witness=int(stray[0]),
-        )
-    hood = _connection_indices(n)
-    si, sj = np.divmod(hood, n)
-    mapped = set(imgs[hood].tolist())
-    expected = set(((si + tx) % n * n + (sj + ty) % n).tolist())
-    return (0, min(mapped ^ expected)) if mapped != expected else None
-
-
-def check_graph_automorphism(g: CayleyGraph, p: Permutation) -> None:
-    """Raise AutomorphismError unless p is an affine automorphism of g.
+def check_graph_automorphism(g: CayleyGraph, *perms: Permutation) -> None:
+    """Raise AutomorphismError unless every p in perms is an affine
+    automorphism of g; the first that is not is refused, as checking one p
+    at a time would refuse it.
 
     An affine p that breaks adjacency is refused with the first pair (v, w)
     where the image of the neighbourhood of v and the neighbourhood of the
@@ -160,13 +182,35 @@ def check_graph_automorphism(g: CayleyGraph, p: Permutation) -> None:
     not affine is refused with a vertex where it is not, even when it is an
     automorphism; the family has none of those (see the module docstring).
     """
-    _refuse(_affine_witness(g.n, p))
+    _certify(g.n, perms)
+
+
+def _certified(n: int, maps) -> list[Permutation]:
+    """The permutations the pair maps induce, certified as one stack."""
+    perms = [perm_from_pair_map(n, fn) for fn in maps]
+    _certify(n, perms)
+    return perms
 
 
 def _named(kind: str, params: tuple[int, ...], n: int, fn) -> NamedAutomorphism:
-    perm = perm_from_pair_map(n, fn)
-    _refuse(_affine_witness(n, perm))
+    (perm,) = _certified(n, [fn])
     return NamedAutomorphism(kind=kind, params=params, n=n, perm=perm)
+
+
+def _shift(a: int, b: int):
+    return lambda x, y: (x + a, y + b)
+
+
+def _scaling(u: int):
+    return lambda x, y: (u * x, u * y)
+
+
+def _swap(x, y):
+    return y, x
+
+
+def _rotation(x, y):
+    return -y, x - y
 
 
 def translation(n: int, a: int, b: int) -> NamedAutomorphism:
@@ -176,7 +220,7 @@ def translation(n: int, a: int, b: int) -> NamedAutomorphism:
         raise ValueError(f"translation offsets must be ints, got {a!r}, {b!r}")
     a %= n
     b %= n
-    return _named("translation", (a, b), n, lambda x, y: (x + a, y + b))
+    return _named("translation", (a, b), n, _shift(a, b))
 
 
 def unit_scaling(n: int, u: int) -> NamedAutomorphism:
@@ -187,25 +231,27 @@ def unit_scaling(n: int, u: int) -> NamedAutomorphism:
     u %= n
     if u not in units(n):
         raise ValueError(f"{u} is not a unit mod {n}, scaling would not be a bijection")
-    return _named("unit_scaling", (u,), n, lambda x, y: (u * x, u * y))
+    return _named("unit_scaling", (u,), n, _scaling(u))
 
 
 def coordinate_swap(n: int) -> NamedAutomorphism:
     """The swap (x, y) -> (y, x).  Order 2; exchanges the two axis cliques."""
-    return _named("coordinate_swap", (), n, lambda x, y: (y, x))
+    return _named("coordinate_swap", (), n, _swap)
 
 
 def clique_rotation(n: int) -> NamedAutomorphism:
     """The map (x, y) -> (-y, x - y).  Order 3; cycles the three cliques of
     the origin neighbourhood (row axis to column axis to diagonal)."""
-    return _named("clique_rotation", (), n, lambda x, y: (-y, x - y))
+    return _named("clique_rotation", (), n, _rotation)
+
+
+def _linear_maps(n: int) -> list:
+    """Every unit scaling, the swap and the rotation, in that order."""
+    return [*map(_scaling, units(n)), _swap, _rotation]
 
 
 def _origin_stabilizer_perms(n: int) -> list[Permutation]:
-    perms = [unit_scaling(n, u).perm for u in units(n)]
-    perms.append(coordinate_swap(n).perm)
-    perms.append(clique_rotation(n).perm)
-    return perms
+    return _certified(n, _linear_maps(n))
 
 
 class _Translations(Mapping):
@@ -227,17 +273,19 @@ class _Translations(Mapping):
         return iter(range(self._n * self._n))
 
     def __contains__(self, v) -> bool:
-        """Any integer v, numpy's included, in 0 <= v < n**2."""
+        """Any integer v but a bool, numpy's included, in 0 <= v < n**2,
+        the points core.check_point accepts."""
         try:
-            return 0 <= operator.index(v) < self._n * self._n
-        except TypeError:
+            check_point(v, self._n * self._n)
+        except ValueError:
             return False
+        return True
 
     def __getitem__(self, v: int) -> Permutation:
         if v not in self:
             raise KeyError(v)
         a, b = divmod(operator.index(v), self._n)
-        return perm_from_pair_map(self._n, lambda x, y: (x - a, y - b))
+        return perm_from_pair_map(self._n, _shift(-a, -b))
 
 
 def _restrict(hood: np.ndarray, p: Permutation) -> Permutation:
@@ -274,11 +322,10 @@ def claimed_aut_group(n: int) -> PermutationGroup:
     first level at vertex 0 whose transversal, the translations back to 0,
     is built on request.
     """
-    translations = [translation(n, 1, 0).perm, translation(n, 0, 1).perm]
-    linear = _origin_stabilizer_perms(n)
+    perms = _certified(n, [_shift(1, 0), _shift(0, 1), *_linear_maps(n)])
     hood = _connection_indices(n)
-    g0 = PermutationGroup.from_generators([_restrict(hood, p) for p in linear])
-    return PermutationGroup.assemble(translations + linear, 0, _Translations(n), g0,
+    g0 = PermutationGroup.from_generators([_restrict(hood, p) for p in perms[2:]])
+    return PermutationGroup.assemble(perms, 0, _Translations(n), g0,
                                      partial(_lift, n, hood), hood)
 
 

@@ -25,7 +25,11 @@ v * n^2 + w, and their G_0-orbits come from core.orbit_labels, the one
 orbit kernel, which refuses generators that do not act on the objects.
 Edge orbits are arc orbits paired with the orbits of their reversed arcs;
 the reversal (v, 0) of an arc at 0 is carried back to 0, once per arc
-orbit.
+orbit.  The kernel runs once per distinct object set: the arcs, which are
+also the pairs at distance 1, the pairs at each distance from 2 on, and
+the 2-arcs.  The pairs at distance 0 form one orbit, as G is
+vertex-transitive, so they need no kernel call.  Before any of it the
+generators are certified automorphisms, all in one stacked check.
 
 Reports equal those of closing every object of the graph under G.  Every
 G-orbit has a member starting at 0, the least vertex, and the kernel
@@ -138,8 +142,10 @@ class _Rooted:
         count = self.graph.vertex_count
         dims = (count,) * tails.shape[1]
         codes = np.ravel_multi_index(tuple(tails.T), dims)
-        labels = orbit_labels(codes, [np.ravel_multi_index(tuple(img[tails].T), dims)
-                                      for img in self.stabilizer])
+        # a generator, not a list: the kernel reads each image array once,
+        # so only one is alive at a time, which lowers the peak RSS
+        labels = orbit_labels(codes, (np.ravel_multi_index(tuple(img[tails].T), dims)
+                                      for img in self.stabilizer))
         firsts, sizes = _least(labels)
         parts = [((0, *tails[i].tolist()), count * s)
                  for i, s in zip(firsts.tolist(), sizes.tolist())]
@@ -152,13 +158,13 @@ class _Rooted:
 
 
 def _check_action(grp: PermutationGroup, g: CayleyGraph) -> _Rooted:
-    """Check once that every generator is an automorphism of g, then root."""
+    """Check once, as one stack, that every generator is an automorphism of
+    g, then root."""
     if grp.degree != g.vertex_count:
         raise ValueError(
             f"group degree {grp.degree} does not match {g.vertex_count} vertices"
         )
-    for p in grp.generators:
-        check_graph_automorphism(g, p)
+    check_graph_automorphism(g, *grp.generators)
     return _Rooted(grp, g)
 
 
@@ -242,7 +248,15 @@ def is_distance_transitive(grp: PermutationGroup, g: CayleyGraph,
     witness = None
     witness_distance = None
     for d, layer in enumerate(layers):
-        res = _result(ctx.partition(bit_positions([layer], count)[1][:, None])[0])
+        if d == 0:
+            # the pairs (v, v): one orbit, since G is vertex-transitive
+            parts = [((0, 0), count)]
+        elif d == 1:
+            # the pairs at distance 1 are the arcs
+            parts = ctx.arc_orbits[0]
+        else:
+            parts = ctx.partition(bit_positions([layer], count)[1][:, None])[0]
+        res = _result(parts)
         per_distance.append(res.orbit_sizes)
         if witness is None and not res.transitive:
             witness = res.witness

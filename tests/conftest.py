@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from cayleysrg import (
+    AutomorphismError,
     Permutation,
+    PermutationGroup,
     ZnPair,
     build_graph,
     claimed_aut_group,
@@ -10,6 +12,7 @@ from cayleysrg import (
     enumerate_automorphisms,
 )
 from cayleysrg.bitset import iter_bits
+from cayleysrg.bsgs import _checked, _Level
 
 
 def automorphism_witness(g, p):
@@ -31,6 +34,95 @@ def automorphism_witness(g, p):
         if mapped != expected:
             return (v, next(iter_bits(mapped ^ expected)))
     return None
+
+
+def affine_check_reference(n, p):
+    """Raise as the affine certificate must for a single map p on the graph
+    of modulus n: the check one map at a time, the oracle for the stacked
+    check.
+
+    t is p(0, 0) and the columns of M are p(1, 0) - t and p(0, 1) - t.  A
+    map that differs from x -> Mx + t is refused with the first vertex
+    where it does; an affine one with M(S) != S with (0, w), w the least
+    vertex of p(N(0)) symmetric-difference N(p(0)).
+    """
+    if p.degree != n * n:
+        raise ValueError(f"degree {p.degree} does not match {n * n} vertices")
+    imgs = p.images
+    tx, ty = divmod(int(imgs[0]), n)
+    (ax, ay), (bx, by) = divmod(int(imgs[n]), n), divmod(int(imgs[1]), n)
+    x, y = np.divmod(np.arange(n * n), n)
+    affine = (((ax - tx) * x + (bx - tx) * y + tx) % n * n
+              + ((ay - ty) * x + (by - ty) * y + ty) % n)
+    stray = np.flatnonzero(affine != imgs)
+    if stray.size:
+        raise AutomorphismError(
+            f"map is not affine on Z_{n} x Z_{n}: vertex {stray[0]} breaks x -> Mx + t",
+            witness=int(stray[0]),
+        )
+    hood = np.array(sorted(v for v in range(n * n)
+                           if (v // n == 0) != (v % n == 0) or v // n == v % n != 0))
+    si, sj = np.divmod(hood, n)
+    mapped = set(imgs[hood].tolist())
+    expected = set(((si + tx) % n * n + (sj + ty) % n).tolist())
+    if mapped != expected:
+        witness = (0, min(mapped ^ expected))
+        raise AutomorphismError(
+            f"not an automorphism: adjacency disagrees around vertex pair {witness}",
+            witness=witness,
+        )
+
+
+def sequential_from_generators(generators):
+    """Schreier-Sims sifting one element at a time: the sift-and-insert
+    loop of PermutationGroup.from_generators before it sifted stacks, the
+    oracle for its chains.  Every input and then every Schreier generator
+    u_{s(x)}^-1 * s * u_x of the deepest incomplete level is sifted in
+    turn, and the first that survives is inserted."""
+    gens, degree = _checked(generators)
+    levels = []
+    group = PermutationGroup(gens, degree, levels)
+
+    def sift_in(p, lo):
+        residue, j = group._strip(p, start=lo)
+        if residue.is_identity():
+            return None
+        if j == len(levels):
+            levels.append(_Level(residue.min_moved_point()))
+        for k in range(lo, j + 1):
+            levels[k].gens.append(residue)
+            levels[k].recompute_orbit(degree)
+        return j
+
+    for g in gens:
+        sift_in(g, 0)
+    i = len(levels) - 1
+    while i >= 0:
+        lev = levels[i]
+        schreier = (lev.transversal_inv[s.apply(x)] * s * u
+                    for x, u_inv in lev.transversal_inv.items()
+                    for u in (u_inv.inverse(),) for s in lev.gens)
+        for h in schreier:
+            j = sift_in(h, i + 1)
+            if j is not None:
+                i = j
+                break
+        else:
+            i -= 1
+    assert all(group.contains(g) for g in gens)
+    return group
+
+
+def chain_of(grp):
+    """Every level of grp's chain as plain data: the base point, the image
+    bytes of its strong generators, and each transversal key with the
+    image bytes of its element; a transversal that is not a dict, one
+    built on request, by its type and size."""
+    return [(lev.point, [g.images.tobytes() for g in lev.gens],
+             [(int(x), u.images.tobytes()) for x, u in lev.transversal_inv.items()]
+             if isinstance(lev.transversal_inv, dict) else
+             (type(lev.transversal_inv), len(lev.transversal_inv)))
+            for lev in grp._levels]
 
 
 def pair_map_reference(n, fn):

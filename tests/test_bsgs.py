@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import cayleysrg.bsgs as bsgs
+import cayleysrg.core as core
 from cayleysrg import (
     Permutation,
     PermutationGroup,
@@ -16,6 +17,7 @@ from cayleysrg import (
     unit_scaling,
     units,
 )
+from conftest import chain_of, sequential_from_generators
 
 
 class TestConstruction:
@@ -139,6 +141,67 @@ class TestAssemble:
         reps[1] = Permutation.identity(4)
         with pytest.raises(RuntimeError, match="self-check"):
             self.assemble(reps)
+
+
+class TestStackedSifts:
+    """from_generators sifts stacks of rows; sifting one element at a time
+    is the oracle, on random generators and with blocks small enough that
+    no level gets a table."""
+
+    @staticmethod
+    def random_generators(seed):
+        rng = random.Random(seed)
+        degree = rng.randrange(2, 15)
+        gens = []
+        for _ in range(rng.randrange(1, 5)):
+            kind = rng.random()
+            if kind < 0.15:
+                gens.append(Permutation.identity(degree))
+            elif kind < 0.3 and gens:
+                gens.append(rng.choice(gens) * rng.choice(gens))
+            else:
+                # a random permutation of a random subset of the points
+                moved = rng.sample(range(degree), rng.randrange(2, degree + 1))
+                images = list(range(degree))
+                for a, b in zip(moved, rng.sample(moved, len(moved))):
+                    images[a] = b
+                gens.append(Permutation(images))
+        return gens
+
+    @pytest.mark.parametrize("block", [None, 1, 40])
+    @pytest.mark.parametrize("seed", range(40))
+    def test_chains_match_sifting_one_at_a_time(self, seed, block, monkeypatch):
+        if block is not None:
+            monkeypatch.setattr(core, "BLOCK_ENTRIES", block)
+        gens = self.random_generators(seed)
+        grp = PermutationGroup.from_generators(gens)
+        assert chain_of(grp) == chain_of(sequential_from_generators(gens))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_stacks_sift_as_single_elements(self, seed):
+        # members, products with a stray transposition, and random maps,
+        # through tables and through one product per target
+        rng = random.Random(seed)
+        gens = self.random_generators(seed)
+        grp = PermutationGroup.from_generators(gens)
+        degree = grp.degree
+        perms = [Permutation.identity(degree)]
+        for _ in range(30):
+            p = Permutation.identity(degree)
+            for _ in range(rng.randrange(6)):
+                p = rng.choice(gens) * p
+            if degree > 1 and rng.random() < 0.4:
+                images = list(range(degree))
+                a, b = rng.sample(range(degree), 2)
+                images[a], images[b] = b, a
+                p = Permutation(images) * p
+            perms.append(p)
+        perms += [Permutation(rng.sample(range(degree), degree)) for _ in range(10)]
+        for start in range(len(grp.base) + 1):
+            want = [not grp._strip(p, start)[0].is_identity() for p in perms]
+            for tables in (None, {}):
+                rows = np.stack([p.images for p in perms])
+                assert grp._unsifted(rows, start, tables).tolist() == want
 
 
 class TestRedundantInputs:

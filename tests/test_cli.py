@@ -1,6 +1,10 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -236,3 +240,26 @@ class TestVerify:
         assert lines[1].split() == ["4", "192", "False", "False", "False", "False", "192", "ok"]
         assert lines[3].split()[-2:] == ["-", "ok"]
         assert json.loads(out.getvalue())["all_passed"] is True
+
+
+def test_a_cold_start_never_imports_numpy_ma():
+    # NumPy 2.4 imports numpy.ma on the first np.unique, about 13 ms that
+    # every fresh interpreter would pay; no command may need it.
+    script = (
+        "import contextlib, io, sys\n"
+        "from cayleysrg import cli\n"
+        "for argv in (['analyze', '9'], ['verify', '4..6', '--oracle-upto', '5'],\n"
+        "             ['export', '9', '--format', 'graph6'],\n"
+        "             ['export', '9', '--format', 'dot']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), \\\n"
+        "            contextlib.redirect_stderr(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["False"]

@@ -265,6 +265,8 @@ class TestOrbitLabels:
         degree, gen_images, seeds = action
         objects, codes, images = _kernel_case(degree, gen_images, seeds)
         labels = orbit_labels(codes, images)
+        # the images may also come one at a time, as transitivity hands them
+        assert orbit_labels(codes, iter(images)).tolist() == labels.tolist()
         expected = orbits(gen_images, objects)
         firsts = np.flatnonzero(labels == np.arange(labels.size))
         assert [objects[i] for i in firsts] == [next(iter(o)) for o in expected]

@@ -49,6 +49,8 @@ def from_graph6_reference(text: str) -> tuple[int, list[int]]:
         vc, start = 0, 8
         for v in vals[2:8]:
             vc = vc << 6 | v
+    if vc < 1:
+        raise ValueError("graph6 needs at least one vertex")
     body = s[start:]
     needed = (vc * (vc - 1) // 2 + 5) // 6
     if len(body) != needed:
@@ -139,6 +141,12 @@ class TestGraph6:
     def test_no_vertices_rejected(self):
         with pytest.raises(ValueError, match="at least one vertex"):
             to_graph6(FakeGraph(0, []))
+
+    @pytest.mark.parametrize("text", ["?", "~???", "~~??????"])
+    def test_no_vertices_refused_when_read(self, text):
+        # every form of the count 0 is refused, as the writer refuses it
+        with pytest.raises(ValueError, match="at least one vertex"):
+            from_graph6(text)
 
     def test_header_char_for_sixteen_vertices(self, graph):
         s = to_graph6(graph(4))

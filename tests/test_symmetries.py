@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 from collections.abc import Mapping
+from functools import partial
 
 import numpy as np
 import pytest
@@ -23,8 +24,14 @@ from cayleysrg import (
     unit_scaling,
     units,
 )
-from cayleysrg.symmetries import _affine_witness
-from conftest import automorphism_witness, pair_map_reference
+import cayleysrg.core as core
+from conftest import (
+    affine_check_reference,
+    automorphism_witness,
+    chain_of,
+    pair_map_reference,
+    sequential_from_generators,
+)
 
 
 def v(i, j, n):
@@ -183,7 +190,59 @@ class TestAffineCheck:
 
     def test_degree_mismatch_rejected(self):
         with pytest.raises(ValueError, match="does not match"):
-            _affine_witness(4, Permutation.identity(25))
+            symmetries._certify(4, [Permutation.identity(25)])
+
+
+def _refusal(check, *args):
+    """The class, message and witness of what check(*args) raises, or None."""
+    try:
+        check(*args)
+    except (AutomorphismError, ValueError) as exc:
+        return type(exc), str(exc), getattr(exc, "witness", None)
+    return None
+
+
+def _one_at_a_time(n, perms):
+    for p in perms:
+        affine_check_reference(n, p)
+
+
+class TestStackedCheck:
+    """The stacked certificate against the check of one map at a time."""
+
+    @staticmethod
+    def bad_maps(n):
+        bad = [_neighbour_transposition(n),
+               perm_from_pair_map(n, lambda x, y: (x + y, y)),
+               Permutation.identity((n + 1) ** 2)]
+        if n % 2:
+            bad.append(perm_from_pair_map(n, lambda x, y: (x, 2 * y)))
+        return bad
+
+    @pytest.mark.parametrize("n", range(4, 32))
+    def test_refuses_what_one_at_a_time_refuses(self, claimed_group, graph, n):
+        gens = claimed_group(n).generators
+        assert _refusal(check_graph_automorphism, graph(n), *gens) is None
+        assert _refusal(_one_at_a_time, n, gens) is None
+        for bad in self.bad_maps(n):
+            for i in range(len(gens) + 1):
+                perms = gens[:i] + [bad] + gens[i:]
+                want = _refusal(_one_at_a_time, n, perms)
+                assert want is not None
+                assert _refusal(check_graph_automorphism, graph(n), *perms) == want
+
+    @pytest.mark.parametrize("n", [4, 5, 9, 13])
+    def test_blocks_of_one_row_refuse_the_same(self, claimed_group, graph, n, monkeypatch):
+        monkeypatch.setattr(core, "BLOCK_ENTRIES", 1)
+        gens = claimed_group(n).generators
+        for bad in self.bad_maps(n):
+            for i in range(len(gens) + 1):
+                perms = gens[:i] + [bad, bad] + gens[i:]
+                assert (_refusal(check_graph_automorphism, graph(n), *perms)
+                        == _refusal(_one_at_a_time, n, perms))
+
+    def test_no_maps_pass(self, graph):
+        check_graph_automorphism(graph(4))
 
 
 class TestRelations:
@@ -336,6 +395,24 @@ class TestAssembledGroup:
         assert transversal[np.int64(v(2, 5, 6))] == translation(6, -2, -5).perm
         with pytest.raises(KeyError):
             transversal[-1]
+
+    def test_translations_refuse_bools(self):
+        transversal = symmetries._Translations(4)
+        assert True not in transversal and False not in transversal
+        assert 1 in transversal and np.int64(0) in transversal
+        with pytest.raises(KeyError):
+            transversal[True]
+
+    @pytest.mark.parametrize("n", [*range(4, 42), 61, 101])
+    def test_chains_match_sifting_one_at_a_time(self, claimed_group, n):
+        hood = symmetries._connection_indices(n)
+        perms = claimed_group(n).generators
+        on_s = [symmetries._restrict(hood, p) for p in perms[2:]]
+        g0 = sequential_from_generators(on_s)
+        assert chain_of(PermutationGroup.from_generators(on_s)) == chain_of(g0)
+        ref = PermutationGroup.assemble(perms, 0, symmetries._Translations(n), g0,
+                                        partial(symmetries._lift, n, hood), hood)
+        assert chain_of(claimed_group(n)) == chain_of(ref)
 
     @pytest.mark.parametrize("n", range(4, 32))
     def test_lifted_transversals_are_the_lifted_elements(self, claimed_group, n):

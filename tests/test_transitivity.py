@@ -356,7 +356,7 @@ class TestGenericActions:
     def test_classify_checks_each_generator_once(self, claimed_group, graph, monkeypatch):
         checked = []
         monkeypatch.setattr(transitivity, "check_graph_automorphism",
-                            lambda g, p: checked.append(p))
+                            lambda g, *perms: checked.extend(perms))
         grp = claimed_group(6)
         classify_action(grp, graph(6))
         assert checked == grp.generators
