@@ -15,16 +15,16 @@ element carrying x back onto the base point, which is what sifting reads.
 
 Sifts run on stacks.  The inputs, and then all Schreier generators of a
 level, are stripped as the rows of one image array, a block of
-core.BLOCK_ENTRIES entries at a time, and only the first row that does not
+core._BLOCK_ENTRIES entries at a time, and only the first row that does not
 sift to the identity is inserted, by the one-at-a-time sift.  The rows
 before it sift to the identity through a chain that has not changed, so
 the base, the strong generators and every transversal are those of
 sifting each row in turn.  A compile applies each of its levels to a
 stack through a table of the level's elements, as large as the level's own
-transversal and dropped when the compile ends.  The self-check of an
-assembled chain builds no table: its levels are stored at the full degree
-or built on request, so each is applied one product per distinct target
-among the rows.
+transversal and dropped when the compile ends; its self-check strips the
+inputs the same way.  The self-check of an assembled chain builds no
+table: its levels are stored at the full degree or built on request, so it
+sifts one input at a time.
 
 A chain can also be assembled instead of compiled, when theory already
 gives the orbit of the first base point: PermutationGroup.assemble takes
@@ -45,7 +45,7 @@ from functools import cache
 
 import numpy as np
 
-from .core import Permutation, block_rows, check_point, orbits, transversal
+from .core import Permutation, _block_rows, check_point, orbits, transversal
 
 __all__ = ["PermutationGroup"]
 
@@ -71,7 +71,7 @@ def _stacked(perms) -> np.ndarray:
 def _stacks(perms: list[Permutation], degree: int):
     """perms as stacked blocks of rows, each with the index of its first
     row."""
-    step = block_rows(degree)
+    step = _block_rows(degree)
     return ((i, _stacked(perms[i:i + step])) for i in range(0, len(perms), step))
 
 
@@ -124,7 +124,7 @@ class _Level:
         turns it into the Schreier generator u_y^-1 * s * u_x."""
         gens = _stacked(self.gens)
         k = len(self.gens)
-        per = max(1, block_rows(degree) // k)
+        per = max(1, _block_rows(degree) // k)
         elements = list(self.transversal_inv.values())
         for start in range(0, len(elements), per):
             u_inv = _stacked(elements[start:start + per])
@@ -216,7 +216,9 @@ class PermutationGroup:
             s = lev.gens[k % len(lev.gens)]
             # u_y^-1 * s * u_x for y = s(x)
             i = sift_in(lev.transversal_inv[s.apply(x)] * s * u_inv.inverse(), i + 1)
-        return group._self_checked(tables)
+        if first_unsifted(_stacks(gens, degree), 0) is not None:
+            raise RuntimeError("chain construction failed its membership self-check")
+        return group
 
     @classmethod
     def assemble(cls, generators, point: int,
@@ -256,11 +258,9 @@ class PermutationGroup:
         first = _Level(point, moving + (tail[0].gens if tail else []), transversal_inv)
         return cls(gens, degree, [first, *tail])._self_checked()
 
-    def _self_checked(self, tables=None) -> PermutationGroup:
-        """self, once every input generator sifts to the identity; the
-        inputs are stripped as stacks, a block at a time."""
-        for _, rows in _stacks(self._generators, self._degree):
-            if self._unsifted(rows, 0, tables).any():
+    def _self_checked(self) -> PermutationGroup:
+        for g in self._generators:
+            if not self.contains(g):
                 raise RuntimeError("chain construction failed its membership self-check")
         return self
 
@@ -324,40 +324,22 @@ class PermutationGroup:
             g = lev.transversal_inv[target] * g
         return g, len(self._levels)
 
-    def _unsifted(self, rows: np.ndarray, start: int = 0, tables=None) -> np.ndarray:
+    def _unsifted(self, rows: np.ndarray, start: int,
+                  tables: dict[int, tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
         """Sift every row of rows, a stack of image arrays, through levels
         start.. as _strip does, and say which rows do not sift to the
-        identity.  rows is consumed.
-
-        A row whose target at some level is not in its orbit stops there.
-        tables, when given, holds a table per level index, built on first
-        use: the levels are then applied to all rows at once.  Without
-        tables each level is applied one product per distinct target, so
-        a transversal built on request or stored at a large degree is never
-        copied, and a row that fixes the base point asks nothing of it.
+        identity.  A row whose target at some level is not in its orbit
+        stops there.  tables holds a table per level index, built on first
+        use, so each level is applied to all rows at once.
         """
-        levels = self._levels
         stopped = np.zeros(len(rows), dtype=bool)
-        for idx in range(start, len(levels)):
-            lev = levels[idx]
-            target = rows[:, lev.point]
-            if tables is not None:
-                if idx not in tables:
-                    tables[idx] = lev.table(self._degree)
-                where, images = tables[idx]
-                at = where[target]
-                stopped |= at < 0
-                rows = images[at[:, None], rows]
-                continue
-            moving = (target != lev.point) & ~stopped
-            for t in sorted(set(target[moving].tolist())):
-                sel = np.flatnonzero(moving & (target == t))
-                if t not in lev.transversal_inv:
-                    stopped[sel] = True
-                elif sel.size == len(rows):
-                    rows = lev.transversal_inv[t].images[rows]
-                else:
-                    rows[sel] = lev.transversal_inv[t].images[rows[sel]]
+        for idx in range(start, len(self._levels)):
+            if idx not in tables:
+                tables[idx] = self._levels[idx].table(self._degree)
+            where, images = tables[idx]
+            at = where[rows[:, self._levels[idx].point]]
+            stopped |= at < 0
+            rows = images[at[:, None], rows]
         return stopped | (rows != np.arange(self._degree)).any(axis=1)
 
     def order(self) -> int:

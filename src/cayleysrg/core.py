@@ -26,8 +26,6 @@ __all__ = [
     "orbit_labels",
     "transversal",
     "check_point",
-    "BLOCK_ENTRIES",
-    "block_rows",
 ]
 
 MIN_MODULUS = 4
@@ -36,12 +34,12 @@ MIN_MODULUS = 4
 # permutations is cut into blocks of this many entries, at least one row
 # each, so each temporary of a pass stays within 512 KB of int64, whatever
 # the number of rows, while every batch of the moduli up to 31 is one block.
-BLOCK_ENTRIES = 1 << 16
+_BLOCK_ENTRIES = 1 << 16
 
 
-def block_rows(degree: int) -> int:
-    """Rows of degree entries in one block of BLOCK_ENTRIES, at least one."""
-    return max(1, BLOCK_ENTRIES // degree)
+def _block_rows(degree: int) -> int:
+    """Rows of degree entries in one block of _BLOCK_ENTRIES, at least one."""
+    return max(1, _BLOCK_ENTRIES // degree)
 
 
 def check_point(v, degree: int) -> int:

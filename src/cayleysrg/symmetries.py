@@ -58,7 +58,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .bsgs import PermutationGroup
-from .core import Permutation, block_rows, check_point, perm_from_pair_map, units
+from .core import Permutation, _block_rows, check_point, perm_from_pair_map, units
 from .graph import CayleyGraph, build_graph, connection_set, zero_neighborhood_cliques
 
 __all__ = [
@@ -117,7 +117,7 @@ def _connection_indices(n: int) -> np.ndarray:
 def _certify(n: int, perms) -> None:
     """Raise AutomorphismError at the first of perms that is not an affine
     automorphism of the graph of modulus n.  The maps are checked as the
-    rows of stacked image arrays, a block of core.BLOCK_ENTRIES entries at
+    rows of stacked image arrays, a block of core._BLOCK_ENTRIES entries at
     a time.
 
     For each p, t is the image of (0, 0), and the columns of M are the
@@ -138,7 +138,7 @@ def _certify(n: int, perms) -> None:
     hood = _connection_indices(n)
     in_s = np.zeros(size, dtype=bool)
     in_s[hood] = True
-    step = block_rows(size)
+    step = _block_rows(size)
     for start in range(0, fit, step):
         imgs = np.stack([p.images for p in perms[start:min(start + step, fit)]],
                         dtype=np.int32)

@@ -233,7 +233,7 @@ class TestStackedCheck:
 
     @pytest.mark.parametrize("n", [4, 5, 9, 13])
     def test_blocks_of_one_row_refuse_the_same(self, claimed_group, graph, n, monkeypatch):
-        monkeypatch.setattr(core, "BLOCK_ENTRIES", 1)
+        monkeypatch.setattr(core, "_BLOCK_ENTRIES", 1)
         gens = claimed_group(n).generators
         for bad in self.bad_maps(n):
             for i in range(len(gens) + 1):
