@@ -50,9 +50,10 @@ EXPORT_MAX_MODULUS = 110
 # phi(n) * n**2, the lifted chain of G_0 with one transversal per level at
 # degree n**2 (321 MB at 241).  So a prime is not always the costliest:
 # past the cap the composite 247 = 13 * 19 takes 1004 MB, the prime 251
-# 1101 MB.  Measured as CI does, 241 costs most up to the cap, about
-# 5 s and 976 MB; 242..246 take 726-875 MB, and every n below 241 is
-# smaller in both terms (2 vCPUs, CPython 3.11.7).
+# 1101 MB.  Measured as CI does, 241 costs most up to the cap: 975 MB,
+# build 1.0-1.5 s, regularity 1.3-1.8, group 1.1-1.5, transitivity 0.9-1.1;
+# 242..246 take 726-875 MB, and every n below 241 is smaller in both terms
+# (2 vCPUs, CPython 3.11.7).
 ANALYZE_MAX_MODULUS = 246
 
 

@@ -8,6 +8,8 @@ so |S| = 3n - 3, S is closed under negation and omits the identity, and the
 graph Cay(Z_n x Z_n, S) is simple, undirected, (3n-3)-regular and connected.
 The neighbourhood of the origin splits into three cliques, one per family
 of S, which is what the symmetry analysis elsewhere in the package leans on.
+translation_defect proves from any rows handed in that each is row 0
+translated; the rooted regularity scans and the certificate rest on it.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ __all__ = [
     "connection_set",
     "CayleyGraph",
     "build_graph",
+    "translation_defect",
     "CliqueTriple",
     "zero_neighborhood_cliques",
 ]
@@ -144,6 +147,33 @@ def build_graph(n: int) -> CayleyGraph:
         if row.bit_count() != k:
             raise RuntimeError(f"vertex {v} has degree {row.bit_count()}, expected {k}")
     return CayleyGraph(n=n, connection=conn, adjacency=tuple(rows))
+
+
+def translation_defect(g) -> int | None:
+    """The least vertex v whose row is not row 0 translated by v, or None
+    when every row is, and so every translation is an automorphism.
+
+    Reads only g.n and the n * n rows g.adjacency, vertex (i, j) being row
+    i * n + j.  Row (0, j) is compared with row (0, j - 1) with each n-bit
+    chunk rotated by one bit, and row (i, j), i > 0, with row (i - 1, j)
+    rotated by n bits, so every row before the first that fails is row 0
+    translated.
+    """
+    n, rows = g.n, g.adjacency
+    size = n * n
+    full = (1 << size) - 1
+    top = sum(1 << (i * n + n - 1) for i in range(n))
+    low = full & ~top
+    for v in range(1, size):
+        if v < n:
+            row = rows[v - 1]
+            step = (row & low) << 1 | (row & top) >> (n - 1)
+        else:
+            row = rows[v - n]
+            step = (row << n | row >> (size - n)) & full
+        if rows[v] != step:
+            return v
+    return None
 
 
 @dataclass(frozen=True)

@@ -10,14 +10,14 @@ for the n^2 vertices of the family, where an all-pairs distance table would
 hold n^4 entries.
 
 Which vertices the pair scans start from is decided by _roots.  A graph on
-Z_n x Z_n whose rows are invariant under the translations +(1, 0) and
-+(0, 1) has every translation as an automorphism, so the pair (u, v) looks
-exactly like (0, v - u) (Godsil & Royle, *Algebraic Graph Theory*, 2001,
-section 3.1) and vertex 0 alone is scanned.  That hypothesis is checked on
-the rows handed in, at a few big-int operations per row; it is never taken
-from the builder.  Every other graph is scanned from every vertex.  Rooted,
-the scan is the first iteration of the exhaustive one and, by the theorem,
-already decides it, so results, refusal messages and witnesses agree.
+Z_n x Z_n each of whose rows is row 0 translated has every translation as
+an automorphism, so the pair (u, v) looks exactly like (0, v - u) (Godsil &
+Royle, *Algebraic Graph Theory*, 2001, section 3.1) and vertex 0 alone is
+scanned.  graph.translation_defect proves that hypothesis from the rows
+handed in; it is never taken from the builder.  Every other graph is
+scanned from every vertex.  Rooted, the scan is the first iteration of the
+exhaustive one and, by the theorem, already decides it, so results,
+refusal messages and witnesses agree.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bitset import bfs_layers, iter_bits
+from .graph import translation_defect
 
 __all__ = [
     "RegularityRefusal",
@@ -99,31 +100,12 @@ def _connected_layers(vertex_count: int, adjacency, v: int) -> list[int]:
 
 
 def _roots(g) -> range:
-    """The vertices the pair scans start from: range(1) when the rows are
-    shown translation-invariant, else every vertex.
-
-    The rows qualify when g has an int n with vertex_count == n * n, vertex
-    (i, j) being row i * n + j, and both generating translations map rows
-    onto rows: row v + (1, 0) is row v rotated by n bits over n^2 bits, and
-    row v + (0, 1) is row v with each n-bit chunk rotated by one bit.  Those
-    two generate every translation, so each is then an automorphism.
-    """
-    vc = g.vertex_count
-    n = getattr(g, "n", None)
-    if not isinstance(n, int) or n < 2 or vc != n * n:
-        return range(vc)
-    adjacency = g.adjacency
-    full = (1 << vc) - 1
-    top = sum(1 << (i * n + n - 1) for i in range(n))
-    low = full & ~top
-    for v in range(vc):
-        row = adjacency[v]
-        if adjacency[(v + n) % vc] != (row << n | row >> (vc - n)) & full:
-            return range(vc)
-        right = v - v % n + (v + 1) % n
-        if adjacency[right] != (row & low) << 1 | (row & top) >> (n - 1):
-            return range(vc)
-    return range(1)
+    """The vertices the pair scans start from: vertex 0 alone when g has an
+    int n >= 2 with vertex_count == n * n and graph.translation_defect finds
+    every row to be row 0 translated, else every vertex."""
+    vc, n = g.vertex_count, getattr(g, "n", None)
+    shaped = isinstance(n, int) and n >= 2 and vc == n * n
+    return range(1) if shaped and translation_defect(g) is None else range(vc)
 
 
 def _require_regular(vertex_count: int, adjacency) -> int:

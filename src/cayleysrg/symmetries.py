@@ -14,25 +14,25 @@ the translations they generate a group of order 6 * n**2 * phi(n), which
 is the group this package's analysis claims to be the full automorphism
 group of the graph.
 
-Every automorphism check in the package goes through the Cayley structure
-rather than the adjacency rows: every named map is affine, x -> Mx + t on
-Z_n x Z_n.  A translation is an automorphism of any Cayley graph, and a
-linear M is one exactly when M(S) = S (Babai, Spectra of Cayley graphs,
-JCTB 1979).  So the check reads M and t off the permutation, checks that
-it is that affine map on every vertex, and checks that M(S) = t + S on
-vertex indices: O(n**2) array work per map, with no graph built.  The check
-runs on a stack of maps at once, their image arrays as the rows of one
-array, a block of rows at a time, and refuses the first bad map as
-checking one map at a time would.  The factories build every map as one
-array formula on the vertex coordinates and check it; claimed_aut_group
-checks its whole generating set as one stack, and
-check_graph_automorphism checks every generator the transitivity analysis
-is given as one stack.
+Every automorphism check in the package goes through the Cayley structure:
+every named map is affine, x -> Mx + t on Z_n x Z_n.  A translation is an
+automorphism of any Cayley graph, and a linear M is one exactly when
+M(S) = S (Babai, Spectra of Cayley graphs, JCTB 1979).  So the check
+reads M and t off the permutation, checks that it is that affine map on
+every vertex, and checks that M(S) = t + S on vertex indices: O(n**2)
+array work per map.  It runs on a stack of maps, a block of image arrays
+at a time, and refuses the first bad map as checking one at a time would.
+The factories check every map they build, with no graph built, and
+claimed_aut_group its whole generating set as one stack.
+check_graph_automorphism first proves the graph handed in to be the graph
+of modulus n, row 0 being S and every row row 0 translated, and refuses
+any other graph with its first bad row.
 
-The check is sound: it never accepts a map that is not an automorphism.
-Its limit is that it refuses every map that is not affine, automorphism or
-not.  The paper proves that the family has no such automorphism, and the
-counting oracle in search.py confirms it independently for n <= 31.
+The check is sound: it never accepts a map that is not an automorphism,
+nor any graph but the one Babai's criterion speaks of.  Its limit is that
+it refuses every map that is not affine, automorphism or not.  The paper
+proves that the family has no such automorphism, and the counting oracle
+in search.py confirms it independently for n <= 31.
 
 The claimed group is assembled on that certificate, not compiled by
 Schreier-Sims at degree n**2.  The translations form a regular normal
@@ -59,7 +59,8 @@ import numpy as np
 
 from .bsgs import PermutationGroup
 from .core import Permutation, _block_rows, check_point, perm_from_pair_map, units
-from .graph import CayleyGraph, build_graph, connection_set, zero_neighborhood_cliques
+from .graph import (CayleyGraph, build_graph, connection_set, translation_defect,
+                    zero_neighborhood_cliques)
 
 __all__ = [
     "AutomorphismError",
@@ -96,13 +97,6 @@ class NamedAutomorphism:
     def __str__(self) -> str:
         inner = ", ".join(map(str, self.params))
         return f"{self.kind}({inner}) mod {self.n}"
-
-
-@lru_cache(maxsize=64)
-def _graph(n: int) -> CayleyGraph:
-    # clique_action reads the origin's cliques off the graph; cache it so
-    # labelling every element of a stabiliser builds the graph once.
-    return build_graph(n)
 
 
 @lru_cache(maxsize=64)
@@ -172,17 +166,22 @@ def _certify(n: int, perms) -> None:
 
 
 def check_graph_automorphism(g: CayleyGraph, *perms: Permutation) -> None:
-    """Raise AutomorphismError unless every p in perms is an affine
-    automorphism of g; the first that is not is refused, as checking one p
-    at a time would refuse it.
+    """Raise AutomorphismError unless g is the graph of modulus g.n and
+    every p in perms is an affine automorphism of it.
 
-    An affine p that breaks adjacency is refused with the first pair (v, w)
-    where the image of the neighbourhood of v and the neighbourhood of the
-    image of v differ, the pair a row-by-row sweep would name.  A p that is
-    not affine is refused with a vertex where it is not, even when it is an
-    automorphism; the family has none of those (see the module docstring).
+    g is refused first, with its first row that is not S translated by its
+    vertex; then the first p that fails, as one p at a time would be: an
+    affine p with the first pair (v, w) where the image of the neighbourhood
+    of v and the neighbourhood of the image of v differ, any other p with a
+    vertex where it is not affine (see the module docstring).
     """
-    _certify(g.n, perms)
+    n = g.n
+    row0 = sum(1 << s for s in _connection_indices(n).tolist())
+    bad = 0 if g.adjacency[0] != row0 else translation_defect(g)
+    if bad is not None:
+        raise AutomorphismError(f"not the graph of modulus {n}: row {bad} is not S "
+                                f"translated by vertex {bad}", witness=bad)
+    _certify(n, perms)
 
 
 def _certified(n: int, maps) -> list[Permutation]:
@@ -364,7 +363,7 @@ def clique_action(n: int, p: Permutation) -> CliqueActionLabel:
     origin-fixing automorphism always does, anything else is refused with
     the offending vertex as witness.
     """
-    g = _graph(n)
+    g = build_graph(n)
     if p.degree != g.vertex_count:
         raise ValueError(f"degree {p.degree} does not match {g.vertex_count} vertices")
     if p.apply(0) != 0:

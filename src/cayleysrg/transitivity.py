@@ -28,8 +28,10 @@ the reversal (v, 0) of an arc at 0 is carried back to 0, once per arc
 orbit.  The kernel runs once per distinct object set: the arcs, which are
 also the pairs at distance 1, the pairs at each distance from 2 on, and
 the 2-arcs.  The pairs at distance 0 form one orbit, as G is
-vertex-transitive, so they need no kernel call.  Before any of it the
-generators are certified automorphisms, all in one stacked check.
+vertex-transitive, so they need no kernel call.  Before any of it,
+_Rooted proves g to be the graph of modulus n and certifies the chain's
+strong generators, which the kernel and the edge pairing read, as
+automorphisms of it, in one check_graph_automorphism.
 
 Reports equal those of closing every object of the graph under G.  Every
 G-orbit has a member starting at 0, the least vertex, and the kernel
@@ -103,11 +105,6 @@ class TransitivityReport:
     orbit_counts: dict
 
 
-def _moving(perms) -> list:
-    """The image arrays of the permutations that are not the identity."""
-    return [p.images for p in perms if not p.is_identity()]
-
-
 def _least(labels):
     """The least members of the orbits that labels describe, and the sizes."""
     firsts = np.flatnonzero(labels == np.arange(labels.size))
@@ -115,21 +112,24 @@ def _least(labels):
 
 
 class _Rooted:
-    """A checked vertex-transitive action rooted at vertex 0, the chain's
-    first base point: the image arrays of generators of G_0, read off the
-    next level, and the chain's group, whose first-level transversal
-    carries any vertex to 0."""
+    """The engine's one entry check: the group, its strong generators
+    certified, as a vertex-transitive action rooted at vertex 0, its chain's
+    first base point, whose first-level transversal carries any vertex to 0,
+    with the image arrays of the next level's generators, which generate G_0."""
 
     def __init__(self, grp: PermutationGroup, g: CayleyGraph) -> None:
+        if grp.degree != g.vertex_count:
+            raise ValueError(f"group degree {grp.degree} does not match "
+                             f"{g.vertex_count} vertices")
+        check_graph_automorphism(g, *grp.strong_generators)
         if not grp.base or grp.transversal_sizes()[0] != g.vertex_count:
             raise ValueError("the group is not vertex-transitive: its chain's first "
                              "level does not cover every vertex")
         if grp.base[0] != 0:
             raise ValueError(f"the chain's first base point is {grp.base[0]}, "
                              "not vertex 0")
-        self.group = grp
-        self.graph = g
-        self.stabilizer = _moving(grp.stabilizer_generators(0))
+        self.group, self.graph = grp, g
+        self.stabilizer = [p.images for p in grp.stabilizer_generators(0)]
 
     def partition(self, tails: np.ndarray):
         """Every G-orbit on the objects that start at 0.
@@ -157,23 +157,12 @@ class _Rooted:
         return self.partition(bit_positions([self.graph.adjacency[0]], count)[1][:, None])
 
 
-def _check_action(grp: PermutationGroup, g: CayleyGraph) -> _Rooted:
-    """Check once, as one stack, that every generator is an automorphism of
-    g, then root."""
-    if grp.degree != g.vertex_count:
-        raise ValueError(
-            f"group degree {grp.degree} does not match {g.vertex_count} vertices"
-        )
-    check_graph_automorphism(g, *grp.generators)
-    return _Rooted(grp, g)
-
-
 def _context(grp: PermutationGroup, g: CayleyGraph, rooted: _Rooted | None) -> _Rooted:
     # classify_action shares one context between the is_*_transitive calls;
-    # only one _check_action built for this very group and graph is trusted.
+    # only one _Rooted built for this very group and graph is trusted.
     if rooted is not None and rooted.group is grp and rooted.graph is g:
         return rooted
-    return _check_action(grp, g)
+    return _Rooted(grp, g)
 
 
 def _result(parts: list[tuple[tuple[int, ...], int]]) -> TransitivityResult:
@@ -235,14 +224,12 @@ def is_distance_transitive(grp: PermutationGroup, g: CayleyGraph,
                            rooted: _Rooted | None = None) -> DistanceTransitivityResult:
     """One orbit on ordered pairs at each distance 0..D or not.
 
-    Distances come from one BFS from vertex 0; the graph must be
-    connected, which holds for every graph this package builds.
+    Distances come from one BFS from vertex 0, which reaches every vertex:
+    g is certified to be the graph of modulus n, which is connected.
     """
     ctx = _context(grp, g, rooted)
     count = g.vertex_count
     layers = bfs_layers(g.adjacency, 0)
-    if sum(layers).bit_count() != count:
-        raise ValueError("distance transitivity needs a connected graph")
 
     per_distance: list[tuple[int, ...]] = []
     witness = None
@@ -276,7 +263,7 @@ def classify_action(grp: PermutationGroup, g: CayleyGraph) -> TransitivityReport
     edge, 2-arc implies arc, distance implies arc); a violation cannot come
     from the mathematics, only from a broken orbit engine.
     """
-    rooted = _check_action(grp, g)
+    rooted = _Rooted(grp, g)
     vertex = is_vertex_transitive(grp, g, rooted)
     edge = is_edge_transitive(grp, g, rooted)
     arc = is_arc_transitive(grp, g, rooted)

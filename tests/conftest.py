@@ -3,12 +3,14 @@ import pytest
 
 from cayleysrg import (
     AutomorphismError,
+    CayleyGraph,
     Permutation,
     PermutationGroup,
     ZnPair,
     build_graph,
     claimed_aut_group,
     claimed_origin_stabilizer,
+    connection_set,
     enumerate_automorphisms,
 )
 from cayleysrg.bitset import iter_bits
@@ -34,6 +36,33 @@ def automorphism_witness(g, p):
         if mapped != expected:
             return (v, next(iter_bits(mapped ^ expected)))
     return None
+
+
+def two_switch(rows, a, b, c, d):
+    """Swap the edges a-b and c-d for a-c and b-d; degrees are kept."""
+    rows = list(rows)
+    assert len({a, b, c, d}) == 4
+    assert rows[a] >> b & 1 and rows[c] >> d & 1
+    assert not rows[a] >> c & 1 and not rows[b] >> d & 1
+    for x, y, on in ((a, b, False), (c, d, False), (a, c, True), (b, d, True)):
+        for s, t in ((x, y), (y, x)):
+            rows[s] = rows[s] | 1 << t if on else rows[s] & ~(1 << t)
+    return tuple(rows)
+
+
+def tampered_graphs():
+    """Graphs with the rows of the graph of modulus n, row 0 kept, that are
+    not that graph, each with the least row that is not row 0 translated:
+    the graph of modulus 6 with a degree-preserving two-switch away from
+    vertex 0, and the graph of modulus 7 without the edge between (1, 2)
+    and (1, 3), both at distance 2 from vertex 0."""
+    switched = two_switch(build_graph(6).adjacency, 8, 9, 13, 17)
+    rows = list(build_graph(7).adjacency)
+    u, w = ZnPair(1, 2, 7).index, ZnPair(1, 3, 7).index
+    rows[u] &= ~(1 << w)
+    rows[w] &= ~(1 << u)
+    return [(CayleyGraph(6, connection_set(6), switched), 8),
+            (CayleyGraph(7, connection_set(7), tuple(rows)), u)]
 
 
 def affine_check_reference(n, p):

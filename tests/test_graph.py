@@ -1,4 +1,5 @@
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,6 +13,9 @@ from cayleysrg import (
     translation,
     zero_neighborhood_cliques,
 )
+from cayleysrg.bitset import iter_bits
+from cayleysrg.graph import translation_defect
+from conftest import tampered_graphs
 
 
 # Rows and columns per block of the symmetry check: one block unpacks to
@@ -193,6 +197,47 @@ class TestRowsByTranslation:
         monkeypatch.setattr(graph_module, "connection_set", lambda n: lopsided)
         with pytest.raises(RuntimeError, match=r"holds \(4, 0\) but not its negative"):
             build_graph(5)
+
+
+def _defect_reference(n, rows):
+    """The least v whose row is not row 0 translated by v, or None, with
+    each translate set bit by bit: the oracle for translation_defect."""
+    offsets = [divmod(w, n) for w in iter_bits(rows[0])]
+    for v in range(n * n):
+        i, j = divmod(v, n)
+        if rows[v] != sum(1 << ((i + a) % n * n + (j + b) % n) for a, b in offsets):
+            return v
+    return None
+
+
+class TestTranslationDefect:
+    @pytest.mark.parametrize("n", range(4, 21))
+    def test_built_graphs_have_none(self, graph, n):
+        assert translation_defect(graph(n)) is None
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 9])
+    def test_one_flipped_bit_matches_the_reference(self, n):
+        rng = random.Random(n)
+        rows = list(build_graph(n).adjacency)
+        for v in [0, 1, n, n * n - 1] + rng.sample(range(n * n), 6):
+            flipped = list(rows)
+            flipped[v] ^= 1 << rng.randrange(n * n)
+            want = _defect_reference(n, flipped)
+            assert want == (1 if v == 0 else v)
+            assert translation_defect(SimpleNamespace(n=n, adjacency=flipped)) == want
+
+    def test_other_invariant_rows_have_none(self):
+        # the rook's graph: S without the diagonal, invariant all the same
+        n = 5
+        rows = [sum(1 << (i * n + b) for b in range(n) if b != j)
+                | sum(1 << (a * n + j) for a in range(n) if a != i)
+                for i in range(n) for j in range(n)]
+        assert _defect_reference(n, rows) is None
+        assert translation_defect(SimpleNamespace(n=n, adjacency=rows)) is None
+
+    def test_tampered_graphs_name_their_least_bad_row(self):
+        for g, row in tampered_graphs():
+            assert translation_defect(g) == _defect_reference(g.n, g.adjacency) == row
 
 
 class TestBfsDistances:

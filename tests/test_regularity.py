@@ -8,6 +8,7 @@ from cayleysrg import (
     diameter,
     intersection_array,
 )
+from conftest import two_switch
 
 
 class FakeGraph:
@@ -73,18 +74,6 @@ class CountingRows(tuple):
     def __getitem__(self, v):
         self.reads += 1
         return super().__getitem__(v)
-
-
-def two_switch(rows, a, b, c, d):
-    """Swap the edges a-b and c-d for a-c and b-d; degrees are kept."""
-    rows = list(rows)
-    assert len({a, b, c, d}) == 4
-    assert rows[a] >> b & 1 and rows[c] >> d & 1
-    assert not rows[a] >> c & 1 and not rows[b] >> d & 1
-    for x, y, on in ((a, b, False), (c, d, False), (a, c, True), (b, d, True)):
-        for s, t in ((x, y), (y, x)):
-            rows[s] = rows[s] | 1 << t if on else rows[s] & ~(1 << t)
-    return tuple(rows)
 
 
 def outcome(check, g):

@@ -9,6 +9,7 @@ import pytest
 import cayleysrg.symmetries as symmetries
 from cayleysrg import (
     AutomorphismError,
+    CayleyGraph,
     CliqueActionLabel,
     Permutation,
     PermutationGroup,
@@ -18,6 +19,7 @@ from cayleysrg import (
     claimed_origin_stabilizer,
     clique_action,
     clique_rotation,
+    connection_set,
     coordinate_swap,
     perm_from_pair_map,
     translation,
@@ -31,6 +33,7 @@ from conftest import (
     chain_of,
     pair_map_reference,
     sequential_from_generators,
+    tampered_graphs,
 )
 
 
@@ -185,7 +188,6 @@ class TestAffineCheck:
             raise AssertionError("a factory built the graph")
 
         monkeypatch.setattr(symmetries, "build_graph", refuse)
-        monkeypatch.setattr(symmetries, "_graph", refuse)
         assert claimed_aut_group(11).order() == 6 * 121 * 10
 
     def test_degree_mismatch_rejected(self):
@@ -302,6 +304,31 @@ class TestAutomorphismCheck:
     def test_every_automorphism_the_oracle_finds_passes(self, graph, brute_list, n):
         for p in brute_list(n).elements:
             check_graph_automorphism(graph(n), p)
+
+
+class TestGraphPremise:
+    """The certificate is Babai's criterion for the graph of modulus n, so
+    the graph handed in must be that graph, proved from its rows."""
+
+    def test_tampered_graphs_are_refused_with_their_first_bad_row(self, graph):
+        for g, row in tampered_graphs():
+            # row 0 is intact, and the translation is an automorphism of
+            # the untouched graph
+            assert g.adjacency[0] == graph(g.n).adjacency[0]
+            check_graph_automorphism(graph(g.n), translation(g.n, 1, 0).perm)
+            for perms in ([translation(g.n, 1, 0).perm], []):
+                with pytest.raises(AutomorphismError, match=f"row {row} is not S") as exc:
+                    check_graph_automorphism(g, *perms)
+                assert exc.value.witness == row
+
+    def test_invariant_rows_of_another_connection_set_are_refused(self, graph):
+        # the rows of graph(5) moved by (1, 0) are all translates of their
+        # row 0, which is S + (1, 0), not S
+        rows = graph(5).adjacency
+        moved = CayleyGraph(5, connection_set(5), rows[5:] + rows[:5])
+        with pytest.raises(AutomorphismError, match="row 0 is not S") as exc:
+            check_graph_automorphism(moved, coordinate_swap(5).perm)
+        assert exc.value.witness == 0
 
 
 class TestClaimedGroups:

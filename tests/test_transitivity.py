@@ -21,7 +21,9 @@ from cayleysrg import (
     translation,
 )
 from cayleysrg.bitset import iter_bits
+from cayleysrg.bsgs import _Level
 from cayleysrg.cli import analyze_report
+from conftest import tampered_graphs
 
 
 def v(i, j, n):
@@ -204,7 +206,7 @@ class TestFirstLevelRooting:
         # a stand-in stabiliser generator that moves vertex 0 carries the
         # arcs at 0 off the objects listed there
         grp, g = claimed_group(5), graph(5)
-        rooted = transitivity._check_action(grp, g)
+        rooted = transitivity._Rooted(grp, g)
         rooted.stabilizer = [grp.generators[0].images]
         with pytest.raises(ValueError, match="do not act"):
             is_arc_transitive(grp, g, rooted)
@@ -354,21 +356,44 @@ class TestGenericActions:
             is_edge_transitive(grp, g)
 
     def test_classify_checks_each_generator_once(self, claimed_group, graph, monkeypatch):
+        # the strong generators, the chain the engine reads, not the inputs
         checked = []
         monkeypatch.setattr(transitivity, "check_graph_automorphism",
                             lambda g, *perms: checked.extend(perms))
         grp = claimed_group(6)
         classify_action(grp, graph(6))
-        assert checked == grp.generators
+        assert checked == grp.strong_generators
 
     def test_context_of_another_group_is_not_trusted(self, claimed_group, graph):
         g = graph(4)
-        rooted = transitivity._check_action(claimed_group(4), g)
+        rooted = transitivity._Rooted(claimed_group(4), g)
         imgs = list(range(16))
         imgs[1], imgs[2] = imgs[2], imgs[1]
         bad = PermutationGroup.from_generators([Permutation(imgs)])
         with pytest.raises(AutomorphismError):
             is_two_arc_transitive(bad, g, rooted)
+
+    def test_graphs_that_are_not_the_family_graph_are_refused(self, claimed_group):
+        # each keeps row 0 and the rows of its neighbours, so the rooted
+        # engine alone would report the family graph's orbits
+        for g, row in tampered_graphs():
+            for question in QUESTIONS:
+                with pytest.raises(AutomorphismError) as exc:
+                    question(claimed_group(g.n), g)
+                assert exc.value.witness == row
+
+    def test_forged_chain_is_refused(self, claimed_group, graph):
+        # the claimed generators and first level, with a next level whose
+        # only generator swaps (0, 1) and (0, 2): the generators the caller
+        # passes are automorphisms, the ones the kernel reads are not
+        grp, g = claimed_group(5), graph(5)
+        swap = list(range(25))
+        swap[1], swap[2] = 2, 1
+        level = _Level(1, [Permutation(swap)])
+        level.recompute_orbit(25)
+        forged = PermutationGroup(grp.generators, 25, [grp._levels[0], level])
+        with pytest.raises(AutomorphismError):
+            is_edge_transitive(forged, g)
 
     def test_degree_mismatch_rejected(self, graph):
         grp = PermutationGroup.from_generators([coordinate_swap(5).perm])
