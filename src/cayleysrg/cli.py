@@ -50,28 +50,17 @@ EXPORT_MAX_MODULUS = 110
 # phi(n) * n**2, the lifted chain of G_0 with one transversal per level at
 # degree n**2 (321 MB at 241).  So a prime is not always the costliest:
 # past the cap the composite 247 = 13 * 19 takes 1004 MB, the prime 251
-# 1101 MB.  Measured as CI does, 241 costs most up to the cap: 975 MB,
-# build 1.0-1.5 s, regularity 1.3-1.8, group 1.1-1.5, transitivity 0.9-1.1;
-# 242..246 take 726-875 MB, and every n below 241 is smaller in both terms
-# (2 vCPUs, CPython 3.11.7).
+# 1101 MB.  Measured as CI does, 241 costs most up to the cap: 976 MB,
+# build 0.8-1.1 s, regularity 0.7-1.3 (it proves the rows, once per graph),
+# group 0.8-1.0, transitivity 0.4; 242..246 take 726-875 MB, and every n
+# below 241 is smaller in both terms (2 vCPUs, CPython 3.11.7).
 ANALYZE_MAX_MODULUS = 246
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def predicted_values(n: int) -> dict:
     """What the theory says analyze must find for modulus n."""
     phi = units(n).totient
-    prime = _is_prime(n)
+    prime = phi == n - 1  # phi(n) = n - 1 exactly when n is prime
     return {
         "srg_params": {"v": n * n, "k": 3 * n - 3, "lambda": n, "mu": 6},
         "intersection_array": {"b": [3 * n - 3, 2 * n - 4], "c": [1, 6], "diameter": 2},

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -259,17 +260,26 @@ class Permutation:
         return f"Permutation({text}, degree={self.degree})"
 
 
+@lru_cache(maxsize=4)
+def _coordinates(n: int) -> NDArray[np.int64]:
+    """The rows x, y of divmod(v, n) for every vertex v, read-only; only the
+    last four moduli are kept, so a long range of them holds no old arrays."""
+    xy = np.array(np.divmod(np.arange(n * n), n))
+    xy.setflags(write=False)
+    return xy
+
+
 def perm_from_pair_map(n: int, fn: Callable[[NDArray, NDArray], tuple]) -> Permutation:
     """Build the vertex permutation induced by a map on pairs mod n.
 
     fn is called once, on the coordinate arrays x, y of all n**2 vertices in
-    index order, and returns the arrays of their images, for example
-    lambda x, y: (y, x) for the swap.  The images are reduced mod n; that
-    they form a bijection is checked by the Permutation constructor.
+    index order, read-only and shared by every call for n, and returns the
+    arrays of their images, for example lambda x, y: (y, x) for the swap.
+    The images are reduced mod n; that they form a bijection is checked by
+    the Permutation constructor.
     """
     _check_modulus(n)
-    x, y = np.divmod(np.arange(n * n), n)
-    fx, fy = fn(x, y)
+    fx, fy = fn(*_coordinates(n))
     return Permutation(fx % n * n + fy % n)
 
 

@@ -8,13 +8,18 @@ so |S| = 3n - 3, S is closed under negation and omits the identity, and the
 graph Cay(Z_n x Z_n, S) is simple, undirected, (3n-3)-regular and connected.
 The neighbourhood of the origin splits into three cliques, one per family
 of S, which is what the symmetry analysis elsewhere in the package leans on.
-translation_defect proves from any rows handed in that each is row 0
-translated; the rooted regularity scans and the certificate rest on it.
+family_defect proves from any rows handed in that they are this graph's:
+row 0 is S, and translation_defect finds each row to be row 0 translated.
+The regularity scans, the certificate and transitivity rest on that proof,
+which a CayleyGraph keeps, so it runs once per graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+
+import numpy as np
 
 from .bitset import bfs_layers, iter_bits
 from .core import ZnPair, _check_modulus, check_point
@@ -23,9 +28,11 @@ __all__ = [
     "GRAPH_MAX_MODULUS",
     "ConnectionSet",
     "connection_set",
+    "connection_indices",
     "CayleyGraph",
     "build_graph",
     "translation_defect",
+    "family_defect",
     "CliqueTriple",
     "zero_neighborhood_cliques",
 ]
@@ -65,21 +72,31 @@ def connection_set(n: int) -> ConnectionSet:
     return ConnectionSet(n=n, members=frozenset(members))
 
 
+@lru_cache(maxsize=64)
+def connection_indices(n: int) -> np.ndarray:
+    """The vertex indices of S, ascending and read-only, one copy per
+    modulus."""
+    hood = np.array(sorted(s.index for s in connection_set(n).members), dtype=np.int64)
+    hood.setflags(write=False)
+    return hood
+
+
 class CayleyGraph:
     """Cay(Z_n x Z_n, S) with adjacency rows stored as int bitmasks.
 
     Row v has bit w set when v ~ w.  build_graph builds the rows by
-    translation and validates them on every construction; there is no
-    caching at this level.
+    translation and validates them on every construction; the graph keeps
+    its last translation_defect (see there).
     """
 
-    __slots__ = ("n", "vertex_count", "connection", "adjacency")
+    __slots__ = ("n", "vertex_count", "connection", "adjacency", "_proof")
 
     def __init__(self, n: int, connection: ConnectionSet, adjacency: tuple[int, ...]):
         self.n = n
         self.vertex_count = n * n
         self.connection = connection
         self.adjacency = adjacency
+        self._proof = (None, None, None)
 
     def is_adjacent(self, u: int, v: int) -> bool:
         u, v = check_point(u, self.vertex_count), check_point(v, self.vertex_count)
@@ -157,9 +174,20 @@ def translation_defect(g) -> int | None:
     i * n + j.  Row (0, j) is compared with row (0, j - 1) with each n-bit
     chunk rotated by one bit, and row (i, j), i > 0, with row (i - 1, j)
     rotated by n bits, so every row before the first that fails is row 0
-    translated.
+    translated.  A CayleyGraph keeps the answer for its n and its rows if
+    they are a tuple, which cannot change, until either is rebound.
     """
     n, rows = g.n, g.adjacency
+    kept = isinstance(g, CayleyGraph) and isinstance(rows, tuple)
+    if kept and g._proof[0] == n and g._proof[1] is rows:
+        return g._proof[2]
+    bad = _first_untranslated(n, rows)
+    if kept:
+        g._proof = (n, rows, bad)
+    return bad
+
+
+def _first_untranslated(n: int, rows) -> int | None:
     size = n * n
     full = (1 << size) - 1
     top = sum(1 << (i * n + n - 1) for i in range(n))
@@ -174,6 +202,13 @@ def translation_defect(g) -> int | None:
         if rows[v] != step:
             return v
     return None
+
+
+def family_defect(g) -> int | None:
+    """translation_defect(g), or 0 when row 0 is not S: None exactly when
+    g.adjacency are the rows of the graph of modulus g.n."""
+    row0 = sum(1 << s for s in connection_indices(g.n).tolist())
+    return 0 if g.adjacency[0] != row0 else translation_defect(g)
 
 
 @dataclass(frozen=True)

@@ -24,9 +24,9 @@ array work per map.  It runs on a stack of maps, a block of image arrays
 at a time, and refuses the first bad map as checking one at a time would.
 The factories check every map they build, with no graph built, and
 claimed_aut_group its whole generating set as one stack.
-check_graph_automorphism first proves the graph handed in to be the graph
-of modulus n, row 0 being S and every row row 0 translated, and refuses
-any other graph with its first bad row.
+check_graph_automorphism first refuses any graph but the one of modulus n
+with its first bad row, by graph.family_defect, whose proof the regularity
+scans have usually paid for already.
 
 The check is sound: it never accepts a map that is not an automorphism,
 nor any graph but the one Babai's criterion speaks of.  Its limit is that
@@ -53,13 +53,13 @@ from __future__ import annotations
 import operator
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 
 from .bsgs import PermutationGroup
 from .core import Permutation, _block_rows, check_point, perm_from_pair_map, units
-from .graph import (CayleyGraph, build_graph, connection_set, translation_defect,
+from .graph import (CayleyGraph, build_graph, connection_indices, family_defect,
                     zero_neighborhood_cliques)
 
 __all__ = [
@@ -99,15 +99,6 @@ class NamedAutomorphism:
         return f"{self.kind}({inner}) mod {self.n}"
 
 
-@lru_cache(maxsize=64)
-def _connection_indices(n: int) -> np.ndarray:
-    """The vertex indices of S, ascending and read-only; the affine check
-    and the restriction to S share one copy per modulus."""
-    hood = np.array(sorted(s.index for s in connection_set(n).members), dtype=np.int64)
-    hood.setflags(write=False)
-    return hood
-
-
 def _certify(n: int, perms) -> None:
     """Raise AutomorphismError at the first of perms that is not an affine
     automorphism of the graph of modulus n.  The maps are checked as the
@@ -129,7 +120,7 @@ def _certify(n: int, perms) -> None:
     # int32 holds every value below, at most 3 n**2, for any n whose graph
     # can be built, and its arithmetic is about 2.5 times faster
     x, y = np.divmod(np.arange(size, dtype=np.int32), n)
-    hood = _connection_indices(n)
+    hood = connection_indices(n)
     in_s = np.zeros(size, dtype=bool)
     in_s[hood] = True
     step = _block_rows(size)
@@ -175,13 +166,11 @@ def check_graph_automorphism(g: CayleyGraph, *perms: Permutation) -> None:
     of v and the neighbourhood of the image of v differ, any other p with a
     vertex where it is not affine (see the module docstring).
     """
-    n = g.n
-    row0 = sum(1 << s for s in _connection_indices(n).tolist())
-    bad = 0 if g.adjacency[0] != row0 else translation_defect(g)
+    bad = family_defect(g)
     if bad is not None:
-        raise AutomorphismError(f"not the graph of modulus {n}: row {bad} is not S "
+        raise AutomorphismError(f"not the graph of modulus {g.n}: row {bad} is not S "
                                 f"translated by vertex {bad}", witness=bad)
-    _certify(n, perms)
+    _certify(g.n, perms)
 
 
 def _certified(n: int, maps) -> list[Permutation]:
@@ -322,7 +311,7 @@ def claimed_aut_group(n: int) -> PermutationGroup:
     is built on request.
     """
     perms = _certified(n, [_shift(1, 0), _shift(0, 1), *_linear_maps(n)])
-    hood = _connection_indices(n)
+    hood = connection_indices(n)
     g0 = PermutationGroup.from_generators([_restrict(hood, p) for p in perms[2:]])
     return PermutationGroup.assemble(perms, 0, _Translations(n), g0,
                                      partial(_lift, n, hood), hood)

@@ -19,19 +19,19 @@ Algebraic Graph Theory, 2001):
 G_0 is generated by the next level's strong generators, and the
 first-level transversal carries any vertex back to 0.
 
-At vertex 0 the objects are read off the adjacency rows and encoded as
-one ascending int array, a vertex w as w and a 2-arc tail (v, w) as
-v * n^2 + w, and their G_0-orbits come from core.orbit_labels, the one
-orbit kernel, which refuses generators that do not act on the objects.
-Edge orbits are arc orbits paired with the orbits of their reversed arcs;
-the reversal (v, 0) of an arc at 0 is carried back to 0, once per arc
-orbit.  The kernel runs once per distinct object set: the arcs, which are
-also the pairs at distance 1, the pairs at each distance from 2 on, and
-the 2-arcs.  The pairs at distance 0 form one orbit, as G is
-vertex-transitive, so they need no kernel call.  Before any of it,
-_Rooted proves g to be the graph of modulus n and certifies the chain's
-strong generators, which the kernel and the edge pairing read, as
-automorphisms of it, in one check_graph_automorphism.
+Before any of it, _Rooted proves g to be the graph of modulus n and
+certifies the chain's strong generators, which the kernel and the edge
+pairing read, as automorphisms of it, in one check_graph_automorphism.
+So the objects at 0 come from S: the arcs (0, s), s in S, and the
+distance-2 pairs (0, w), w neither 0 nor in S, as (a, b) off S and 0 has
+a, b != 0 and is (a, 0) + (0, b), so the diameter is 2.  The 2-arc tails
+(s, w) are read off the rows of S.  Each object set is one ascending int
+array, a vertex w as w and a tail (s, w) as s * n^2 + w, partitioned by
+core.orbit_labels, the one orbit kernel, which refuses generators that do
+not act on the objects.  Edge orbits are arc orbits paired with the orbits
+of their reversed arcs; the reversal (v, 0) of an arc at 0 is carried back
+to 0, once per arc orbit.  The pairs at distance 0 form one orbit, as G is
+vertex-transitive, and need no kernel call.
 
 Reports equal those of closing every object of the graph under G.  Every
 G-orbit has a member starting at 0, the least vertex, and the kernel
@@ -47,10 +47,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .bitset import bfs_layers, bit_positions
+from .bitset import bit_positions
 from .bsgs import PermutationGroup
 from .core import orbit_labels
-from .graph import CayleyGraph, build_graph
+from .graph import CayleyGraph, build_graph, connection_indices
 from .symmetries import check_graph_automorphism, claimed_aut_group
 
 __all__ = [
@@ -83,7 +83,7 @@ class TransitivityResult:
 
 @dataclass(frozen=True)
 class DistanceTransitivityResult:
-    """Distance transitivity, one orbit computation per distance 0..D."""
+    """Distance transitivity, one orbit computation per distance 0, 1, 2."""
 
     transitive: bool
     orbit_sizes_by_distance: tuple[tuple[int, ...], ...]
@@ -103,12 +103,6 @@ class TransitivityReport:
     two_arc_transitive: bool
     witnesses: dict
     orbit_counts: dict
-
-
-def _least(labels):
-    """The least members of the orbits that labels describe, and the sizes."""
-    firsts = np.flatnonzero(labels == np.arange(labels.size))
-    return firsts, np.bincount(labels)[firsts]
 
 
 class _Rooted:
@@ -146,15 +140,15 @@ class _Rooted:
         # so only one is alive at a time, which lowers the peak RSS
         labels = orbit_labels(codes, (np.ravel_multi_index(tuple(img[tails].T), dims)
                                       for img in self.stabilizer))
-        firsts, sizes = _least(labels)
+        firsts = np.flatnonzero(labels == np.arange(labels.size))
+        sizes = np.bincount(labels)[firsts]
         parts = [((0, *tails[i].tolist()), count * s)
                  for i, s in zip(firsts.tolist(), sizes.tolist())]
         return parts, (codes, np.searchsorted(firsts, labels))
 
     @cached_property
     def arc_orbits(self):
-        count = self.graph.vertex_count
-        return self.partition(bit_positions([self.graph.adjacency[0]], count)[1][:, None])
+        return self.partition(connection_indices(self.graph.n)[:, None])
 
 
 def _context(grp: PermutationGroup, g: CayleyGraph, rooted: _Rooted | None) -> _Rooted:
@@ -212,9 +206,8 @@ def is_two_arc_transitive(grp: PermutationGroup, g: CayleyGraph,
                           rooted: _Rooted | None = None) -> TransitivityResult:
     """One orbit on paths u ~ v ~ w with w != u or not."""
     ctx = _context(grp, g, rooted)
-    adj, count = g.adjacency, g.vertex_count
-    hood = bit_positions([adj[0]], count)[1]
-    at, w = bit_positions([adj[v] & ~1 for v in hood.tolist()], count)
+    hood = connection_indices(g.n)
+    at, w = bit_positions([g.adjacency[v] & ~1 for v in hood.tolist()], g.vertex_count)
     tails = np.column_stack((hood[at], w))
     del at, w  # at large n the partition sets the peak RSS of analyze
     return _result(ctx.partition(tails)[0])
@@ -222,37 +215,22 @@ def is_two_arc_transitive(grp: PermutationGroup, g: CayleyGraph,
 
 def is_distance_transitive(grp: PermutationGroup, g: CayleyGraph,
                            rooted: _Rooted | None = None) -> DistanceTransitivityResult:
-    """One orbit on ordered pairs at each distance 0..D or not.
-
-    Distances come from one BFS from vertex 0, which reaches every vertex:
-    g is certified to be the graph of modulus n, which is connected.
-    """
+    """One orbit on ordered pairs at each distance 0, 1, 2 or not: g is
+    proven to be the graph of modulus n, whose diameter is 2."""
     ctx = _context(grp, g, rooted)
-    count = g.vertex_count
-    layers = bfs_layers(g.adjacency, 0)
-
-    per_distance: list[tuple[int, ...]] = []
-    witness = None
-    witness_distance = None
-    for d, layer in enumerate(layers):
-        if d == 0:
-            # the pairs (v, v): one orbit, since G is vertex-transitive
-            parts = [((0, 0), count)]
-        elif d == 1:
-            # the pairs at distance 1 are the arcs
-            parts = ctx.arc_orbits[0]
-        else:
-            parts = ctx.partition(bit_positions([layer], count)[1][:, None])[0]
-        res = _result(parts)
-        per_distance.append(res.orbit_sizes)
-        if witness is None and not res.transitive:
-            witness = res.witness
-            witness_distance = d
+    far = np.ones(g.vertex_count, dtype=bool)
+    far[connection_indices(g.n)] = far[0] = False
+    # the pairs (v, v) form one orbit, as G is vertex-transitive, and the
+    # pairs at distance 1 are the arcs
+    results = [_result(parts) for parts in (
+        [((0, 0), g.vertex_count)], ctx.arc_orbits[0],
+        ctx.partition(np.flatnonzero(far)[:, None])[0])]
+    witness_distance = next((d for d, r in enumerate(results) if not r.transitive), None)
     return DistanceTransitivityResult(
-        transitive=witness is None,
-        orbit_sizes_by_distance=tuple(per_distance),
+        transitive=witness_distance is None,
+        orbit_sizes_by_distance=tuple(r.orbit_sizes for r in results),
         witness_distance=witness_distance,
-        witness=witness,
+        witness=None if witness_distance is None else results[witness_distance].witness,
     )
 
 
@@ -274,8 +252,7 @@ def classify_action(grp: PermutationGroup, g: CayleyGraph) -> TransitivityReport
         raise RuntimeError("orbit engine inconsistency: arc without edge transitivity")
     if two_arc.transitive and not arc.transitive:
         raise RuntimeError("orbit engine inconsistency: 2-arc without arc transitivity")
-    if (distance.transitive and len(distance.orbit_sizes_by_distance) > 1
-            and not arc.transitive):
+    if distance.transitive and not arc.transitive:
         raise RuntimeError("orbit engine inconsistency: distance without arc transitivity")
 
     return TransitivityReport(
@@ -295,11 +272,7 @@ def classify_action(grp: PermutationGroup, g: CayleyGraph) -> TransitivityReport
         orbit_counts={
             "edges": edge.orbit_sizes,
             "arcs": arc.orbit_sizes,
-            "distance2_pairs": (
-                distance.orbit_sizes_by_distance[2]
-                if len(distance.orbit_sizes_by_distance) > 2
-                else ()
-            ),
+            "distance2_pairs": distance.orbit_sizes_by_distance[2],
             "two_arcs": two_arc.orbit_sizes,
         },
     )

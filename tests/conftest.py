@@ -38,6 +38,16 @@ def automorphism_witness(g, p):
     return None
 
 
+class CountingRows(tuple):
+    """Adjacency rows that count how often a row is looked up."""
+
+    reads = 0
+
+    def __getitem__(self, v):
+        self.reads += 1
+        return super().__getitem__(v)
+
+
 def two_switch(rows, a, b, c, d):
     """Swap the edges a-b and c-d for a-c and b-d; degrees are kept."""
     rows = list(rows)

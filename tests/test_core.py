@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import cayleysrg.core as core
 from cayleysrg import Permutation, ZnPair, perm_from_pair_map, units
 from cayleysrg.core import orbit_labels, orbits, transversal
+from conftest import pair_map_reference
 
 
 class TestZnPair:
@@ -211,6 +213,31 @@ class TestPermFromPairMap:
     def test_non_injective_map_rejected(self):
         with pytest.raises(ValueError, match="bijection"):
             perm_from_pair_map(4, lambda x, y: (0 * x, 0 * y))
+
+    def test_coordinates_are_shared_and_read_only(self):
+        seen = []
+
+        def swap(x, y):
+            seen.append((x, y))
+            return y, x
+
+        perm_from_pair_map(7, swap)
+        perm_from_pair_map(7, swap)
+        (x, y), (x2, y2) = seen
+        assert np.shares_memory(x, x2) and np.shares_memory(y, y2)
+        for a in (x, y):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a += 1
+        assert core._coordinates.cache_info().maxsize <= 4
+
+    def test_matches_the_reference_across_a_range_of_moduli(self):
+        # 4..12 and back to 4 evicts and rebuilds the coordinates
+        for n in [*range(4, 13), 4, 5]:
+            for fn, ref in ((lambda x, y: (y, x), lambda z: ZnPair(z.j, z.i, z.n)),
+                            (lambda x, y: (x + 2 * y, -y),
+                             lambda z: ZnPair((z.i + 2 * z.j) % z.n, -z.j % z.n, z.n))):
+                assert perm_from_pair_map(n, fn) == pair_map_reference(n, ref)
 
 
 class TestOrbits:

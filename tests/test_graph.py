@@ -6,16 +6,22 @@ import pytest
 
 import cayleysrg.graph as graph_module
 from cayleysrg import (
+    AutomorphismError,
+    CayleyGraph,
     ConnectionSet,
     ZnPair,
     build_graph,
+    check_graph_automorphism,
+    check_strongly_regular,
+    classify_action,
     connection_set,
     translation,
     zero_neighborhood_cliques,
 )
 from cayleysrg.bitset import iter_bits
-from cayleysrg.graph import translation_defect
-from conftest import tampered_graphs
+from cayleysrg.cli import analyze_report
+from cayleysrg.graph import family_defect, translation_defect
+from conftest import CountingRows, tampered_graphs
 
 
 # Rows and columns per block of the symmetry check: one block unpacks to
@@ -238,6 +244,98 @@ class TestTranslationDefect:
     def test_tampered_graphs_name_their_least_bad_row(self):
         for g, row in tampered_graphs():
             assert translation_defect(g) == _defect_reference(g.n, g.adjacency) == row
+
+
+def counted(n):
+    """The graph of modulus n over rows that count their lookups."""
+    rows = CountingRows(build_graph(n).adjacency)
+    return CayleyGraph(n, connection_set(n), rows), rows
+
+
+def refusal(g):
+    """The witness check_graph_automorphism refuses g with, or None."""
+    try:
+        check_graph_automorphism(g)
+    except AutomorphismError as exc:
+        return exc.witness
+    return None
+
+
+@pytest.fixture
+def proofs(monkeypatch):
+    """The modulus of every row pass translation_defect makes, in order."""
+    seen = []
+    walk = graph_module._first_untranslated
+
+    def spy(n, rows):
+        seen.append(n)
+        return walk(n, rows)
+
+    monkeypatch.setattr(graph_module, "_first_untranslated", spy)
+    return seen
+
+
+class TestKeptProof:
+    @pytest.mark.parametrize("n", [4, 7, 12])
+    def test_second_proof_reads_no_row(self, n):
+        g, rows = counted(n)
+        assert translation_defect(g) is None
+        assert rows.reads >= n * n - 1
+        rows.reads = 0
+        assert translation_defect(g) is None
+        assert family_defect(g) is None
+        # family_defect reads row 0 only, to compare it with S
+        assert rows.reads == 1
+
+    @pytest.mark.parametrize("n", [5, 6, 13])
+    def test_regularity_then_transitivity_prove_the_rows_once(self, claimed_group,
+                                                              proofs, n):
+        g, rows = counted(n)
+        check_strongly_regular(g)
+        assert proofs == [n]
+        rows.reads = 0
+        classify_action(claimed_group(n), g)
+        assert proofs == [n]
+        # row 0, against S, and the rows of S for the 2-arc tails
+        assert rows.reads == 1 + 3 * n - 3
+
+    @pytest.mark.parametrize("n", [4, 9, 16])
+    def test_analyze_proves_the_rows_once(self, proofs, n):
+        analyze_report(n)
+        assert proofs == [n]
+
+    def test_rebound_rows_are_proven_again(self, proofs):
+        for tampered, row in tampered_graphs():
+            n = tampered.n
+            g = build_graph(n)
+            assert refusal(g) is None
+            g.adjacency = tampered.adjacency
+            assert refusal(g) == row
+            assert refusal(g) == row
+            g.adjacency = build_graph(n).adjacency
+            assert refusal(g) is None
+            assert proofs[-3:] == [n, n, n]
+
+    def test_a_changed_modulus_is_proven_again(self, proofs):
+        g = build_graph(6)
+        assert translation_defect(g) is None
+        g.n = 5
+        fresh = SimpleNamespace(n=5, adjacency=g.adjacency)
+        assert translation_defect(g) == translation_defect(fresh) is not None
+        assert proofs == [6, 5, 5]
+        # row 0 is not the S of modulus 5, as for a graph built with it
+        assert refusal(g) == refusal(CayleyGraph(5, connection_set(5), g.adjacency)) == 0
+        g.n = 6
+        assert translation_defect(g) is None
+        assert proofs == [6, 5, 5, 6]
+
+    def test_stand_ins_and_mutable_rows_are_never_kept(self, proofs):
+        rows = build_graph(5).adjacency
+        for g in (SimpleNamespace(n=5, vertex_count=25, adjacency=rows),
+                  CayleyGraph(5, connection_set(5), list(rows))):
+            assert translation_defect(g) is None
+            assert translation_defect(g) is None
+        assert proofs == [5] * 4
 
 
 class TestBfsDistances:

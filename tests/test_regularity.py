@@ -8,7 +8,7 @@ from cayleysrg import (
     diameter,
     intersection_array,
 )
-from conftest import two_switch
+from conftest import CountingRows, two_switch
 
 
 class FakeGraph:
@@ -64,16 +64,6 @@ class Torus:
         self.n = n
         self.vertex_count = n * n
         self.adjacency = adjacency
-
-
-class CountingRows(tuple):
-    """Adjacency rows that count how often a row is looked up."""
-
-    reads = 0
-
-    def __getitem__(self, v):
-        self.reads += 1
-        return super().__getitem__(v)
 
 
 def outcome(check, g):

@@ -27,6 +27,7 @@ from cayleysrg import (
     units,
 )
 import cayleysrg.core as core
+from cayleysrg.graph import connection_indices
 from conftest import (
     affine_check_reference,
     automorphism_witness,
@@ -432,7 +433,7 @@ class TestAssembledGroup:
 
     @pytest.mark.parametrize("n", [*range(4, 42), 61, 101])
     def test_chains_match_sifting_one_at_a_time(self, claimed_group, n):
-        hood = symmetries._connection_indices(n)
+        hood = connection_indices(n)
         perms = claimed_group(n).generators
         on_s = [symmetries._restrict(hood, p) for p in perms[2:]]
         g0 = sequential_from_generators(on_s)
@@ -445,7 +446,7 @@ class TestAssembledGroup:
     def test_lifted_transversals_are_the_lifted_elements(self, claimed_group, n):
         # the oracle lifts every transversal element of G_0 on S one by one;
         # the chain lifts only strong generators and builds the rest itself
-        hood = symmetries._connection_indices(n)
+        hood = connection_indices(n)
         g0 = PermutationGroup.from_generators(
             [symmetries._restrict(hood, p) for p in symmetries._origin_stabilizer_perms(n)])
         lifted = claimed_group(n)._levels[1:]
@@ -466,7 +467,7 @@ class TestAssembledGroup:
         grp = claimed_aut_group(n)
         strong = grp.point_stabilizer(0).strong_generators
         assert len(lifted) == len(set(lifted)) == len(strong)
-        hood = symmetries._connection_indices(n)
+        hood = connection_indices(n)
         assert {lift(n, hood, q) for q in lifted} == set(strong)
 
     @pytest.mark.parametrize("n, built", [(17, 27), (31, 41)])

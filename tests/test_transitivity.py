@@ -1,6 +1,7 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 import cayleysrg.transitivity as transitivity
@@ -20,9 +21,10 @@ from cayleysrg import (
     is_vertex_transitive,
     translation,
 )
-from cayleysrg.bitset import iter_bits
+from cayleysrg.bitset import bfs_layers, bit_positions, iter_bits
 from cayleysrg.bsgs import _Level
 from cayleysrg.cli import analyze_report
+from cayleysrg.graph import connection_indices
 from conftest import tampered_graphs
 
 
@@ -231,6 +233,35 @@ TRANSITIVITY_DIGESTS = {
     37: "22787877769acf40", 38: "9e98560fcf132c24", 39: "09dbae79ef4da862",
     40: "b8a436e539f287ee", 41: "404b464f49a9175a",
 }
+
+
+def objects_read_off_the_rows(g):
+    """The arcs, distance-2 pairs and 2-arc tails at vertex 0 read off the
+    rows, as the engine read them before it took them from S: the second
+    and third BFS layers from 0, and the rows of the neighbours of 0."""
+    count = g.vertex_count
+    layers = bfs_layers(g.adjacency, 0)
+    arcs, dist2 = (bit_positions([layer], count)[1][:, None] for layer in layers[1:])
+    hood = arcs[:, 0]
+    at, w = bit_positions([g.adjacency[v] & ~1 for v in hood.tolist()], count)
+    return [arcs, dist2, np.column_stack((hood[at], w))]
+
+
+class TestObjectsFromS:
+    @pytest.mark.parametrize("n", range(4, 42))
+    def test_layers_and_objects_match_the_rows(self, claimed_group, graph, monkeypatch, n):
+        g = graph(n)
+        in_s = sum(1 << s for s in connection_indices(n).tolist())
+        assert bfs_layers(g.adjacency, 0) == [1, in_s, (1 << n * n) - 2 - in_s]
+        seen = []
+        partition = transitivity._Rooted.partition
+        monkeypatch.setattr(transitivity._Rooted, "partition",
+                            lambda ctx, tails: seen.append(tails) or partition(ctx, tails))
+        classify_action(claimed_group(n), g)
+        oracle = objects_read_off_the_rows(g)
+        assert len(seen) == len(oracle)
+        for got, want in zip(seen, oracle):
+            assert np.array_equal(got, want)
 
 
 class TestPinnedReports:
