@@ -80,13 +80,13 @@ def _checked(generators) -> tuple[list[Permutation], int]:
     gens = list(generators)
     if not gens:
         raise ValueError("at least one generator is required")
-    degree = gens[0].degree
     for g in gens:
+        # gens[0] is the first one checked, so its degree is read after its type
         if not isinstance(g, Permutation):
             raise ValueError(f"generators must be Permutation, got {type(g).__name__}")
-        if g.degree != degree:
-            raise ValueError(f"generator degree {g.degree} != {degree}")
-    return gens, degree
+        if g.degree != gens[0].degree:
+            raise ValueError(f"generator degree {g.degree} != {gens[0].degree}")
+    return gens, gens[0].degree
 
 
 class _Level:

@@ -50,10 +50,10 @@ EXPORT_MAX_MODULUS = 110
 # phi(n) * n**2, the lifted chain of G_0 with one transversal per level at
 # degree n**2 (321 MB at 241).  So a prime is not always the costliest:
 # past the cap the composite 247 = 13 * 19 takes 1004 MB, the prime 251
-# 1101 MB.  Measured as CI does, 241 costs most up to the cap: 976 MB,
-# build 0.8-1.1 s, regularity 0.7-1.3 (it proves the rows, once per graph),
-# group 0.8-1.0, transitivity 0.4; 242..246 take 726-875 MB, and every n
-# below 241 is smaller in both terms (2 vCPUs, CPython 3.11.7).
+# 1101 MB.  Measured as CI does, 241 costs most up to the cap: 977 MB,
+# build 1.2-1.3 s, regularity 1.2-1.4 (the one row proof), group 1.0-1.2,
+# transitivity 0.4 (no rows); 242..246 take 726-875 MB, and every n below
+# 241 is smaller in both terms (two runs, 2 vCPUs, CPython 3.11.7).
 ANALYZE_MAX_MODULUS = 246
 
 
@@ -130,7 +130,7 @@ def analyze_report(n: int, with_oracle: bool = False) -> tuple[dict, list[str]]:
     timings["stabilizer"] = round(time.perf_counter() - t, 6)
 
     t = time.perf_counter()
-    trans = classify_action(grp, g)
+    trans = classify_action(grp)
     timings["transitivity"] = round(time.perf_counter() - t, 6)
 
     oracle = None
@@ -183,8 +183,10 @@ def verify_range(lo: int, hi: int, oracle_upto: int | None = None) -> dict:
     """Analyze every modulus in [lo, hi] and collect pass/fail rows.
 
     Prints the table header to stderr first, then each row as soon as its
-    modulus finishes.
+    modulus finishes.  A range with lo < 4 or lo > hi raises ValueError.
     """
+    if not 4 <= lo <= hi:
+        raise ValueError(f"range must satisfy 4 <= lo <= hi, got {lo}..{hi}")
     head = (f"{'n':>4}  {'order':>10}  {'edge':>5}  {'arc':>5}  {'dist':>5}  "
             f"{'2arc':>5}  {'oracle':>7}  result")
     print(head, file=sys.stderr, flush=True)

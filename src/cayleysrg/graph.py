@@ -10,8 +10,8 @@ The neighbourhood of the origin splits into three cliques, one per family
 of S, which is what the symmetry analysis elsewhere in the package leans on.
 family_defect proves from any rows handed in that they are this graph's:
 row 0 is S, and translation_defect finds each row to be row 0 translated.
-The regularity scans, the certificate and transitivity rest on that proof,
-which a CayleyGraph keeps, so it runs once per graph.
+The regularity scans and the certificate of a graph handed in rest on that
+proof, which reads every row on every call and keeps nothing.
 """
 
 from __future__ import annotations
@@ -85,18 +85,16 @@ class CayleyGraph:
     """Cay(Z_n x Z_n, S) with adjacency rows stored as int bitmasks.
 
     Row v has bit w set when v ~ w.  build_graph builds the rows by
-    translation and validates them on every construction; the graph keeps
-    its last translation_defect (see there).
+    translation and validates them on every construction.
     """
 
-    __slots__ = ("n", "vertex_count", "connection", "adjacency", "_proof")
+    __slots__ = ("n", "vertex_count", "connection", "adjacency")
 
     def __init__(self, n: int, connection: ConnectionSet, adjacency: tuple[int, ...]):
         self.n = n
         self.vertex_count = n * n
         self.connection = connection
         self.adjacency = adjacency
-        self._proof = (None, None, None)
 
     def is_adjacent(self, u: int, v: int) -> bool:
         u, v = check_point(u, self.vertex_count), check_point(v, self.vertex_count)
@@ -174,20 +172,9 @@ def translation_defect(g) -> int | None:
     i * n + j.  Row (0, j) is compared with row (0, j - 1) with each n-bit
     chunk rotated by one bit, and row (i, j), i > 0, with row (i - 1, j)
     rotated by n bits, so every row before the first that fails is row 0
-    translated.  A CayleyGraph keeps the answer for its n and its rows if
-    they are a tuple, which cannot change, until either is rebound.
+    translated.
     """
     n, rows = g.n, g.adjacency
-    kept = isinstance(g, CayleyGraph) and isinstance(rows, tuple)
-    if kept and g._proof[0] == n and g._proof[1] is rows:
-        return g._proof[2]
-    bad = _first_untranslated(n, rows)
-    if kept:
-        g._proof = (n, rows, bad)
-    return bad
-
-
-def _first_untranslated(n: int, rows) -> int | None:
     size = n * n
     full = (1 << size) - 1
     top = sum(1 << (i * n + n - 1) for i in range(n))

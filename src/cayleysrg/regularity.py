@@ -14,11 +14,11 @@ Z_n x Z_n each of whose rows is row 0 translated has every translation as
 an automorphism, so the pair (u, v) looks exactly like (0, v - u) (Godsil &
 Royle, *Algebraic Graph Theory*, 2001, section 3.1) and vertex 0 alone is
 scanned.  graph.translation_defect proves that hypothesis from the rows
-handed in; it is never taken from the builder.  A CayleyGraph keeps the
-proof, which the certificate in symmetries reuses for the same rows.
-Every other graph is scanned from every vertex.  Rooted, the scan is the
-first iteration of the exhaustive one and, by the theorem, already
-decides it, so results, refusal messages and witnesses agree.
+handed in; it is never taken from the builder, and analyze_report proves
+its rows nowhere else.  Every other graph is scanned from every vertex.
+Rooted, the scan is the first iteration of the exhaustive one and, by the
+theorem, already decides it, so results, refusal messages and witnesses
+agree.
 """
 
 from __future__ import annotations

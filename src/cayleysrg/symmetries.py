@@ -22,11 +22,11 @@ reads M and t off the permutation, checks that it is that affine map on
 every vertex, and checks that M(S) = t + S on vertex indices: O(n**2)
 array work per map.  It runs on a stack of maps, a block of image arrays
 at a time, and refuses the first bad map as checking one at a time would.
-The factories check every map they build, with no graph built, and
-claimed_aut_group its whole generating set as one stack.
+The check needs n alone: the factories check every map they build,
+claimed_aut_group its whole generating set as one stack, and transitivity
+its chain's strong generators, with no graph built.
 check_graph_automorphism first refuses any graph but the one of modulus n
-with its first bad row, by graph.family_defect, whose proof the regularity
-scans have usually paid for already.
+with its first bad row, by graph.family_defect.
 
 The check is sound: it never accepts a map that is not an automorphism,
 nor any graph but the one Babai's criterion speaks of.  Its limit is that
@@ -111,12 +111,13 @@ def _certify(n: int, perms) -> None:
     affine p the first row of a row-by-row sweep fails exactly when
     M(S) != S, and every later row passes when it holds, so p is refused
     with (0, w), w the least vertex of p(N(0)) symmetric-difference
-    N(p(0)).  A p of the wrong degree raises ValueError once every p
-    before it has passed.
+    N(p(0)).  A p that is not a Permutation of degree n**2 raises
+    ValueError once every p before it has passed.
     """
     size = n * n
     perms = list(perms)
-    fit = next((i for i, p in enumerate(perms) if p.degree != size), len(perms))
+    fit = next((i for i, p in enumerate(perms)
+                if not isinstance(p, Permutation) or p.degree != size), len(perms))
     # int32 holds every value below, at most 3 n**2, for any n whose graph
     # can be built, and its arithmetic is about 2.5 times faster
     x, y = np.divmod(np.arange(size, dtype=np.int32), n)
@@ -153,7 +154,10 @@ def _certify(n: int, perms) -> None:
             witness=witness,
         )
     if fit < len(perms):
-        raise ValueError(f"degree {perms[fit].degree} does not match {size} vertices")
+        bad = perms[fit]
+        raise ValueError(f"degree {bad.degree} does not match {size} vertices"
+                         if isinstance(bad, Permutation) else
+                         f"maps must be Permutation, got {type(bad).__name__}")
 
 
 def check_graph_automorphism(g: CayleyGraph, *perms: Permutation) -> None:

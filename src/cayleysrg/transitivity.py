@@ -1,15 +1,16 @@
 """Orbit computations answering the transitivity questions for the family.
 
-Each question asks whether a group G of graph automorphisms has a single
-orbit on one kind of object: vertices, edges, arcs, ordered pairs at a
-fixed distance, or 2-arcs (paths u ~ v ~ w with w != u).  G must be
-vertex-transitive, which its chain shows when the first level's orbit
-covers every vertex, and its chain must be based at vertex 0, as the
-claimed groups are; any other group or chain is refused with ValueError.
-The objects of the whole graph are never closed under G.  Every question
-is answered at vertex 0 instead, by the correspondence between orbitals
-and suborbits (Cameron, Permutation Groups, 1999; Godsil and Royle,
-Algebraic Graph Theory, 2001):
+Each question asks whether a group G of automorphisms of Gamma(n), the
+graph of graph.py, has a single orbit on one kind of object: vertices,
+edges, arcs, ordered pairs at a fixed distance, or 2-arcs (paths
+u ~ v ~ w with w != u).  Only G is handed in; n is read off its degree,
+n^2.  G must be vertex-transitive, which its chain shows when the first
+level's orbit covers every vertex, and its chain must be based at vertex
+0, as the claimed groups are; any other degree, group or chain is refused
+with ValueError.  The objects of the whole graph are never closed under
+G.  Every question is answered at vertex 0 instead, by the correspondence
+between orbitals and suborbits (Cameron, Permutation Groups, 1999; Godsil
+and Royle, Algebraic Graph Theory, 2001):
 
     Let G be vertex-transitive and G_0 the stabiliser of vertex 0.  The
     G-orbits on arcs, 2-arcs and distance-d pairs correspond one-to-one
@@ -19,13 +20,13 @@ Algebraic Graph Theory, 2001):
 G_0 is generated by the next level's strong generators, and the
 first-level transversal carries any vertex back to 0.
 
-Before any of it, _Rooted proves g to be the graph of modulus n and
-certifies the chain's strong generators, which the kernel and the edge
-pairing read, as automorphisms of it, in one check_graph_automorphism.
-So the objects at 0 come from S: the arcs (0, s), s in S, and the
-distance-2 pairs (0, w), w neither 0 nor in S, as (a, b) off S and 0 has
-a, b != 0 and is (a, 0) + (0, b), so the diameter is 2.  The 2-arc tails
-(s, w) are read off the rows of S.  Each object set is one ascending int
+Before any of it, _Rooted certifies the chain's strong generators, which
+the kernel and the edge pairing read, by the certificate of S in
+symmetries, as claimed_aut_group certifies its generators.  So no graph is
+built or read, and the objects at 0 come from S: the arcs (0, s), s in S;
+the distance-2 pairs (0, w), w neither 0 nor in S, as (a, b) off S and 0
+has a, b != 0 and is (a, 0) + (0, b), so the diameter is 2; the 2-arcs
+0 ~ s ~ s + t, t in S but -s.  Each object set is one ascending int
 array, a vertex w as w and a tail (s, w) as s * n^2 + w, partitioned by
 core.orbit_labels, the one orbit kernel, which refuses generators that do
 not act on the objects.  Edge orbits are arc orbits paired with the orbits
@@ -44,14 +45,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import isqrt
 
 import numpy as np
 
-from .bitset import bit_positions
 from .bsgs import PermutationGroup
 from .core import orbit_labels
-from .graph import CayleyGraph, build_graph, connection_indices
-from .symmetries import check_graph_automorphism, claimed_aut_group
+from .graph import GRAPH_MAX_MODULUS, connection_indices
+# check_graph_automorphism is never called here: bench/tracing.py patches it here
+from .symmetries import _certify, check_graph_automorphism, claimed_aut_group  # noqa: F401
 
 __all__ = [
     "TransitivityResult",
@@ -106,23 +108,25 @@ class TransitivityReport:
 
 
 class _Rooted:
-    """The engine's one entry check: the group, its strong generators
-    certified, as a vertex-transitive action rooted at vertex 0, its chain's
-    first base point, whose first-level transversal carries any vertex to 0,
-    with the image arrays of the next level's generators, which generate G_0."""
+    """The engine's one entry check: the group, of degree n^2, its strong
+    generators certified, as a vertex-transitive action rooted at vertex 0,
+    its chain's first base point, whose first-level transversal carries any
+    vertex to 0, with the image arrays of the next level's generators,
+    which generate G_0."""
 
-    def __init__(self, grp: PermutationGroup, g: CayleyGraph) -> None:
-        if grp.degree != g.vertex_count:
-            raise ValueError(f"group degree {grp.degree} does not match "
-                             f"{g.vertex_count} vertices")
-        check_graph_automorphism(g, *grp.strong_generators)
-        if not grp.base or grp.transversal_sizes()[0] != g.vertex_count:
+    def __init__(self, grp: PermutationGroup) -> None:
+        n = isqrt(grp.degree)
+        if n * n != grp.degree or not 4 <= n <= GRAPH_MAX_MODULUS:
+            raise ValueError(f"group degree {grp.degree} is not n**2 for a modulus "
+                             f"4 <= n <= {GRAPH_MAX_MODULUS}")
+        _certify(n, grp.strong_generators)
+        if not grp.base or grp.transversal_sizes()[0] != grp.degree:
             raise ValueError("the group is not vertex-transitive: its chain's first "
                              "level does not cover every vertex")
         if grp.base[0] != 0:
             raise ValueError(f"the chain's first base point is {grp.base[0]}, "
                              "not vertex 0")
-        self.group, self.graph = grp, g
+        self.group, self.n = grp, n
         self.stabilizer = [p.images for p in grp.stabilizer_generators(0)]
 
     def partition(self, tails: np.ndarray):
@@ -133,7 +137,7 @@ class _Rooted:
         least member and its size under G, in order of least members, and
         the codes of the objects with the index of the G-orbit of each.
         """
-        count = self.graph.vertex_count
+        count = self.group.degree
         dims = (count,) * tails.shape[1]
         codes = np.ravel_multi_index(tuple(tails.T), dims)
         # a generator, not a list: the kernel reads each image array once,
@@ -148,15 +152,15 @@ class _Rooted:
 
     @cached_property
     def arc_orbits(self):
-        return self.partition(connection_indices(self.graph.n)[:, None])
+        return self.partition(connection_indices(self.n)[:, None])
 
 
-def _context(grp: PermutationGroup, g: CayleyGraph, rooted: _Rooted | None) -> _Rooted:
+def _context(grp: PermutationGroup, rooted: _Rooted | None) -> _Rooted:
     # classify_action shares one context between the is_*_transitive calls;
-    # only one _Rooted built for this very group and graph is trusted.
-    if rooted is not None and rooted.group is grp and rooted.graph is g:
+    # only one _Rooted built for this very group is trusted.
+    if rooted is not None and rooted.group is grp:
         return rooted
-    return _Rooted(grp, g)
+    return _Rooted(grp)
 
 
 def _result(parts: list[tuple[tuple[int, ...], int]]) -> TransitivityResult:
@@ -166,22 +170,22 @@ def _result(parts: list[tuple[tuple[int, ...], int]]) -> TransitivityResult:
     return TransitivityResult(False, sizes, (parts[0][0], parts[1][0]))
 
 
-def is_vertex_transitive(grp: PermutationGroup, g: CayleyGraph,
+def is_vertex_transitive(grp: PermutationGroup,
                          rooted: _Rooted | None = None) -> TransitivityResult:
     """One orbit on vertices, with n^2 of them: only vertex-transitive
     groups are accepted."""
-    _context(grp, g, rooted)
-    return _result([((0,), g.vertex_count)])
+    _context(grp, rooted)
+    return _result([((0,), grp.degree)])
 
 
-def is_edge_transitive(grp: PermutationGroup, g: CayleyGraph,
+def is_edge_transitive(grp: PermutationGroup,
                        rooted: _Rooted | None = None) -> TransitivityResult:
     """One orbit on unordered edges or not, with a two-edge witness.
 
     An arc orbit and the orbit of its reversed arcs form one edge orbit,
     with half as many edges as arcs when the two orbits coincide.
     """
-    ctx = _context(grp, g, rooted)
+    ctx = _context(grp, rooted)
     arcs, (codes, orbit_of) = ctx.arc_orbits
     parts = []
     paired: set[int] = set()
@@ -196,34 +200,37 @@ def is_edge_transitive(grp: PermutationGroup, g: CayleyGraph,
     return _result(parts)
 
 
-def is_arc_transitive(grp: PermutationGroup, g: CayleyGraph,
+def is_arc_transitive(grp: PermutationGroup,
                       rooted: _Rooted | None = None) -> TransitivityResult:
     """One orbit on ordered adjacent pairs or not."""
-    return _result(_context(grp, g, rooted).arc_orbits[0])
+    return _result(_context(grp, rooted).arc_orbits[0])
 
 
-def is_two_arc_transitive(grp: PermutationGroup, g: CayleyGraph,
+def is_two_arc_transitive(grp: PermutationGroup,
                           rooted: _Rooted | None = None) -> TransitivityResult:
     """One orbit on paths u ~ v ~ w with w != u or not."""
-    ctx = _context(grp, g, rooted)
-    hood = connection_indices(g.n)
-    at, w = bit_positions([g.adjacency[v] & ~1 for v in hood.tolist()], g.vertex_count)
-    tails = np.column_stack((hood[at], w))
-    del at, w  # at large n the partition sets the peak RSS of analyze
+    ctx = _context(grp, rooted)
+    hood = connection_indices(ctx.n)
+    si, sj = np.divmod(hood, ctx.n)
+    # row a holds s + t for s = hood[a] and every t in S; each row ascends
+    # from its one 0, at t = -s, which is not a 2-arc
+    w = np.sort((si[:, None] + si) % ctx.n * ctx.n + (sj[:, None] + sj) % ctx.n, axis=1)
+    tails = np.column_stack((np.repeat(hood, hood.size - 1), w[:, 1:].ravel()))
+    del w  # at large n the partition sets the peak RSS of analyze
     return _result(ctx.partition(tails)[0])
 
 
-def is_distance_transitive(grp: PermutationGroup, g: CayleyGraph,
+def is_distance_transitive(grp: PermutationGroup,
                            rooted: _Rooted | None = None) -> DistanceTransitivityResult:
-    """One orbit on ordered pairs at each distance 0, 1, 2 or not: g is
-    proven to be the graph of modulus n, whose diameter is 2."""
-    ctx = _context(grp, g, rooted)
-    far = np.ones(g.vertex_count, dtype=bool)
-    far[connection_indices(g.n)] = far[0] = False
+    """One orbit on ordered pairs at each distance 0, 1, 2 of Gamma(n),
+    whose diameter is 2, or not."""
+    ctx = _context(grp, rooted)
+    far = np.ones(grp.degree, dtype=bool)
+    far[connection_indices(ctx.n)] = far[0] = False
     # the pairs (v, v) form one orbit, as G is vertex-transitive, and the
     # pairs at distance 1 are the arcs
     results = [_result(parts) for parts in (
-        [((0, 0), g.vertex_count)], ctx.arc_orbits[0],
+        [((0, 0), grp.degree)], ctx.arc_orbits[0],
         ctx.partition(np.flatnonzero(far)[:, None])[0])]
     witness_distance = next((d for d, r in enumerate(results) if not r.transitive), None)
     return DistanceTransitivityResult(
@@ -234,19 +241,19 @@ def is_distance_transitive(grp: PermutationGroup, g: CayleyGraph,
     )
 
 
-def classify_action(grp: PermutationGroup, g: CayleyGraph) -> TransitivityReport:
+def classify_action(grp: PermutationGroup) -> TransitivityReport:
     """Answer all five transitivity questions for one group action.
 
     Ends with a consistency check of the implication chain (arc implies
     edge, 2-arc implies arc, distance implies arc); a violation cannot come
     from the mathematics, only from a broken orbit engine.
     """
-    rooted = _Rooted(grp, g)
-    vertex = is_vertex_transitive(grp, g, rooted)
-    edge = is_edge_transitive(grp, g, rooted)
-    arc = is_arc_transitive(grp, g, rooted)
-    distance = is_distance_transitive(grp, g, rooted)
-    two_arc = is_two_arc_transitive(grp, g, rooted)
+    rooted = _Rooted(grp)
+    vertex = is_vertex_transitive(grp, rooted)
+    edge = is_edge_transitive(grp, rooted)
+    arc = is_arc_transitive(grp, rooted)
+    distance = is_distance_transitive(grp, rooted)
+    two_arc = is_two_arc_transitive(grp, rooted)
 
     if arc.transitive and not edge.transitive:
         raise RuntimeError("orbit engine inconsistency: arc without edge transitivity")
@@ -256,7 +263,7 @@ def classify_action(grp: PermutationGroup, g: CayleyGraph) -> TransitivityReport
         raise RuntimeError("orbit engine inconsistency: distance without arc transitivity")
 
     return TransitivityReport(
-        n=g.n,
+        n=rooted.n,
         vertex_transitive=vertex.transitive,
         edge_transitive=edge.transitive,
         arc_transitive=arc.transitive,
@@ -279,6 +286,5 @@ def classify_action(grp: PermutationGroup, g: CayleyGraph) -> TransitivityReport
 
 
 def classify(n: int) -> TransitivityReport:
-    """Build the graph and the claimed group for modulus n and classify."""
-    g = build_graph(n)
-    return classify_action(claimed_aut_group(n), g)
+    """Classify the claimed group for modulus n."""
+    return classify_action(claimed_aut_group(n))

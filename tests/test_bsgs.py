@@ -32,6 +32,10 @@ class TestConstruction:
         assert grp.contains(Permutation.identity(10))
         assert not grp.contains(Permutation([1, 0] + list(range(2, 10))))
 
+    def test_a_first_generator_that_is_not_a_permutation_is_named(self):
+        with pytest.raises(ValueError, match="must be Permutation, got list"):
+            PermutationGroup.from_generators([[1, 0]])
+
     def test_mixed_degrees_rejected(self):
         with pytest.raises(ValueError, match="degree"):
             PermutationGroup.from_generators(

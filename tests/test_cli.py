@@ -195,6 +195,12 @@ class TestVerify:
         assert row["passed"] and row["failed_checks"] == []
         assert row["transitivity"]["distance_transitive"] is True
 
+    @pytest.mark.parametrize("lo, hi", [(10, 4), (3, 5), (0, 0)])
+    def test_verify_range_refuses_bad_ranges(self, lo, hi, capsys):
+        with pytest.raises(ValueError, match="4 <= lo <= hi"):
+            verify_range(lo, hi)
+        assert capsys.readouterr().err == ""
+
     def test_bad_ranges_are_usage_errors(self, capsys):
         for rng in ("6..4", "x..y", "10", "3..5", "4..1001"):
             with pytest.raises(SystemExit) as exc:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import cayleysrg.graph as graph_module
+import cayleysrg.regularity as regularity_module
 from cayleysrg import (
     AutomorphismError,
     CayleyGraph,
@@ -20,7 +21,7 @@ from cayleysrg import (
 )
 from cayleysrg.bitset import iter_bits
 from cayleysrg.cli import analyze_report
-from cayleysrg.graph import family_defect, translation_defect
+from cayleysrg.graph import translation_defect
 from conftest import CountingRows, tampered_graphs
 
 
@@ -263,29 +264,23 @@ def refusal(g):
 
 @pytest.fixture
 def proofs(monkeypatch):
-    """The modulus of every row pass translation_defect makes, in order."""
+    """The modulus of every row pass translation_defect makes, in order,
+    called from graph.family_defect or from the regularity scans."""
     seen = []
-    walk = graph_module._first_untranslated
+    walk = graph_module.translation_defect
 
-    def spy(n, rows):
-        seen.append(n)
-        return walk(n, rows)
+    def spy(g):
+        seen.append(g.n)
+        return walk(g)
 
-    monkeypatch.setattr(graph_module, "_first_untranslated", spy)
+    for mod in (graph_module, regularity_module):
+        monkeypatch.setattr(mod, "translation_defect", spy)
     return seen
 
 
 class TestKeptProof:
-    @pytest.mark.parametrize("n", [4, 7, 12])
-    def test_second_proof_reads_no_row(self, n):
-        g, rows = counted(n)
-        assert translation_defect(g) is None
-        assert rows.reads >= n * n - 1
-        rows.reads = 0
-        assert translation_defect(g) is None
-        assert family_defect(g) is None
-        # family_defect reads row 0 only, to compare it with S
-        assert rows.reads == 1
+    """No graph keeps its row proof: every translation_defect reads the
+    rows it is handed, and analyze makes the one proof, in regularity."""
 
     @pytest.mark.parametrize("n", [5, 6, 13])
     def test_regularity_then_transitivity_prove_the_rows_once(self, claimed_group,
@@ -294,10 +289,9 @@ class TestKeptProof:
         check_strongly_regular(g)
         assert proofs == [n]
         rows.reads = 0
-        classify_action(claimed_group(n), g)
+        classify_action(claimed_group(n))
         assert proofs == [n]
-        # row 0, against S, and the rows of S for the 2-arc tails
-        assert rows.reads == 1 + 3 * n - 3
+        assert rows.reads == 0
 
     @pytest.mark.parametrize("n", [4, 9, 16])
     def test_analyze_proves_the_rows_once(self, proofs, n):
@@ -314,28 +308,29 @@ class TestKeptProof:
             assert refusal(g) == row
             g.adjacency = build_graph(n).adjacency
             assert refusal(g) is None
-            assert proofs[-3:] == [n, n, n]
+            assert proofs[-4:] == [n] * 4
 
     def test_a_changed_modulus_is_proven_again(self, proofs):
+        defect = graph_module.translation_defect  # the spied name
         g = build_graph(6)
-        assert translation_defect(g) is None
+        assert defect(g) is None
         g.n = 5
         fresh = SimpleNamespace(n=5, adjacency=g.adjacency)
-        assert translation_defect(g) == translation_defect(fresh) is not None
+        assert defect(g) == defect(fresh) is not None
         assert proofs == [6, 5, 5]
         # row 0 is not the S of modulus 5, as for a graph built with it
         assert refusal(g) == refusal(CayleyGraph(5, connection_set(5), g.adjacency)) == 0
         g.n = 6
-        assert translation_defect(g) is None
+        assert defect(g) is None
         assert proofs == [6, 5, 5, 6]
 
     def test_stand_ins_and_mutable_rows_are_never_kept(self, proofs):
-        rows = build_graph(5).adjacency
-        for g in (SimpleNamespace(n=5, vertex_count=25, adjacency=rows),
-                  CayleyGraph(5, connection_set(5), list(rows))):
-            assert translation_defect(g) is None
-            assert translation_defect(g) is None
-        assert proofs == [5] * 4
+        built = build_graph(5)
+        for g in (built, SimpleNamespace(n=5, vertex_count=25, adjacency=built.adjacency),
+                  CayleyGraph(5, connection_set(5), list(built.adjacency))):
+            assert graph_module.translation_defect(g) is None
+            assert graph_module.translation_defect(g) is None
+        assert proofs == [5] * 6
 
 
 class TestBfsDistances:

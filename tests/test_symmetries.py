@@ -301,6 +301,13 @@ class TestAutomorphismCheck:
         with pytest.raises(ValueError, match="does not match"):
             check_graph_automorphism(graph(4), Permutation.identity(25))
 
+    def test_a_map_that_is_not_a_permutation_is_named(self, graph):
+        with pytest.raises(ValueError, match="must be Permutation, got list"):
+            check_graph_automorphism(graph(4), [0] * 16)
+        # after every map before it has passed, as for a wrong degree
+        with pytest.raises(AutomorphismError):
+            check_graph_automorphism(graph(4), _neighbour_transposition(4), [0] * 16)
+
     @pytest.mark.parametrize("n", range(4, 11))
     def test_every_automorphism_the_oracle_finds_passes(self, graph, brute_list, n):
         for p in brute_list(n).elements:

@@ -4,6 +4,8 @@ import json
 import numpy as np
 import pytest
 
+import cayleysrg.graph as graph_module
+import cayleysrg.symmetries as symmetries_module
 import cayleysrg.transitivity as transitivity
 from cayleysrg import (
     AutomorphismError,
@@ -11,9 +13,9 @@ from cayleysrg import (
     PermutationGroup,
     TransitivityReport,
     ZnPair,
+    claimed_aut_group,
     classify,
     classify_action,
-    coordinate_swap,
     is_arc_transitive,
     is_distance_transitive,
     is_edge_transitive,
@@ -25,7 +27,7 @@ from cayleysrg.bitset import bfs_layers, bit_positions, iter_bits
 from cayleysrg.bsgs import _Level
 from cayleysrg.cli import analyze_report
 from cayleysrg.graph import connection_indices
-from conftest import tampered_graphs
+from conftest import CountingRows
 
 
 def v(i, j, n):
@@ -148,29 +150,28 @@ def claimed_oracle(claimed_group, graph):
 
 class TestRootedEngineMatchesFullClosure:
     @pytest.mark.parametrize("n", range(4, 14))
-    def test_claimed_group(self, claimed_group, graph, claimed_oracle, n):
-        grp, g = claimed_group(n), graph(n)
-        assert classify_action(grp, g) == claimed_oracle(n)
+    def test_claimed_group(self, claimed_group, claimed_oracle, n):
+        assert classify_action(claimed_group(n)) == claimed_oracle(n)
 
     @pytest.mark.parametrize("n", [5, 6])
-    def test_origin_stabilizer(self, origin_stabilizer, graph, n):
+    def test_origin_stabilizer(self, origin_stabilizer, n):
         # it fixes 0, so its chain's first level covers n^2 - 1 vertices
-        grp, g = origin_stabilizer(n), graph(n)
+        grp = origin_stabilizer(n)
         for question in QUESTIONS:
             with pytest.raises(ValueError, match="vertex-transitive"):
-                question(grp, g)
+                question(grp)
 
-    def test_trivial_group(self, graph):
+    def test_trivial_group(self):
         # no levels at all
-        grp, g = PermutationGroup.from_generators([Permutation.identity(16)]), graph(4)
+        grp = PermutationGroup.from_generators([Permutation.identity(16)])
         for question in QUESTIONS:
             with pytest.raises(ValueError, match="vertex-transitive"):
-                question(grp, g)
+                question(grp)
 
     def test_translations_only(self, graph):
         grp = PermutationGroup.from_generators(
             [translation(5, 1, 0).perm, translation(5, 0, 1).perm])
-        assert classify_action(grp, graph(5)) == _full_closure_report(grp, graph(5))
+        assert classify_action(grp) == _full_closure_report(grp, graph(5))
 
 
 class TestFirstLevelRooting:
@@ -178,8 +179,8 @@ class TestFirstLevelRooting:
     its first base point."""
 
     @pytest.mark.parametrize("n", range(4, 14))
-    def test_claimed_group_never_closes_the_vertices(self, claimed_group, graph,
-                                                     claimed_oracle, n, monkeypatch):
+    def test_claimed_group_never_closes_the_vertices(self, claimed_group, claimed_oracle,
+                                                     n, monkeypatch):
         # the kernel only ever sees the objects at 0: the vertex itself, its
         # k arcs, its n^2 - k - 1 pairs at distance 2 and its k(k - 1) 2-arcs
         k = 3 * n - 3
@@ -189,29 +190,28 @@ class TestFirstLevelRooting:
         monkeypatch.setattr(transitivity, "orbit_labels",
                             lambda codes, images: counts.append(codes.size)
                             or labels(codes, images))
-        grp, g = claimed_group(n), graph(n)
-        assert classify_action(grp, g) == claimed_oracle(n)
+        assert classify_action(claimed_group(n)) == claimed_oracle(n)
         assert counts and set(counts) <= at_zero
 
     @pytest.mark.parametrize("n", [5, 6])
-    def test_chain_based_off_zero_is_refused(self, claimed_group, graph, n):
+    def test_chain_based_off_zero_is_refused(self, claimed_group, n):
         # the linear generators first: the chain is based at the least point
         # a unit scaling moves, not at 0, though the group is the same
         gens = claimed_group(n).generators
-        grp, g = PermutationGroup.from_generators(gens[2:] + gens[:2]), graph(n)
+        grp = PermutationGroup.from_generators(gens[2:] + gens[:2])
         assert grp.base[0] != 0 and grp.order() == claimed_group(n).order()
         for question in QUESTIONS:
             with pytest.raises(ValueError, match="not vertex 0"):
-                question(grp, g)
+                question(grp)
 
-    def test_objects_the_group_does_not_act_on_are_refused(self, claimed_group, graph):
+    def test_objects_the_group_does_not_act_on_are_refused(self, claimed_group):
         # a stand-in stabiliser generator that moves vertex 0 carries the
         # arcs at 0 off the objects listed there
-        grp, g = claimed_group(5), graph(5)
-        rooted = transitivity._Rooted(grp, g)
+        grp = claimed_group(5)
+        rooted = transitivity._Rooted(grp)
         rooted.stabilizer = [grp.generators[0].images]
         with pytest.raises(ValueError, match="do not act"):
-            is_arc_transitive(grp, g, rooted)
+            is_arc_transitive(grp, rooted)
 
 
 # sha256 (first 16 hex digits) of the canonical JSON of the transitivity
@@ -248,7 +248,7 @@ def objects_read_off_the_rows(g):
 
 
 class TestObjectsFromS:
-    @pytest.mark.parametrize("n", range(4, 42))
+    @pytest.mark.parametrize("n", [*range(4, 42), 61, 101])
     def test_layers_and_objects_match_the_rows(self, claimed_group, graph, monkeypatch, n):
         g = graph(n)
         in_s = sum(1 << s for s in connection_indices(n).tolist())
@@ -257,11 +257,37 @@ class TestObjectsFromS:
         partition = transitivity._Rooted.partition
         monkeypatch.setattr(transitivity._Rooted, "partition",
                             lambda ctx, tails: seen.append(tails) or partition(ctx, tails))
-        classify_action(claimed_group(n), g)
+        classify_action(claimed_group(n))
         oracle = objects_read_off_the_rows(g)
         assert len(seen) == len(oracle)
         for got, want in zip(seen, oracle):
             assert np.array_equal(got, want)
+
+
+class TestNoGraph:
+    @pytest.mark.parametrize("n", range(4, 18))
+    def test_transitivity_builds_and_reads_no_graph(self, monkeypatch, n):
+        # every graph built anywhere is recorded, over rows that count their
+        # lookups, and so is every CayleyGraph made by hand
+        built, reads = [], []
+        init = graph_module.CayleyGraph.__init__
+
+        def spy(g, n, connection, adjacency):
+            rows = CountingRows(adjacency)
+            reads.append(rows)
+            init(g, n, connection, rows)
+
+        build = graph_module.build_graph
+        monkeypatch.setattr(graph_module.CayleyGraph, "__init__", spy)
+        for mod in (graph_module, symmetries_module, transitivity):
+            if hasattr(mod, "build_graph"):
+                monkeypatch.setattr(mod, "build_graph",
+                                    lambda m: built.append(m) or build(m))
+        assert classify(n) == classify_action(claimed_aut_group(n))
+        assert built == [] and reads == []
+        # the spies see a graph that is built and read
+        symmetries_module.build_graph(n).neighbors(0)
+        assert built == [n] and reads[0].reads == 1
 
 
 class TestPinnedReports:
@@ -275,46 +301,46 @@ class TestPinnedReports:
 
 class TestClassification:
     @pytest.mark.parametrize("n", range(4, 9))
-    def test_booleans_match_the_theory(self, claimed_group, graph, n):
-        rep = classify_action(claimed_group(n), graph(n))
+    def test_booleans_match_the_theory(self, claimed_group, n):
+        rep = classify_action(claimed_group(n))
         assert rep.vertex_transitive
         assert rep.edge_transitive == (n in PRIMES)
         assert rep.arc_transitive == (n in PRIMES)
         assert rep.distance_transitive == (n == 5)
         assert not rep.two_arc_transitive
 
-    def test_classify_builds_the_same_report(self, claimed_group, graph):
-        assert classify(5) == classify_action(claimed_group(5), graph(5))
+    def test_classify_builds_the_same_report(self, claimed_group):
+        assert classify(5) == classify_action(claimed_group(5))
 
     @pytest.mark.parametrize("n", range(4, 9))
-    def test_orbit_sizes_account_for_every_object(self, claimed_group, graph, n):
-        rep = classify_action(claimed_group(n), graph(n))
+    def test_orbit_sizes_account_for_every_object(self, claimed_group, n):
+        rep = classify_action(claimed_group(n))
         k = 3 * n - 3
         assert sum(rep.orbit_counts["edges"]) == n * n * k // 2
         assert sum(rep.orbit_counts["arcs"]) == n * n * k
         assert sum(rep.orbit_counts["distance2_pairs"]) == n * n * (n * n - k - 1)
         assert sum(rep.orbit_counts["two_arcs"]) == n * n * k * (k - 1)
 
-    def test_edge_orbits_at_four(self, claimed_group, graph):
-        res = is_edge_transitive(claimed_group(4), graph(4))
+    def test_edge_orbits_at_four(self, claimed_group):
+        res = is_edge_transitive(claimed_group(4))
         assert not res.transitive
         # unit-difference edges on one side, the halving class on the other
         assert res.orbit_sizes == (48, 24)
         assert res.witness == ((0, 1), (0, 2))
 
-    def test_arc_count_at_seven_is_one_orbit(self, claimed_group, graph):
-        res = is_arc_transitive(claimed_group(7), graph(7))
+    def test_arc_count_at_seven_is_one_orbit(self, claimed_group):
+        res = is_arc_transitive(claimed_group(7))
         assert res.transitive
         assert res.orbit_sizes == (882,)
 
-    def test_distance_layers_at_five(self, claimed_group, graph):
-        res = is_distance_transitive(claimed_group(5), graph(5))
+    def test_distance_layers_at_five(self, claimed_group):
+        res = is_distance_transitive(claimed_group(5))
         assert res.transitive
         assert res.orbit_sizes_by_distance == ((25,), (300,), (300,))
         assert res.witness is None and res.witness_distance is None
 
     def test_distance_witness_at_seven(self, claimed_group, graph):
-        res = is_distance_transitive(claimed_group(7), graph(7))
+        res = is_distance_transitive(claimed_group(7))
         assert not res.transitive
         assert res.witness_distance == 2
         first, second = res.witness
@@ -348,8 +374,8 @@ class TestWitnessPairs:
 
 class TestImplicationChain:
     @pytest.mark.parametrize("n", range(4, 11))
-    def test_chain_holds(self, claimed_group, graph, n):
-        rep = classify_action(claimed_group(n), graph(n))
+    def test_chain_holds(self, claimed_group, n):
+        rep = classify_action(claimed_group(n))
         if rep.arc_transitive:
             assert rep.edge_transitive
         if rep.two_arc_transitive:
@@ -359,79 +385,73 @@ class TestImplicationChain:
 
 
 class TestGenericActions:
-    def test_trivial_group_is_transitive_on_nothing(self, graph):
+    def test_trivial_group_is_transitive_on_nothing(self):
         # every vertex is an orbit of its own, so the group is refused
-        g = graph(4)
         grp = PermutationGroup.from_generators([Permutation.identity(16)])
         for question in (is_vertex_transitive, is_edge_transitive):
             with pytest.raises(ValueError, match="not vertex-transitive"):
-                question(grp, g)
+                question(grp)
 
-    def test_translations_alone_are_vertex_but_not_edge_transitive(self, graph):
-        g = graph(5)
+    def test_translations_alone_are_vertex_but_not_edge_transitive(self):
         grp = PermutationGroup.from_generators(
             [translation(5, 1, 0).perm, translation(5, 0, 1).perm]
         )
-        assert is_vertex_transitive(grp, g).transitive
-        res = is_edge_transitive(grp, g)
+        assert is_vertex_transitive(grp).transitive
+        res = is_edge_transitive(grp)
         assert not res.transitive
         # one orbit per connection-set difference, folded by negation
         assert len(res.orbit_sizes) == 6
 
-    def test_non_automorphism_generator_rejected(self, graph):
-        g = graph(4)
+    def test_non_automorphism_generator_rejected(self):
         imgs = list(range(16))
         imgs[1], imgs[2] = imgs[2], imgs[1]
         grp = PermutationGroup.from_generators([Permutation(imgs)])
         with pytest.raises(AutomorphismError):
-            is_edge_transitive(grp, g)
+            is_edge_transitive(grp)
 
-    def test_classify_checks_each_generator_once(self, claimed_group, graph, monkeypatch):
-        # the strong generators, the chain the engine reads, not the inputs
+    def test_classify_checks_each_generator_once(self, claimed_group, monkeypatch):
+        # the strong generators, the chain the engine reads, not the inputs,
+        # by the certificate of S at the group's modulus
         checked = []
-        monkeypatch.setattr(transitivity, "check_graph_automorphism",
-                            lambda g, *perms: checked.extend(perms))
+        monkeypatch.setattr(transitivity, "_certify",
+                            lambda n, perms: checked.append((n, list(perms))))
         grp = claimed_group(6)
-        classify_action(grp, graph(6))
-        assert checked == grp.strong_generators
+        classify_action(grp)
+        assert checked == [(6, grp.strong_generators)]
 
-    def test_context_of_another_group_is_not_trusted(self, claimed_group, graph):
-        g = graph(4)
-        rooted = transitivity._Rooted(claimed_group(4), g)
+    def test_context_of_another_group_is_not_trusted(self, claimed_group):
+        rooted = transitivity._Rooted(claimed_group(4))
         imgs = list(range(16))
         imgs[1], imgs[2] = imgs[2], imgs[1]
         bad = PermutationGroup.from_generators([Permutation(imgs)])
         with pytest.raises(AutomorphismError):
-            is_two_arc_transitive(bad, g, rooted)
+            is_two_arc_transitive(bad, rooted)
 
-    def test_graphs_that_are_not_the_family_graph_are_refused(self, claimed_group):
-        # each keeps row 0 and the rows of its neighbours, so the rooted
-        # engine alone would report the family graph's orbits
-        for g, row in tampered_graphs():
-            for question in QUESTIONS:
-                with pytest.raises(AutomorphismError) as exc:
-                    question(claimed_group(g.n), g)
-                assert exc.value.witness == row
-
-    def test_forged_chain_is_refused(self, claimed_group, graph):
+    def test_forged_chain_is_refused(self, claimed_group):
         # the claimed generators and first level, with a next level whose
         # only generator swaps (0, 1) and (0, 2): the generators the caller
         # passes are automorphisms, the ones the kernel reads are not
-        grp, g = claimed_group(5), graph(5)
+        grp = claimed_group(5)
         swap = list(range(25))
         swap[1], swap[2] = 2, 1
         level = _Level(1, [Permutation(swap)])
         level.recompute_orbit(25)
         forged = PermutationGroup(grp.generators, 25, [grp._levels[0], level])
         with pytest.raises(AutomorphismError):
-            is_edge_transitive(forged, g)
+            is_edge_transitive(forged)
 
-    def test_degree_mismatch_rejected(self, graph):
-        grp = PermutationGroup.from_generators([coordinate_swap(5).perm])
-        with pytest.raises(ValueError, match="does not match"):
-            is_arc_transitive(grp, graph(4))
+    def test_degree_mismatch_rejected(self):
+        # not n^2, or n^2 for a modulus below 4 or past the graph's cap: no
+        # graph of the family has that many vertices
+        for degree in (9, 15, 26, 1001 ** 2):
+            swap = list(range(degree))
+            swap[0], swap[1] = 1, 0
+            grp = PermutationGroup.from_generators([Permutation(swap)])
+            for question in QUESTIONS:
+                with pytest.raises(ValueError, match=r"is not n\*\*2 for a modulus"):
+                    question(grp)
 
-    def test_two_arc_orbits_on_the_smallest_graph(self, claimed_group, graph):
-        res = is_two_arc_transitive(claimed_group(4), graph(4))
+    def test_two_arc_orbits_on_the_smallest_graph(self, claimed_group):
+        res = is_two_arc_transitive(claimed_group(4))
         assert not res.transitive
         assert res.witness[0] == (0, 1, 2)
