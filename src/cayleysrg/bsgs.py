@@ -1,51 +1,39 @@
-"""Deterministic Schreier-Sims engine for permutation groups.
+"""Deterministic base and strong generating sets for permutation groups.
 
-Groups are handed in as generator lists and compiled once into a base and
-strong generating set, by the sift-and-insert form of Schreier-Sims
-(Seress, *Permutation Group Algorithms*, 2003, section 4.2).  Every input
-generator and every Schreier generator is sifted through the partial chain
-in the same way.  A residue that survives joins the levels it passes and
-extends the base when it fixes every base point; the levels it joined are
-then checked again from the deepest up.  An input that sifts to the
-identity is already in the group and never becomes a strong generator.
-No randomisation anywhere, so a fixed generator list always yields the
-same base, the same transversals and the same order.  A level keeps one
-side of its transversal: for each point x of its base point's orbit, an
-element carrying x back onto the base point, which is what sifting reads.
+Groups are handed in as generator lists.  PermutationGroup.from_generators
+compiles one into a base and strong generating set, by the sift-and-insert
+form of Schreier-Sims (Seress, *Permutation Group Algorithms*, 2003,
+section 4.2).  Every input generator and every Schreier generator is
+sifted through the partial chain in the same way, one at a time.  A
+residue that survives joins the levels it passes and extends the base
+when it fixes every base point; the levels it joined are then checked
+again from the deepest up.  An input that sifts to the identity is already
+in the group and never becomes a strong generator.  No randomisation
+anywhere, so a fixed generator list always yields the same base, the same
+transversals and the same order.  A level keeps one side of its
+transversal: for each point x of its base point's orbit, an element
+carrying x back onto the base point, which is what sifting reads.
 
-Sifts run on stacks.  The inputs, and then all Schreier generators of a
-level, are stripped as the rows of one image array, a block of
-core._BLOCK_ENTRIES entries at a time, and only the first row that does not
-sift to the identity is inserted, by the one-at-a-time sift.  The rows
-before it sift to the identity through a chain that has not changed, so
-the base, the strong generators and every transversal are those of
-sifting each row in turn.  A compile applies each of its levels to a
-stack through a table of the level's elements, as large as the level's own
-transversal and dropped when the compile ends; its self-check strips the
-inputs the same way.  The self-check of an assembled chain builds no
-table: its levels are stored at the full degree or built on request, so it
-sifts one input at a time.
-
-A chain can also be assembled instead of compiled, when theory already
-gives the orbit of the first base point: PermutationGroup.assemble takes
-that level's transversal, as any Mapping (one that builds its elements on
-request stores nothing), and a chain of the point stabiliser compiled on
-fewer points, lifts that chain's strong generators once and builds each
-lifted level's transversal as a compiled level does.  Either way the
-levels past the first form a complete chain of the first base point's
-stabiliser, so point_stabilizer reuses them as they are; it serves that
-point only.
+Two constructors skip Schreier-Sims where theory already knows more.
+PermutationGroup.from_base_images takes a base, a sequence of points that
+only the identity fixes: the group then acts regularly on the images of
+the base, so its order is the size of that orbit, an input whose base
+image is already in the orbit is already in the group, and every level is
+read off the orbit's Schreier tree (Seress 2003, on groups with a known
+base).  PermutationGroup.assemble takes the orbit of the first base point
+as a transversal, any Mapping (one that builds its elements on request
+stores nothing), and a chain of that point's stabiliser, and puts the one
+level in front of the other.  Either way the levels past the first form a
+complete chain of the first base point's stabiliser, so point_stabilizer
+reuses them as they are; it serves that point only.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Mapping, Sequence
-from functools import cache
+from collections.abc import Mapping, Sequence
 
-import numpy as np
-
-from .core import Permutation, _block_rows, check_point, orbits, transversal
+from .core import Permutation, check_point, orbits, transversal
 
 __all__ = ["PermutationGroup"]
 
@@ -61,18 +49,6 @@ def _distinct(perms) -> list[Permutation]:
             seen.add(key)
             out.append(p)
     return out
-
-
-def _stacked(perms) -> np.ndarray:
-    """The image arrays of perms as the rows of one array."""
-    return np.stack([p.images for p in perms])
-
-
-def _stacks(perms: list[Permutation], degree: int):
-    """perms as stacked blocks of rows, each with the index of its first
-    row."""
-    step = _block_rows(degree)
-    return ((i, _stacked(perms[i:i + step])) for i in range(0, len(perms), step))
 
 
 def _checked(generators) -> tuple[list[Permutation], int]:
@@ -106,41 +82,23 @@ class _Level:
     def recompute_orbit(self, degree: int) -> None:
         self.transversal_inv = transversal(self.gens, self.point, degree)
 
-    def table(self, degree: int) -> tuple[np.ndarray, np.ndarray]:
-        """The transversal as arrays: where[x] is the row of orbit point x
-        in images, -1 off the orbit, and images stacks the elements in the
-        order of transversal_inv."""
-        where = np.full(degree, -1, dtype=np.int64)
-        where[list(self.transversal_inv)] = np.arange(len(self.transversal_inv))
-        return where, _stacked(self.transversal_inv.values())
-
-    def schreier_stacks(self, degree: int):
-        """The products s * u_x for every orbit point x and strong
-        generator s, x first and s second, in blocks of rows, each with the
-        index of its first row; u_x is the inverse of transversal_inv[x].
-
-        Such a row carries the base point to s(x), so the step of this
-        level multiplies it by u_y^-1 = transversal_inv[y], y = s(x), and
-        turns it into the Schreier generator u_y^-1 * s * u_x."""
-        gens = _stacked(self.gens)
-        k = len(self.gens)
-        per = max(1, _block_rows(degree) // k)
-        elements = list(self.transversal_inv.values())
-        for start in range(0, len(elements), per):
-            u_inv = _stacked(elements[start:start + per])
-            u = np.empty_like(u_inv)
-            u[np.arange(len(u_inv))[:, None], u_inv] = np.arange(degree)
-            rows = gens[np.arange(k)[None, :, None], u[:, None, :]]
-            yield start * k, rows.reshape(-1, degree)
+    def schreier_generators(self):
+        """u_y^-1 * s * u_x for every orbit point x and strong generator s,
+        x first and s second, where y = s(x) and u_x is the inverse of
+        transversal_inv[x]; each fixes the base point."""
+        for x, u_inv in self.transversal_inv.items():
+            u = u_inv.inverse()
+            for s in self.gens:
+                yield self.transversal_inv[s.apply(x)] * s * u
 
 
 class PermutationGroup:
     """A permutation group with a base and strong generating set.
 
-    Build with from_generators or assemble, which keep the input generator
-    list verbatim (inputs already in the group are not strong generators).
-    A group from point_stabilizer is the chain's tail, generated by the
-    strong generators of its first level.  Membership, order and the
+    Build with from_generators, from_base_images or assemble, which keep
+    the input generator list verbatim (inputs already in the group are not
+    strong generators).  A group from point_stabilizer is the chain's
+    tail, generated by the strong generators of its first level.  Membership, order and the
     stabiliser of the first base point all run off the chain;
     orbit_of_tuple and elements close over the generators.
     """
@@ -167,10 +125,6 @@ class PermutationGroup:
         gens, degree = _checked(generators)
         levels: list[_Level] = []
         group = cls(gens, degree, levels)
-        # Transversal tables of the levels, built on first use and dropped
-        # when the level changes; each is as large as the level's own
-        # transversal, at the compile's degree.
-        tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
         def sift_in(p: Permutation, lo: int) -> int | None:
             """Sift p from level lo; a residue that stops at level j joins
@@ -183,65 +137,93 @@ class PermutationGroup:
             for k in range(lo, j + 1):
                 levels[k].gens.append(residue)
                 levels[k].recompute_orbit(degree)
-                tables.pop(k, None)
             return j
 
-        def first_unsifted(stacks, lo: int) -> int | None:
-            """The index of the first row, over the (index of the first
-            row, rows) blocks in order, that does not sift to the identity
-            from level lo; None when every row does."""
-            for start, rows in stacks:
-                hit = np.flatnonzero(group._unsifted(rows, lo, tables))
-                if hit.size:
-                    return start + int(hit[0])
-            return None
-
-        todo = gens
-        while (k := first_unsifted(_stacks(todo, degree), 0)) is not None:
-            sift_in(todo[k], 0)
-            todo = todo[k + 1:]
+        for g in gens:
+            sift_in(g, 0)
         # Levels past i form a complete chain for the group their strong
         # generators generate; level i is complete once every Schreier
-        # generator sifts to the identity through them.  Stripped from
-        # level i itself, each row of schreier_stacks first becomes its
-        # Schreier generator, which fixes the base point of level i.
+        # generator sifts to the identity through them.  The first one that
+        # does not is inserted, and the levels it joined are checked again.
         i = len(levels) - 1
         while i >= 0:
-            lev = levels[i]
-            k = first_unsifted(lev.schreier_stacks(degree), i)
-            if k is None:
-                i -= 1
-                continue
-            x, u_inv = list(lev.transversal_inv.items())[k // len(lev.gens)]
-            s = lev.gens[k % len(lev.gens)]
-            # u_y^-1 * s * u_x for y = s(x)
-            i = sift_in(lev.transversal_inv[s.apply(x)] * s * u_inv.inverse(), i + 1)
-        if first_unsifted(_stacks(gens, degree), 0) is not None:
-            raise RuntimeError("chain construction failed its membership self-check")
-        return group
+            joined = (j for h in levels[i].schreier_generators()
+                      if (j := sift_in(h, i + 1)) is not None)
+            i = next(joined, i - 1)
+        return group._self_checked()
+
+    @classmethod
+    def from_base_images(cls, generators, base: Sequence[int]) -> PermutationGroup:
+        """The group the generators generate, read off the orbit of base,
+        with no Schreier-Sims: base must be a base of that group, one that
+        only the identity fixes pointwise.
+
+        The group then acts regularly on the images of base, so each element
+        is named by its base image.  An input is kept only when its base
+        image is new to the orbit, closed by core.orbits over the inputs
+        kept so far; the others are already in the group.  The order is the
+        size of the orbit.  Level 0 is generated by the kept inputs, and
+        level i > 0 by one element per image of base[i] under the
+        stabiliser of base[:i], the first orbit member to reach it, plus the
+        generators of the levels past it.  Each such element is composed
+        along the orbit's Schreier tree, walking up from its member to the
+        root, so a deep tree costs no recursion.  Each level builds its
+        transversal from its generators, as compiled levels do.
+
+        That base is a base is the caller's claim, resting on theory.  The
+        order must match the orbit, and every input must sift to the
+        identity, as in from_generators; an input the kept ones do not
+        generate fails the second check.
+        """
+        gens, degree = _checked(generators)
+        base = tuple(check_point(b, degree) for b in base)
+        kept: list[Permutation] = []
+        tree: dict = {base: None}
+        for g in gens:
+            if tuple(g.images[[*base]].tolist()) not in tree:
+                kept.append(g)
+                tree = orbits([memoryview(p.images) for p in kept], [base])[0]
+
+        def element(t: tuple[int, ...]) -> Permutation:
+            """The element carrying base onto t, kept[k] * (the element at
+            t's parent) for the input kept[k] that reached t."""
+            g = Permutation.identity(degree)
+            while tree[t] is not None:
+                t, k = tree[t]
+                g = g * kept[k]
+            return g
+
+        levels: list[_Level] = []
+        for i in reversed(range(1, len(base))):
+            reached: dict[int, tuple[int, ...]] = {}
+            for t in tree:
+                if t[:i] == base[:i] and t[i] != base[i]:
+                    reached.setdefault(t[i], t)
+            lower = levels[0].gens if levels else []
+            levels.insert(0, _Level(base[i], [*map(element, reached.values()), *lower]))
+        if base:
+            levels.insert(0, _Level(base[0], kept))
+        for lev in levels:
+            lev.recompute_orbit(degree)
+        group = cls(gens, degree, levels)
+        if group.order() != len(tree):
+            raise RuntimeError("chain construction failed its order self-check")
+        return group._self_checked()
 
     @classmethod
     def assemble(cls, generators, point: int,
                  transversal_inv: Mapping[int, Permutation],
-                 stabilizer: PermutationGroup,
-                 lift: Callable[[Permutation], Permutation],
-                 points: Sequence[int]) -> PermutationGroup:
+                 stabilizer: PermutationGroup) -> PermutationGroup:
         """The group the generators generate, from its first level and a
-        chain of the stabiliser of point compiled on fewer points, with no
-        Schreier-Sims at the full degree.
+        chain of the stabiliser of point, with no Schreier-Sims.
 
         transversal_inv maps each point x of the orbit of point to an
         element carrying x back onto point; it may be any Mapping, for
         example one that builds its elements on request.  stabilizer is a
-        chain of a faithful copy of the stabiliser, on points that stand
-        for points of the full degree, so that lift(h) maps the point x
-        stands for onto the one h(x) stands for.  lift is applied to the
-        strong generators of stabilizer only, each distinct one once, and
-        points[b] is the point that its base point b stands for.  Each
-        lifted level then builds its transversal from its base point and
-        its lifted generators, as compiled levels do.  The first level is
-        generated by the inputs that move point and the lifted first-level
-        generators of stabilizer.
+        chain of the stabiliser at the same degree, whose levels become the
+        levels past the first as they are.  The first level is generated by
+        the inputs that move point and the first-level generators of
+        stabilizer.
 
         That the orbit and the stabiliser are right is the caller's claim,
         resting on theory; the chain is then complete.  The self-check of
@@ -249,11 +231,7 @@ class PermutationGroup:
         identity.
         """
         gens, degree = _checked(generators)
-        up = cache(lift)
-        tail = [_Level(int(points[lev.point]), map(up, lev.gens))
-                for lev in stabilizer._levels]
-        for lev in tail:
-            lev.recompute_orbit(degree)
+        tail = stabilizer._levels
         moving = [g for g in gens if g.apply(point) != point]
         first = _Level(point, moving + (tail[0].gens if tail else []), transversal_inv)
         return cls(gens, degree, [first, *tail])._self_checked()
@@ -323,24 +301,6 @@ class PermutationGroup:
                 return g, idx
             g = lev.transversal_inv[target] * g
         return g, len(self._levels)
-
-    def _unsifted(self, rows: np.ndarray, start: int,
-                  tables: dict[int, tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-        """Sift every row of rows, a stack of image arrays, through levels
-        start.. as _strip does, and say which rows do not sift to the
-        identity.  A row whose target at some level is not in its orbit
-        stops there.  tables holds a table per level index, built on first
-        use, so each level is applied to all rows at once.
-        """
-        stopped = np.zeros(len(rows), dtype=bool)
-        for idx in range(start, len(self._levels)):
-            if idx not in tables:
-                tables[idx] = self._levels[idx].table(self._degree)
-            where, images = tables[idx]
-            at = where[rows[:, self._levels[idx].point]]
-            stopped |= at < 0
-            rows = images[at[:, None], rows]
-        return stopped | (rows != np.arange(self._degree)).any(axis=1)
 
     def order(self) -> int:
         return math.prod(self.transversal_sizes())

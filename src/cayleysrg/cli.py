@@ -47,13 +47,13 @@ __all__ = ["main", "run", "analyze_report", "verify_range", "predicted_values"]
 EXPORT_MAX_MODULUS = 110
 # analyze and verify: every modulus up to the cap runs in under 1000 MB.
 # Peak RSS grows with n**4, the adjacency rows (404 MB at 241), and with
-# phi(n) * n**2, the lifted chain of G_0 with one transversal per level at
-# degree n**2 (321 MB at 241).  So a prime is not always the costliest:
-# past the cap the composite 247 = 13 * 19 takes 1004 MB, the prime 251
-# 1101 MB.  Measured as CI does, 241 costs most up to the cap: 977 MB,
-# build 1.2-1.3 s, regularity 1.2-1.4 (the one row proof), group 1.0-1.2,
-# transitivity 0.4 (no rows); 242..246 take 726-875 MB, and every n below
-# 241 is smaller in both terms (two runs, 2 vCPUs, CPython 3.11.7).
+# phi(n) * n**2, the chain of G_0 with one transversal per level at degree
+# n**2 (321 MB at 241).  So a prime is not always the costliest: past the
+# cap the composite 247 = 13 * 19 takes 994 MB, the prime 251 1094 MB.
+# Measured as CI does, 241 costs most up to the cap: 969 MB, build
+# 1.3-1.5 s, regularity 1.3-1.4 (the one row proof), group 1.4-1.6,
+# transitivity 0.5 (no rows); 242..246 take 718-871 MB, and every n below
+# 241 is smaller in both terms (2 vCPUs, CPython 3.11.7).
 ANALYZE_MAX_MODULUS = 246
 
 
@@ -183,10 +183,16 @@ def verify_range(lo: int, hi: int, oracle_upto: int | None = None) -> dict:
     """Analyze every modulus in [lo, hi] and collect pass/fail rows.
 
     Prints the table header to stderr first, then each row as soon as its
-    modulus finishes.  A range with lo < 4 or lo > hi raises ValueError.
+    modulus finishes.  A range with lo < 4, lo > hi or hi above
+    ANALYZE_MAX_MODULUS, and an oracle_upto outside 4..BRUTE_FORCE_MAX_MODULUS,
+    raise ValueError before anything is printed.
     """
-    if not 4 <= lo <= hi:
-        raise ValueError(f"range must satisfy 4 <= lo <= hi, got {lo}..{hi}")
+    if not 4 <= lo <= hi <= ANALYZE_MAX_MODULUS:
+        raise ValueError(f"range must satisfy 4 <= lo <= hi <= {ANALYZE_MAX_MODULUS}, "
+                         f"got {lo}..{hi}")
+    if oracle_upto is not None and not 4 <= oracle_upto <= BRUTE_FORCE_MAX_MODULUS:
+        raise ValueError(f"oracle_upto must be between 4 and {BRUTE_FORCE_MAX_MODULUS}, "
+                         f"got {oracle_upto}")
     head = (f"{'n':>4}  {'order':>10}  {'edge':>5}  {'arc':>5}  {'dist':>5}  "
             f"{'2arc':>5}  {'oracle':>7}  result")
     print(head, file=sys.stderr, flush=True)

@@ -34,18 +34,17 @@ it refuses every map that is not affine, automorphism or not.  The paper
 proves that the family has no such automorphism, and the counting oracle
 in search.py confirms it independently for n <= 31.
 
-The claimed group is assembled on that certificate, not compiled by
-Schreier-Sims at degree n**2.  The translations form a regular normal
-subgroup T, so the group is the semidirect product of T and G_0, the
-group of the certified linear maps, and its order is n**2 * |G_0| (Dixon
-and Mortimer, Permutation Groups, 1996, on groups with a regular normal
-subgroup).  S spans Z_n x Z_n, so G_0 acts faithfully on the 3n - 3
-points of S, and is compiled there; the strong generators of its chain
-are lifted back to the vertices by their matrices, read off the images of
-(1, 0) and (0, 1), and each lifted level builds its own transversal from
-them.  A first level at vertex 0, its transversal the translations back
-to 0 built on request, completes the chain.  Schreier-Sims on the
-same generators at degree n**2 is the tests' oracle for it.
+The claimed group is assembled on that certificate, with no
+Schreier-Sims.  The translations form a regular normal subgroup T, so the
+group is the semidirect product of T and G_0, the group of the certified
+linear maps, and its order is n**2 * |G_0| (Dixon and Mortimer,
+Permutation Groups, 1996, on groups with a regular normal subgroup).  A
+linear map is fixed by its images of e_2 = (0, 1) and e_1 = (1, 0), so
+the vertices 1 and n are a base of G_0, and its chain is read off their
+orbit at degree n**2 by PermutationGroup.from_base_images.  A first level
+at vertex 0, its transversal the translations back to 0 built on
+request, completes the chain.  Schreier-Sims on the same generators is
+the tests' oracle for it.
 """
 
 from __future__ import annotations
@@ -53,7 +52,6 @@ from __future__ import annotations
 import operator
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -280,19 +278,6 @@ class _Translations(Mapping):
         return perm_from_pair_map(self._n, _shift(-a, -b))
 
 
-def _restrict(hood: np.ndarray, p: Permutation) -> Permutation:
-    """A linear p with p(S) = S as a permutation of the ranks of S."""
-    return Permutation(np.searchsorted(hood, p.images[hood]))
-
-
-def _lift(n: int, hood: np.ndarray, q: Permutation) -> Permutation:
-    """The linear map of Z_n x Z_n that acts on the ranks of S as q.  Its
-    matrix columns are the images of (1, 0) and (0, 1), both in S."""
-    (a, c), (b, d) = (divmod(int(hood[q.apply(r)]), n)
-                      for r in np.searchsorted(hood, [n, 1]).tolist())
-    return perm_from_pair_map(n, lambda x, y: (a * x + b * y, c * x + d * y))
-
-
 def claimed_aut_group(n: int) -> PermutationGroup:
     """The automorphism group predicted for the graph of modulus n.
 
@@ -303,27 +288,29 @@ def claimed_aut_group(n: int) -> PermutationGroup:
     what the oracle in search.py cross-checks for n <= 31, by counting Aut
     from the graph alone.
 
-    The chain is assembled, not compiled at degree n**2, and rests on three
-    facts.  Every generator passes the affine certificate.  The
-    translations form a regular normal subgroup T, so G is the semidirect
-    product of T and G_0, the stabiliser of vertex 0, and
-    |G| = n**2 * |G_0| (Dixon and Mortimer, Permutation Groups, 1996).  S
-    contains (1, 0) and (0, 1), so it spans Z_n x Z_n and G_0 acts
-    faithfully on its 3n - 3 points.  So G_0 is compiled on S, and the
-    strong generators of its chain are lifted back by matrix, behind a
-    first level at vertex 0 whose transversal, the translations back to 0,
-    is built on request.
+    The chain is assembled, with no Schreier-Sims, and rests on three
+    facts.  Every generator passes the affine certificate, so each of the
+    last phi(n) + 2, which fix vertex 0, is linear.  The translations form
+    a regular normal subgroup T, so G is the semidirect product of T and
+    G_0, the stabiliser of vertex 0, and |G| = n**2 * |G_0| (Dixon and
+    Mortimer, Permutation Groups, 1996).  A linear map is fixed by its
+    images of e_2 = (0, 1) and e_1 = (1, 0), the vertices 1 and n, so they
+    are a base of G_0 and its chain is read off their orbit.  In front of
+    it goes a first level at vertex 0 whose transversal, the translations
+    back to 0, is built on request.
     """
     perms = _certified(n, [_shift(1, 0), _shift(0, 1), *_linear_maps(n)])
-    hood = connection_indices(n)
-    g0 = PermutationGroup.from_generators([_restrict(hood, p) for p in perms[2:]])
-    return PermutationGroup.assemble(perms, 0, _Translations(n), g0,
-                                     partial(_lift, n, hood), hood)
+    if any(p.apply(0) != 0 for p in perms[2:]):
+        raise RuntimeError("a generator of G_0 moves vertex 0")
+    g0 = PermutationGroup.from_base_images(perms[2:], [1, n])
+    return PermutationGroup.assemble(perms, 0, _Translations(n), g0)
 
 
 def claimed_origin_stabilizer(n: int) -> PermutationGroup:
-    """The subgroup fixing vertex (0, 0): scalings, swap and rotation only."""
-    return PermutationGroup.from_generators(_origin_stabilizer_perms(n))
+    """The subgroup fixing vertex (0, 0): scalings, swap and rotation only,
+    its chain read off the orbit of the base e_2, e_1 as in
+    claimed_aut_group."""
+    return PermutationGroup.from_base_images(_origin_stabilizer_perms(n), [1, n])
 
 
 @dataclass(frozen=True)
@@ -356,9 +343,11 @@ def clique_action(n: int, p: Permutation) -> CliqueActionLabel:
     origin-fixing automorphism always does, anything else is refused with
     the offending vertex as witness.
     """
+    if not isinstance(p, Permutation):
+        raise ValueError(f"map must be a Permutation, got {type(p).__name__}")
+    if p.degree != n * n:
+        raise ValueError(f"degree {p.degree} does not match {n * n} vertices")
     g = build_graph(n)
-    if p.degree != g.vertex_count:
-        raise ValueError(f"degree {p.degree} does not match {g.vertex_count} vertices")
     if p.apply(0) != 0:
         raise AutomorphismError("map does not fix the origin vertex", witness=0)
     parts = zero_neighborhood_cliques(g).as_tuple()

@@ -5,7 +5,6 @@ from cayleysrg import (
     AutomorphismError,
     CayleyGraph,
     Permutation,
-    PermutationGroup,
     ZnPair,
     build_graph,
     claimed_aut_group,
@@ -14,7 +13,6 @@ from cayleysrg import (
     enumerate_automorphisms,
 )
 from cayleysrg.bitset import iter_bits
-from cayleysrg.bsgs import _checked, _Level
 
 
 def automorphism_witness(g, p):
@@ -110,46 +108,6 @@ def affine_check_reference(n, p):
             f"not an automorphism: adjacency disagrees around vertex pair {witness}",
             witness=witness,
         )
-
-
-def sequential_from_generators(generators):
-    """Schreier-Sims sifting one element at a time: the sift-and-insert
-    loop of PermutationGroup.from_generators before it sifted stacks, the
-    oracle for its chains.  Every input and then every Schreier generator
-    u_{s(x)}^-1 * s * u_x of the deepest incomplete level is sifted in
-    turn, and the first that survives is inserted."""
-    gens, degree = _checked(generators)
-    levels = []
-    group = PermutationGroup(gens, degree, levels)
-
-    def sift_in(p, lo):
-        residue, j = group._strip(p, start=lo)
-        if residue.is_identity():
-            return None
-        if j == len(levels):
-            levels.append(_Level(residue.min_moved_point()))
-        for k in range(lo, j + 1):
-            levels[k].gens.append(residue)
-            levels[k].recompute_orbit(degree)
-        return j
-
-    for g in gens:
-        sift_in(g, 0)
-    i = len(levels) - 1
-    while i >= 0:
-        lev = levels[i]
-        schreier = (lev.transversal_inv[s.apply(x)] * s * u
-                    for x, u_inv in lev.transversal_inv.items()
-                    for u in (u_inv.inverse(),) for s in lev.gens)
-        for h in schreier:
-            j = sift_in(h, i + 1)
-            if j is not None:
-                i = j
-                break
-        else:
-            i -= 1
-    assert all(group.contains(g) for g in gens)
-    return group
 
 
 def chain_of(grp):

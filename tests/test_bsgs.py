@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import cayleysrg.bsgs as bsgs
-import cayleysrg.core as core
 from cayleysrg import (
     Permutation,
     PermutationGroup,
@@ -17,7 +16,6 @@ from cayleysrg import (
     unit_scaling,
     units,
 )
-from conftest import chain_of, sequential_from_generators
 
 
 class TestConstruction:
@@ -91,22 +89,16 @@ class TestConstruction:
 
 
 class TestAssemble:
-    """A chain from a given first level and a stabiliser chain compiled on
-    fewer points: S_4 from the rotation of 0 1 2 3 and S_3 on 1, 2, 3."""
+    """A chain from a given first level and a chain of the stabiliser: S_4
+    from the rotation of 0 1 2 3, and S_3 on 1, 2, 3 fixing 0."""
 
     CYCLE = Permutation([1, 2, 3, 0])
     SWAP = Permutation([1, 0, 2, 3])
-    POINTS = [1, 2, 3]
-    S3 = [Permutation([1, 0, 2]), Permutation([1, 2, 0])]
-
-    @staticmethod
-    def lift(h):
-        return Permutation([0] + [1 + x for x in h.images.tolist()])
+    S3 = [Permutation([0, 2, 1, 3]), Permutation([0, 2, 3, 1])]
 
     def assemble(self, reps):
         return PermutationGroup.assemble(
-            [self.CYCLE, self.SWAP], 0, reps,
-            PermutationGroup.from_generators(self.S3), self.lift, self.POINTS)
+            [self.CYCLE, self.SWAP], 0, reps, PermutationGroup.from_generators(self.S3))
 
     def powers(self):
         """x -> the power of the rotation carrying x back onto 0."""
@@ -126,8 +118,7 @@ class TestAssemble:
         assert all(grp.contains(p) for p in ref.elements())
         stab = grp.point_stabilizer(0)
         assert stab.order() == 6 and stab.base == [1, 2]
-        assert set(stab.elements()) == {self.lift(h) for h in
-                                        PermutationGroup.from_generators(self.S3).elements()}
+        assert set(stab.elements()) == set(PermutationGroup.from_generators(self.S3).elements())
 
     def test_a_fixed_base_point_is_never_looked_up(self):
         class Recording(dict):
@@ -147,46 +138,42 @@ class TestAssemble:
             self.assemble(reps)
 
 
-class TestStackedSifts:
-    """from_generators sifts stacks of rows; sifting one element at a time
-    is the oracle, on random generators and with blocks small enough that
-    no level gets a table."""
+def random_generators(seed):
+    """A few random generators of one random degree below 15, with
+    identities and products of earlier ones among them."""
+    rng = random.Random(seed)
+    degree = rng.randrange(2, 15)
+    gens = []
+    for _ in range(rng.randrange(1, 5)):
+        kind = rng.random()
+        if kind < 0.15:
+            gens.append(Permutation.identity(degree))
+        elif kind < 0.3 and gens:
+            gens.append(rng.choice(gens) * rng.choice(gens))
+        else:
+            # a random permutation of a random subset of the points
+            moved = rng.sample(range(degree), rng.randrange(2, degree + 1))
+            images = list(range(degree))
+            for a, b in zip(moved, rng.sample(moved, len(moved))):
+                images[a] = b
+            gens.append(Permutation(images))
+    return gens
 
-    @staticmethod
-    def random_generators(seed):
-        rng = random.Random(seed)
-        degree = rng.randrange(2, 15)
-        gens = []
-        for _ in range(rng.randrange(1, 5)):
-            kind = rng.random()
-            if kind < 0.15:
-                gens.append(Permutation.identity(degree))
-            elif kind < 0.3 and gens:
-                gens.append(rng.choice(gens) * rng.choice(gens))
-            else:
-                # a random permutation of a random subset of the points
-                moved = rng.sample(range(degree), rng.randrange(2, degree + 1))
-                images = list(range(degree))
-                for a, b in zip(moved, rng.sample(moved, len(moved))):
-                    images[a] = b
-                gens.append(Permutation(images))
-        return gens
 
-    @pytest.mark.parametrize("block", [None, 1, 40])
-    @pytest.mark.parametrize("seed", range(40))
-    def test_chains_match_sifting_one_at_a_time(self, seed, block, monkeypatch):
-        if block is not None:
-            monkeypatch.setattr(core, "_BLOCK_ENTRIES", block)
-        gens = self.random_generators(seed)
-        grp = PermutationGroup.from_generators(gens)
-        assert chain_of(grp) == chain_of(sequential_from_generators(gens))
+class TestFromBaseImages:
+    """Chains read off the orbit of a base; Schreier-Sims is the oracle."""
 
     @pytest.mark.parametrize("seed", range(40))
-    def test_stacks_sift_as_single_elements(self, seed):
+    def test_matches_schreier_sims(self, seed):
         # members, products with a stray transposition, and random maps
         rng = random.Random(seed)
-        gens = self.random_generators(seed)
-        grp = PermutationGroup.from_generators(gens)
+        gens = random_generators(seed)
+        ref = PermutationGroup.from_generators(gens)
+        if ref.order() > 10 ** 4:
+            pytest.skip(f"order {ref.order()} is too large to close the base orbit")
+        grp = PermutationGroup.from_base_images(gens, ref.base)
+        assert grp.order() == ref.order() and grp.base == ref.base
+        assert grp.generators == gens
         degree = grp.degree
         perms = [Permutation.identity(degree)]
         for _ in range(30):
@@ -200,10 +187,26 @@ class TestStackedSifts:
                 p = Permutation(images) * p
             perms.append(p)
         perms += [Permutation(rng.sample(range(degree), degree)) for _ in range(10)]
-        for start in range(len(grp.base) + 1):
-            want = [not grp._strip(p, start)[0].is_identity() for p in perms]
-            rows = np.stack([p.images for p in perms])
-            assert grp._unsifted(rows, start, {}).tolist() == want
+        assert [grp.contains(p) for p in perms] == [ref.contains(p) for p in perms]
+
+    def test_a_deep_schreier_tree_is_walked_without_recursion(self):
+        # an m-cycle times a disjoint transposition: one generator, so the
+        # orbit of the base is a path of 2m tuples
+        m = 1501
+        c = Permutation([*range(1, m), 0, m + 1, m])
+        grp = PermutationGroup.from_base_images([c], [0, m])
+        assert grp.order() == 2 * m and grp.transversal_sizes() == [m, 2]
+        assert grp.contains(c * c) and grp.point_stabilizer(0).order() == 2
+
+    def test_a_sequence_that_is_not_a_base_is_refused(self):
+        # (0 1) is dropped, since its image of 0 is reached by (0 1 2)
+        rotation, swap = Permutation([1, 2, 0]), Permutation([1, 0, 2])
+        with pytest.raises(RuntimeError, match="self-check"):
+            PermutationGroup.from_base_images([rotation, swap], [0])
+
+    def test_the_base_points_are_checked(self):
+        with pytest.raises(ValueError, match="out of range"):
+            PermutationGroup.from_base_images([Permutation.identity(3)], [3])
 
 
 class TestRedundantInputs:

@@ -201,6 +201,20 @@ class TestVerify:
             verify_range(lo, hi)
         assert capsys.readouterr().err == ""
 
+    def test_verify_range_refuses_a_range_past_the_cap(self, capsys):
+        with pytest.raises(ValueError, match=f"hi <= {ANALYZE_MAX_MODULUS}"):
+            verify_range(ANALYZE_MAX_MODULUS - 1, ANALYZE_MAX_MODULUS + 1)
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("bound", [3, BRUTE_FORCE_MAX_MODULUS + 1])
+    def test_verify_range_refuses_an_oracle_bound_past_the_cap(self, bound, capsys,
+                                                               monkeypatch):
+        # refused before the header, and before any modulus is analyzed
+        monkeypatch.setattr(cli, "analyze_report", None)
+        with pytest.raises(ValueError, match="oracle_upto must be between 4"):
+            verify_range(30, 33, oracle_upto=bound)
+        assert capsys.readouterr().err == ""
+
     def test_bad_ranges_are_usage_errors(self, capsys):
         for rng in ("6..4", "x..y", "10", "3..5", "4..1001"):
             with pytest.raises(SystemExit) as exc:

@@ -1,7 +1,6 @@
 import random
 import tracemalloc
 from collections.abc import Mapping
-from functools import partial
 
 import numpy as np
 import pytest
@@ -27,13 +26,12 @@ from cayleysrg import (
     units,
 )
 import cayleysrg.core as core
-from cayleysrg.graph import connection_indices
+from cayleysrg.cli import analyze_report
 from conftest import (
     affine_check_reference,
     automorphism_witness,
     chain_of,
     pair_map_reference,
-    sequential_from_generators,
     tampered_graphs,
 )
 
@@ -366,8 +364,9 @@ class TestClaimedGroups:
 
 
 class TestAssembledGroup:
-    """claimed_aut_group assembles T x| G_0 from G_0 on S; Schreier-Sims on
-    the same generators at degree n**2 is the oracle."""
+    """claimed_aut_group assembles T x| G_0, with G_0 read off the orbit of
+    its base (e_2, e_1); Schreier-Sims on the same generators is the
+    oracle."""
 
     @pytest.mark.parametrize("n", range(4, 32))
     def test_matches_schreier_sims_at_full_degree(self, claimed_group, n):
@@ -394,20 +393,24 @@ class TestAssembledGroup:
             assert not grp.contains(outsider) and not ref.contains(outsider)
             assert not grp.contains(word * outsider) and not ref.contains(word * outsider)
 
-    @pytest.mark.parametrize("n", [4, 7, 12, 31])
+    @pytest.mark.parametrize("n", [*range(4, 18), 31])
     def test_no_schreier_sims_at_degree_n_squared(self, n, monkeypatch):
-        compile_chain = PermutationGroup.__dict__["from_generators"].__func__
-        degrees = []
-
+        # nor at any other degree: no chain the package builds is compiled
         def spy(cls, generators):
-            gens = list(generators)
-            degrees.append(gens[0].degree)
-            return compile_chain(cls, gens)
+            raise AssertionError("from_generators was called")
 
         monkeypatch.setattr(PermutationGroup, "from_generators", classmethod(spy))
-        grp = claimed_aut_group(n)
-        assert grp.point_stabilizer(0).order() == 6 * units(n).totient
-        assert degrees == [3 * n - 3]
+        report, failures = analyze_report(n)
+        assert failures == []
+        assert claimed_aut_group(n).point_stabilizer(0).order() == 6 * units(n).totient
+        assert claimed_origin_stabilizer(n).order() == 6 * units(n).totient
+
+    def test_a_generator_of_g0_that_moves_vertex_0_is_refused(self, monkeypatch):
+        linear = symmetries._linear_maps
+        monkeypatch.setattr(symmetries, "_linear_maps",
+                            lambda n: [*linear(n), symmetries._shift(1, 1)])
+        with pytest.raises(RuntimeError, match="moves vertex 0"):
+            claimed_aut_group(5)
 
     def test_no_table_of_n_to_the_fourth_entries(self):
         n = 41
@@ -440,45 +443,19 @@ class TestAssembledGroup:
 
     @pytest.mark.parametrize("n", [*range(4, 42), 61, 101])
     def test_chains_match_sifting_one_at_a_time(self, claimed_group, n):
-        hood = connection_indices(n)
+        # from_generators is the sift-and-insert Schreier-Sims, which sifts
+        # one element at a time; at degree n**2 its chain of G_0 has the
+        # base (e_2, e_1) and the same levels
         perms = claimed_group(n).generators
-        on_s = [symmetries._restrict(hood, p) for p in perms[2:]]
-        g0 = sequential_from_generators(on_s)
-        assert chain_of(PermutationGroup.from_generators(on_s)) == chain_of(g0)
-        ref = PermutationGroup.assemble(perms, 0, symmetries._Translations(n), g0,
-                                        partial(symmetries._lift, n, hood), hood)
+        g0 = PermutationGroup.from_generators(perms[2:])
+        assert g0.base == [1, n]
+        assert chain_of(claimed_origin_stabilizer(n)) == chain_of(g0)
+        assert chain_of(claimed_group(n).point_stabilizer(0)) == chain_of(g0)
+        ref = PermutationGroup.assemble(perms, 0, symmetries._Translations(n), g0)
         assert chain_of(claimed_group(n)) == chain_of(ref)
 
-    @pytest.mark.parametrize("n", range(4, 32))
-    def test_lifted_transversals_are_the_lifted_elements(self, claimed_group, n):
-        # the oracle lifts every transversal element of G_0 on S one by one;
-        # the chain lifts only strong generators and builds the rest itself
-        hood = connection_indices(n)
-        g0 = PermutationGroup.from_generators(
-            [symmetries._restrict(hood, p) for p in symmetries._origin_stabilizer_perms(n)])
-        lifted = claimed_group(n)._levels[1:]
-        assert len(lifted) == len(g0._levels)
-        for lev, small in zip(lifted, g0._levels):
-            assert lev.point == hood[small.point]
-            assert lev.gens == [symmetries._lift(n, hood, h) for h in small.gens]
-            oracle = {int(hood[x]): symmetries._lift(n, hood, u)
-                      for x, u in small.transversal_inv.items()}
-            assert list(lev.transversal_inv.items()) == list(oracle.items())
-
     @pytest.mark.parametrize("n", [17, 31])
-    def test_only_distinct_strong_generators_are_lifted(self, n, monkeypatch):
-        lifted = []
-        lift = symmetries._lift
-        monkeypatch.setattr(symmetries, "_lift",
-                            lambda n, hood, q: lifted.append(q) or lift(n, hood, q))
-        grp = claimed_aut_group(n)
-        strong = grp.point_stabilizer(0).strong_generators
-        assert len(lifted) == len(set(lifted)) == len(strong)
-        hood = connection_indices(n)
-        assert {lift(n, hood, q) for q in lifted} == set(strong)
-
-    @pytest.mark.parametrize("n, built", [(17, 27), (31, 41)])
-    def test_no_translation_is_built_for_a_fixed_base_point(self, n, built, monkeypatch):
+    def test_no_translation_is_built_for_a_fixed_base_point(self, n, monkeypatch):
         asked, calls = [], []
         get = symmetries._Translations.__getitem__
         monkeypatch.setattr(symmetries._Translations, "__getitem__",
@@ -486,17 +463,16 @@ class TestAssembledGroup:
         build = symmetries.perm_from_pair_map
         monkeypatch.setattr(symmetries, "perm_from_pair_map",
                             lambda *args: calls.append(args) or build(*args))
-        grp = claimed_aut_group(n)
+        claimed_aut_group(n)
         assert asked and 0 not in asked
-        # the 2 + phi(n) + 2 generators, the lifted strong generators of G_0,
-        # and one translation back to 0 for each input translation
-        strong = grp.point_stabilizer(0).strong_generators
-        assert len(calls) == units(n).totient + 6 + len(strong) == built
+        # the 2 + phi(n) + 2 generators, and one translation back to 0 for
+        # each input translation
+        assert len(calls) == units(n).totient + 6
 
     @pytest.mark.parametrize("n", [31, 61])
     def test_lifted_levels_keep_one_array_per_orbit_point(self, n):
-        # Whatever a level stores, at degree n**2 it may hold its strong
-        # generators and one element per orbit point, and nothing more.
+        # Whatever a level of G_0 stores, at degree n**2 it may hold its
+        # strong generators and one element per orbit point, and nothing more.
         for lev in claimed_aut_group(n)._levels[1:]:
             stored = [getattr(lev, name) for name in type(lev).__slots__]
             perms = [p for value in stored
@@ -522,6 +498,14 @@ class TestCliqueAction:
 
     def test_rotation_cycles_all_three(self):
         assert clique_action(5, clique_rotation(5).perm).mapping == (1, 2, 0)
+
+    def test_a_map_that_is_not_a_permutation_is_refused_before_the_graph(
+            self, monkeypatch):
+        monkeypatch.setattr(symmetries, "build_graph", None)
+        with pytest.raises(ValueError, match="must be a Permutation, got list"):
+            clique_action(5, list(range(25)))
+        with pytest.raises(ValueError, match="degree 16 does not match 25"):
+            clique_action(5, Permutation.identity(16))
 
     def test_origin_mover_rejected(self):
         with pytest.raises(AutomorphismError, match="origin"):
