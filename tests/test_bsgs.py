@@ -1,9 +1,11 @@
+import math
 import random
 
 import numpy as np
 import pytest
 
 import cayleysrg.bsgs as bsgs
+import cayleysrg.core as core
 from cayleysrg import (
     Permutation,
     PermutationGroup,
@@ -160,20 +162,46 @@ def random_generators(seed):
     return gens
 
 
-class TestFromBaseImages:
-    """Chains read off the orbit of a base; Schreier-Sims is the oracle."""
+def small_random_group(seed):
+    """The generators of a random group of at most 10**4 elements, small
+    enough to close the orbit of a base, with its Schreier-Sims chain: the
+    group random_generators(seed) generates, or, when that is larger, the
+    stabiliser in it of its first few base points."""
+    gens = random_generators(seed)
+    ref = PermutationGroup.from_generators(gens)
+    sizes = ref.transversal_sizes()
+    k = next(k for k in range(len(sizes) + 1) if math.prod(sizes[k:]) <= 10 ** 4)
+    if k:
+        gens = ref._levels[k].gens
+        ref = PermutationGroup.from_generators(gens)
+    return gens, ref
+
+
+class TestStackedSifts:
+    """Chains read off the orbit of a base against Schreier-Sims, which
+    sifts one element at a time, on random generators."""
+
+    @pytest.mark.parametrize("block", [None, 1, 40])
+    @pytest.mark.parametrize("seed", range(40))
+    def test_chains_match_sifting_one_at_a_time(self, seed, block, monkeypatch):
+        # core stacks image rows in blocks of _BLOCK_ENTRIES; neither chain
+        # may depend on the block size, down to one row per block
+        if block is not None:
+            monkeypatch.setattr(core, "_BLOCK_ENTRIES", block)
+        gens, ref = small_random_group(seed)
+        grp = PermutationGroup.from_base_images(gens, ref.base)
+        assert grp.generators == gens and grp.base == ref.base
+        assert grp.order() == ref.order()
+        assert ([set(lev.transversal_inv) for lev in grp._levels]
+                == [set(lev.transversal_inv) for lev in ref._levels])
 
     @pytest.mark.parametrize("seed", range(40))
-    def test_matches_schreier_sims(self, seed):
-        # members, products with a stray transposition, and random maps
+    def test_stacks_sift_as_single_elements(self, seed):
+        # a stack of members, products with a stray transposition, and
+        # random maps, each sifted from every level of both chains
         rng = random.Random(seed)
-        gens = random_generators(seed)
-        ref = PermutationGroup.from_generators(gens)
-        if ref.order() > 10 ** 4:
-            pytest.skip(f"order {ref.order()} is too large to close the base orbit")
+        gens, ref = small_random_group(seed)
         grp = PermutationGroup.from_base_images(gens, ref.base)
-        assert grp.order() == ref.order() and grp.base == ref.base
-        assert grp.generators == gens
         degree = grp.degree
         perms = [Permutation.identity(degree)]
         for _ in range(30):
@@ -187,7 +215,14 @@ class TestFromBaseImages:
                 p = Permutation(images) * p
             perms.append(p)
         perms += [Permutation(rng.sample(range(degree), degree)) for _ in range(10)]
+        for start in range(len(grp.base) + 1):
+            want = [ref._strip(p, start)[0].is_identity() for p in perms]
+            assert [grp._strip(p, start)[0].is_identity() for p in perms] == want
         assert [grp.contains(p) for p in perms] == [ref.contains(p) for p in perms]
+
+
+class TestFromBaseImages:
+    """Chains read off the orbit of a base, on inputs that test its limits."""
 
     def test_a_deep_schreier_tree_is_walked_without_recursion(self):
         # an m-cycle times a disjoint transposition: one generator, so the

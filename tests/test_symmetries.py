@@ -454,6 +454,27 @@ class TestAssembledGroup:
         ref = PermutationGroup.assemble(perms, 0, symmetries._Translations(n), g0)
         assert chain_of(claimed_group(n)) == chain_of(ref)
 
+    @pytest.mark.parametrize("n", range(4, 32))
+    def test_lifted_transversals_are_the_lifted_elements(self, claimed_group, n):
+        # the levels of G_0, lifted into the assembled group as they are:
+        # each transversal element is the linear map that carries its point
+        # back onto the level's, fixing every earlier base point, and it is
+        # the element Schreier-Sims puts there
+        g0 = PermutationGroup.from_generators(symmetries._origin_stabilizer_perms(n))
+        lifted = claimed_group(n)._levels[1:]
+        assert len(lifted) == len(g0._levels)
+        x, y = np.divmod(np.arange(n * n), n)
+        fixed = [0]
+        for lev, small in zip(lifted, g0._levels):
+            assert lev.point == small.point and lev.gens == small.gens
+            assert list(lev.transversal_inv.items()) == list(small.transversal_inv.items())
+            for v, u in lev.transversal_inv.items():
+                assert u.apply(v) == lev.point and all(u.apply(b) == b for b in fixed)
+                e1, e2 = divmod(u.apply(n), n), divmod(u.apply(1), n)
+                linear = (x * e1[0] + y * e2[0]) % n * n + (x * e1[1] + y * e2[1]) % n
+                assert np.array_equal(u.images, linear)
+            fixed.append(lev.point)
+
     @pytest.mark.parametrize("n", [17, 31])
     def test_no_translation_is_built_for_a_fixed_base_point(self, n, monkeypatch):
         asked, calls = [], []
