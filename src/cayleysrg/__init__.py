@@ -3,12 +3,13 @@
 The family: vertices are pairs mod n, two vertices adjacent when their
 difference lies on a coordinate axis or the main diagonal.  The package
 builds the graphs, certifies their regularity parameters by counting on
-the rows (from vertex 0 alone once the rows are shown invariant under
-translation, from every vertex otherwise), constructs the predicted
-automorphism group from explicit coordinate maps, cross-checks it against
-an independent count of the automorphism group along a stabiliser chain
-(n <= 31), and classifies the vertex, edge, arc, distance and 2-arc
-transitivity of vertex-transitive groups by orbit computation at vertex 0.
+the connection set (graphs handed in are counted on their rows, from
+vertex 0 alone once the rows are shown invariant under translation, from
+every vertex otherwise), constructs the predicted automorphism group
+from explicit coordinate maps, cross-checks it against an independent
+count of the automorphism group along a stabiliser chain (n <= 31), and
+classifies the vertex, edge, arc, distance and 2-arc transitivity of
+vertex-transitive groups by orbit computation at vertex 0.
 """
 
 from .bsgs import PermutationGroup
@@ -26,6 +27,7 @@ from .regularity import (
     IntersectionArray,
     RegularityRefusal,
     SrgParams,
+    cayley_srg_params,
     check_strongly_regular,
     diameter,
     intersection_array,
@@ -70,7 +72,7 @@ __all__ = [
     "CayleyGraph", "ConnectionSet", "CliqueTriple", "connection_set",
     "build_graph", "zero_neighborhood_cliques", "GRAPH_MAX_MODULUS",
     "SrgParams", "IntersectionArray", "RegularityRefusal",
-    "check_strongly_regular", "intersection_array", "diameter",
+    "check_strongly_regular", "cayley_srg_params", "intersection_array", "diameter",
     "NamedAutomorphism", "AutomorphismError", "CliqueActionLabel",
     "translation", "unit_scaling", "coordinate_swap", "clique_rotation",
     "check_graph_automorphism",

@@ -3,11 +3,11 @@
 Three subcommands:
 
     cayleysrg analyze N [--oracle]
-        Build the graph for modulus N (N <= 246), certify regularity,
-        build the claimed automorphism group and its origin stabiliser,
-        classify transitivity, optionally cross-check against the
-        independent automorphism count of search.py (N <= 31), and print
-        one JSON report to stdout.
+        Certify regularity for modulus N (N <= 246) from the connection
+        set, build the claimed automorphism group and its origin
+        stabiliser, classify transitivity, optionally build the graph and
+        cross-check against the independent automorphism count of
+        search.py (N <= 31), and print one JSON report to stdout.
 
     cayleysrg export N --format {graph6,dot}
         Print the graph in the requested format (N <= 110).
@@ -30,10 +30,12 @@ import sys
 import time
 
 from .core import units
-from .graph import build_graph
-# analyze_report never calls intersection_array; it stays a name here because
-# bench/tracing.py wraps every regularity entry point where cli imports it.
-from .regularity import IntersectionArray, check_strongly_regular, intersection_array
+from .graph import build_graph, connection_indices
+# analyze_report calls neither check_strongly_regular nor intersection_array;
+# they stay names here because bench/tracing.py wraps every regularity entry
+# point where cli imports it.
+from .regularity import (IntersectionArray, cayley_srg_params, check_strongly_regular,
+                         intersection_array)
 from .search import BRUTE_FORCE_MAX_MODULUS, enumerate_automorphisms
 from .symmetries import claimed_aut_group
 from .transitivity import TransitivityReport, classify_action
@@ -45,15 +47,14 @@ __all__ = ["main", "run", "analyze_report", "verify_range", "predicted_values"]
 # 89 MB peak RSS, DOT writes 32 MB in about 1.5 s and 132 MB (whole CLI run,
 # 2 vCPUs, CPython 3.11.7).
 EXPORT_MAX_MODULUS = 110
-# analyze and verify: every modulus up to the cap runs in under 1000 MB.
-# Peak RSS grows with n**4, the adjacency rows (404 MB at 241), and with
-# phi(n) * n**2, the chain of G_0 with one transversal per level at degree
-# n**2 (321 MB at 241).  So a prime is not always the costliest: past the
-# cap the composite 247 = 13 * 19 takes 994 MB, the prime 251 1094 MB.
-# Measured as CI does, 241 costs most up to the cap: 969 MB, build
-# 1.3-1.5 s, regularity 1.3-1.4 (the one row proof), group 1.4-1.6,
-# transitivity 0.5 (no rows); 242..246 take 718-871 MB, and every n below
-# 241 is smaller in both terms (2 vCPUs, CPython 3.11.7).
+# analyze and verify: analyze builds no adjacency rows, so peak RSS grows
+# with phi(n) * n**2, the chain of G_0 with one transversal per level at
+# degree n**2 (321 MB at 241), and 241 has the largest phi(n) * n**2 up to
+# the cap.  Measured as CI does, 241 takes 1.3-1.5 s and 538 MB: build (S's
+# indices) 1-3 ms, regularity 0.01-0.02 s, group 0.7-1.0, transitivity
+# 0.3-0.4.  243 takes longer, 1.6-2.0 s with transitivity 0.8-0.9, at
+# 389 MB, and 236..246 otherwise take 233-514 MB (2 vCPUs, CPython 3.11.7).
+# Raising the cap waits for G_0 to leave degree n**2.
 ANALYZE_MAX_MODULUS = 246
 
 
@@ -109,13 +110,15 @@ def analyze_report(n: int, with_oracle: bool = False) -> tuple[dict, list[str]]:
     expected = predicted_values(n)
     timings: dict[str, float] = {}
 
+    # The graph is Cay(Z_n x Z_n, S), so S is all regularity reads; the rows
+    # are built only for the oracle, which searches them.
     t = time.perf_counter()
-    g = build_graph(n)
+    hood = connection_indices(n)
     timings["build_graph"] = round(time.perf_counter() - t, 6)
 
     t = time.perf_counter()
-    srg = check_strongly_regular(g)
-    # Connected and not complete, as check_strongly_regular proved, an SRG has
+    srg = cayley_srg_params(n, hood)
+    # Connected and not complete, as cayley_srg_params proved, an SRG has
     # diameter 2 and this array (Brouwer, Cohen & Neumaier 1989, section 1.3).
     arr = IntersectionArray(b=(srg.k, srg.k - srg.lam - 1), c=(1, srg.mu), diameter=2)
     timings["regularity"] = round(time.perf_counter() - t, 6)
@@ -138,7 +141,7 @@ def analyze_report(n: int, with_oracle: bool = False) -> tuple[dict, list[str]]:
         # The automorphisms the search found generate Aut, so all of them in
         # the claimed group means Aut <= G; with |Aut| = |G| the two are equal.
         t = time.perf_counter()
-        found = enumerate_automorphisms(g)
+        found = enumerate_automorphisms(build_graph(n))
         agreement = len(found) == group_order and all(
             grp.contains(p) for p in found.generators
         )

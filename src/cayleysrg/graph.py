@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bitset import bfs_layers, iter_bits
+from .bitset import bfs_layers, iter_bits, mask_of
 from .core import ZnPair, _check_modulus, check_point
 
 __all__ = [
@@ -38,8 +38,8 @@ __all__ = [
 ]
 
 # The rows hold n**4 bits, and the build does O(n**4) bit work: it takes
-# 0.02 s at n = 80, 0.05 s and 41 MB peak RSS at n = 100, and 0.20 s and
-# 93 MB at n = 150 (best of 3, 2 vCPUs, CPython 3.11.7).  The rows alone
+# 0.010 s at n = 80, 0.025 s and 41 MB peak RSS at n = 100, and 0.11 s and
+# 94 MB at n = 150 (best of 3, 2 vCPUs, CPython 3.11.7).  The rows alone
 # pass 1 GB near n = 300, so moduli near this cap are accepted but not
 # practical.
 GRAPH_MAX_MODULUS = 1000
@@ -125,10 +125,12 @@ class CayleyGraph:
 def build_graph(n: int) -> CayleyGraph:
     """Construct and validate the graph for modulus n.
 
-    The graph is a Cayley graph, so translation by (i, 0) carries row (0, j)
-    onto row (i, j): in the row-major order that is a rotation by i*n bits
-    over n**2 bits.  Only the n rows (0, j) are set bit by bit from S; every
-    other row is one big-int rotation, O(n**2) of them in all.  S = -S makes
+    The graph is a Cayley graph, so translation by (0, 1) carries row (0, j)
+    onto row (0, j + 1), each n-bit chunk rotated by one bit, and
+    translation by (i, 0) carries row (0, j) onto row (i, j): in the
+    row-major order that is a rotation by i*n bits over n**2 bits.  Only
+    row 0 is set from S, once; every other row is a few big-int operations
+    on an earlier one, O(n**2) of them in all.  S = -S makes
     the adjacency symmetric, since w - v lies in S exactly when v - w does,
     so a connection set that is not closed under negation is refused.  Every
     row is still checked for a self-loop and for degree 3n - 3.  A bad row
@@ -143,12 +145,10 @@ def build_graph(n: int) -> CayleyGraph:
             raise RuntimeError(f"connection set holds ({s.i}, {s.j}) but not its negative")
     vertex_count = n * n
     full = (1 << vertex_count) - 1
-    first_rows = []
-    for j in range(n):
-        bits = 0
-        for s in conn.members:
-            bits |= 1 << (s.i * n + (j + s.j) % n)
-        first_rows.append(bits)
+    next_column = _column_step(n)
+    first_rows = [mask_of(connection_indices(n), vertex_count)]
+    for _ in range(1, n):
+        first_rows.append(next_column(first_rows[-1]))
     rows = []
     for i in range(n):
         shift = i * n
@@ -164,6 +164,14 @@ def build_graph(n: int) -> CayleyGraph:
     return CayleyGraph(n=n, connection=conn, adjacency=tuple(rows))
 
 
+def _column_step(n: int):
+    """The map that rotates each n-bit chunk of an n*n-bit row by one bit,
+    which carries row (i, j) onto row (i, j + 1) of a Cayley graph."""
+    top = mask_of(range(n - 1, n * n, n), n * n)
+    low = ((1 << n * n) - 1) & ~top
+    return lambda row: (row & low) << 1 | (row & top) >> (n - 1)
+
+
 def translation_defect(g) -> int | None:
     """The least vertex v whose row is not row 0 translated by v, or None
     when every row is, and so every translation is an automorphism.
@@ -177,12 +185,10 @@ def translation_defect(g) -> int | None:
     n, rows = g.n, g.adjacency
     size = n * n
     full = (1 << size) - 1
-    top = sum(1 << (i * n + n - 1) for i in range(n))
-    low = full & ~top
+    next_column = _column_step(n)
     for v in range(1, size):
         if v < n:
-            row = rows[v - 1]
-            step = (row & low) << 1 | (row & top) >> (n - 1)
+            step = next_column(rows[v - 1])
         else:
             row = rows[v - n]
             step = (row << n | row >> (size - n)) & full
@@ -194,7 +200,7 @@ def translation_defect(g) -> int | None:
 def family_defect(g) -> int | None:
     """translation_defect(g), or 0 when row 0 is not S: None exactly when
     g.adjacency are the rows of the graph of modulus g.n."""
-    row0 = sum(1 << s for s in connection_indices(g.n).tolist())
+    row0 = mask_of(connection_indices(g.n), g.n * g.n)
     return 0 if g.adjacency[0] != row0 else translation_defect(g)
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 from hypothesis import given, strategies as st
 
-from cayleysrg.bitset import bfs_layers, bit_positions, iter_bits
+from cayleysrg.bitset import bfs_layers, bit_positions, iter_bits, mask_of
 
 
 def adjacency_of(vertex_count, edges):
@@ -81,3 +81,18 @@ class TestBitPositions:
         rows, bits = bit_positions(g.adjacency, g.vertex_count)
         assert np.array_equal(np.bincount(rows), [18] * 49)
         assert bits[:18].tolist() == g.neighbors(0)
+
+
+class TestMaskOf:
+    @given(st.sets(st.integers(0, 89)), st.integers(90, 100))
+    def test_sets_exactly_the_positions(self, positions, size):
+        mask = mask_of(sorted(positions), size)
+        assert list(iter_bits(mask)) == sorted(positions)
+        assert mask < 1 << size
+
+    def test_no_positions_is_zero(self):
+        assert mask_of([], 17) == mask_of(np.array([], dtype=np.int64), 1) == 0
+
+    def test_row_zero_of_a_graph(self, graph):
+        g = graph(7)
+        assert mask_of(g.neighbors(0), g.vertex_count) == g.adjacency[0]

@@ -4,8 +4,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import cayleysrg.cli as cli_module
 import cayleysrg.graph as graph_module
 import cayleysrg.regularity as regularity_module
+import cayleysrg.symmetries as symmetries_module
 from cayleysrg import (
     AutomorphismError,
     CayleyGraph,
@@ -177,7 +179,7 @@ def reference_rows(n):
 
 
 class TestRowsByTranslation:
-    @pytest.mark.parametrize("n", range(4, 21))
+    @pytest.mark.parametrize("n", [*range(4, 21), 41])
     def test_rows_equal_the_per_offset_construction(self, n):
         assert list(build_graph(n).adjacency) == reference_rows(n)
 
@@ -278,9 +280,26 @@ def proofs(monkeypatch):
     return seen
 
 
+@pytest.fixture
+def builds(monkeypatch):
+    """The modulus of every build_graph call, in order, from every module
+    of the package that looks the name up."""
+    seen = []
+    build = graph_module.build_graph
+
+    def spy(n):
+        seen.append(n)
+        return build(n)
+
+    for mod in (graph_module, cli_module, symmetries_module):
+        monkeypatch.setattr(mod, "build_graph", spy)
+    return seen
+
+
 class TestKeptProof:
     """No graph keeps its row proof: every translation_defect reads the
-    rows it is handed, and analyze makes the one proof, in regularity."""
+    rows it is handed.  analyze reads S, so it builds and proves no rows,
+    except the oracle's graph, which it builds once."""
 
     @pytest.mark.parametrize("n", [5, 6, 13])
     def test_regularity_then_transitivity_prove_the_rows_once(self, claimed_group,
@@ -294,9 +313,16 @@ class TestKeptProof:
         assert rows.reads == 0
 
     @pytest.mark.parametrize("n", [4, 9, 16])
-    def test_analyze_proves_the_rows_once(self, proofs, n):
-        analyze_report(n)
-        assert proofs == [n]
+    def test_analyze_builds_and_proves_no_rows(self, proofs, builds, n):
+        _, failures = analyze_report(n)
+        assert failures == []
+        assert builds == [] and proofs == []
+
+    @pytest.mark.parametrize("n", [4, 5, 7])
+    def test_the_oracle_builds_the_rows_once(self, proofs, builds, n):
+        report, failures = analyze_report(n, with_oracle=True)
+        assert failures == [] and report["oracle"]["agreement"]
+        assert builds == [n] and proofs == []
 
     def test_rebound_rows_are_proven_again(self, proofs):
         for tampered, row in tampered_graphs():

@@ -1,13 +1,18 @@
+import random
+
+import numpy as np
 import pytest
 
 from cayleysrg import (
     IntersectionArray,
     RegularityRefusal,
     SrgParams,
+    cayley_srg_params,
     check_strongly_regular,
     diameter,
     intersection_array,
 )
+from cayleysrg.graph import connection_indices
 from conftest import CountingRows, two_switch
 
 
@@ -245,3 +250,100 @@ class TestRootedScan:
         lookalike = petersen_lookalike()
         lookalike.n = 3
         assert diameter(lookalike) == 3
+
+
+def translated(n, members):
+    """Rows of Cay(Z_n x Z_n, S) for S the given vertex indices, set bit by
+    bit from the definition: row (a, b) holds (a + i, b + j) for each (i, j)
+    in S."""
+    rows = []
+    for a in range(n):
+        for b in range(n):
+            row = 0
+            for i, j in (divmod(s, n) for s in members):
+                row |= 1 << ((a + i) % n * n + (b + j) % n)
+            rows.append(row)
+    return Torus(n, rows)
+
+
+def negative(n, s):
+    i, j = divmod(s, n)
+    return (-i % n) * n + (-j % n)
+
+
+def counted_on(n, members):
+    """cayley_srg_params on the ascending indices of members, or the message
+    and witness of its refusal."""
+    return outcome(lambda m: cayley_srg_params(n, np.array(sorted(m), dtype=np.int64)),
+                   members)
+
+
+def tampered_sets(n):
+    """Symmetric sets S' near the family's S: S with one pair +-s removed,
+    a set generating the proper subgroup 2Z_n x Z_n (n even), every
+    nonzero vertex, and no vertex."""
+    family = set(connection_indices(n).tolist())
+    sets = [family - {s, negative(n, s)} for s in sorted(family)]
+    if n % 2 == 0:
+        sets.append({s for s in family if s // n % 2 == 0})
+    sets.append(set(range(1, n * n)))
+    sets.append(set())
+    return sets
+
+
+class TestCayleySrgParams:
+    """The count on S against the rooted row scan, its oracle, on the rows
+    of the same Cayley graph."""
+
+    @pytest.mark.parametrize("n", [*range(4, 42), 61, 101])
+    def test_family_agrees_with_the_row_scan(self, graph, n):
+        counted = cayley_srg_params(n, connection_indices(n))
+        assert counted == check_strongly_regular(graph(n))
+        assert (counted.v, counted.k, counted.lam, counted.mu) == (n * n, 3 * n - 3, n, 6)
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 9])
+    def test_tampered_sets_are_refused_as_the_row_scan_refuses(self, n):
+        refusals = set()
+        for members in tampered_sets(n):
+            counted = counted_on(n, members)
+            assert counted == outcome(check_strongly_regular, translated(n, members))
+            assert not isinstance(counted, SrgParams)
+            refusals.add(counted[0].split(":")[0])
+        assert {"adjacent pairs disagree", "graph is disconnected",
+                "graph is complete or empty, not in the strongly regular range"} <= refusals
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_symmetric_sets_agree_with_the_row_scan(self, seed):
+        rng = random.Random(seed)
+        n = rng.choice([4, 5, 6, 7])
+        members = set()
+        for s in rng.sample(range(1, n * n), rng.randint(1, n * n // 2)):
+            members |= {s, negative(n, s)}
+        assert counted_on(n, members) == outcome(check_strongly_regular,
+                                                 translated(n, members))
+
+    def test_strongly_regular_sets_outside_the_family(self):
+        # the 4 x 4 rook's graph and the Shrikhande graph, both SRG(16, 6, 2, 2)
+        rook = {1, 2, 3, 4, 8, 12}
+        shrikhande = {1, 3, 4, 12, 5, 15}
+        for members in (rook, shrikhande):
+            assert counted_on(4, members) == check_strongly_regular(translated(4, members))
+            assert counted_on(4, members) == SrgParams(v=16, k=6, lam=2, mu=2)
+
+    def test_a_set_holding_zero_is_refused(self):
+        members = set(connection_indices(5).tolist()) | {0}
+        assert counted_on(5, members) == (
+            "connection set holds 0: vertex 0 is adjacent to itself", (0, 0))
+
+    def test_an_asymmetric_set_is_refused_at_its_least_lonely_member(self):
+        n = 6
+        family = set(connection_indices(n).tolist())
+        # (1, 2) and (2, 5) without (5, 4) and (4, 1)
+        members = family | {n + 2, 2 * n + 5}
+        assert counted_on(n, members) == (
+            f"connection set holds {n + 2} but not its negative {5 * n + 4}", (0, n + 2))
+
+    @pytest.mark.parametrize("hood", [[3, 1, 2], [1, 1, 2], [-1, 1], [1, 25], [[1, 2]]])
+    def test_indices_that_are_not_ascending_vertices_are_a_value_error(self, hood):
+        with pytest.raises(ValueError, match="ascending vertex indices"):
+            cayley_srg_params(5, hood)
