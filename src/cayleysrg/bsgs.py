@@ -20,12 +20,13 @@ only the identity fixes: the group then acts regularly on the images of
 the base, so its order is the size of that orbit, an input whose base
 image is already in the orbit is already in the group, and every level is
 read off the orbit's Schreier tree (Seress 2003, on groups with a known
-base).  PermutationGroup.assemble takes the orbit of the first base point
-as a transversal, any Mapping (one that builds its elements on request
-stores nothing), and a chain of that point's stabiliser, and puts the one
-level in front of the other.  Either way the levels past the first form a
-complete chain of the first base point's stabiliser, so point_stabilizer
-reuses them as they are; it serves that point only.
+base).  PermutationGroup.assemble puts a first level, generators that
+move a point and the orbit of that point as a transversal, any Mapping
+(one that builds its elements on request stores nothing), in front of a
+finished chain of the point's stabiliser.  Either way the levels past the
+first form a complete chain of the first base point's stabiliser, so
+point_stabilizer reuses them as they are; it serves that point only.  Each
+constructor sifts each of its own inputs once, as a self-check.
 """
 
 from __future__ import annotations
@@ -96,11 +97,12 @@ class PermutationGroup:
     """A permutation group with a base and strong generating set.
 
     Build with from_generators, from_base_images or assemble, which keep
-    the input generator list verbatim (inputs already in the group are not
-    strong generators).  A group from point_stabilizer is the chain's
-    tail, generated by the strong generators of its first level.  Membership, order and the
-    stabiliser of the first base point all run off the chain;
-    orbit_of_tuple and elements close over the generators.
+    the input generator list verbatim, assemble with the stabiliser's after
+    it (inputs already in the group are not strong generators).  A group
+    from point_stabilizer is the chain's tail, generated by the strong
+    generators of its first level.  Membership, order and the stabiliser of
+    the first base point all run off the chain; orbit_of_tuple and elements
+    close over the generators.
     """
 
     def __init__(self, generators: list[Permutation], degree: int,
@@ -150,7 +152,7 @@ class PermutationGroup:
             joined = (j for h in levels[i].schreier_generators()
                       if (j := sift_in(h, i + 1)) is not None)
             i = next(joined, i - 1)
-        return group._self_checked()
+        return group._self_checked(gens)
 
     @classmethod
     def from_base_images(cls, generators, base: Sequence[int]) -> PermutationGroup:
@@ -208,38 +210,40 @@ class PermutationGroup:
         group = cls(gens, degree, levels)
         if group.order() != len(tree):
             raise RuntimeError("chain construction failed its order self-check")
-        return group._self_checked()
+        return group._self_checked(gens)
 
     @classmethod
     def assemble(cls, generators, point: int,
                  transversal_inv: Mapping[int, Permutation],
                  stabilizer: PermutationGroup) -> PermutationGroup:
-        """The group the generators generate, from its first level and a
-        chain of the stabiliser of point, with no Schreier-Sims.
+        """The group the generators and stabilizer generate, with no
+        Schreier-Sims: a first level at point, then stabilizer's levels.
 
+        Every input must move point and every generator of stabilizer, a
+        chain at the same degree, must fix it; ValueError otherwise.
         transversal_inv maps each point x of the orbit of point to an
         element carrying x back onto point; it may be any Mapping, for
-        example one that builds its elements on request.  stabilizer is a
-        chain of the stabiliser at the same degree, whose levels become the
-        levels past the first as they are.  The first level is generated by
-        the inputs that move point and the first-level generators of
-        stabilizer.
+        example one that builds its elements on request.  The first level is
+        generated by the inputs and stabilizer's first-level generators; the
+        group's generators are the inputs, then stabilizer's.
 
         That the orbit and the stabiliser are right is the caller's claim,
-        resting on theory; the chain is then complete.  The self-check of
-        from_generators runs here too: every input must sift to the
-        identity.
+        resting on theory; the chain is then complete.  Only the inputs are
+        sifted as a self-check: a generator of stabilizer would skip level 0
+        and sift through the levels its own self-check already passed.
         """
         gens, degree = _checked(generators)
+        if any(g.apply(point) == point for g in gens):
+            raise ValueError(f"an input fixes point {point}; only movers are assembled")
+        if any(s.apply(point) != point for s in stabilizer._generators):
+            raise ValueError(f"a generator of the stabiliser moves point {point}")
         tail = stabilizer._levels
-        moving = [g for g in gens if g.apply(point) != point]
-        first = _Level(point, moving + (tail[0].gens if tail else []), transversal_inv)
-        return cls(gens, degree, [first, *tail])._self_checked()
+        first = _Level(point, gens + (tail[0].gens if tail else []), transversal_inv)
+        return cls(gens + stabilizer._generators, degree, [first, *tail])._self_checked(gens)
 
-    def _self_checked(self) -> PermutationGroup:
-        for g in self._generators:
-            if not self.contains(g):
-                raise RuntimeError("chain construction failed its membership self-check")
+    def _self_checked(self, inputs: list[Permutation]) -> PermutationGroup:
+        if not all(map(self.contains, inputs)):
+            raise RuntimeError("chain construction failed its membership self-check")
         return self
 
     @property

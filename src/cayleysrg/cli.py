@@ -48,13 +48,11 @@ __all__ = ["main", "run", "analyze_report", "verify_range", "predicted_values"]
 # 2 vCPUs, CPython 3.11.7).
 EXPORT_MAX_MODULUS = 110
 # analyze and verify: analyze builds no adjacency rows, so peak RSS grows
-# with phi(n) * n**2, the chain of G_0 with one transversal per level at
-# degree n**2 (321 MB at 241), and 241 has the largest phi(n) * n**2 up to
-# the cap.  Measured as CI does, 241 takes 1.3-1.5 s and 538 MB: build (S's
-# indices) 1-3 ms, regularity 0.01-0.02 s, group 0.7-1.0, transitivity
-# 0.3-0.4.  243 takes longer, 1.6-2.0 s with transitivity 0.8-0.9, at
-# 389 MB, and 236..246 otherwise take 233-514 MB (2 vCPUs, CPython 3.11.7).
-# Raising the cap waits for G_0 to leave degree n**2.
+# with phi(n) * n**2, G_0's chain at degree n**2, and is largest at 241:
+# 1.2-1.5 s and 537 MB, group 0.7-1.0 s, transitivity 0.3-0.4.  243 is the
+# slowest, 1.4-1.7 s and 387 MB, transitivity 0.8-1.0; 236..246 otherwise
+# take 233-514 MB (CI runs both; 2 vCPUs, CPython 3.11.7).  Raising the cap
+# waits for G_0 to leave degree n**2.
 ANALYZE_MAX_MODULUS = 246
 
 
@@ -105,8 +103,13 @@ def analyze_report(n: int, with_oracle: bool = False) -> tuple[dict, list[str]]:
     """Run the full analysis for one modulus.
 
     Returns the JSON-ready report and the list of failed checks (empty when
-    everything matched the predictions).
+    everything matched the predictions).  An n outside 4..ANALYZE_MAX_MODULUS,
+    or the oracle past BRUTE_FORCE_MAX_MODULUS, raises ValueError first.
     """
+    if not 4 <= n <= ANALYZE_MAX_MODULUS:
+        raise ValueError(f"n must be between 4 and {ANALYZE_MAX_MODULUS}, got {n}")
+    if with_oracle and n > BRUTE_FORCE_MAX_MODULUS:
+        raise ValueError(f"the oracle needs n <= {BRUTE_FORCE_MAX_MODULUS}, got {n}")
     expected = predicted_values(n)
     timings: dict[str, float] = {}
 

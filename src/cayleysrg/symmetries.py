@@ -22,9 +22,9 @@ reads M and t off the permutation, checks that it is that affine map on
 every vertex, and checks that M(S) = t + S on vertex indices: O(n**2)
 array work per map.  It runs on a stack of maps, a block of image arrays
 at a time, and refuses the first bad map as checking one at a time would.
-The check needs n alone: the factories check every map they build,
-claimed_aut_group its whole generating set as one stack, and transitivity
-its chain's strong generators, with no graph built.
+The check needs n alone: the factories check every map they build, the
+claimed groups their generators in two stacks, the translations and
+G_0's, and transitivity its chain's strong generators, with no graph built.
 check_graph_automorphism first refuses any graph but the one of modulus n
 with its first bad row, by graph.family_defect.
 
@@ -38,13 +38,10 @@ The claimed group is assembled on that certificate, with no
 Schreier-Sims.  The translations form a regular normal subgroup T, so the
 group is the semidirect product of T and G_0, the group of the certified
 linear maps, and its order is n**2 * |G_0| (Dixon and Mortimer,
-Permutation Groups, 1996, on groups with a regular normal subgroup).  A
-linear map is fixed by its images of e_2 = (0, 1) and e_1 = (1, 0), so
-the vertices 1 and n are a base of G_0, and its chain is read off their
-orbit at degree n**2 by PermutationGroup.from_base_images.  A first level
-at vertex 0, its transversal the translations back to 0 built on
-request, completes the chain.  Schreier-Sims on the same generators is
-the tests' oracle for it.
+Permutation Groups, 1996).  claimed_origin_stabilizer builds G_0 once,
+reading its chain off the orbit of a base at degree n**2, and
+claimed_aut_group puts the translations in front of it.  Schreier-Sims on
+the same generators is the tests' oracle for both.
 """
 
 from __future__ import annotations
@@ -240,10 +237,6 @@ def _linear_maps(n: int) -> list:
     return [*map(_scaling, units(n)), _swap, _rotation]
 
 
-def _origin_stabilizer_perms(n: int) -> list[Permutation]:
-    return _certified(n, _linear_maps(n))
-
-
 class _Translations(Mapping):
     """Vertex v -> the translation by -v, which carries v back onto vertex 0,
     built on request in O(n**2).
@@ -288,29 +281,28 @@ def claimed_aut_group(n: int) -> PermutationGroup:
     what the oracle in search.py cross-checks for n <= 31, by counting Aut
     from the graph alone.
 
-    The chain is assembled, with no Schreier-Sims, and rests on three
-    facts.  Every generator passes the affine certificate, so each of the
-    last phi(n) + 2, which fix vertex 0, is linear.  The translations form
-    a regular normal subgroup T, so G is the semidirect product of T and
-    G_0, the stabiliser of vertex 0, and |G| = n**2 * |G_0| (Dixon and
-    Mortimer, Permutation Groups, 1996).  A linear map is fixed by its
-    images of e_2 = (0, 1) and e_1 = (1, 0), the vertices 1 and n, so they
-    are a base of G_0 and its chain is read off their orbit.  In front of
-    it goes a first level at vertex 0 whose transversal, the translations
-    back to 0, is built on request.
+    The translations form a regular normal subgroup T, so G is the
+    semidirect product of T and G_0, the stabiliser of vertex 0, and
+    |G| = n**2 * |G_0| (Dixon and Mortimer, Permutation Groups, 1996).  So
+    the chain is the two translations in front of claimed_origin_stabilizer:
+    a first level at vertex 0 whose transversal, the translations back to
+    0, is built on request, then G_0's levels as they are.  Only the two
+    translations are sifted here; G_0 checked its own inputs.
     """
-    perms = _certified(n, [_shift(1, 0), _shift(0, 1), *_linear_maps(n)])
-    if any(p.apply(0) != 0 for p in perms[2:]):
-        raise RuntimeError("a generator of G_0 moves vertex 0")
-    g0 = PermutationGroup.from_base_images(perms[2:], [1, n])
-    return PermutationGroup.assemble(perms, 0, _Translations(n), g0)
+    shifts = _certified(n, [_shift(1, 0), _shift(0, 1)])
+    return PermutationGroup.assemble(shifts, 0, _Translations(n), claimed_origin_stabilizer(n))
 
 
 def claimed_origin_stabilizer(n: int) -> PermutationGroup:
-    """The subgroup fixing vertex (0, 0): scalings, swap and rotation only,
-    its chain read off the orbit of the base e_2, e_1 as in
-    claimed_aut_group."""
-    return PermutationGroup.from_base_images(_origin_stabilizer_perms(n), [1, n])
+    """G_0, the subgroup fixing vertex (0, 0): all unit scalings, the swap
+    and the rotation, certified as one stack, so each is linear once it
+    fixes vertex 0.  A linear map is fixed by its images of e_2 = (0, 1)
+    and e_1 = (1, 0), the vertices 1 and n, so its chain is read off their
+    orbit with no Schreier-Sims."""
+    perms = _certified(n, _linear_maps(n))
+    if any(p.apply(0) != 0 for p in perms):
+        raise RuntimeError("a generator of G_0 moves vertex 0")
+    return PermutationGroup.from_base_images(perms, [1, n])
 
 
 @dataclass(frozen=True)

@@ -114,7 +114,7 @@ class TestAssemble:
         grp = self.assemble(self.powers())
         ref = PermutationGroup.from_generators([self.CYCLE, self.SWAP])
         assert grp.order() == ref.order() == 24
-        assert grp.generators == [self.CYCLE, self.SWAP]
+        assert grp.generators == [self.CYCLE, self.SWAP, *self.S3]
         assert grp.base == [0, 1, 2] and grp.transversal_sizes() == [4, 3, 2]
         assert set(grp.elements()) == set(ref.elements())
         assert all(grp.contains(p) for p in ref.elements())
@@ -138,6 +138,17 @@ class TestAssemble:
         reps[1] = Permutation.identity(4)
         with pytest.raises(RuntimeError, match="self-check"):
             self.assemble(reps)
+
+    @pytest.mark.parametrize("inputs", [[S3[0]], [CYCLE, S3[1]]])
+    def test_an_input_that_fixes_the_point_is_refused(self, inputs):
+        with pytest.raises(ValueError, match="an input fixes point 0"):
+            PermutationGroup.assemble(inputs, 0, self.powers(),
+                                      PermutationGroup.from_generators(self.S3))
+
+    def test_a_stabiliser_generator_that_moves_the_point_is_refused(self):
+        stab = PermutationGroup.from_generators([*self.S3, self.SWAP])
+        with pytest.raises(ValueError, match="stabiliser moves point 0"):
+            PermutationGroup.assemble([self.CYCLE], 0, self.powers(), stab)
 
 
 def random_generators(seed):

@@ -119,6 +119,18 @@ class TestAnalyze:
         assert exc.value.code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("n, with_oracle, message", [
+        (3, False, "between 4 and"), (ANALYZE_MAX_MODULUS + 1, False, "between 4 and"),
+        (250, False, "between 4 and"), (BRUTE_FORCE_MAX_MODULUS + 1, True, "oracle needs"),
+        (40, True, "oracle needs"),
+    ])
+    def test_analyze_report_refuses_before_any_stage(self, n, with_oracle, message,
+                                                     monkeypatch):
+        monkeypatch.setattr(cli, "connection_indices", None)
+        monkeypatch.setattr(cli, "claimed_aut_group", None)
+        with pytest.raises(ValueError, match=message):
+            analyze_report(n, with_oracle=with_oracle)
+
     def test_oracle_refuses_a_proper_subgroup(self, capsys, monkeypatch):
         def translations(n):
             return PermutationGroup.from_generators(

@@ -412,6 +412,30 @@ class TestAssembledGroup:
         with pytest.raises(RuntimeError, match="moves vertex 0"):
             claimed_aut_group(5)
 
+    def test_the_origin_stabilizer_refuses_a_map_that_moves_vertex_0(self, monkeypatch):
+        # refused before its chain is read off the orbit of the base
+        def spy(cls, generators, base):
+            raise AssertionError("from_base_images was called")
+
+        linear = symmetries._linear_maps
+        monkeypatch.setattr(symmetries, "_linear_maps",
+                            lambda n: [*linear(n), symmetries._shift(0, 1)])
+        monkeypatch.setattr(PermutationGroup, "from_base_images", classmethod(spy))
+        with pytest.raises(RuntimeError, match="a generator of G_0 moves vertex 0"):
+            claimed_origin_stabilizer(7)
+
+    @pytest.mark.parametrize("n", [*range(4, 18), 31])
+    def test_each_generator_is_sifted_once(self, n, monkeypatch):
+        # G_0's phi(n) + 2 inputs in its own self-check, the 2 translations
+        # in the assembled group's, and no input a second time
+        sifted = []
+        contains = PermutationGroup.contains
+        monkeypatch.setattr(PermutationGroup, "contains",
+                            lambda grp, p: sifted.append(p) or contains(grp, p))
+        grp = claimed_aut_group(n)
+        assert len(sifted) == units(n).totient + 4
+        assert sifted == [*grp.generators[2:], *grp.generators[:2]]
+
     def test_no_table_of_n_to_the_fourth_entries(self):
         n = 41
         tracemalloc.start()
@@ -451,8 +475,8 @@ class TestAssembledGroup:
         assert g0.base == [1, n]
         assert chain_of(claimed_origin_stabilizer(n)) == chain_of(g0)
         assert chain_of(claimed_group(n).point_stabilizer(0)) == chain_of(g0)
-        ref = PermutationGroup.assemble(perms, 0, symmetries._Translations(n), g0)
-        assert chain_of(claimed_group(n)) == chain_of(ref)
+        ref = PermutationGroup.assemble(perms[:2], 0, symmetries._Translations(n), g0)
+        assert chain_of(claimed_group(n)) == chain_of(ref) and ref.generators == perms
 
     @pytest.mark.parametrize("n", range(4, 32))
     def test_lifted_transversals_are_the_lifted_elements(self, claimed_group, n):
@@ -460,7 +484,7 @@ class TestAssembledGroup:
         # each transversal element is the linear map that carries its point
         # back onto the level's, fixing every earlier base point, and it is
         # the element Schreier-Sims puts there
-        g0 = PermutationGroup.from_generators(symmetries._origin_stabilizer_perms(n))
+        g0 = PermutationGroup.from_generators(claimed_origin_stabilizer(n).generators)
         lifted = claimed_group(n)._levels[1:]
         assert len(lifted) == len(g0._levels)
         x, y = np.divmod(np.arange(n * n), n)
