@@ -49,8 +49,8 @@ __all__ = ["main", "run", "analyze_report", "verify_range", "predicted_values"]
 EXPORT_MAX_MODULUS = 110
 # analyze and verify: analyze builds no adjacency rows, so peak RSS grows
 # with phi(n) * n**2, G_0's chain at degree n**2, and is largest at 241:
-# 1.2-1.5 s and 537 MB, group 0.7-1.0 s, transitivity 0.3-0.4.  243 is the
-# slowest, 1.4-1.7 s and 387 MB, transitivity 0.8-1.0; 236..246 otherwise
+# 1.1-1.5 s and 532 MB, group 0.9-1.2 s, transitivity 0.25-0.31.  243 is the
+# slowest, 1.5-1.7 s and 383 MB, transitivity 0.9-1.0; 236..246 otherwise
 # take 233-514 MB (CI runs both; 2 vCPUs, CPython 3.11.7).  Raising the cap
 # waits for G_0 to leave degree n**2.
 ANALYZE_MAX_MODULUS = 246
@@ -246,7 +246,8 @@ def _print_verify_row(row: dict) -> None:
 
 def _parse_range(text: str) -> tuple[int, int]:
     lo, sep, hi = text.partition("..")
-    if not sep or not lo.isdigit() or not hi.isdigit():
+    # ASCII digits only: str.isdigit also takes full-width and superscript digits
+    if not sep or not (lo + hi).isascii() or not lo.isdigit() or not hi.isdigit():
         raise ValueError(f"range must look like 4..10, got {text!r}")
     return int(lo), int(hi)
 

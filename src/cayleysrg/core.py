@@ -313,47 +313,43 @@ def orbits(gen_images: list[Sequence[int]], objects) -> list[dict]:
     return out
 
 
-def orbit_labels(codes: NDArray[np.int64], images) -> NDArray[np.int64]:
-    """Orbits of a group on objects given by codes, as least-member labels.
+def orbit_labels(size: int, steps) -> NDArray[np.int64]:
+    """Orbits of a group on the objects range(size), as least-member labels.
 
-    codes is the ascending array of the objects' int codes, and images holds
-    one array per generator: the codes of the images of codes, in the same
-    order.  images is read once, so it may be an iterator that makes each
-    array as it is read.  labels[i] is the index of the least member of the orbit of
-    codes[i], so the least members are the indices with labels[i] == i, in
-    ascending order, and np.bincount(labels) at those indices gives the
-    orbit sizes.  No generators give singleton orbits.
+    steps holds one int array per generator, the permutation of range(size)
+    it induces: steps[i][x] is the image of object x.  steps is read once,
+    so it may be an iterator that makes each array as it is read.
+    labels[x] is the least member of the orbit of x, so the least members
+    are the objects with labels[x] == x, in ascending order, and
+    np.bincount(labels) at those objects gives the orbit sizes.  No
+    generators give singleton orbits.
 
-    Each generator becomes a permutation of indices by searchsorted; an
-    image missing from codes means the generators do not act on these
-    objects, and raises ValueError, as do a repeated image and codes that
-    do not ascend.  Labels start as the indices and take the minimum over
-    each generator's image and preimage, then jump to their own labels,
-    until nothing changes.  A label only ever names a member of the same
-    orbit and never grows, and at the fixed point it is constant along
-    every generator, hence on the orbit, where it can only be the least
-    member.
+    A step that is not an int array of size entries in range(size) means
+    the generators do not act on these objects, and a repeated image means
+    it is no permutation; either raises ValueError.  Labels start as the
+    objects and take the minimum over each generator's image and preimage,
+    then jump to their own labels, until nothing changes.  A label only
+    ever names a member of the same orbit and never grows, and at the
+    fixed point it is constant along every generator, hence on the orbit,
+    where it can only be the least member.
     """
-    codes = np.asarray(codes, dtype=np.int64)
-    if (codes[1:] <= codes[:-1]).any():
-        raise ValueError("object codes must be strictly ascending")
-    steps = []
-    for img in images:
-        at = np.searchsorted(codes, img)
-        if at.shape != codes.shape or (at.size and (
-                at.max() >= codes.size or (codes[at] != img).any())):
-            raise ValueError("an image code is missing: the generators do not act "
-                             "on these objects")
-        if at.size and np.bincount(at).max() > 1:
-            raise ValueError("a generator maps two objects onto one")
+    moves = []
+    for at in steps:
+        at = np.asarray(at)
+        if (at.shape != (size,) or at.dtype.kind not in "iu"
+                or (size and not 0 <= at.min() <= at.max() < size)):
+            raise ValueError("an image lies outside the objects: the generators do not "
+                             "act on these objects")
         back = np.empty_like(at)
-        back[at] = np.arange(at.size)
-        steps += [at, back]
-    labels = np.arange(codes.size)
+        back[at] = np.arange(size)
+        if (back[at] != np.arange(size)).any():
+            raise ValueError("a generator maps two objects onto one")
+        moves += [at, back]
+    labels = np.arange(size)
     while True:
         prev = labels
-        for step in steps:
-            labels = np.minimum(labels, labels[step])
+        for move in moves:
+            labels = np.minimum(labels, labels[move])
         labels = labels[labels]
         if np.array_equal(labels, prev):
             return labels

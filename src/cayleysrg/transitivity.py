@@ -22,17 +22,21 @@ first-level transversal carries any vertex back to 0.
 
 Before any of it, _Rooted certifies the chain's strong generators, which
 the kernel and the edge pairing read, by the certificate of S in
-symmetries, as claimed_aut_group certifies its generators.  So no graph is
-built or read, and the objects at 0 come from S: the arcs (0, s), s in S;
-the distance-2 pairs (0, w), w neither 0 nor in S, as (a, b) off S and 0
-has a, b != 0 and is (a, 0) + (0, b), so the diameter is 2; the 2-arcs
-0 ~ s ~ s + t, t in S but -s.  Each object set is one ascending int
-array, a vertex w as w and a tail (s, w) as s * n^2 + w, partitioned by
-core.orbit_labels, the one orbit kernel, which refuses generators that do
-not act on the objects.  Edge orbits are arc orbits paired with the orbits
-of their reversed arcs; the reversal (v, 0) of an arc at 0 is carried back
-to 0, once per arc orbit.  The pairs at distance 0 form one orbit, as G is
-vertex-transitive, and need no kernel call.
+symmetries, as claimed_aut_group certifies its generators, and refuses a
+next-level generator that moves 0.  So no graph is built or read, and the
+objects at 0 come from S: the arcs (0, s), s in S; the distance-2 pairs
+(0, w), w neither 0 nor in S, as (a, b) off S and 0 has a, b != 0 and is
+(a, 0) + (0, b), so the diameter is 2; the 2-arcs 0 ~ s ~ s + t, t in S
+but -s.  Each object is numbered in the order of its tail, a vertex v as
+v - 1 and a 2-arc by a k x k table of the pairs (s, t).  A certified map
+fixing 0 is linear (Babai 1979), so each generator of G_0 permutes these
+numbers by gathers alone, for core.orbit_labels, the one orbit kernel.
+It runs twice: on the n^2 - 1 vertices, whose orbits in S are the arc
+orbits and whose others are the distance-2 orbits, as G_0 fixes S, and
+on the 2-arcs.  Edge orbits are arc orbits paired with the orbits of
+their reversed arcs; the reversal (v, 0) of an arc at 0 is carried back
+to 0, once per arc orbit.  The pairs at distance 0 form one orbit, as G
+is vertex-transitive, and need no kernel call.
 
 Reports equal those of closing every object of the graph under G.  Every
 G-orbit has a member starting at 0, the least vertex, and the kernel
@@ -112,7 +116,7 @@ class _Rooted:
     generators certified, as a vertex-transitive action rooted at vertex 0,
     its chain's first base point, whose first-level transversal carries any
     vertex to 0, with the image arrays of the next level's generators,
-    which generate G_0."""
+    which generate G_0, and pos[v], the index of v in S or -1."""
 
     def __init__(self, grp: PermutationGroup) -> None:
         n = isqrt(grp.degree)
@@ -126,33 +130,52 @@ class _Rooted:
         if grp.base[0] != 0:
             raise ValueError(f"the chain's first base point is {grp.base[0]}, "
                              "not vertex 0")
-        self.group, self.n = grp, n
         self.stabilizer = [p.images for p in grp.stabilizer_generators(0)]
-
-    def partition(self, tails: np.ndarray):
-        """Every G-orbit on the objects that start at 0.
-
-        tails lists those objects without their first vertex, as the rows
-        of an int array in ascending order.  Returns each G-orbit as its
-        least member and its size under G, in order of least members, and
-        the codes of the objects with the index of the G-orbit of each.
-        """
-        count = self.group.degree
-        dims = (count,) * tails.shape[1]
-        codes = np.ravel_multi_index(tuple(tails.T), dims)
-        # a generator, not a list: the kernel reads each image array once,
-        # so only one is alive at a time, which lowers the peak RSS
-        labels = orbit_labels(codes, (np.ravel_multi_index(tuple(img[tails].T), dims)
-                                      for img in self.stabilizer))
-        firsts = np.flatnonzero(labels == np.arange(labels.size))
-        sizes = np.bincount(labels)[firsts]
-        parts = [((0, *tails[i].tolist()), count * s)
-                 for i, s in zip(firsts.tolist(), sizes.tolist())]
-        return parts, (codes, np.searchsorted(firsts, labels))
+        if any(img[0] != 0 for img in self.stabilizer):
+            raise ValueError("a generator of the chain's second level moves vertex 0, "
+                             "so it is not in G_0")
+        self.group, self.n = grp, n
+        self.hood = connection_indices(n)
+        self.pos = np.full(grp.degree, -1)
+        self.pos[self.hood] = np.arange(self.hood.size)
 
     @cached_property
-    def arc_orbits(self):
-        return self.partition(connection_indices(self.n)[:, None])
+    def vertex_orbits(self):
+        """G_0's orbits on the vertices other than 0, vertex v as object
+        v - 1: the labels, then the arc orbits and the distance-2 orbits,
+        each as its least pair (0, v) and its size under G, in order of v."""
+        count = self.group.degree
+        labels = orbit_labels(count - 1, (img[1:] - 1 for img in self.stabilizer))
+        firsts, sizes = _orbits(labels, count)
+        arcs, far = [], []
+        for v, size in zip((firsts + 1).tolist(), sizes.tolist()):
+            (far if self.pos[v] < 0 else arcs).append(((0, v), size))
+        return labels, arcs, far
+
+
+def _orbits(labels: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each orbit's least member, ascending, and its size times count."""
+    firsts = np.flatnonzero(labels == np.arange(labels.size))
+    return firsts, np.bincount(labels)[firsts] * count
+
+
+def _two_arcs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 2-arcs 0 ~ s ~ s + t, s and t the a-th and b-th members of S,
+    numbered in the order of (s, s + t): rank[a, b] is the number, -1 at
+    t = -s; heads[a] lists b by ascending s + t, so 2-arc i is (a, heads[a, j])
+    for a, j = divmod(i, k - 1); and sums[a, b] is s + t."""
+    hood = connection_indices(n)
+    k = hood.size
+    si, sj = np.divmod(hood, n)
+    sums = (si[:, None] + si) % n * n + (sj[:, None] + sj) % n
+    # a sorted row starts at its one 0, at t = -s; a row's sums are distinct,
+    # so any sort gives this order, and the stable one is the fastest here
+    order = np.argsort(sums, axis=1, kind="stable")
+    rank = np.empty_like(order)
+    np.put_along_axis(rank, order, np.arange(-1, k * k - 1).reshape(k, k)
+                      - np.arange(k)[:, None], axis=1)
+    rank[np.arange(k), order[:, 0]] = -1
+    return rank, order[:, 1:], sums
 
 
 def _context(grp: PermutationGroup, rooted: _Rooted | None) -> _Rooted:
@@ -186,52 +209,52 @@ def is_edge_transitive(grp: PermutationGroup,
     with half as many edges as arcs when the two orbits coincide.
     """
     ctx = _context(grp, rooted)
-    arcs, (codes, orbit_of) = ctx.arc_orbits
+    labels, arcs, _ = ctx.vertex_orbits
     parts = []
     paired: set[int] = set()
-    for i, ((_, v), size) in enumerate(arcs):
-        if i in paired:
+    for (_, v), size in arcs:
+        if v in paired:
             continue
-        # the reversed arc (v, 0), carried back to 0, is the arc (0, x)
+        # the reversed arc (v, 0), carried back to 0, is the arc (0, x),
+        # in the orbit whose least member is u
         x = ctx.group.transversal_inverse(v).apply(0)
-        j = int(orbit_of[np.searchsorted(codes, x)])
-        paired.add(j)
-        parts.append(((0, v), size // 2 if j == i else size))
+        u = int(labels[x - 1]) + 1
+        paired.add(u)
+        parts.append(((0, v), size // 2 if u == v else size))
     return _result(parts)
 
 
 def is_arc_transitive(grp: PermutationGroup,
                       rooted: _Rooted | None = None) -> TransitivityResult:
     """One orbit on ordered adjacent pairs or not."""
-    return _result(_context(grp, rooted).arc_orbits[0])
+    return _result(_context(grp, rooted).vertex_orbits[1])
 
 
 def is_two_arc_transitive(grp: PermutationGroup,
                           rooted: _Rooted | None = None) -> TransitivityResult:
     """One orbit on paths u ~ v ~ w with w != u or not."""
     ctx = _context(grp, rooted)
-    hood = connection_indices(ctx.n)
-    si, sj = np.divmod(hood, ctx.n)
-    # row a holds s + t for s = hood[a] and every t in S; each row ascends
-    # from its one 0, at t = -s, which is not a 2-arc
-    w = np.sort((si[:, None] + si) % ctx.n * ctx.n + (sj[:, None] + sj) % ctx.n, axis=1)
-    tails = np.column_stack((np.repeat(hood, hood.size - 1), w[:, 1:].ravel()))
-    del w  # at large n the partition sets the peak RSS of analyze
-    return _result(ctx.partition(tails)[0])
+    rank, heads, sums = _two_arcs(ctx.n)
+    k = ctx.hood.size
+    # g in G_0 is linear, so it carries s + t to g(s) + g(t), and the 2-arc
+    # (a, b) to (sigma[a], sigma[b]), sigma its permutation of S's indices
+    labels = orbit_labels(k * (k - 1), (
+        np.take(rank, sigma[:, None] * k + sigma[heads]).ravel()
+        for sigma in (ctx.pos[img[ctx.hood]] for img in ctx.stabilizer)))
+    firsts, sizes = _orbits(labels, grp.degree)
+    a, i = np.divmod(firsts, k - 1)
+    return _result([((0, s, w), size) for s, w, size in zip(
+        ctx.hood[a].tolist(), sums[a, heads[a, i]].tolist(), sizes.tolist())])
 
 
 def is_distance_transitive(grp: PermutationGroup,
                            rooted: _Rooted | None = None) -> DistanceTransitivityResult:
     """One orbit on ordered pairs at each distance 0, 1, 2 of Gamma(n),
     whose diameter is 2, or not."""
-    ctx = _context(grp, rooted)
-    far = np.ones(grp.degree, dtype=bool)
-    far[connection_indices(ctx.n)] = far[0] = False
+    _, arcs, far = _context(grp, rooted).vertex_orbits
     # the pairs (v, v) form one orbit, as G is vertex-transitive, and the
     # pairs at distance 1 are the arcs
-    results = [_result(parts) for parts in (
-        [((0, 0), grp.degree)], ctx.arc_orbits[0],
-        ctx.partition(np.flatnonzero(far)[:, None])[0])]
+    results = [_result(parts) for parts in ([((0, 0), grp.degree)], arcs, far)]
     witness_distance = next((d for d, r in enumerate(results) if not r.transitive), None)
     return DistanceTransitivityResult(
         transitive=witness_distance is None,

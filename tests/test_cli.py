@@ -234,6 +234,17 @@ class TestVerify:
             assert exc.value.code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("rng", ["\uff14..\uff15", "\u00b2..5", "4..\u0665",
+                                     " 4..5", "4..+5"])
+    def test_ranges_other_than_ascii_digits_are_usage_errors(self, rng, capsys,
+                                                             monkeypatch):
+        # full-width, superscript and Arabic-Indic digits pass str.isdigit
+        monkeypatch.setattr(cli, "verify_range", None)  # parse only
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", rng])
+        assert exc.value.code == 2
+        assert "range must look like 4..10" in capsys.readouterr().err
+
     def test_oracle_upto_cap(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "4..5", "--oracle-upto", str(BRUTE_FORCE_MAX_MODULUS + 1)])

@@ -265,15 +265,43 @@ class TestOrbits:
         assert [list(o) for o in parts] == [[(2, 1)], [(0, 1)]]
 
 
-def _kernel_case(degree, gen_images, seeds):
-    """Pairs of points closed under the generators, as ascending codes
-    a * degree + b, with each generator's image codes."""
+def orbit_labels_by_codes(codes, images):
+    """The orbit kernel as it was before it took index permutations, kept as
+    its oracle: objects are given by ascending int codes, and each
+    generator by the codes of the images of codes, which searchsorted maps
+    back to indices."""
+    codes = np.asarray(codes, dtype=np.int64)
+    if (codes[1:] <= codes[:-1]).any():
+        raise ValueError("object codes must be strictly ascending")
+    steps = []
+    for img in images:
+        at = np.searchsorted(codes, img)
+        if at.shape != codes.shape or (at.size and (
+                at.max() >= codes.size or (codes[at] != img).any())):
+            raise ValueError("an image code is missing: the generators do not act "
+                             "on these objects")
+        if at.size and np.bincount(at).max() > 1:
+            raise ValueError("a generator maps two objects onto one")
+        back = np.empty_like(at)
+        back[at] = np.arange(at.size)
+        steps += [at, back]
+    labels = np.arange(codes.size)
+    while True:
+        prev = labels
+        for step in steps:
+            labels = np.minimum(labels, labels[step])
+        labels = labels[labels]
+        if np.array_equal(labels, prev):
+            return labels
+
+
+def _kernel_case(gen_images, seeds):
+    """Pairs of points closed under the generators, in ascending order,
+    with each generator's permutation of their indices."""
     objects = sorted({x for orbit in orbits(gen_images, seeds) for x in orbit})
-    pairs = np.array(objects, dtype=np.int64).reshape(-1, 2)
-    codes = pairs[:, 0] * degree + pairs[:, 1]
-    images = [np.asarray(img)[pairs[:, 0]] * degree + np.asarray(img)[pairs[:, 1]]
-              for img in gen_images]
-    return objects, codes, images
+    index = {x: i for i, x in enumerate(objects)}
+    steps = [np.array([index[img[a], img[b]] for a, b in objects]) for img in gen_images]
+    return objects, steps
 
 
 @st.composite
@@ -286,14 +314,23 @@ def _actions(draw):
     return degree, [list(img) for img in gen_images], seeds
 
 
+@st.composite
+def _coded_steps(draw):
+    """Permutations of range(size) and ascending codes for the objects."""
+    size = draw(st.integers(0, 40))
+    steps = draw(st.lists(st.permutations(range(size)), max_size=4))
+    codes = sorted(draw(st.sets(st.integers(0, 10 ** 6), min_size=size, max_size=size)))
+    return size, [np.array(step, dtype=np.int64) for step in steps], np.array(codes)
+
+
 class TestOrbitLabels:
     @given(_actions())
     def test_matches_the_closure(self, action):
-        degree, gen_images, seeds = action
-        objects, codes, images = _kernel_case(degree, gen_images, seeds)
-        labels = orbit_labels(codes, images)
-        # the images may also come one at a time, as transitivity hands them
-        assert orbit_labels(codes, iter(images)).tolist() == labels.tolist()
+        _, gen_images, seeds = action
+        objects, steps = _kernel_case(gen_images, seeds)
+        labels = orbit_labels(len(objects), steps)
+        # the steps may also come one at a time, as transitivity hands them
+        assert orbit_labels(len(objects), iter(steps)).tolist() == labels.tolist()
         expected = orbits(gen_images, objects)
         firsts = np.flatnonzero(labels == np.arange(labels.size))
         assert [objects[i] for i in firsts] == [next(iter(o)) for o in expected]
@@ -301,34 +338,45 @@ class TestOrbitLabels:
         least = {x: objects.index(next(iter(o))) for o in expected for x in o}
         assert labels.tolist() == [least[x] for x in objects]
 
+    @given(_coded_steps())
+    def test_matches_the_kernel_on_codes(self, case):
+        size, steps, codes = case
+        assert (orbit_labels(size, steps).tolist()
+                == orbit_labels_by_codes(codes, [codes[step] for step in steps]).tolist())
+
     @pytest.mark.parametrize("gen_images", [[], [[0, 1, 2, 3]]])
     def test_no_generators_or_the_identity_give_singletons(self, gen_images):
-        objects, codes, images = _kernel_case(4, gen_images, [(0, 1), (2, 3), (3, 0)])
-        assert orbit_labels(codes, images).tolist() == list(range(len(objects)))
+        objects, steps = _kernel_case(gen_images, [(0, 1), (2, 3), (3, 0)])
+        assert orbit_labels(len(objects), steps).tolist() == list(range(len(objects)))
 
     def test_a_long_cycle_is_one_orbit(self):
         # one cycle p(i) = i + 1 mod m: the least label must reach every index
         m = 1000
-        labels = orbit_labels(np.arange(m), [(np.arange(m) + 1) % m])
+        labels = orbit_labels(m, [(np.arange(m) + 1) % m])
         assert (labels == 0).all()
 
     def test_image_outside_the_objects_refused(self):
+        # an image past either end, a step of another length, or not of ints
+        for step in ([1, 2], [-1, 0], [0], [0, 1, 2], [1.0, 0.0], [True, False]):
+            with pytest.raises(ValueError, match="do not act"):
+                orbit_labels(2, [np.array(step)])
         # (0 1 2 3) carries the object (0, 1) onto (1, 2), which is not listed
-        codes = np.array([0 * 4 + 1, 2 * 4 + 3])
-        images = [np.array([1 * 4 + 2, 3 * 4 + 0])]
         with pytest.raises(ValueError, match="missing"):
-            orbit_labels(codes, images)
-        with pytest.raises(ValueError, match="missing"):
-            orbit_labels(codes, [np.array([1, 99])])
+            orbit_labels_by_codes(np.array([0 * 4 + 1, 2 * 4 + 3]),
+                                  [np.array([1 * 4 + 2, 3 * 4 + 0])])
 
     def test_repeated_image_refused(self):
+        for step in ([1, 1], [0, 0]):
+            with pytest.raises(ValueError, match="two objects onto one"):
+                orbit_labels(2, [np.array([0, 1]), np.array(step)])
         with pytest.raises(ValueError, match="two objects onto one"):
-            orbit_labels(np.array([3, 5]), [np.array([5, 5])])
+            orbit_labels_by_codes(np.array([3, 5]), [np.array([5, 5])])
 
     def test_codes_that_do_not_ascend_refused(self):
+        # the oracle's own refusal: the kernel has no codes to order
         for codes in ([5, 3], [3, 3]):
             with pytest.raises(ValueError, match="ascending"):
-                orbit_labels(np.array(codes), [])
+                orbit_labels_by_codes(np.array(codes), [])
 
 
 class TestTransversal:

@@ -181,17 +181,16 @@ class TestFirstLevelRooting:
     @pytest.mark.parametrize("n", range(4, 14))
     def test_claimed_group_never_closes_the_vertices(self, claimed_group, claimed_oracle,
                                                      n, monkeypatch):
-        # the kernel only ever sees the objects at 0: the vertex itself, its
-        # k arcs, its n^2 - k - 1 pairs at distance 2 and its k(k - 1) 2-arcs
+        # the kernel only ever sees the objects at 0, in two calls: the
+        # n^2 - 1 other vertices, which hold the arcs and the pairs at
+        # distance 2, and the k(k - 1) 2-arcs
         k = 3 * n - 3
-        at_zero = {1, k, n * n - k - 1, k * (k - 1)}
-        counts = []
+        sizes = []
         labels = transitivity.orbit_labels
         monkeypatch.setattr(transitivity, "orbit_labels",
-                            lambda codes, images: counts.append(codes.size)
-                            or labels(codes, images))
+                            lambda size, steps: sizes.append(size) or labels(size, steps))
         assert classify_action(claimed_group(n)) == claimed_oracle(n)
-        assert counts and set(counts) <= at_zero
+        assert sizes == [n * n - 1, k * (k - 1)]
 
     @pytest.mark.parametrize("n", [5, 6])
     def test_chain_based_off_zero_is_refused(self, claimed_group, n):
@@ -212,6 +211,18 @@ class TestFirstLevelRooting:
         rooted.stabilizer = [grp.generators[0].images]
         with pytest.raises(ValueError, match="do not act"):
             is_arc_transitive(grp, rooted)
+
+    def test_second_level_that_moves_zero_is_refused(self, claimed_group):
+        # the claimed generators and first level, with a next level that
+        # holds a translation: an automorphism, but not in G_0, so it is
+        # refused before any question reads it
+        grp = claimed_group(5)
+        level = _Level(grp._levels[1].point, [translation(5, 1, 0).perm])
+        level.recompute_orbit(25)
+        forged = PermutationGroup(grp.generators, 25, [grp._levels[0], level])
+        for question in QUESTIONS:
+            with pytest.raises(ValueError, match="moves vertex 0"):
+                question(forged)
 
 
 # sha256 (first 16 hex digits) of the canonical JSON of the transitivity
@@ -235,33 +246,53 @@ TRANSITIVITY_DIGESTS = {
 }
 
 
-def objects_read_off_the_rows(g):
-    """The arcs, distance-2 pairs and 2-arc tails at vertex 0 read off the
-    rows, as the engine read them before it took them from S: the second
-    and third BFS layers from 0, and the rows of the neighbours of 0."""
+def tails_read_off_the_rows(g):
+    """The 2-arc tails (s, w) at vertex 0 read off the rows, as the engine
+    read them before it took them from S, in ascending order: s runs over
+    the row of 0, and w over the row of s but 0."""
     count = g.vertex_count
-    layers = bfs_layers(g.adjacency, 0)
-    arcs, dist2 = (bit_positions([layer], count)[1][:, None] for layer in layers[1:])
-    hood = arcs[:, 0]
+    hood = bit_positions([g.adjacency[0]], count)[1]
     at, w = bit_positions([g.adjacency[v] & ~1 for v in hood.tolist()], count)
-    return [arcs, dist2, np.column_stack((hood[at], w))]
+    return np.column_stack((hood[at], w))
+
+
+def _members(labels, firsts):
+    """The vertices in the orbits of the vertex labels whose least members
+    are firsts, as a bitmask."""
+    least = np.array([v - 1 for v in firsts], dtype=np.int64)
+    return sum(1 << v for v in (np.flatnonzero(np.isin(labels, least)) + 1).tolist())
 
 
 class TestObjectsFromS:
     @pytest.mark.parametrize("n", [*range(4, 42), 61, 101])
     def test_layers_and_objects_match_the_rows(self, claimed_group, graph, monkeypatch, n):
         g = graph(n)
-        in_s = sum(1 << s for s in connection_indices(n).tolist())
-        assert bfs_layers(g.adjacency, 0) == [1, in_s, (1 << n * n) - 2 - in_s]
+        hood = connection_indices(n)
+        in_s = sum(1 << s for s in hood.tolist())
+        layers = bfs_layers(g.adjacency, 0)
+        assert layers == [1, in_s, (1 << n * n) - 2 - in_s]
+        # the arc orbits hold S, the first layer, and the distance-2
+        # orbits the rest, the second
+        labels, arcs, far = transitivity._Rooted(claimed_group(n)).vertex_orbits
+        assert _members(labels, [v for (_, v), _ in arcs]) == layers[1]
+        assert _members(labels, [v for (_, v), _ in far]) == layers[2]
+        # classify_action numbers the 2-arcs of _two_arcs(n)
         seen = []
-        partition = transitivity._Rooted.partition
-        monkeypatch.setattr(transitivity._Rooted, "partition",
-                            lambda ctx, tails: seen.append(tails) or partition(ctx, tails))
+        two_arcs = transitivity._two_arcs
+        monkeypatch.setattr(transitivity, "_two_arcs",
+                            lambda m: seen.append(m) or two_arcs(m))
         classify_action(claimed_group(n))
-        oracle = objects_read_off_the_rows(g)
-        assert len(seen) == len(oracle)
-        for got, want in zip(seen, oracle):
-            assert np.array_equal(got, want)
+        assert seen == [n]
+        rank, heads, sums = two_arcs(n)
+        k = hood.size
+        tails = np.column_stack((np.repeat(hood, k - 1),
+                                 np.take_along_axis(sums, heads, axis=1).ravel()))
+        assert np.array_equal(tails, tails_read_off_the_rows(g))
+        # 2-arc i is (a, heads[a, i % (k - 1)]) for a = i // (k - 1), and
+        # rank numbers every (a, b) but t = -s, which is no 2-arc
+        a, i = np.divmod(np.arange(k * (k - 1)), k - 1)
+        assert np.array_equal(rank[a, heads[a, i]], np.arange(k * (k - 1)))
+        assert np.array_equal(rank == -1, sums == 0)
 
 
 class TestNoGraph:
