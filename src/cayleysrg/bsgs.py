@@ -278,12 +278,6 @@ class PermutationGroup:
     def transversal_sizes(self) -> list[int]:
         return [len(lev.transversal_inv) for lev in self._levels]
 
-    def transversal(self, level: int) -> list[Permutation]:
-        """Level's transversal (0 the first): one element per orbit point."""
-        if not 0 <= level < len(self._levels):
-            raise ValueError(f"level {level} is not in a chain of {len(self._levels)} levels")
-        return list(self._levels[level].transversal_inv.values())
-
     def transversal_inverse(self, x: int) -> Permutation:
         """An element carrying x onto the first base point: the first
         level's transversal element at x, built on request when the chain

@@ -54,11 +54,11 @@ __all__ = ["main", "run", "analyze_report", "verify_range", "predicted_values"]
 EXPORT_MAX_MODULUS = 110
 # analyze and verify: analyze builds no adjacency rows, so peak RSS grows
 # with phi(n) * n**2, G_0's chain at degree n**2, and is largest at 241:
-# 1.0-1.4 s and 492 MB, group 0.7-1.0 s, transitivity 0.06-0.09.  243 = 3^5,
-# whose transitivity stage was the slowest, takes 0.9-1.1 s and 353 MB,
-# group 0.5-0.6 s, transitivity 0.11-0.17; 236..246 otherwise took 233-514
-# MB when last measured (CI runs both; 2 vCPUs, CPython 3.11.7).  Raising
-# the cap waits for G_0 to leave degree n**2.
+# 1.0-1.4 s and 482 MB, group 0.75-1.0 s, transitivity 0.03-0.04.  243 = 3^5
+# takes 0.9-1.0 s and 341 MB, group 0.6-0.7 s, transitivity 0.03-0.04;
+# 236..246 otherwise take 164-470 MB each, and verify 236..246 about 6.5 s
+# and 493 MB (CI runs all three; 2 vCPUs, CPython 3.11.7).  Raising the cap
+# waits for G_0 to leave degree n**2.
 ANALYZE_MAX_MODULUS = 246
 
 
@@ -336,7 +336,8 @@ def main(argv=None) -> int:
         except ValueError as exc:
             parser.error(str(exc))
         if not 4 <= lo <= hi <= ANALYZE_MAX_MODULUS:
-            parser.error(f"range must satisfy 4 <= lo <= hi <= {ANALYZE_MAX_MODULUS}")
+            parser.error(f"range must satisfy 4 <= lo <= hi <= {ANALYZE_MAX_MODULUS}, "
+                         f"got {args.range!r}")
         upto = args.oracle_upto
         if upto is not None:
             upto = _bounded(parser, "--oracle-upto", upto, BRUTE_FORCE_MAX_MODULUS)

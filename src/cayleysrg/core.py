@@ -24,7 +24,6 @@ __all__ = [
     "Permutation",
     "perm_from_pair_map",
     "orbits",
-    "orbit_labels",
     "transversal",
     "check_point",
 ]
@@ -311,48 +310,6 @@ def orbits(gen_images: list[Sequence[int]], objects) -> list[dict]:
         placed.update(orbit)
         out.append(orbit)
     return out
-
-
-def orbit_labels(size: int, steps) -> NDArray[np.int64]:
-    """Orbits of a group on the objects range(size), as least-member labels.
-
-    steps holds one int array per generator, the permutation of range(size)
-    it induces: steps[i][x] is the image of object x.  steps is read once,
-    so it may be an iterator that makes each array as it is read.
-    labels[x] is the least member of the orbit of x, so the least members
-    are the objects with labels[x] == x, in ascending order, and
-    np.bincount(labels) at those objects gives the orbit sizes.  No
-    generators give singleton orbits.
-
-    A step that is not an int array of size entries in range(size) means
-    the generators do not act on these objects, and a repeated image means
-    it is no permutation; either raises ValueError.  Labels start as the
-    objects and take the minimum over each generator's image and preimage,
-    then jump to their own labels, until nothing changes.  A label only
-    ever names a member of the same orbit and never grows, and at the
-    fixed point it is constant along every generator, hence on the orbit,
-    where it can only be the least member.
-    """
-    moves = []
-    for at in steps:
-        at = np.asarray(at)
-        if (at.shape != (size,) or at.dtype.kind not in "iu"
-                or (size and not 0 <= at.min() <= at.max() < size)):
-            raise ValueError("an image lies outside the objects: the generators do not "
-                             "act on these objects")
-        back = np.empty_like(at)
-        back[at] = np.arange(size)
-        if (back[at] != np.arange(size)).any():
-            raise ValueError("a generator maps two objects onto one")
-        moves += [at, back]
-    labels = np.arange(size)
-    while True:
-        prev = labels
-        for move in moves:
-            labels = np.minimum(labels, labels[move])
-        labels = labels[labels]
-        if np.array_equal(labels, prev):
-            return labels
 
 
 def transversal(perms: list[Permutation], point: int, degree: int) -> dict[int, Permutation]:

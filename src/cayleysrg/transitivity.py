@@ -17,29 +17,25 @@ and Royle, Algebraic Graph Theory, 2001):
     with the G_0-orbits on the same objects starting at 0, and the G-orbit
     of such an object x has size n^2 * |G_0.x|.
 
-G_0 is generated by the next level's strong generators, and the
-first-level transversal carries any vertex back to 0.
-
-Before any of it, _Rooted certifies the chain's strong generators, which
-everything below reads, by the certificate of S in symmetries, as
-claimed_aut_group certifies its generators, and refuses a next-level
-generator that moves 0.  So no graph is built or read, and the objects at
+Before any of it, _Rooted certifies the chain's strong generators by the
+certificate of S in symmetries and refuses one of the next level's, which
+generate G_0, that moves 0, so no graph is built or read.  The objects at
 0 come from S: the arcs (0, s), s in S; the distance-2 pairs (0, w), w
 neither 0 nor in S, as (a, b) off S and 0 has a, b != 0 and is
 (a, 0) + (0, b), so the diameter is 2; the 2-arcs 0 ~ s ~ s + t, t in S
-but -s.  A certified map fixing 0 is linear (Babai 1979), so a generator
-of G_0 permutes the vertices v != 0, numbered v - 1, by a gather, for
-core.orbit_labels, the one orbit kernel, which runs once: their orbits in
-S are the arc orbits and the others the distance-2 orbits, as G_0 fixes
-S.  Edge orbits are arc orbits paired with the orbits of their reversed
-arcs; the reversal (v, 0) of an arc at 0 is carried back to 0, once per
-arc orbit.  The pairs at distance 0 form one orbit, as G is
-vertex-transitive.  A linear map is fixed by its images of e_2 and e_1,
-so G_0 acts faithfully on S and is listed once, as a table over S, one row
-per element.  Every 2-arc orbit at 0 has members 0 ~ s ~ s + t with s the
-least member of its arc orbit, its column's minimum; they form one orbit
-of G_0,s, the rows fixing s, and the G-orbit has n^2 |G_0.s| |G_0,s.t|
-members.
+but -s.  A certified map fixing 0 is linear (Babai 1979), hence named by
+its images of e_2 and e_1.  So G_0 is listed once, as a table over S, one
+row per element, closed from the identity under the certified generators
+and exact by construction, and every question reads it; no orbit kernel
+runs.  The arc orbits are the columns' minima; the distance-2 orbit of
+w = x e_1 + y e_2 is x h(e_1) + y h(e_2) over the rows h, walked from the
+least vertex no orbit holds yet.  An edge orbit pairs an arc orbit with
+the orbit of its reversed arcs, each reversal (v, 0) carried back to 0 by
+the first-level transversal.  Every 2-arc orbit at 0 has members
+0 ~ s ~ s + t with s the least member of its arc orbit; they form one
+orbit of G_0,s, the rows fixing s, and the G-orbit has n^2 |G_0.s|
+|G_0,s.t| members.  The pairs at distance 0 form one orbit, as G is
+vertex-transitive.
 
 Reports equal those of closing every object of the graph under G.  Every
 G-orbit has a member starting at 0, the least vertex, and the orbits at 0
@@ -56,7 +52,6 @@ from math import isqrt
 import numpy as np
 
 from .bsgs import PermutationGroup
-from .core import orbit_labels
 from .graph import GRAPH_MAX_MODULUS, connection_indices
 # check_graph_automorphism is never called here: bench/tracing.py patches it here
 from .symmetries import _certify, check_graph_automorphism, claimed_aut_group  # noqa: F401
@@ -115,10 +110,9 @@ class TransitivityReport:
 
 class _Rooted:
     """The engine's one entry check: the group, of degree n^2, its strong
-    generators certified, as a vertex-transitive action rooted at vertex 0,
-    its chain's first base point, whose first-level transversal carries any
-    vertex to 0, with the image arrays of the next level's generators,
-    which generate G_0, and pos[v], the index of v in S or -1."""
+    generators certified, vertex-transitive and rooted at vertex 0, its
+    chain's first base point, with the image arrays of G_0's generators, the
+    next level's, and pos[v], the index of v in S or -1."""
 
     def __init__(self, grp: PermutationGroup) -> None:
         n = isqrt(grp.degree)
@@ -142,50 +136,56 @@ class _Rooted:
         self.pos[self.hood] = np.arange(self.hood.size)
 
     @cached_property
-    def vertex_orbits(self):
-        """G_0's orbits on the vertices other than 0, vertex v as object
-        v - 1: the labels, then the arc orbits and the distance-2 orbits,
-        each as its least pair (0, v) and its size under G, in order of v."""
-        count = self.group.degree
-        labels = orbit_labels(count - 1, (img[1:] - 1 for img in self.stabilizer))
-        firsts, sizes = _orbits(labels, count)
-        arcs, far = [], []
-        for v, size in zip((firsts + 1).tolist(), sizes.tolist()):
-            (far if self.pos[v] < 0 else arcs).append(((0, v), size))
-        return labels, arcs, far
+    def table(self) -> np.ndarray:
+        """G_0 as a table over S, one row per element: the indices in S of
+        its images of S.  The rows are closed from the identity row under
+        the certified generators, g taking row h to the row of g o h, and a
+        row is kept only when its key, its images of e_2 and e_1, is new."""
+        hood, pos, k = self.hood, self.pos, self.hood.size
+        steps = pos[np.array([img[hood] for img in self.stabilizer],
+                             dtype=np.int64).reshape(-1, k)]
+        if (steps < 0).any():
+            raise ValueError("a generator of G_0 carries S off S: the generators do "
+                             "not act on the arcs at 0")
+        c2, c1 = pos[1], pos[self.n]
+        # keys are below k^2: last keeps one product per key, seen old keys;
+        # only the rows of the products kept are gathered
+        seen, last = np.zeros(k * k, dtype=bool), np.empty(k * k, dtype=np.int64)
+        seen[c2 * k + c1] = True
+        rows = [np.arange(k)[None]]
+        while (new := rows[-1]).size:
+            keys = (steps[:, new[:, c2]] * k + steps[:, new[:, c1]]).ravel()
+            order = np.arange(keys.size)
+            last[keys] = order
+            fresh = np.flatnonzero((last[keys] == order) & ~seen[keys])
+            seen[keys[fresh]] = True
+            g, h = np.divmod(fresh, len(new))
+            rows.append(steps[g[:, None], new[h]])
+        return np.concatenate(rows)
 
     @cached_property
-    def table(self) -> np.ndarray:
-        """G_0 as a table over S: one row per product of a transversal
-        element of each level past the first, the indices in S of its images
-        of S.  Refused unless the images of e_2 and e_1 differ from row to
-        row, the identity is a row, and the rows are closed under the
-        certified generators, so that they hold the group G_0 they generate;
-        that they hold no more rests on the chain's transversal sizes."""
-        hood, pos, k = self.hood, self.pos, self.hood.size
-        rows = np.arange(k)[None]
-        for level in range(1, len(self.group.base)):
-            step = pos[np.array([p.images[hood] for p in self.group.transversal(level)])]
-            rows = step.take(rows, axis=1).reshape(-1, k)
-        # a row's images of e_2 and e_1, one number for both, name the row
-        c2, c1 = rows[:, pos[1]], rows[:, pos[self.n]]
-        index = np.full(k * k, -1)
-        index[c2 * k + c1] = np.arange(len(rows))
-        closed = ((index[c2 * k + c1] == np.arange(len(rows))).all()
-                  and (rows[index[pos[1] * k + pos[self.n]]] == np.arange(k)).all())
-        for sigma in (pos[img[hood]] for img in self.stabilizer):
-            moved = sigma.take(rows)
-            closed = closed and (rows[index[sigma[c2] * k + sigma[c1]]] == moved).all()
-        if not closed:
-            raise ValueError("the chain's transversals past the first level do not "
-                             "list the group G_0 its generators generate")
-        return rows
-
-
-def _orbits(labels: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each orbit's least member, ascending, and its size times count."""
-    firsts = np.flatnonzero(labels == np.arange(labels.size))
-    return firsts, np.bincount(labels)[firsts] * count
+    def vertex_orbits(self):
+        """G_0's orbits on the vertices other than 0, read off the table:
+        least[i], the index in S of the least member of the orbit of S's
+        i-th member, then the arc orbits and the distance-2 orbits, each as
+        its least pair (0, v) and its size under G, in order of v."""
+        table, hood, n, count = self.table, self.hood, self.n, self.group.degree
+        least = table.min(axis=0)
+        roots = np.flatnonzero(least == np.arange(hood.size))
+        arcs = list(zip(((0, v) for v in hood[roots].tolist()),
+                        (np.bincount(least)[roots] * count).tolist()))
+        # h(x e_1 + y e_2) = x h(e_1) + y h(e_2), as h is linear; the least
+        # vertex no orbit holds yet starts the next orbit, and 0 is never free
+        (a1, b1), (a2, b2) = (np.divmod(hood[table[:, self.pos[e]]], n) for e in (n, 1))
+        free = np.ones(count, dtype=bool)
+        free[0] = free[hood] = False
+        far = []
+        while w := int(free.argmax()):
+            x, y = divmod(w, n)
+            images = (x * a1 + y * a2) % n * n + (x * b1 + y * b2) % n
+            free[images] = False
+            far.append(((0, w), count * len(table) // int((images == w).sum())))
+        return least, arcs, far
 
 
 def _context(grp: PermutationGroup, rooted: _Rooted | None) -> _Rooted:
@@ -219,7 +219,7 @@ def is_edge_transitive(grp: PermutationGroup,
     with half as many edges as arcs when the two orbits coincide.
     """
     ctx = _context(grp, rooted)
-    labels, arcs, _ = ctx.vertex_orbits
+    least, arcs, _ = ctx.vertex_orbits
     parts = []
     paired: set[int] = set()
     for (_, v), size in arcs:
@@ -228,7 +228,7 @@ def is_edge_transitive(grp: PermutationGroup,
         # the reversed arc (v, 0), carried back to 0, is the arc (0, x),
         # in the orbit whose least member is u
         x = ctx.group.transversal_inverse(v).apply(0)
-        u = int(labels[x - 1]) + 1
+        u = int(ctx.hood[least[ctx.pos[x]]])
         paired.add(u)
         parts.append(((0, v), size // 2 if u == v else size))
     return _result(parts)
@@ -246,7 +246,7 @@ def is_two_arc_transitive(grp: PermutationGroup,
     ctx = _context(grp, rooted)
     table, hood, n = ctx.table, ctx.hood, ctx.n
     # the arc orbits' roots s, the columns' minima, and G_0,s's rows h for each
-    roots = np.flatnonzero(table.min(axis=0) == np.arange(hood.size))
+    roots = np.flatnonzero(ctx.vertex_orbits[0] == np.arange(hood.size))
     at, h = np.nonzero((table[:, roots] == roots).T)
     fixing = np.bincount(at)
     sums = (hood[roots, None] // n + hood // n) % n * n + (hood[roots, None] + hood) % n

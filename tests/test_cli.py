@@ -270,6 +270,15 @@ class TestVerify:
             assert exc.value.code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("rng", ["5..4", "4..300", "3..5"])
+    def test_a_range_out_of_bounds_is_named(self, rng, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "verify_range", None)  # parse only
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", rng])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"4 <= lo <= hi <= {ANALYZE_MAX_MODULUS}, got '{rng}'" in err
+
     @pytest.mark.parametrize("rng", ["\uff14..\uff15", "\u00b2..5", "4..\u0665",
                                      " 4..5", "4..+5"])
     def test_ranges_other_than_ascii_digits_are_usage_errors(self, rng, capsys,

@@ -6,8 +6,8 @@ from hypothesis import given, strategies as st
 
 import cayleysrg.core as core
 from cayleysrg import Permutation, ZnPair, perm_from_pair_map, units
-from cayleysrg.core import orbit_labels, orbits, transversal
-from conftest import pair_map_reference
+from cayleysrg.core import orbits, transversal
+from conftest import orbit_labels, orbit_labels_by_codes, pair_map_reference
 
 
 class TestZnPair:
@@ -263,36 +263,6 @@ class TestOrbits:
     def test_no_generators_gives_singletons(self):
         parts = orbits([], [(2, 1), (0, 1)])
         assert [list(o) for o in parts] == [[(2, 1)], [(0, 1)]]
-
-
-def orbit_labels_by_codes(codes, images):
-    """The orbit kernel as it was before it took index permutations, kept as
-    its oracle: objects are given by ascending int codes, and each
-    generator by the codes of the images of codes, which searchsorted maps
-    back to indices."""
-    codes = np.asarray(codes, dtype=np.int64)
-    if (codes[1:] <= codes[:-1]).any():
-        raise ValueError("object codes must be strictly ascending")
-    steps = []
-    for img in images:
-        at = np.searchsorted(codes, img)
-        if at.shape != codes.shape or (at.size and (
-                at.max() >= codes.size or (codes[at] != img).any())):
-            raise ValueError("an image code is missing: the generators do not act "
-                             "on these objects")
-        if at.size and np.bincount(at).max() > 1:
-            raise ValueError("a generator maps two objects onto one")
-        back = np.empty_like(at)
-        back[at] = np.arange(at.size)
-        steps += [at, back]
-    labels = np.arange(codes.size)
-    while True:
-        prev = labels
-        for step in steps:
-            labels = np.minimum(labels, labels[step])
-        labels = labels[labels]
-        if np.array_equal(labels, prev):
-            return labels
 
 
 def _kernel_case(gen_images, seeds):

@@ -28,7 +28,7 @@ from cayleysrg.bitset import bfs_layers, bit_positions, iter_bits
 from cayleysrg.bsgs import _Level
 from cayleysrg.cli import analyze_report
 from cayleysrg.graph import connection_indices
-from conftest import CountingRows
+from conftest import CountingRows, orbit_labels
 
 
 def v(i, j, n):
@@ -180,17 +180,12 @@ class TestFirstLevelRooting:
     its first base point."""
 
     @pytest.mark.parametrize("n", range(4, 14))
-    def test_claimed_group_never_closes_the_vertices(self, claimed_group, claimed_oracle,
-                                                     n, monkeypatch):
-        # the kernel only ever sees the objects at 0, in one call: the
-        # n^2 - 1 other vertices, which hold the arcs and the pairs at
-        # distance 2; the 2-arcs are read off G_0's table over S
-        sizes = []
-        labels = transitivity.orbit_labels
-        monkeypatch.setattr(transitivity, "orbit_labels",
-                            lambda size, steps: sizes.append(size) or labels(size, steps))
+    def test_claimed_group_never_closes_the_vertices(self, claimed_group, claimed_oracle, n):
+        # every answer is read off G_0's table over S, one row per element
+        # of G_0, of order 6 phi(n)
         assert classify_action(claimed_group(n)) == claimed_oracle(n)
-        assert sizes == [n * n - 1]
+        phi = sum(math.gcd(u, n) == 1 for u in range(n))
+        assert len(transitivity._Rooted(claimed_group(n)).table) == 6 * phi
 
     @pytest.mark.parametrize("n", [5, 6])
     def test_chain_based_off_zero_is_refused(self, claimed_group, n):
@@ -256,6 +251,21 @@ def tails_read_off_the_rows(g):
     return np.column_stack((hood[at], w))
 
 
+def vertex_orbits_by_kernel(grp):
+    """_Rooted.vertex_orbits by one kernel call on the n^2 - 1 vertices
+    other than 0, vertex v as object v - 1, as the engine found them before
+    it read G_0 as a table over S: the vertex labels, then the arc orbits
+    and the distance-2 orbits, each as its least pair (0, v) and its size."""
+    ctx = transitivity._Rooted(grp)
+    count = grp.degree
+    labels = orbit_labels(count - 1, (img[1:] - 1 for img in ctx.stabilizer))
+    firsts = np.flatnonzero(labels == np.arange(labels.size))
+    arcs, far = [], []
+    for v, size in zip((firsts + 1).tolist(), (np.bincount(labels)[firsts] * count).tolist()):
+        (far if ctx.pos[v] < 0 else arcs).append(((0, v), size))
+    return labels, arcs, far
+
+
 def _members(labels, firsts):
     """The vertices in the orbits of the vertex labels whose least members
     are firsts, as a bitmask."""
@@ -272,10 +282,23 @@ class TestObjectsFromS:
         layers = bfs_layers(g.adjacency, 0)
         assert layers == [1, in_s, (1 << n * n) - 2 - in_s]
         # the arc orbits hold S, the first layer, and the distance-2
-        # orbits the rest, the second
-        labels, arcs, far = transitivity._Rooted(claimed_group(n)).vertex_orbits
+        # orbits the rest, the second; the kernel says which vertices each holds
+        _, arcs, far = transitivity._Rooted(claimed_group(n)).vertex_orbits
+        labels = vertex_orbits_by_kernel(claimed_group(n))[0]
         assert _members(labels, [v for (_, v), _ in arcs]) == layers[1]
         assert _members(labels, [v for (_, v), _ in far]) == layers[2]
+
+    # 243 = 3^5, where the kernel needs the most rounds up to the cap, is
+    # built here and dropped, not kept for the session
+    @pytest.mark.parametrize("n", [*range(4, 42), 61, 64, 81, 101, 125, 128, 243])
+    def test_vertex_orbits_match_the_kernel(self, claimed_group, n):
+        grp = claimed_group(n) if n < 200 else claimed_aut_group(n)
+        ctx = transitivity._Rooted(grp)
+        least, arcs, far = ctx.vertex_orbits
+        labels, *orbits = vertex_orbits_by_kernel(grp)
+        assert [arcs, far] == orbits
+        # least names the least member of each member's arc orbit by its index in S
+        assert np.array_equal(ctx.hood[least], labels[ctx.hood - 1] + 1)
 
 
 # Oracle for the 2-arcs: the k(k - 1) 2-arcs at 0, numbered by a k x k rank
@@ -307,10 +330,11 @@ def two_arcs_by_kernel(grp):
     ctx = transitivity._Rooted(grp)
     rank, heads, sums = _two_arcs(ctx.n)
     k = ctx.hood.size
-    labels = transitivity.orbit_labels(k * (k - 1), (
+    labels = orbit_labels(k * (k - 1), (
         np.take(rank, sigma[:, None] * k + sigma[heads]).ravel()
         for sigma in (ctx.pos[img[ctx.hood]] for img in ctx.stabilizer)))
-    firsts, sizes = transitivity._orbits(labels, grp.degree)
+    firsts = np.flatnonzero(labels == np.arange(labels.size))
+    sizes = np.bincount(labels)[firsts] * grp.degree
     a, i = np.divmod(firsts, k - 1)
     return transitivity._result([((0, s, w), size) for s, w, size in zip(
         ctx.hood[a].tolist(), sums[a, heads[a, i]].tolist(), sizes.tolist())])
@@ -351,10 +375,10 @@ class TestTwoArcsOffTheTable:
         # G_0's first transversal with one element replaced: by the identity,
         # which leaves a coset out; by a translation, which carries S off S;
         # by a swap of two members of S, no automorphism; with one element
-        # listed twice, so that a row repeats; with every element u made
-        # u o r, r a swap of two members of S that fixes e_2 and e_1, so that
-        # the rows are the coset G_0 r, closed under G_0 but without the
-        # identity
+        # listed twice; with every element u made u o r, r a swap of two
+        # members of S that fixes e_2 and e_1.  The table is closed from the
+        # certified generators, so no transversal past the first level is
+        # read, and the forged chain gets the honest chain's report
         grp = claimed_group(5)
         first, level, *rest = grp._levels
         x = next(x for x in level.transversal_inv if x != level.point)
@@ -372,9 +396,27 @@ class TestTwoArcsOffTheTable:
                          "swap": Permutation(swap)}[forge]
         chain = PermutationGroup(grp.generators, 25,
                                  [first, _Level(level.point, level.gens, forged), *rest])
-        for question in (classify_action, is_two_arc_transitive):
-            with pytest.raises(ValueError, match="do not list the group"):
-                question(chain)
+        assert classify_action(chain) == classify_action(grp)
+
+    def test_coset_listed_beside_the_stabilizer_is_never_read(self, claimed_group):
+        # G_0's first transversal at n = 7 with u o r listed beside every
+        # element u, under keys no point has, r the swap of e_2 = (0, 1) and
+        # (0, 2), two members of S: a product of the transversals lists G_0
+        # and the coset G_0 r, 72 rows closed under G_0, with distinct images
+        # of e_2 and e_1 and the identity among them; the table, closed from
+        # the identity under G_0's generators, lists the 36 of G_0
+        grp = claimed_group(7)
+        first, level, *rest = grp._levels
+        swap = np.arange(49)
+        swap[[1, 2]] = 2, 1
+        forged = dict(level.transversal_inv)
+        forged.update({-1 - i: Permutation(u.images[swap])
+                       for i, u in enumerate(level.transversal_inv.values())})
+        chain = PermutationGroup(grp.generators, 49,
+                                 [first, _Level(level.point, level.gens, forged), *rest])
+        assert len(transitivity._Rooted(chain).table) == 36
+        assert is_two_arc_transitive(chain) == two_arcs_by_kernel(chain)
+        assert classify_action(chain) == classify_action(grp)
 
 
 class TestNoGraph:
