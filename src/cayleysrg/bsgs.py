@@ -15,16 +15,14 @@ transversal: for each point x of its base point's orbit, an element
 carrying x back onto the base point, which is what sifting reads.
 
 Two constructors skip Schreier-Sims where theory already knows more.
-PermutationGroup.from_base_images takes a base, a sequence of points that
-only the identity fixes: the group then acts regularly on the images of
-the base, so its order is the size of that orbit, an input whose base
-image is already in the orbit is already in the group, and every level is
-read off the orbit's Schreier tree (Seress 2003, on groups with a known
-base).  PermutationGroup.assemble puts a first level, generators that
-move a point and the orbit of that point as a transversal, any Mapping
-(one that builds its elements on request stores nothing), in front of a
-finished chain of the point's stabiliser.  Either way the levels past the
-first form a complete chain of the first base point's stabiliser, so
+PermutationGroup.from_levels takes the chain named level by level, each
+base point with its strong generators, and the order, known by other
+means; each level builds its transversal from its generators.
+PermutationGroup.assemble puts a first level, generators that move a
+point and the orbit of that point as a transversal, any Mapping (one that
+builds its elements on request stores nothing), in front of a finished
+chain of the point's stabiliser.  Either way the levels past the first
+form a complete chain of the first base point's stabiliser, so
 point_stabilizer reuses them as they are; it serves that point only.  Each
 constructor sifts each of its own inputs once, as a self-check.
 """
@@ -32,7 +30,7 @@ constructor sifts each of its own inputs once, as a self-check.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 
 from .core import Permutation, check_point, orbits, transversal
 
@@ -96,7 +94,7 @@ class _Level:
 class PermutationGroup:
     """A permutation group with a base and strong generating set.
 
-    Build with from_generators, from_base_images or assemble, which keep
+    Build with from_generators, from_levels or assemble, which keep
     the input generator list verbatim, assemble with the stabiliser's after
     it (inputs already in the group are not strong generators).  A group
     from point_stabilizer is the chain's tail, generated by the strong
@@ -155,60 +153,19 @@ class PermutationGroup:
         return group._self_checked(gens)
 
     @classmethod
-    def from_base_images(cls, generators, base: Sequence[int]) -> PermutationGroup:
-        """The group the generators generate, read off the orbit of base,
-        with no Schreier-Sims: base must be a base of that group, one that
-        only the identity fixes pointwise.
-
-        The group then acts regularly on the images of base, so each element
-        is named by its base image.  An input is kept only when its base
-        image is new to the orbit, closed by core.orbits over the inputs
-        kept so far; the others are already in the group.  The order is the
-        size of the orbit.  Level 0 is generated by the kept inputs, and
-        level i > 0 by one element per image of base[i] under the
-        stabiliser of base[:i], the first orbit member to reach it, plus the
-        generators of the levels past it.  Each such element is composed
-        along the orbit's Schreier tree, walking up from its member to the
-        root, so a deep tree costs no recursion.  Each level builds its
-        transversal from its generators, as compiled levels do.
-
-        That base is a base is the caller's claim, resting on theory.  The
-        order must match the orbit, and every input must sift to the
-        identity, as in from_generators; an input the kept ones do not
-        generate fails the second check.
-        """
+    def from_levels(cls, generators, levels, order: int) -> PermutationGroup:
+        """The group the generators generate, from its chain named level by
+        level, with no Schreier-Sims: levels lists pairs of a base point and
+        the strong generators of its level, which fix every earlier base
+        point, and order is known by other means.  Each level builds its
+        transversal from its generators.  That the chain is complete is the
+        caller's claim, resting on theory; its order must be order, and
+        every input must sift to the identity, as in from_generators."""
         gens, degree = _checked(generators)
-        base = tuple(check_point(b, degree) for b in base)
-        kept: list[Permutation] = []
-        tree: dict = {base: None}
-        for g in gens:
-            if tuple(g.images[[*base]].tolist()) not in tree:
-                kept.append(g)
-                tree = orbits([memoryview(p.images) for p in kept], [base])[0]
-
-        def element(t: tuple[int, ...]) -> Permutation:
-            """The element carrying base onto t, kept[k] * (the element at
-            t's parent) for the input kept[k] that reached t."""
-            g = Permutation.identity(degree)
-            while tree[t] is not None:
-                t, k = tree[t]
-                g = g * kept[k]
-            return g
-
-        levels: list[_Level] = []
-        for i in reversed(range(1, len(base))):
-            reached: dict[int, tuple[int, ...]] = {}
-            for t in tree:
-                if t[:i] == base[:i] and t[i] != base[i]:
-                    reached.setdefault(t[i], t)
-            lower = levels[0].gens if levels else []
-            levels.insert(0, _Level(base[i], [*map(element, reached.values()), *lower]))
-        if base:
-            levels.insert(0, _Level(base[0], kept))
-        for lev in levels:
-            lev.recompute_orbit(degree)
-        group = cls(gens, degree, levels)
-        if group.order() != len(tree):
+        chain = [_Level(b, strong, transversal(strong, check_point(b, degree), degree))
+                 for b, strong in levels]
+        group = cls(gens, degree, chain)
+        if group.order() != order:
             raise RuntimeError("chain construction failed its order self-check")
         return group._self_checked(gens)
 

@@ -9,7 +9,7 @@ graph Cay(Z_n x Z_n, S) is simple, undirected, (3n-3)-regular and connected.
 The neighbourhood of the origin splits into three cliques, one per family
 of S, which is what the symmetry analysis elsewhere in the package leans on.
 family_defect proves from any rows handed in that they are this graph's:
-row 0 is S, and translation_defect finds each row to be row 0 translated.
+row 0 is S, and translation_defect finds n * n rows, each row 0 translated.
 The regularity scans and the certificate of a graph handed in rest on that
 proof, which reads every row on every call and keeps nothing.
 """
@@ -173,20 +173,23 @@ def _column_step(n: int):
 
 
 def translation_defect(g) -> int | None:
-    """The least vertex v whose row is not row 0 translated by v, or None
-    when every row is, and so every translation is an automorphism.
+    """The least vertex v whose row is missing or is not row 0 translated
+    by v, else n * n if there are more rows, else None: every translation
+    is then an automorphism.
 
-    Reads only g.n and the n * n rows g.adjacency, vertex (i, j) being row
-    i * n + j.  Row (0, j) is compared with row (0, j - 1) with each n-bit
-    chunk rotated by one bit, and row (i, j), i > 0, with row (i - 1, j)
-    rotated by n bits, so every row before the first that fails is row 0
-    translated.
+    Reads g.n and the first n * n rows of g.adjacency, vertex (i, j) being
+    row i * n + j.  Row (0, j) is compared with row (0, j - 1) with each
+    n-bit chunk rotated by one bit, and row (i, j), i > 0, with row
+    (i - 1, j) rotated by n bits, so every row before the first that fails
+    is row 0 translated.
     """
     n, rows = g.n, g.adjacency
-    size = n * n
+    size, count = n * n, len(rows)
     full = (1 << size) - 1
     next_column = _column_step(n)
     for v in range(1, size):
+        if v == count:
+            return v
         if v < n:
             step = next_column(rows[v - 1])
         else:
@@ -194,14 +197,14 @@ def translation_defect(g) -> int | None:
             step = (row << n | row >> (size - n)) & full
         if rows[v] != step:
             return v
-    return None
+    return None if count == size else size
 
 
 def family_defect(g) -> int | None:
-    """translation_defect(g), or 0 when row 0 is not S: None exactly when
-    g.adjacency are the rows of the graph of modulus g.n."""
+    """translation_defect(g), or 0 when row 0 is missing or is not S: None
+    exactly when g.adjacency are the rows of the graph of modulus g.n."""
     row0 = mask_of(connection_indices(g.n), g.n * g.n)
-    return 0 if g.adjacency[0] != row0 else translation_defect(g)
+    return 0 if not g.adjacency or g.adjacency[0] != row0 else translation_defect(g)
 
 
 @dataclass(frozen=True)

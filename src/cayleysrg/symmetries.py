@@ -38,10 +38,10 @@ The claimed group is assembled on that certificate, with no
 Schreier-Sims.  The translations form a regular normal subgroup T, so the
 group is the semidirect product of T and G_0, the group of the certified
 linear maps, and its order is n**2 * |G_0| (Dixon and Mortimer,
-Permutation Groups, 1996).  claimed_origin_stabilizer builds G_0 once,
-reading its chain off the orbit of a base at degree n**2, and
-claimed_aut_group puts the translations in front of it.  Schreier-Sims on
-the same generators is the tests' oracle for both.
+Permutation Groups, 1996).  A certified map fixing 0 is linear, so
+_table_over_s lists G_0 once as a table over S; claimed_origin_stabilizer
+reads G_0's chain off it, and claimed_aut_group puts the translations in
+front.  Schreier-Sims on the same generators is the tests' oracle for both.
 """
 
 from __future__ import annotations
@@ -53,7 +53,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bsgs import PermutationGroup
-from .core import Permutation, _block_rows, check_point, perm_from_pair_map, units
+from .core import (Permutation, _block_rows, _coordinates, check_point, perm_from_pair_map,
+                   units)
 from .graph import (CayleyGraph, build_graph, connection_indices, family_defect,
                     zero_neighborhood_cliques)
 
@@ -159,16 +160,18 @@ def check_graph_automorphism(g: CayleyGraph, *perms: Permutation) -> None:
     """Raise AutomorphismError unless g is the graph of modulus g.n and
     every p in perms is an affine automorphism of it.
 
-    g is refused first, with its first row that is not S translated by its
-    vertex; then the first p that fails, as one p at a time would be: an
-    affine p with the first pair (v, w) where the image of the neighbourhood
-    of v and the neighbourhood of the image of v differ, any other p with a
-    vertex where it is not affine (see the module docstring).
+    g is refused first, with its first row that is missing, extra or not S
+    translated by its vertex; then the first p that fails, as one p at a
+    time would be: an affine p with the first pair (v, w) where the image of
+    the neighbourhood of v and the neighbourhood of the image of v differ,
+    any other p with a vertex where it is not affine (module docstring).
     """
     bad = family_defect(g)
     if bad is not None:
-        raise AutomorphismError(f"not the graph of modulus {g.n}: row {bad} is not S "
-                                f"translated by vertex {bad}", witness=bad)
+        fault = ("missing" if bad == len(g.adjacency) else "extra" if bad == g.n * g.n
+                 else f"not S translated by vertex {bad}")
+        raise AutomorphismError(f"not the graph of modulus {g.n}: row {bad} is {fault}",
+                                witness=bad)
     _certify(g.n, perms)
 
 
@@ -237,6 +240,52 @@ def _linear_maps(n: int) -> list:
     return [*map(_scaling, units(n)), _swap, _rotation]
 
 
+def _unit_generators(n: int) -> list[int]:
+    """A greedy generating set of U(n): each unit in ascending order, kept
+    unless the units kept before it generate it, seen on residues mod n."""
+    reached, kept = {1}, []
+    for u in units(n):
+        if u not in reached:
+            kept.append(u)
+            # the cosets H u, H u^2, ... of the group H reached, up to H again
+            coset = reached
+            while coset := {h * u % n for h in coset} - reached:
+                reached |= coset
+    return kept
+
+
+def _table_over_s(n: int, gens) -> np.ndarray:
+    """The group that gens, the image arrays of certified maps fixing 0,
+    generate, as a table over S: one row per element, the indices in
+    connection_indices(n) of its images of S.  Each map is linear, so it is
+    named by its images of e_2 and e_1: the rows are closed from the
+    identity row, g taking row h to the row of g o h, and a row is kept
+    only when that key is new.  ValueError if a map carries S off S."""
+    hood = connection_indices(n)
+    k = hood.size
+    pos = np.full(n * n, -1)
+    pos[hood] = np.arange(k)
+    steps = pos[np.array([img[hood] for img in gens], dtype=np.int64).reshape(-1, k)]
+    if (steps < 0).any():
+        raise ValueError("a generator of G_0 carries S off S: the generators do "
+                         "not act on the arcs at 0")
+    c2, c1 = pos[1], pos[n]
+    # keys are below k^2: last keeps one product per key, seen old keys;
+    # only the rows of the products kept are gathered
+    seen, last = np.zeros(k * k, dtype=bool), np.empty(k * k, dtype=np.int64)
+    seen[c2 * k + c1] = True
+    rows = [np.arange(k)[None]]
+    while (new := rows[-1]).size:
+        keys = (steps[:, new[:, c2]] * k + steps[:, new[:, c1]]).ravel()
+        order = np.arange(keys.size)
+        last[keys] = order
+        fresh = np.flatnonzero((last[keys] == order) & ~seen[keys])
+        seen[keys[fresh]] = True
+        g, h = np.divmod(fresh, len(new))
+        rows.append(steps[g[:, None], new[h]])
+    return np.concatenate(rows)
+
+
 class _Translations(Mapping):
     """Vertex v -> the translation by -v, which carries v back onto vertex 0,
     built on request in O(n**2).
@@ -296,13 +345,24 @@ def claimed_aut_group(n: int) -> PermutationGroup:
 def claimed_origin_stabilizer(n: int) -> PermutationGroup:
     """G_0, the subgroup fixing vertex (0, 0): all unit scalings, the swap
     and the rotation, certified as one stack, so each is linear once it
-    fixes vertex 0.  A linear map is fixed by its images of e_2 = (0, 1)
-    and e_1 = (1, 0), the vertices 1 and n, so its chain is read off their
-    orbit with no Schreier-Sims."""
+    fixes vertex 0.  Its chain, at e_2 = 1 and e_1 = n, is read off its
+    table over S: level 0 is generated by the scalings by a greedy
+    generating set of U(n), the swap and the rotation, level 1 by the other
+    rows that fix e_2, and the order is the number of rows."""
     perms = _certified(n, _linear_maps(n))
     if any(p.apply(0) != 0 for p in perms):
         raise RuntimeError("a generator of G_0 moves vertex 0")
-    return PermutationGroup.from_base_images(perms, [1, n])
+    basis = set(_unit_generators(n))
+    kept = [*(p for u, p in zip(units(n), perms) if u in basis), *perms[-2:]]
+    table = _table_over_s(n, [p.images for p in kept])
+    hood = connection_indices(n)
+    e2, e1 = np.searchsorted(hood, [1, n])
+    x, y = _coordinates(n)
+    # row 0, the identity, is the first row that fixes e_2
+    flips = [Permutation((a1 * x + a2 * y) % n * n + (b1 * x + b2 * y) % n)
+             for (a1, a2), (b1, b2) in (np.divmod(hood[row[[e1, e2]]], n)
+                                        for row in table[table[:, e2] == e2][1:])]
+    return PermutationGroup.from_levels(perms, [(1, kept), (n, flips)], len(table))
 
 
 @dataclass(frozen=True)
@@ -339,9 +399,9 @@ def clique_action(n: int, p: Permutation) -> CliqueActionLabel:
         raise ValueError(f"map must be a Permutation, got {type(p).__name__}")
     if p.degree != n * n:
         raise ValueError(f"degree {p.degree} does not match {n * n} vertices")
-    g = build_graph(n)
     if p.apply(0) != 0:
         raise AutomorphismError("map does not fix the origin vertex", witness=0)
+    g = build_graph(n)
     parts = zero_neighborhood_cliques(g).as_tuple()
     imgs = p.images.tolist()
     mapping = []

@@ -24,12 +24,13 @@ generate G_0, that moves 0, so no graph is built or read.  The objects at
 neither 0 nor in S, as (a, b) off S and 0 has a, b != 0 and is
 (a, 0) + (0, b), so the diameter is 2; the 2-arcs 0 ~ s ~ s + t, t in S
 but -s.  A certified map fixing 0 is linear (Babai 1979), hence named by
-its images of e_2 and e_1.  So G_0 is listed once, as a table over S, one
-row per element, closed from the identity under the certified generators
-and exact by construction, and every question reads it; no orbit kernel
-runs.  The arc orbits are the columns' minima; the distance-2 orbit of
-w = x e_1 + y e_2 is x h(e_1) + y h(e_2) over the rows h, walked from the
-least vertex no orbit holds yet.  An edge orbit pairs an arc orbit with
+its images of e_2 and e_1.  So symmetries._table_over_s, which
+claimed_origin_stabilizer reads G_0's chain off, lists G_0 once, as a
+table over S closed from the identity under the certified generators, and
+every question reads it; no orbit kernel runs.  The arc orbits are the
+columns' minima; the distance-2 orbit of w = x e_1 + y e_2 is
+x h(e_1) + y h(e_2) over the rows h, walked from the least vertex no
+orbit holds yet.  An edge orbit pairs an arc orbit with
 the orbit of its reversed arcs, each reversal (v, 0) carried back to 0 by
 the first-level transversal.  Every 2-arc orbit at 0 has members
 0 ~ s ~ s + t with s the least member of its arc orbit; they form one
@@ -54,7 +55,8 @@ import numpy as np
 from .bsgs import PermutationGroup
 from .graph import GRAPH_MAX_MODULUS, connection_indices
 # check_graph_automorphism is never called here: bench/tracing.py patches it here
-from .symmetries import _certify, check_graph_automorphism, claimed_aut_group  # noqa: F401
+from .symmetries import (_certify, _table_over_s, check_graph_automorphism,  # noqa: F401
+                         claimed_aut_group)
 
 __all__ = [
     "TransitivityResult",
@@ -137,31 +139,8 @@ class _Rooted:
 
     @cached_property
     def table(self) -> np.ndarray:
-        """G_0 as a table over S, one row per element: the indices in S of
-        its images of S.  The rows are closed from the identity row under
-        the certified generators, g taking row h to the row of g o h, and a
-        row is kept only when its key, its images of e_2 and e_1, is new."""
-        hood, pos, k = self.hood, self.pos, self.hood.size
-        steps = pos[np.array([img[hood] for img in self.stabilizer],
-                             dtype=np.int64).reshape(-1, k)]
-        if (steps < 0).any():
-            raise ValueError("a generator of G_0 carries S off S: the generators do "
-                             "not act on the arcs at 0")
-        c2, c1 = pos[1], pos[self.n]
-        # keys are below k^2: last keeps one product per key, seen old keys;
-        # only the rows of the products kept are gathered
-        seen, last = np.zeros(k * k, dtype=bool), np.empty(k * k, dtype=np.int64)
-        seen[c2 * k + c1] = True
-        rows = [np.arange(k)[None]]
-        while (new := rows[-1]).size:
-            keys = (steps[:, new[:, c2]] * k + steps[:, new[:, c1]]).ravel()
-            order = np.arange(keys.size)
-            last[keys] = order
-            fresh = np.flatnonzero((last[keys] == order) & ~seen[keys])
-            seen[keys[fresh]] = True
-            g, h = np.divmod(fresh, len(new))
-            rows.append(steps[g[:, None], new[h]])
-        return np.concatenate(rows)
+        """G_0's table over S, closed under the next level's generators."""
+        return _table_over_s(self.n, self.stabilizer)
 
     @cached_property
     def vertex_orbits(self):

@@ -1,4 +1,3 @@
-import math
 import random
 
 import numpy as np
@@ -173,24 +172,18 @@ def random_generators(seed):
     return gens
 
 
-def small_random_group(seed):
-    """The generators of a random group of at most 10**4 elements, small
-    enough to close the orbit of a base, with its Schreier-Sims chain: the
-    group random_generators(seed) generates, or, when that is larger, the
-    stabiliser in it of its first few base points."""
+def random_group(seed):
+    """random_generators(seed), the group they generate by Schreier-Sims,
+    and that group again from its Schreier-Sims chain's named levels."""
     gens = random_generators(seed)
     ref = PermutationGroup.from_generators(gens)
-    sizes = ref.transversal_sizes()
-    k = next(k for k in range(len(sizes) + 1) if math.prod(sizes[k:]) <= 10 ** 4)
-    if k:
-        gens = ref._levels[k].gens
-        ref = PermutationGroup.from_generators(gens)
-    return gens, ref
+    levels = [(lev.point, lev.gens) for lev in ref._levels]
+    return gens, ref, PermutationGroup.from_levels(gens, levels, ref.order())
 
 
 class TestStackedSifts:
-    """Chains read off the orbit of a base against Schreier-Sims, which
-    sifts one element at a time, on random generators."""
+    """Chains built from named levels against Schreier-Sims, which sifts
+    one element at a time, on random generators."""
 
     @pytest.mark.parametrize("block", [None, 1, 40])
     @pytest.mark.parametrize("seed", range(40))
@@ -199,8 +192,7 @@ class TestStackedSifts:
         # may depend on the block size, down to one row per block
         if block is not None:
             monkeypatch.setattr(core, "_BLOCK_ENTRIES", block)
-        gens, ref = small_random_group(seed)
-        grp = PermutationGroup.from_base_images(gens, ref.base)
+        gens, ref, grp = random_group(seed)
         assert grp.generators == gens and grp.base == ref.base
         assert grp.order() == ref.order()
         assert ([set(lev.transversal_inv) for lev in grp._levels]
@@ -211,8 +203,7 @@ class TestStackedSifts:
         # a stack of members, products with a stray transposition, and
         # random maps, each sifted from every level of both chains
         rng = random.Random(seed)
-        gens, ref = small_random_group(seed)
-        grp = PermutationGroup.from_base_images(gens, ref.base)
+        gens, ref, grp = random_group(seed)
         degree = grp.degree
         perms = [Permutation.identity(degree)]
         for _ in range(30):
@@ -232,27 +223,34 @@ class TestStackedSifts:
         assert [grp.contains(p) for p in perms] == [ref.contains(p) for p in perms]
 
 
-class TestFromBaseImages:
-    """Chains read off the orbit of a base, on inputs that test its limits."""
+class TestFromLevels:
+    """Chains built from named levels refuse what their self-checks catch."""
 
-    def test_a_deep_schreier_tree_is_walked_without_recursion(self):
+    ROTATION, SWAP = Permutation([1, 2, 0]), Permutation([1, 0, 2])
+
+    def test_a_deep_orbit_is_walked_without_recursion(self):
         # an m-cycle times a disjoint transposition: one generator, so the
-        # orbit of the base is a path of 2m tuples
+        # orbit of 0 is a path of m points
         m = 1501
         c = Permutation([*range(1, m), 0, m + 1, m])
-        grp = PermutationGroup.from_base_images([c], [0, m])
+        flip = Permutation([*range(m), m + 1, m])
+        grp = PermutationGroup.from_levels([c], [(0, [c]), (m, [flip])], 2 * m)
         assert grp.order() == 2 * m and grp.transversal_sizes() == [m, 2]
         assert grp.contains(c * c) and grp.point_stabilizer(0).order() == 2
 
-    def test_a_sequence_that_is_not_a_base_is_refused(self):
-        # (0 1) is dropped, since its image of 0 is reached by (0 1 2)
-        rotation, swap = Permutation([1, 2, 0]), Permutation([1, 0, 2])
-        with pytest.raises(RuntimeError, match="self-check"):
-            PermutationGroup.from_base_images([rotation, swap], [0])
+    def test_a_wrong_order_is_refused(self):
+        with pytest.raises(RuntimeError, match="order self-check"):
+            PermutationGroup.from_levels([self.ROTATION], [(0, [self.ROTATION])], 6)
+
+    def test_an_input_outside_the_chain_is_refused(self):
+        # the rotation's chain has order 3 and no room for the swap
+        with pytest.raises(RuntimeError, match="membership self-check"):
+            PermutationGroup.from_levels([self.ROTATION, self.SWAP],
+                                         [(0, [self.ROTATION])], 3)
 
     def test_the_base_points_are_checked(self):
         with pytest.raises(ValueError, match="out of range"):
-            PermutationGroup.from_base_images([Permutation.identity(3)], [3])
+            PermutationGroup.from_levels([Permutation.identity(3)], [(3, [])], 1)
 
 
 class TestRedundantInputs:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import cayleysrg.symmetries as symmetries
+import cayleysrg.transitivity as transitivity
 from cayleysrg import (
     AutomorphismError,
     CayleyGraph,
@@ -327,6 +328,20 @@ class TestGraphPremise:
                     check_graph_automorphism(g, *perms)
                 assert exc.value.witness == row
 
+    def test_an_extra_row_is_refused(self, graph):
+        # one more row, adjacent to itself, after the 25 rows of graph(5)
+        rows = graph(5).adjacency + (1 << 25,)
+        padded = CayleyGraph(5, connection_set(5), rows)
+        with pytest.raises(AutomorphismError, match="row 25 is extra") as exc:
+            check_graph_automorphism(padded, translation(5, 1, 0).perm)
+        assert exc.value.witness == 25
+
+    def test_a_missing_row_is_refused(self, graph):
+        cut = CayleyGraph(5, connection_set(5), graph(5).adjacency[:16])
+        with pytest.raises(AutomorphismError, match="row 16 is missing") as exc:
+            check_graph_automorphism(cut, translation(5, 1, 0).perm)
+        assert exc.value.witness == 16
+
     def test_invariant_rows_of_another_connection_set_are_refused(self, graph):
         # the rows of graph(5) moved by (1, 0) are all translates of their
         # row 0, which is S + (1, 0), not S
@@ -413,16 +428,43 @@ class TestAssembledGroup:
             claimed_aut_group(5)
 
     def test_the_origin_stabilizer_refuses_a_map_that_moves_vertex_0(self, monkeypatch):
-        # refused before its chain is read off the orbit of the base
-        def spy(cls, generators, base):
-            raise AssertionError("from_base_images was called")
+        # refused before its table over S is closed
+        def spy(n, gens):
+            raise AssertionError("_table_over_s was called")
 
         linear = symmetries._linear_maps
         monkeypatch.setattr(symmetries, "_linear_maps",
                             lambda n: [*linear(n), symmetries._shift(0, 1)])
-        monkeypatch.setattr(PermutationGroup, "from_base_images", classmethod(spy))
+        monkeypatch.setattr(symmetries, "_table_over_s", spy)
         with pytest.raises(RuntimeError, match="a generator of G_0 moves vertex 0"):
             claimed_origin_stabilizer(7)
+
+    def test_kept_maps_that_miss_a_scaling_fail_the_membership_self_check(
+            self, monkeypatch):
+        # U(15) needs the scalings by 2 and 7: without 7 the table, and so
+        # the chain, lists only the group of order 24, which the scaling by
+        # 7 is outside
+        greedy = symmetries._unit_generators
+        assert greedy(15) == [2, 7]
+        monkeypatch.setattr(symmetries, "_unit_generators", lambda n: greedy(n)[:-1])
+        with pytest.raises(RuntimeError, match="membership self-check"):
+            claimed_origin_stabilizer(15)
+
+    @pytest.mark.parametrize("n", [*range(4, 42), 61, 101])
+    def test_the_stabilizer_and_the_engine_list_the_same_table(self, claimed_group, n,
+                                                              monkeypatch):
+        # the table claimed_origin_stabilizer reads its chain off, and the
+        # one transitivity closes from the assembled chain's next level
+        engine = transitivity._Rooted(claimed_group(n)).table
+        tables = []
+        close = symmetries._table_over_s
+        monkeypatch.setattr(symmetries, "_table_over_s",
+                            lambda *args: tables.append(close(*args)) or tables[-1])
+        g0 = claimed_origin_stabilizer(n)
+        (own,) = tables
+        assert len(own) == len(engine) == g0.order() == 6 * units(n).totient
+        assert np.array_equal(np.unique(own, axis=0), np.unique(engine, axis=0))
+        assert len(np.unique(own, axis=0)) == len(own)
 
     @pytest.mark.parametrize("n", [*range(4, 18), 31])
     def test_each_generator_is_sifted_once(self, n, monkeypatch):
@@ -555,6 +597,13 @@ class TestCliqueAction:
     def test_origin_mover_rejected(self):
         with pytest.raises(AutomorphismError, match="origin"):
             clique_action(5, translation(5, 1, 2).perm)
+
+    def test_origin_mover_is_refused_before_the_graph(self, monkeypatch):
+        builds = []
+        monkeypatch.setattr(symmetries, "build_graph", lambda n: builds.append(n))
+        with pytest.raises(AutomorphismError, match="origin"):
+            clique_action(200, translation(200, 1, 2).perm)
+        assert builds == []
 
     def test_clique_smasher_rejected(self):
         imgs = list(range(16))
