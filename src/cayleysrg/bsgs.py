@@ -14,15 +14,11 @@ transversals and the same order.  A level keeps one side of its
 transversal: for each point x of its base point's orbit, an element
 carrying x back onto the base point, which is what sifting reads.
 
-Two constructors skip Schreier-Sims where theory already knows more.
-PermutationGroup.from_levels takes the chain named level by level, each
-base point with its strong generators, and the order, known by other
-means; each level builds its transversal from its generators.
-PermutationGroup.assemble puts a first level, generators that move a
-point and the orbit of that point as a transversal, any Mapping (one that
-builds its elements on request stores nothing), in front of a finished
-chain of the point's stabiliser.  Either way the levels past the first
-form a complete chain of the first base point's stabiliser, so
+PermutationGroup.from_levels skips Schreier-Sims where theory knows more:
+it takes the chain named level by level, each base point with its strong
+generators and optionally its transversal, any Mapping (one that builds
+its elements on request stores nothing), and the order.  The levels past
+the first form a complete chain of the first base point's stabiliser, so
 point_stabilizer reuses them as they are; it serves that point only.  Each
 constructor sifts each of its own inputs once, as a self-check.
 """
@@ -68,7 +64,7 @@ class _Level:
     """One stabiliser level: a base point, the strong generators that joined
     it, which fix all earlier base points, and transversal_inv, mapping each
     point of the base point's orbit to an element carrying it back onto the
-    base point; a dict unless the chain was assembled with another Mapping."""
+    base point; a dict unless the chain was named with another Mapping."""
 
     __slots__ = ("point", "gens", "transversal_inv")
 
@@ -94,10 +90,9 @@ class _Level:
 class PermutationGroup:
     """A permutation group with a base and strong generating set.
 
-    Build with from_generators, from_levels or assemble, which keep
-    the input generator list verbatim, assemble with the stabiliser's after
-    it (inputs already in the group are not strong generators).  A group
-    from point_stabilizer is the chain's tail, generated by the strong
+    Build with from_generators or from_levels, which keep the input list
+    verbatim (inputs already in the group are not strong generators).  A
+    group from point_stabilizer is the chain's tail, generated by the strong
     generators of its first level.  Membership, order and the stabiliser of
     the first base point all run off the chain; orbit_of_tuple and elements
     close over the generators.
@@ -155,48 +150,26 @@ class PermutationGroup:
     @classmethod
     def from_levels(cls, generators, levels, order: int) -> PermutationGroup:
         """The group the generators generate, from its chain named level by
-        level, with no Schreier-Sims: levels lists pairs of a base point and
-        the strong generators of its level, which fix every earlier base
-        point, and order is known by other means.  Each level builds its
-        transversal from its generators.  That the chain is complete is the
-        caller's claim, resting on theory; its order must be order, and
-        every input must sift to the identity, as in from_generators."""
+        level, with no Schreier-Sims: levels lists a base point, the strong
+        generators of its level, none moving an earlier base point, else
+        ValueError, and optionally a transversal, any Mapping from each
+        point x of the base point's orbit to an element carrying x back onto
+        it; a level with none builds it.  That the chain is complete is the
+        caller's claim, resting on theory; its order must be order, and every
+        input must sift to the identity, as in from_generators."""
         gens, degree = _checked(generators)
-        chain = [_Level(b, strong, transversal(strong, check_point(b, degree), degree))
-                 for b, strong in levels]
+        chain: list[_Level] = []
+        for b, strong, *named in levels:
+            b = check_point(b, degree)
+            moved = [lev.point for lev in chain for g in strong if g.apply(lev.point) != lev.point]
+            if moved:
+                raise ValueError(f"a strong generator at base point {b} moves the earlier "
+                                 f"base point {moved[0]}")
+            chain.append(_Level(b, strong, named[0] if named else transversal(strong, b, degree)))
         group = cls(gens, degree, chain)
         if group.order() != order:
             raise RuntimeError("chain construction failed its order self-check")
         return group._self_checked(gens)
-
-    @classmethod
-    def assemble(cls, generators, point: int,
-                 transversal_inv: Mapping[int, Permutation],
-                 stabilizer: PermutationGroup) -> PermutationGroup:
-        """The group the generators and stabilizer generate, with no
-        Schreier-Sims: a first level at point, then stabilizer's levels.
-
-        Every input must move point and every generator of stabilizer, a
-        chain at the same degree, must fix it; ValueError otherwise.
-        transversal_inv maps each point x of the orbit of point to an
-        element carrying x back onto point; it may be any Mapping, for
-        example one that builds its elements on request.  The first level is
-        generated by the inputs and stabilizer's first-level generators; the
-        group's generators are the inputs, then stabilizer's.
-
-        That the orbit and the stabiliser are right is the caller's claim,
-        resting on theory; the chain is then complete.  Only the inputs are
-        sifted as a self-check: a generator of stabilizer would skip level 0
-        and sift through the levels its own self-check already passed.
-        """
-        gens, degree = _checked(generators)
-        if any(g.apply(point) == point for g in gens):
-            raise ValueError(f"an input fixes point {point}; only movers are assembled")
-        if any(s.apply(point) != point for s in stabilizer._generators):
-            raise ValueError(f"a generator of the stabiliser moves point {point}")
-        tail = stabilizer._levels
-        first = _Level(point, gens + (tail[0].gens if tail else []), transversal_inv)
-        return cls(gens + stabilizer._generators, degree, [first, *tail])._self_checked(gens)
 
     def _self_checked(self, inputs: list[Permutation]) -> PermutationGroup:
         if not all(map(self.contains, inputs)):
@@ -234,15 +207,6 @@ class PermutationGroup:
 
     def transversal_sizes(self) -> list[int]:
         return [len(lev.transversal_inv) for lev in self._levels]
-
-    def transversal_inverse(self, x: int) -> Permutation:
-        """An element carrying x onto the first base point: the first
-        level's transversal element at x, built on request when the chain
-        was assembled that way."""
-        x = check_point(x, self._degree)
-        if not self._levels or x not in self._levels[0].transversal_inv:
-            raise ValueError(f"point {x} is not in the orbit of the first base point")
-        return self._levels[0].transversal_inv[x]
 
     def _strip(self, p: Permutation, start: int = 0) -> tuple[Permutation, int]:
         """Sift p through levels start.. and return (residue, stop level).

@@ -254,7 +254,10 @@ def _ascii_int(text: str) -> int | None:
     """text as an int when it is ASCII digits alone, else None: int() also
     takes full-width digits, signs, spaces and underscores, and str.isdigit
     superscript digits."""
-    return int(text) if text.isascii() and text.isdigit() else None
+    try:
+        return int(text) if text.isascii() and text.isdigit() else None
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        return None
 
 
 def _parse_range(text: str) -> tuple[int, int]:

@@ -11,10 +11,11 @@ The other functions count over adjacency bitmasks.  They take any object
 with vertex_count and adjacency attributes (the CayleyGraph from this
 package or a stripped-down stand-in in tests), so deliberately broken
 graphs can be fed in to exercise the refusal paths, and they are the
-oracle of the count on S.  Distances come from bitset.bfs_layers, whose
-layers are counted and then dropped: beyond the adjacency rows the memory
-is O(n^2) for the n^2 vertices of the family, where an all-pairs distance
-table would hold n^4 entries.
+oracle of the count on S; each first refuses a row count but
+vertex_count.  Distances come from bitset.bfs_layers, whose layers are
+counted and then dropped: beyond the adjacency rows the memory is O(n^2)
+for the n^2 vertices of the family, where an all-pairs distance table
+would hold n^4 entries.
 
 Which vertices the pair scans start from is decided by _roots.  A graph on
 Z_n x Z_n each of whose rows is row 0 translated has every translation as
@@ -142,6 +143,15 @@ def _roots(g) -> range:
     return range(1) if shaped and translation_defect(g) is None else range(vc)
 
 
+def _rows(g) -> tuple[int, object]:
+    """g.vertex_count and g.adjacency, refused at the first missing or extra row."""
+    vc, count = g.vertex_count, len(g.adjacency)
+    if count != vc:
+        raise RegularityRefusal(f"graph has {count} adjacency rows for {vc} vertices",
+                                witness=min(vc, count))
+    return vc, g.adjacency
+
+
 def _require_regular(vertex_count: int, adjacency) -> int:
     k = adjacency[0].bit_count()
     for v in range(1, vertex_count):
@@ -163,8 +173,7 @@ def check_strongly_regular(g) -> SrgParams:
     first violation: irregular degrees, a disconnected graph, or two pairs
     of the same kind with different common-neighbour counts.
     """
-    vc = g.vertex_count
-    adjacency = g.adjacency
+    vc, adjacency = _rows(g)
     if vc < 2:
         raise RegularityRefusal("need at least two vertices", witness=None)
     k = _require_regular(vc, adjacency)
@@ -285,12 +294,12 @@ def cayley_srg_params(n: int, hood) -> SrgParams:
 def diameter(g) -> int:
     """Largest eccentricity, by BFS from each of _roots(g): vertex 0 alone
     when the rows are translation-invariant, since translations preserve
-    eccentricity, else every vertex.  Refuses a graph with no vertices, and
-    disconnected input since the diameter would be infinite."""
-    vc = g.vertex_count
+    eccentricity, else every vertex.  Refuses a wrong row count, no
+    vertices and disconnected input, whose diameter would be infinite."""
+    vc, adjacency = _rows(g)
     if vc < 1:
         raise RegularityRefusal("need at least one vertex", witness=None)
-    return max(len(_connected_layers(vc, g.adjacency, v)) - 1 for v in _roots(g))
+    return max(len(_connected_layers(vc, adjacency, v)) - 1 for v in _roots(g))
 
 
 def _settle(counts: dict[int, int], name: str, d: int, seen: int, v: int, u: int) -> None:
@@ -312,11 +321,10 @@ def intersection_array(g) -> IntersectionArray:
     refused with the offending pair.  One BFS runs from each of _roots(g):
     from vertex 0 alone when the rows are translation-invariant, since a
     translation carries the layers of 0 onto those of any vertex, else from
-    every vertex.  A graph with no vertices is refused; a single vertex has
-    diameter 0.
+    every vertex.  A wrong row count and a graph with no vertices are
+    refused; a single vertex has diameter 0.
     """
-    vc = g.vertex_count
-    adjacency = g.adjacency
+    vc, adjacency = _rows(g)
     if vc < 1:
         raise RegularityRefusal("need at least one vertex", witness=None)
     _require_regular(vc, adjacency)

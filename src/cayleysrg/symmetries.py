@@ -34,14 +34,14 @@ it refuses every map that is not affine, automorphism or not.  The paper
 proves that the family has no such automorphism, and the counting oracle
 in search.py confirms it independently for n <= 31.
 
-The claimed group is assembled on that certificate, with no
-Schreier-Sims.  The translations form a regular normal subgroup T, so the
-group is the semidirect product of T and G_0, the group of the certified
-linear maps, and its order is n**2 * |G_0| (Dixon and Mortimer,
-Permutation Groups, 1996).  A certified map fixing 0 is linear, so
-_table_over_s lists G_0 once as a table over S; claimed_origin_stabilizer
-reads G_0's chain off it, and claimed_aut_group puts the translations in
-front.  Schreier-Sims on the same generators is the tests' oracle for both.
+The claimed group is named on that certificate, with no Schreier-Sims.
+The translations form a regular normal subgroup T, so the group is the
+semidirect product of T and G_0, the group of the certified linear maps,
+and its order is n**2 * |G_0| (Dixon and Mortimer, Permutation Groups,
+1996).  A certified map fixing 0 is linear, so _table_over_s lists G_0
+once as a table over S, and _origin_levels reads G_0's chain off it for
+both claimed groups, which name their chains to from_levels.
+Schreier-Sims on the same generators is the tests' oracle for both.
 """
 
 from __future__ import annotations
@@ -333,22 +333,26 @@ def claimed_aut_group(n: int) -> PermutationGroup:
     The translations form a regular normal subgroup T, so G is the
     semidirect product of T and G_0, the stabiliser of vertex 0, and
     |G| = n**2 * |G_0| (Dixon and Mortimer, Permutation Groups, 1996).  So
-    the chain is the two translations in front of claimed_origin_stabilizer:
-    a first level at vertex 0 whose transversal, the translations back to
-    0, is built on request, then G_0's levels as they are.  Only the two
-    translations are sifted here; G_0 checked its own inputs.
+    the chain is a first level at vertex 0, whose transversal, the
+    translations back to 0, is built on request, then G_0's levels.
     """
     shifts = _certified(n, [_shift(1, 0), _shift(0, 1)])
-    return PermutationGroup.assemble(shifts, 0, _Translations(n), claimed_origin_stabilizer(n))
+    perms, levels, order = _origin_levels(n)
+    first = (0, [*shifts, *levels[0][1]], _Translations(n))
+    return PermutationGroup.from_levels([*shifts, *perms], [first, *levels], n * n * order)
 
 
 def claimed_origin_stabilizer(n: int) -> PermutationGroup:
-    """G_0, the subgroup fixing vertex (0, 0): all unit scalings, the swap
-    and the rotation, certified as one stack, so each is linear once it
-    fixes vertex 0.  Its chain, at e_2 = 1 and e_1 = n, is read off its
-    table over S: level 0 is generated by the scalings by a greedy
-    generating set of U(n), the swap and the rotation, level 1 by the other
-    rows that fix e_2, and the order is the number of rows."""
+    """G_0, the subgroup fixing vertex (0, 0), from _origin_levels."""
+    return PermutationGroup.from_levels(*_origin_levels(n))
+
+
+def _origin_levels(n: int) -> tuple[list[Permutation], list, int]:
+    """G_0's inputs, all unit scalings, the swap and the rotation, certified
+    as one stack, so each is linear once it fixes vertex 0; its chain at
+    e_2 = 1 and e_1 = n, read off its table over S, level 0 generated by the
+    scalings by a greedy generating set of U(n), the swap and the rotation,
+    level 1 by the other rows that fix e_2; and its order, the row count."""
     perms = _certified(n, _linear_maps(n))
     if any(p.apply(0) != 0 for p in perms):
         raise RuntimeError("a generator of G_0 moves vertex 0")
@@ -362,7 +366,7 @@ def claimed_origin_stabilizer(n: int) -> PermutationGroup:
     flips = [Permutation((a1 * x + a2 * y) % n * n + (b1 * x + b2 * y) % n)
              for (a1, a2), (b1, b2) in (np.divmod(hood[row[[e1, e2]]], n)
                                         for row in table[table[:, e2] == e2][1:])]
-    return PermutationGroup.from_levels(perms, [(1, kept), (n, flips)], len(table))
+    return perms, [(1, kept), (n, flips)], len(table)
 
 
 @dataclass(frozen=True)

@@ -5,12 +5,13 @@ graph of graph.py, has a single orbit on one kind of object: vertices,
 edges, arcs, ordered pairs at a fixed distance, or 2-arcs (paths
 u ~ v ~ w with w != u).  Only G is handed in; n is read off its degree,
 n^2.  G must be vertex-transitive, which its chain shows when the first
-level's orbit covers every vertex, and its chain must be based at vertex
-0, as the claimed groups are; any other degree, group or chain is refused
-with ValueError.  The objects of the whole graph are never closed under
-G.  Every question is answered at vertex 0 instead, by the correspondence
-between orbitals and suborbits (Cameron, Permutation Groups, 1999; Godsil
-and Royle, Algebraic Graph Theory, 2001):
+level's orbit covers every vertex, its chain must be based at vertex 0,
+and it must hold the translations by (1, 0) and (0, 1), as the claimed
+groups do; any other degree, group or chain is refused with ValueError.
+The objects of the whole graph are never closed under G.  Every question
+is answered at vertex 0 instead, by the correspondence between orbitals
+and suborbits (Cameron, Permutation Groups, 1999; Godsil and Royle,
+Algebraic Graph Theory, 2001):
 
     Let G be vertex-transitive and G_0 the stabiliser of vertex 0.  The
     G-orbits on arcs, 2-arcs and distance-d pairs correspond one-to-one
@@ -19,20 +20,21 @@ and Royle, Algebraic Graph Theory, 2001):
 
 Before any of it, _Rooted certifies the chain's strong generators by the
 certificate of S in symmetries and refuses one of the next level's, which
-generate G_0, that moves 0, so no graph is built or read.  The objects at
+generate G_0, that moves 0, then sifts the translations by (1, 0) and
+(0, 1), so no graph is built or read.  The objects at
 0 come from S: the arcs (0, s), s in S; the distance-2 pairs (0, w), w
 neither 0 nor in S, as (a, b) off S and 0 has a, b != 0 and is
 (a, 0) + (0, b), so the diameter is 2; the 2-arcs 0 ~ s ~ s + t, t in S
 but -s.  A certified map fixing 0 is linear (Babai 1979), hence named by
-its images of e_2 and e_1.  So symmetries._table_over_s, which
-claimed_origin_stabilizer reads G_0's chain off, lists G_0 once, as a
+its images of e_2 and e_1.  So symmetries._table_over_s, which the
+claimed groups read G_0's chain off, lists G_0 once, as a
 table over S closed from the identity under the certified generators, and
 every question reads it; no orbit kernel runs.  The arc orbits are the
 columns' minima; the distance-2 orbit of w = x e_1 + y e_2 is
 x h(e_1) + y h(e_2) over the rows h, walked from the least vertex no
-orbit holds yet.  An edge orbit pairs an arc orbit with
-the orbit of its reversed arcs, each reversal (v, 0) carried back to 0 by
-the first-level transversal.  Every 2-arc orbit at 0 has members
+orbit holds yet.  An edge orbit pairs the arc orbit of (0, v) with that
+of (0, -v), onto which the translation by -v carries the reversed arcs
+(v, 0): the column minimum of -v.  Every 2-arc orbit at 0 has members
 0 ~ s ~ s + t with s the least member of its arc orbit; they form one
 orbit of G_0,s, the rows fixing s, and the G-orbit has n^2 |G_0.s|
 |G_0,s.t| members.  The pairs at distance 0 form one orbit, as G is
@@ -53,6 +55,7 @@ from math import isqrt
 import numpy as np
 
 from .bsgs import PermutationGroup
+from .core import Permutation
 from .graph import GRAPH_MAX_MODULUS, connection_indices
 # check_graph_automorphism is never called here: bench/tracing.py patches it here
 from .symmetries import (_certify, _table_over_s, check_graph_automorphism,  # noqa: F401
@@ -112,9 +115,9 @@ class TransitivityReport:
 
 class _Rooted:
     """The engine's one entry check: the group, of degree n^2, its strong
-    generators certified, vertex-transitive and rooted at vertex 0, its
-    chain's first base point, with the image arrays of G_0's generators, the
-    next level's, and pos[v], the index of v in S or -1."""
+    generators certified, vertex-transitive, rooted at vertex 0, its chain's
+    first base point, and holding T, with the image arrays of G_0's
+    generators, the next level's, and pos[v], the index of v in S or -1."""
 
     def __init__(self, grp: PermutationGroup) -> None:
         n = isqrt(grp.degree)
@@ -132,6 +135,9 @@ class _Rooted:
         if any(img[0] != 0 for img in self.stabilizer):
             raise ValueError("a generator of the chain's second level moves vertex 0, "
                              "so it is not in G_0")
+        grid = np.arange(grp.degree).reshape(n, n)  # rolled by a row or a column: T's generators
+        if not all(grp.contains(Permutation(np.roll(grid, -1, axis).ravel())) for axis in (0, 1)):
+            raise ValueError("the group does not contain the translations by (1, 0) and (0, 1)")
         self.group, self.n = grp, n
         self.hood = connection_indices(n)
         self.pos = np.full(grp.degree, -1)
@@ -194,23 +200,18 @@ def is_edge_transitive(grp: PermutationGroup,
                        rooted: _Rooted | None = None) -> TransitivityResult:
     """One orbit on unordered edges or not, with a two-edge witness.
 
-    An arc orbit and the orbit of its reversed arcs form one edge orbit,
-    with half as many edges as arcs when the two orbits coincide.
+    An arc orbit and the orbit of its reversed arcs, a pairing as G_0 is
+    linear, form one edge orbit, listed at the lesser least member, with
+    half as many edges as arcs when the two orbits coincide.
     """
     ctx = _context(grp, rooted)
     least, arcs, _ = ctx.vertex_orbits
-    parts = []
-    paired: set[int] = set()
-    for (_, v), size in arcs:
-        if v in paired:
-            continue
-        # the reversed arc (v, 0), carried back to 0, is the arc (0, x),
-        # in the orbit whose least member is u
-        x = ctx.group.transversal_inverse(v).apply(0)
-        u = int(ctx.hood[least[ctx.pos[x]]])
-        paired.add(u)
-        parts.append(((0, v), size // 2 if u == v else size))
-    return _result(parts)
+    n, hood, pos = ctx.n, ctx.hood, ctx.pos
+    # the reversed arcs (v, 0), translated by -v, are the arcs (0, -v), in
+    # the orbit whose least member is mate[pos[v]]
+    mate = hood[least[pos[-(hood // n) % n * n + -hood % n]]]
+    return _result([((0, v), size // 2 if mate[pos[v]] == v else size)
+                    for (_, v), size in arcs if mate[pos[v]] >= v])
 
 
 def is_arc_transitive(grp: PermutationGroup,

@@ -90,16 +90,22 @@ class TestConstruction:
 
 
 class TestAssemble:
-    """A chain from a given first level and a chain of the stabiliser: S_4
-    from the rotation of 0 1 2 3, and S_3 on 1, 2, 3 fixing 0."""
+    """A chain named from a given first level and a compiled chain of the
+    stabiliser: S_4 from the rotation of 0 1 2 3, and S_3 on 1, 2, 3 fixing
+    0."""
 
     CYCLE = Permutation([1, 2, 3, 0])
     SWAP = Permutation([1, 0, 2, 3])
     S3 = [Permutation([0, 2, 1, 3]), Permutation([0, 2, 3, 1])]
 
-    def assemble(self, reps):
-        return PermutationGroup.assemble(
-            [self.CYCLE, self.SWAP], 0, reps, PermutationGroup.from_generators(self.S3))
+    def assemble(self, reps, stabilizer=S3):
+        """from_levels on a first level at 0 with the transversal reps, then
+        the levels of the chain Schreier-Sims compiles for stabilizer."""
+        tail = [(lev.point, lev.gens)
+                for lev in PermutationGroup.from_generators(stabilizer)._levels]
+        first = (0, [self.CYCLE, self.SWAP, *tail[0][1]], reps)
+        return PermutationGroup.from_levels([self.CYCLE, self.SWAP, *self.S3],
+                                            [first, *tail], 24)
 
     def powers(self):
         """x -> the power of the rotation carrying x back onto 0."""
@@ -138,16 +144,11 @@ class TestAssemble:
         with pytest.raises(RuntimeError, match="self-check"):
             self.assemble(reps)
 
-    @pytest.mark.parametrize("inputs", [[S3[0]], [CYCLE, S3[1]]])
-    def test_an_input_that_fixes_the_point_is_refused(self, inputs):
-        with pytest.raises(ValueError, match="an input fixes point 0"):
-            PermutationGroup.assemble(inputs, 0, self.powers(),
-                                      PermutationGroup.from_generators(self.S3))
-
     def test_a_stabiliser_generator_that_moves_the_point_is_refused(self):
-        stab = PermutationGroup.from_generators([*self.S3, self.SWAP])
-        with pytest.raises(ValueError, match="stabiliser moves point 0"):
-            PermutationGroup.assemble([self.CYCLE], 0, self.powers(), stab)
+        # S_4 compiled from S_3 and the swap: its chain's first level, at
+        # base point 1, holds the swap, which moves 0
+        with pytest.raises(ValueError, match="moves the earlier base point 0"):
+            self.assemble(self.powers(), [*self.S3, self.SWAP])
 
 
 def random_generators(seed):
@@ -247,6 +248,15 @@ class TestFromLevels:
         with pytest.raises(RuntimeError, match="membership self-check"):
             PermutationGroup.from_levels([self.ROTATION, self.SWAP],
                                          [(0, [self.ROTATION])], 3)
+
+    def test_a_strong_generator_that_moves_an_earlier_base_point_is_refused(self):
+        # S_4 at base points 0, 1, 2 with a last level that holds the
+        # transposition of 1 and 3: it fixes 0 and 2 but moves 1
+        cycle, swap = Permutation([1, 2, 3, 0]), Permutation([1, 0, 2, 3])
+        levels = [(0, [cycle, swap]), (1, [Permutation([0, 2, 1, 3])]),
+                  (2, [Permutation([0, 3, 2, 1])])]
+        with pytest.raises(ValueError, match="at base point 2 moves the earlier base point 1"):
+            PermutationGroup.from_levels([cycle, swap], levels, 24)
 
     def test_the_base_points_are_checked(self):
         with pytest.raises(ValueError, match="out of range"):
@@ -437,17 +447,6 @@ class TestStabilizerGenerators:
 
 
 class TestTransversalInverse:
-    @pytest.mark.parametrize("make", [claimed_aut_group, lambda n: PermutationGroup.from_generators(
-        [translation(n, 1, 0).perm, translation(n, 0, 1).perm, coordinate_swap(n).perm])])
-    def test_carries_every_point_to_the_first_base_point(self, make):
-        grp = make(5)
-        for x in range(25):
-            t = grp.transversal_inverse(x)
-            assert t.apply(x) == grp.base[0] and t in grp
-            assert grp.transversal_inverse(np.int64(x)) == t
-        with pytest.raises(ValueError, match="not an integer"):
-            grp.transversal_inverse(1.5)
-
     def test_each_level_lists_its_transversal(self, claimed_group):
         # one element per orbit point, carrying it onto the level's base
         # point, so the points they carry there are distinct; each element
@@ -460,16 +459,8 @@ class TestTransversalInverse:
             assert all(u in grp for u in elements)
             assert all(u.apply(b) == b for u in elements for b in grp.base[:level])
 
-    def test_point_off_the_first_orbit_refused(self, origin_stabilizer):
-        grp = origin_stabilizer(5)
-        with pytest.raises(ValueError, match="not in the orbit"):
-            grp.transversal_inverse(0)
-        with pytest.raises(ValueError, match="not in the orbit"):
-            PermutationGroup.from_generators([Permutation.identity(4)]).transversal_inverse(1)
 
-
-@pytest.mark.parametrize("method", ["point_stabilizer", "stabilizer_generators",
-                                    "transversal_inverse"])
+@pytest.mark.parametrize("method", ["point_stabilizer", "stabilizer_generators"])
 @pytest.mark.parametrize("point", [1.5, "3", True, np.True_, None, np.float64(0.0)])
 @pytest.mark.parametrize("make", [claimed_aut_group,
                                   lambda n: PermutationGroup.from_generators(

@@ -25,6 +25,9 @@ from cayleysrg.cli import (
     verify_range,
 )
 
+# more ASCII digits than CPython converts to an int by default (4300)
+HUGE = pytest.param("9" * 5000, id="5000-nines")
+
 REPORT_KEYS = [
     "n", "srg_params", "intersection_array", "claimed_group_order",
     "stabilizer_order", "transitivity", "oracle", "timings",
@@ -113,10 +116,12 @@ class TestAnalyze:
         assert seen == [("analyze", 246), ("verify", 246)]
         capsys.readouterr()
 
-    @pytest.mark.parametrize("text", ["\uff15", "1_0", " 7", "+7", "\u00b2", "7.0", ""])
+    @pytest.mark.parametrize("text", ["\uff15", "1_0", " 7", "+7", "\u00b2", "7.0", "",
+                                      HUGE])
     def test_moduli_other_than_ascii_digits_are_usage_errors(self, text, capsys,
                                                              monkeypatch):
-        # int() takes full-width digits, underscores, spaces and signs
+        # int() takes full-width digits, underscores, spaces and signs, and
+        # refuses more digits than sys.get_int_max_str_digits() allows
         monkeypatch.setattr(cli, "analyze_report", None)  # parse only
         with pytest.raises(SystemExit) as exc:
             main(["analyze", text])
@@ -188,7 +193,7 @@ class TestExport:
         capsys.readouterr()
 
     @pytest.mark.parametrize("fmt", ["graph6", "dot"])
-    @pytest.mark.parametrize("text", ["\uff15", "1_0", " 7", "+7"])
+    @pytest.mark.parametrize("text", ["\uff15", "1_0", " 7", "+7", HUGE])
     def test_moduli_other_than_ascii_digits_are_usage_errors(self, text, fmt, capsys,
                                                              monkeypatch):
         monkeypatch.setattr(cli, "build_graph", None)  # parse only
@@ -280,7 +285,8 @@ class TestVerify:
         assert f"4 <= lo <= hi <= {ANALYZE_MAX_MODULUS}, got '{rng}'" in err
 
     @pytest.mark.parametrize("rng", ["\uff14..\uff15", "\u00b2..5", "4..\u0665",
-                                     " 4..5", "4..+5"])
+                                     " 4..5", "4..+5",
+                                     pytest.param("4.." + "9" * 5000, id="4..5000-nines")])
     def test_ranges_other_than_ascii_digits_are_usage_errors(self, rng, capsys,
                                                              monkeypatch):
         # full-width, superscript and Arabic-Indic digits pass str.isdigit
@@ -304,7 +310,7 @@ class TestVerify:
         assert exc.value.code == 2
         assert "--oracle-upto must be between 4" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("bound", ["\uff15", "1_0", " 5", "+5"])
+    @pytest.mark.parametrize("bound", ["\uff15", "1_0", " 5", "+5", HUGE])
     def test_oracle_bounds_other_than_ascii_digits_are_usage_errors(self, bound, capsys,
                                                                    monkeypatch):
         monkeypatch.setattr(cli, "verify_range", None)  # parse only

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from cayleysrg import (
+    CayleyGraph,
     IntersectionArray,
     RegularityRefusal,
     SrgParams,
+    build_graph,
     cayley_srg_params,
     check_strongly_regular,
+    connection_set,
     diameter,
     intersection_array,
 )
@@ -250,6 +253,18 @@ class TestRootedScan:
         lookalike = petersen_lookalike()
         lookalike.n = 3
         assert diameter(lookalike) == 3
+
+    @pytest.mark.parametrize("check", [check_strongly_regular, intersection_array, diameter])
+    @pytest.mark.parametrize("count", [26, 16])
+    def test_a_wrong_row_count_is_refused_before_any_scan(self, check, count):
+        # the 25 rows of the graph of modulus 5 with a 26th row, adjacent to
+        # itself, or only the first 16: the rooted scan read 25 rows either
+        # way, and answered for 26 rows or raised IndexError for 16
+        full = build_graph(5).adjacency
+        rows = CountingRows((*full, 1 << 25) if count == 26 else full[:count])
+        with pytest.raises(RegularityRefusal, match=f"{count} adjacency rows for 25") as exc:
+            check(CayleyGraph(5, connection_set(5), rows))
+        assert exc.value.witness == min(count, 25) and rows.reads == 0
 
 
 def translated(n, members):

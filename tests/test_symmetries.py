@@ -379,9 +379,9 @@ class TestClaimedGroups:
 
 
 class TestAssembledGroup:
-    """claimed_aut_group assembles T x| G_0, with G_0 read off the orbit of
-    its base (e_2, e_1); Schreier-Sims on the same generators is the
-    oracle."""
+    """claimed_aut_group names the chain of T x| G_0 to from_levels, with
+    G_0's levels read off its table over S; Schreier-Sims on the same
+    generators is the oracle."""
 
     @pytest.mark.parametrize("n", range(4, 32))
     def test_matches_schreier_sims_at_full_degree(self, claimed_group, n):
@@ -454,7 +454,7 @@ class TestAssembledGroup:
     def test_the_stabilizer_and_the_engine_list_the_same_table(self, claimed_group, n,
                                                               monkeypatch):
         # the table claimed_origin_stabilizer reads its chain off, and the
-        # one transitivity closes from the assembled chain's next level
+        # one transitivity closes from the claimed group's next level
         engine = transitivity._Rooted(claimed_group(n)).table
         tables = []
         close = symmetries._table_over_s
@@ -468,15 +468,16 @@ class TestAssembledGroup:
 
     @pytest.mark.parametrize("n", [*range(4, 18), 31])
     def test_each_generator_is_sifted_once(self, n, monkeypatch):
-        # G_0's phi(n) + 2 inputs in its own self-check, the 2 translations
-        # in the assembled group's, and no input a second time
+        # the 2 translations and G_0's phi(n) + 2 inputs, in the order of
+        # the generators, in the one self-check of from_levels, and no
+        # input a second time
         sifted = []
         contains = PermutationGroup.contains
         monkeypatch.setattr(PermutationGroup, "contains",
                             lambda grp, p: sifted.append(p) or contains(grp, p))
         grp = claimed_aut_group(n)
         assert len(sifted) == units(n).totient + 4
-        assert sifted == [*grp.generators[2:], *grp.generators[:2]]
+        assert sifted == grp.generators
 
     def test_no_table_of_n_to_the_fourth_entries(self):
         n = 41
@@ -517,12 +518,14 @@ class TestAssembledGroup:
         assert g0.base == [1, n]
         assert chain_of(claimed_origin_stabilizer(n)) == chain_of(g0)
         assert chain_of(claimed_group(n).point_stabilizer(0)) == chain_of(g0)
-        ref = PermutationGroup.assemble(perms[:2], 0, symmetries._Translations(n), g0)
+        first = (0, [*perms[:2], *g0._levels[0].gens], symmetries._Translations(n))
+        ref = PermutationGroup.from_levels(
+            perms, [first, *((lev.point, lev.gens) for lev in g0._levels)], n * n * g0.order())
         assert chain_of(claimed_group(n)) == chain_of(ref) and ref.generators == perms
 
     @pytest.mark.parametrize("n", range(4, 32))
     def test_lifted_transversals_are_the_lifted_elements(self, claimed_group, n):
-        # the levels of G_0, lifted into the assembled group as they are:
+        # the levels of G_0, lifted into the claimed group as they are:
         # each transversal element is the linear map that carries its point
         # back onto the level's, fixing every earlier base point, and it is
         # the element Schreier-Sims puts there

@@ -26,6 +26,7 @@ from cayleysrg import (
 )
 from cayleysrg.bitset import bfs_layers, bit_positions, iter_bits
 from cayleysrg.bsgs import _Level
+from cayleysrg.core import perm_from_pair_map
 from cayleysrg.cli import analyze_report
 from cayleysrg.graph import connection_indices
 from conftest import CountingRows, orbit_labels
@@ -218,6 +219,33 @@ class TestFirstLevelRooting:
         for question in QUESTIONS:
             with pytest.raises(ValueError, match="moves vertex 0"):
                 question(forged)
+
+    def test_a_group_without_the_translations_is_refused(self):
+        # the translations by (1, 1) and (2, 0) and x -> -x + (1, 0) at
+        # n = 4: a regular group, so vertex-transitive, rooted at 0 and with
+        # no next level, but the translation by (1, 0) is not in it
+        flip = perm_from_pair_map(4, lambda x, y: (1 - x, -y))
+        grp = PermutationGroup.from_generators(
+            [translation(4, 1, 1).perm, translation(4, 2, 0).perm, flip])
+        assert grp.order() == 16 and grp.base == [0] and grp.transversal_sizes() == [16]
+        for question in QUESTIONS:
+            with pytest.raises(ValueError, match="does not contain the translations"):
+                question(grp)
+
+    @pytest.mark.parametrize("n", [12, 30, 31])
+    def test_the_edge_pairing_builds_no_translation(self, claimed_group, n, monkeypatch):
+        # the reversed arcs are read off G_0's table: once the entry check
+        # has sifted the two translations, no element of degree n^2 is made
+        grp = claimed_group(n)
+        rooted = transitivity._Rooted(grp)
+        expected = is_edge_transitive(grp, rooted)
+
+        def refuse(*args):
+            raise AssertionError("a permutation was built")
+
+        monkeypatch.setattr(symmetries_module._Translations, "__getitem__", refuse)
+        monkeypatch.setattr(Permutation, "__init__", refuse)
+        assert is_edge_transitive(grp, rooted) == expected
 
 
 # sha256 (first 16 hex digits) of the canonical JSON of the transitivity
