@@ -48,9 +48,10 @@ from .formats import to_dot, to_graph6
 
 __all__ = ["main", "run", "analyze_report", "verify_range", "predicted_values"]
 
-# export, both formats: at the cap, graph6 writes 12 MB in about 0.6 s and
-# 89 MB peak RSS, DOT writes 32 MB in about 1.5 s and 132 MB (whole CLI run,
-# 2 vCPUs, CPython 3.11.7).
+# export, both formats: at the cap, graph6, encoded in pieces of 96 rows,
+# writes 12 MB in about 0.5 s and 80 MB peak RSS, DOT writes 32 MB in about
+# 1.5 s and 132 MB (whole CLI run, 2 vCPUs, CPython 3.11.7), so DOT sets
+# the cap.
 EXPORT_MAX_MODULUS = 110
 # analyze and verify: analyze builds no adjacency rows, so peak RSS grows
 # with phi(n) * n**2, G_0's chain at degree n**2, and is largest at 241:

@@ -149,11 +149,14 @@ def build_graph(n: int) -> CayleyGraph:
     first_rows = [mask_of(connection_indices(n), vertex_count)]
     for _ in range(1, n):
         first_rows.append(next_column(first_rows[-1]))
+    # row (i, j) is row (0, j) rotated by i*n bits: one shift of the row
+    # doubled, d = row | row << n*n, and one mask
+    doubled = [row | row << vertex_count for row in first_rows]
     rows = []
     for i in range(n):
-        shift = i * n
-        for row in first_rows:
-            rows.append((row << shift | row >> (vertex_count - shift)) & full)
+        shift = vertex_count - i * n
+        for d in doubled:
+            rows.append(d >> shift & full)
 
     k = 3 * n - 3
     for v, row in enumerate(rows):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -122,8 +123,12 @@ class TestGraph6:
         assert to_graph6(c5) == "Dhc"
 
     # T(vc) = vc(vc - 1)/2 body bits: vc = 1..70 meets every residue of
-    # T(vc) mod 6 and mod 8, and both sides of the 62/63 header boundary.
-    @pytest.mark.parametrize("vertex_count", range(1, 71))
+    # T(vc) mod 6 and mod 8, and both sides of the 62/63 header boundary;
+    # 95..97 and 191..193 end just before, on and just after a boundary
+    # between the writer's pieces of 96 rows, and 289 = 17**2 leaves a last
+    # piece of one row.
+    @pytest.mark.parametrize("vertex_count",
+                             [*range(1, 71), 95, 96, 97, 191, 192, 193, 289])
     def test_matches_reference_on_random_graphs(self, vertex_count):
         g = random_graph(vertex_count, seed=vertex_count)
         s = to_graph6(g)
@@ -137,6 +142,19 @@ class TestGraph6:
         assert s == to_graph6_reference(g)
         assert from_graph6(s) == from_graph6_reference(s) == (g.vertex_count,
                                                               list(g.adjacency))
+
+    def test_transient_memory_stays_near_the_output(self):
+        # one piece of rows at a time keeps the peak near the pieces and
+        # their join, twice the output; one stream of all rows, with its
+        # bytes and their base64 copies, takes three times
+        g = build_graph(80)
+        tracemalloc.start()
+        try:
+            s = to_graph6(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * len(s)
 
     def test_no_vertices_rejected(self):
         with pytest.raises(ValueError, match="at least one vertex"):
