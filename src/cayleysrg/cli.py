@@ -53,13 +53,13 @@ __all__ = ["main", "run", "analyze_report", "verify_range", "predicted_values"]
 # 1.5 s and 132 MB (whole CLI run, 2 vCPUs, CPython 3.11.7), so DOT sets
 # the cap.
 EXPORT_MAX_MODULUS = 110
-# analyze and verify: analyze builds no adjacency rows, so peak RSS grows
-# with phi(n) * n**2, G_0's chain at degree n**2, and is largest at 241:
-# 1.0-1.4 s and 482 MB, group 0.75-1.0 s, transitivity 0.03-0.04.  243 = 3^5
-# takes 0.9-1.0 s and 341 MB, group 0.6-0.7 s, transitivity 0.03-0.04;
-# 236..246 otherwise take 164-470 MB each, and verify 236..246 about 6.5 s
-# and 493 MB (CI runs all three; 2 vCPUs, CPython 3.11.7).  Raising the cap
-# waits for G_0 to leave degree n**2.
+# analyze and verify: analyze builds no adjacency rows, and the group's chain
+# stores no transversal of degree n**2 but a 2-point one, so peak RSS is a
+# few arrays of n**2 entries, largest at 241: 0.3-0.4 s and 58 MB, group
+# 0.04-0.07 s, transitivity 0.03-0.04.  243 = 3^5 takes 0.3-0.4 s and 50 MB;
+# 236..246 otherwise take 46-56 MB each, and verify 236..246 about 0.9 s and
+# 62 MB (CI runs all three; 2 vCPUs, CPython 3.11.7).  Raising the cap waits
+# for measurements at 729, 840, 960, 997 and 1000.
 ANALYZE_MAX_MODULUS = 246
 
 

@@ -38,9 +38,11 @@ The claimed group is named on that certificate, with no Schreier-Sims.
 The translations form a regular normal subgroup T, so the group is the
 semidirect product of T and G_0, the group of the certified linear maps,
 and its order is n**2 * |G_0| (Dixon and Mortimer, Permutation Groups,
-1996).  A certified map fixing 0 is linear, so _table_over_s lists G_0
-once as a table over S, and _origin_levels reads G_0's chain off it for
-both claimed groups, which name their chains to from_levels.
+1996).  G_0 is named by its generating set: the scalings by a generating
+set of the units, the swap and the rotation.  A certified map fixing 0 is
+linear, so _table_over_s lists G_0 once as a table over S, and
+_origin_levels reads G_0's chain off it for both claimed groups, which
+name their chains to from_levels, with two transversals built on request.
 Schreier-Sims on the same generators is the tests' oracle for both.
 """
 
@@ -53,8 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bsgs import PermutationGroup
-from .core import (Permutation, _block_rows, _coordinates, check_point, perm_from_pair_map,
-                   units)
+from .core import Permutation, _block_rows, check_point, perm_from_pair_map, units
 from .graph import (CayleyGraph, build_graph, connection_indices, family_defect,
                     zero_neighborhood_cliques)
 
@@ -236,8 +237,14 @@ def clique_rotation(n: int) -> NamedAutomorphism:
 
 
 def _linear_maps(n: int) -> list:
-    """Every unit scaling, the swap and the rotation, in that order."""
-    return [*map(_scaling, units(n)), _swap, _rotation]
+    """G_0's generating set: the scalings by _unit_generators(n), the swap, the rotation."""
+    return [*map(_scaling, _unit_generators(n)), _swap, _rotation]
+
+
+def _linear(n: int, h1: int, h2: int) -> Permutation:
+    """The linear map carrying e_1 = (1, 0) to vertex h1 and e_2 = (0, 1) to h2."""
+    (a1, b1), (a2, b2) = divmod(h1, n), divmod(h2, n)
+    return perm_from_pair_map(n, lambda x, y: (a1 * x + a2 * y, b1 * x + b2 * y))
 
 
 def _unit_generators(n: int) -> list[int]:
@@ -286,45 +293,37 @@ def _table_over_s(n: int, gens) -> np.ndarray:
     return np.concatenate(rows)
 
 
-class _Translations(Mapping):
-    """Vertex v -> the translation by -v, which carries v back onto vertex 0,
-    built on request in O(n**2).
+class _OnRequest(Mapping):
+    """A chain level's transversal that stores no permutation: each of points
+    maps to make(point), built when asked for.  Its members are the points
+    it holds that core.check_point accepts for degree, so never a bool."""
 
-    It is the first-level transversal of the claimed group at vertex 0, in
-    the one-sided form every chain level keeps, and it stores none of the
-    n**2 permutations of degree n**2.
-    """
-
-    def __init__(self, n: int) -> None:
-        self._n = n
+    def __init__(self, degree: int, points, make) -> None:
+        self._degree, self._points, self._make = degree, points, make
 
     def __len__(self) -> int:
-        return self._n * self._n
+        return len(self._points)
 
     def __iter__(self):
-        return iter(range(self._n * self._n))
+        return iter(self._points)
 
     def __contains__(self, v) -> bool:
-        """Any integer v but a bool, numpy's included, in 0 <= v < n**2,
-        the points core.check_point accepts."""
         try:
-            check_point(v, self._n * self._n)
+            return check_point(v, self._degree) in self._points
         except ValueError:
             return False
-        return True
 
     def __getitem__(self, v: int) -> Permutation:
         if v not in self:
             raise KeyError(v)
-        a, b = divmod(operator.index(v), self._n)
-        return perm_from_pair_map(self._n, _shift(-a, -b))
+        return self._make(operator.index(v))
 
 
 def claimed_aut_group(n: int) -> PermutationGroup:
     """The automorphism group predicted for the graph of modulus n.
 
-    Generated by the two axis translations, all unit scalings, the swap and
-    the rotation, every one certified an automorphism by the affine check
+    Generated by the two axis translations and G_0's generating set,
+    _linear_maps(n), every one certified an automorphism by the affine check
     (M(S) = S for the linear ones; Babai 1979).  Its order works out to
     6 * n**2 * phi(n); whether it is the full automorphism group is exactly
     what the oracle in search.py cross-checks for n <= 31, by counting Aut
@@ -338,8 +337,10 @@ def claimed_aut_group(n: int) -> PermutationGroup:
     """
     shifts = _certified(n, [_shift(1, 0), _shift(0, 1)])
     perms, levels, order = _origin_levels(n)
-    first = (0, [*shifts, *levels[0][1]], _Translations(n))
-    return PermutationGroup.from_levels([*shifts, *perms], [first, *levels], n * n * order)
+    gens = [*shifts, *perms]
+    # v -> the translation by -v, which mod n is the shift by (-(v // n), -v)
+    back = _OnRequest(n * n, range(n * n), lambda v: perm_from_pair_map(n, _shift(-(v // n), -v)))
+    return PermutationGroup.from_levels(gens, [(0, gens, back), *levels], n * n * order)
 
 
 def claimed_origin_stabilizer(n: int) -> PermutationGroup:
@@ -348,25 +349,24 @@ def claimed_origin_stabilizer(n: int) -> PermutationGroup:
 
 
 def _origin_levels(n: int) -> tuple[list[Permutation], list, int]:
-    """G_0's inputs, all unit scalings, the swap and the rotation, certified
-    as one stack, so each is linear once it fixes vertex 0; its chain at
-    e_2 = 1 and e_1 = n, read off its table over S, level 0 generated by the
-    scalings by a greedy generating set of U(n), the swap and the rotation,
-    level 1 by the other rows that fix e_2; and its order, the row count."""
+    """G_0's generating set, _linear_maps(n), certified as one stack, so each
+    map is linear once it fixes vertex 0; its chain at e_2 = 1 and e_1 = n,
+    read off its table over S, level 0 generated by that set, its point x
+    mapped on request to the inverse of a row h with h(e_2) = x, level 1 by
+    the other rows that fix e_2; and its order, the row count."""
     perms = _certified(n, _linear_maps(n))
     if any(p.apply(0) != 0 for p in perms):
         raise RuntimeError("a generator of G_0 moves vertex 0")
-    basis = set(_unit_generators(n))
-    kept = [*(p for u, p in zip(units(n), perms) if u in basis), *perms[-2:]]
-    table = _table_over_s(n, [p.images for p in kept])
+    table = _table_over_s(n, [p.images for p in perms])
     hood = connection_indices(n)
     e2, e1 = np.searchsorted(hood, [1, n])
-    x, y = _coordinates(n)
-    # row 0, the identity, is the first row that fixes e_2
-    flips = [Permutation((a1 * x + a2 * y) % n * n + (b1 * x + b2 * y) % n)
-             for (a1, a2), (b1, b2) in (np.divmod(hood[row[[e1, e2]]], n)
-                                        for row in table[table[:, e2] == e2][1:])]
-    return perms, [(1, kept), (n, flips)], len(table)
+    rows = hood[table[:, [e1, e2]]].tolist()
+    # each image of e_2 keyed to the image of e_1 in its first row; row 0,
+    # the identity, is the first row that fixes e_2
+    back = {h2: h1 for h1, h2 in reversed(rows)}
+    level = _OnRequest(n * n, back, lambda x: _linear(n, back[x], x).inverse())
+    flips = [_linear(n, h1, h2) for h1, h2 in rows[1:] if h2 == 1]
+    return perms, [(1, perms, level), (n, flips)], len(table)
 
 
 @dataclass(frozen=True)

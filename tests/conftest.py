@@ -1,3 +1,6 @@
+import gc
+import types
+
 import numpy as np
 import pytest
 
@@ -112,14 +115,33 @@ def affine_check_reference(n, p):
 
 def chain_of(grp):
     """Every level of grp's chain as plain data: the base point, the image
-    bytes of its strong generators, and each transversal key with the
-    image bytes of its element; a transversal that is not a dict, one
-    built on request, by its type and size."""
+    bytes of its strong generators, and its transversal's keys, sorted.
+    The elements are left out: a transversal built on request may choose
+    other elements than Schreier-Sims, so callers check those by what they
+    must do."""
     return [(lev.point, [g.images.tobytes() for g in lev.gens],
-             [(int(x), u.images.tobytes()) for x, u in lev.transversal_inv.items()]
-             if isinstance(lev.transversal_inv, dict) else
-             (type(lev.transversal_inv), len(lev.transversal_inv)))
+             sorted(map(int, lev.transversal_inv)))
             for lev in grp._levels]
+
+
+def held_permutations(root):
+    """Every Permutation reachable from root by gc referents: slots,
+    instance dicts, containers and cells.  A function is entered only
+    through its closure cells and defaults, and a module or type not at
+    all, so what a level stores is counted, not the code that builds it."""
+    seen, held, todo = set(), [], [root]
+    while todo:
+        x = todo.pop()
+        if id(x) in seen or isinstance(x, (type, types.ModuleType)):
+            continue
+        seen.add(id(x))
+        if isinstance(x, Permutation):
+            held.append(x)
+        elif isinstance(x, types.FunctionType):
+            todo.extend([*(x.__closure__ or ()), *(x.__defaults__ or ())])
+        else:
+            todo.extend(gc.get_referents(x))
+    return held
 
 
 def pair_map_reference(n, fn):

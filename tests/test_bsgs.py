@@ -17,6 +17,7 @@ from cayleysrg import (
     unit_scaling,
     units,
 )
+from cayleysrg.symmetries import _unit_generators
 
 
 class TestConstruction:
@@ -266,11 +267,18 @@ class TestFromLevels:
 class TestRedundantInputs:
     @pytest.mark.parametrize("n", [17, 31])
     def test_redundant_scalings_are_not_strong_generators(self, n):
+        # the inputs are the translations and G_0's generating set; every
+        # other unit scaling is in the group, and none is a strong
+        # generator, which are the inputs and the one flip that fixes e_2
         grp = claimed_aut_group(n)
-        inputs = units(n).totient + 4
-        assert len(grp.strong_generators) < inputs
+        basis = _unit_generators(n)
+        inputs = len(basis) + 4
         assert len(grp.generators) == inputs
         assert all(g in grp for g in grp.generators)
+        strong = {g.images.tobytes() for g in grp.strong_generators}
+        assert len(strong) == len(grp.strong_generators) == inputs + 1
+        others = [unit_scaling(n, u).perm for u in units(n) if u not in basis]
+        assert others and all(p in grp and p.images.tobytes() not in strong for p in others)
 
     def test_powers_of_the_first_input_are_dropped(self):
         first = translation(7, 1, 1).perm

@@ -1,6 +1,5 @@
 import random
 import tracemalloc
-from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -28,10 +27,12 @@ from cayleysrg import (
 )
 import cayleysrg.core as core
 from cayleysrg.cli import analyze_report
+from cayleysrg.graph import connection_indices
 from conftest import (
     affine_check_reference,
     automorphism_witness,
     chain_of,
+    held_permutations,
     pair_map_reference,
     tampered_graphs,
 )
@@ -439,16 +440,39 @@ class TestAssembledGroup:
         with pytest.raises(RuntimeError, match="a generator of G_0 moves vertex 0"):
             claimed_origin_stabilizer(7)
 
-    def test_kept_maps_that_miss_a_scaling_fail_the_membership_self_check(
-            self, monkeypatch):
+    def test_a_set_that_misses_a_scaling_fails_the_order_checks(self, monkeypatch):
         # U(15) needs the scalings by 2 and 7: without 7 the table, and so
-        # the chain, lists only the group of order 24, which the scaling by
-        # 7 is outside
+        # the chain, lists only a G_0 of order 24, which the scaling by 7 is
+        # outside; that chain is consistent, so the report's order checks
+        # are what refuse it
         greedy = symmetries._unit_generators
         assert greedy(15) == [2, 7]
         monkeypatch.setattr(symmetries, "_unit_generators", lambda n: greedy(n)[:-1])
-        with pytest.raises(RuntimeError, match="membership self-check"):
-            claimed_origin_stabilizer(15)
+        _, failures = analyze_report(15)
+        assert {"claimed_group_order", "stabilizer_order"} <= set(failures)
+        assert claimed_origin_stabilizer(15).order() == 24
+        assert unit_scaling(15, 7).perm not in claimed_aut_group(15)
+
+    @pytest.mark.parametrize("n", [*range(4, 42), 61, 101, 120, 168, 240])
+    def test_every_unit_scaling_is_a_member(self, claimed_group, n):
+        # the inputs hold the scalings by _unit_generators(n) alone, so this
+        # is what shows that every other unit scaling is in the group
+        grp = claimed_group(n)
+        assert all(unit_scaling(n, u).perm in grp for u in units(n))
+
+    def test_the_unit_generators_generate_the_units(self):
+        # by closure on residues, for every modulus up to 1000; up to the
+        # analyze cap, 246, they are at most 4 units, so at most 6 maps
+        for n in range(2, 1001):
+            gens = symmetries._unit_generators(n)
+            reached, todo = {1}, [1]
+            while todo:
+                h = todo.pop()
+                fresh = {h * u % n for u in gens} - reached
+                reached |= fresh
+                todo.extend(fresh)
+            assert reached == set(units(n)), n
+            assert n > 246 or len(gens) <= 4, n
 
     @pytest.mark.parametrize("n", [*range(4, 42), 61, 101])
     def test_the_stabilizer_and_the_engine_list_the_same_table(self, claimed_group, n,
@@ -468,7 +492,8 @@ class TestAssembledGroup:
 
     @pytest.mark.parametrize("n", [*range(4, 18), 31])
     def test_each_generator_is_sifted_once(self, n, monkeypatch):
-        # the 2 translations and G_0's phi(n) + 2 inputs, in the order of
+        # the 2 translations and G_0's generating set, the scalings by
+        # _unit_generators(n), the swap and the rotation, in the order of
         # the generators, in the one self-check of from_levels, and no
         # input a second time
         sifted = []
@@ -476,7 +501,7 @@ class TestAssembledGroup:
         monkeypatch.setattr(PermutationGroup, "contains",
                             lambda grp, p: sifted.append(p) or contains(grp, p))
         grp = claimed_aut_group(n)
-        assert len(sifted) == units(n).totient + 4
+        assert len(sifted) == len(symmetries._unit_generators(n)) + 4
         assert sifted == grp.generators
 
     def test_no_table_of_n_to_the_fourth_entries(self):
@@ -491,6 +516,21 @@ class TestAssembledGroup:
         # one n**2 x n**2 table of int64 alone would take n**4 * 8 bytes
         assert peak < n ** 4 * 8
 
+    @pytest.mark.parametrize("n", [61, 101])
+    def test_memory_does_not_grow_with_phi(self, n):
+        # no level stores G_0's 3 phi(n) transversal elements of degree
+        # n**2, so the peak stays below 100 arrays of n**2 int64: about 54
+        # at both moduli, phi = 60 and 100, where a stored transversal took
+        # 256 and 415
+        tracemalloc.start()
+        try:
+            grp = claimed_aut_group(n)
+            assert grp.point_stabilizer(0).order() == 6 * units(n).totient
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * n * n * 8
+
     def test_translations_are_built_on_request(self, claimed_group):
         transversal = claimed_group(6)._levels[0].transversal_inv
         assert not isinstance(transversal, dict) and len(transversal) == 36
@@ -501,34 +541,63 @@ class TestAssembledGroup:
         with pytest.raises(KeyError):
             transversal[-1]
 
-    def test_translations_refuse_bools(self):
-        transversal = symmetries._Translations(4)
-        assert True not in transversal and False not in transversal
-        assert 1 in transversal and np.int64(0) in transversal
+    def test_translations_refuse_bools(self, claimed_group):
+        # and so does G_0's transversal at e_2, where True would be e_2 = 1
+        first, level = (lev.transversal_inv for lev in claimed_group(4)._levels[:2])
+        for transversal in (first, level):
+            assert True not in transversal and False not in transversal
+            with pytest.raises(KeyError):
+                transversal[True]
+        assert 1 in first and np.int64(0) in first
+        assert 1 in level and np.int64(1) in level
+
+    def test_the_transversal_at_e2_is_built_on_request(self, claimed_group):
+        # G_0's level at e_2 = 1: at the prime 7 its orbit is all of S, and
+        # each member x maps to a linear map fixing 0 that carries x onto
+        # e_2; any other point, a vertex or not, is refused
+        n = 7
+        transversal = claimed_group(n)._levels[1].transversal_inv
+        assert not isinstance(transversal, dict)
+        assert sorted(transversal) == connection_indices(n).tolist()
+        for x, u in transversal.items():
+            assert u.apply(x) == 1 and u.apply(0) == 0 and u in claimed_group(n)
+        assert transversal[np.int64(2)] == transversal[2]
+        for bad in (0, 2 * n + 3, n * n, -1, "1", 1.5, None):
+            assert bad not in transversal
         with pytest.raises(KeyError):
-            transversal[True]
+            transversal[0]
+        with pytest.raises(KeyError):
+            transversal[n * n]
 
     @pytest.mark.parametrize("n", [*range(4, 42), 61, 101])
     def test_chains_match_sifting_one_at_a_time(self, claimed_group, n):
         # from_generators is the sift-and-insert Schreier-Sims, which sifts
         # one element at a time; at degree n**2 its chain of G_0 has the
-        # base (e_2, e_1) and the same levels
+        # base (e_2, e_1) and the same levels, strong generators and
+        # orbits.  G_0's first transversal is built on request, so its
+        # elements are checked by what they do: each carries its point onto
+        # e_2, and it is in the Schreier-Sims group
         perms = claimed_group(n).generators
         g0 = PermutationGroup.from_generators(perms[2:])
         assert g0.base == [1, n]
         assert chain_of(claimed_origin_stabilizer(n)) == chain_of(g0)
         assert chain_of(claimed_group(n).point_stabilizer(0)) == chain_of(g0)
-        first = (0, [*perms[:2], *g0._levels[0].gens], symmetries._Translations(n))
+        back = symmetries._OnRequest(n * n, range(n * n),
+                                     lambda x: translation(n, -(x // n), -x).perm)
+        first = (0, [*perms[:2], *g0._levels[0].gens], back)
         ref = PermutationGroup.from_levels(
             perms, [first, *((lev.point, lev.gens) for lev in g0._levels)], n * n * g0.order())
         assert chain_of(claimed_group(n)) == chain_of(ref) and ref.generators == perms
+        for lev in claimed_origin_stabilizer(n)._levels:
+            assert all(u.apply(x) == lev.point and u in g0
+                       for x, u in lev.transversal_inv.items())
 
     @pytest.mark.parametrize("n", range(4, 32))
     def test_lifted_transversals_are_the_lifted_elements(self, claimed_group, n):
-        # the levels of G_0, lifted into the claimed group as they are:
-        # each transversal element is the linear map that carries its point
-        # back onto the level's, fixing every earlier base point, and it is
-        # the element Schreier-Sims puts there
+        # the levels of G_0, lifted into the claimed group as they are, with
+        # the orbits Schreier-Sims finds: each transversal element is a
+        # linear map in G_0 that carries its point back onto the level's,
+        # fixing every earlier base point
         g0 = PermutationGroup.from_generators(claimed_origin_stabilizer(n).generators)
         lifted = claimed_group(n)._levels[1:]
         assert len(lifted) == len(g0._levels)
@@ -536,9 +605,10 @@ class TestAssembledGroup:
         fixed = [0]
         for lev, small in zip(lifted, g0._levels):
             assert lev.point == small.point and lev.gens == small.gens
-            assert list(lev.transversal_inv.items()) == list(small.transversal_inv.items())
+            assert set(lev.transversal_inv) == set(small.transversal_inv)
             for v, u in lev.transversal_inv.items():
                 assert u.apply(v) == lev.point and all(u.apply(b) == b for b in fixed)
+                assert u in g0
                 e1, e2 = divmod(u.apply(n), n), divmod(u.apply(1), n)
                 linear = (x * e1[0] + y * e2[0]) % n * n + (x * e1[1] + y * e2[1]) % n
                 assert np.array_equal(u.images, linear)
@@ -546,35 +616,39 @@ class TestAssembledGroup:
 
     @pytest.mark.parametrize("n", [17, 31])
     def test_no_translation_is_built_for_a_fixed_base_point(self, n, monkeypatch):
+        # nor any element of G_0's transversal at e_2: a transversal built
+        # on request is asked only for points other than its base point
         asked, calls = [], []
-        get = symmetries._Translations.__getitem__
-        monkeypatch.setattr(symmetries._Translations, "__getitem__",
-                            lambda self, x: asked.append(x) or get(self, x))
+        get = symmetries._OnRequest.__getitem__
+        monkeypatch.setattr(symmetries._OnRequest, "__getitem__",
+                            lambda self, x: asked.append((self, x)) or get(self, x))
         build = symmetries.perm_from_pair_map
         monkeypatch.setattr(symmetries, "perm_from_pair_map",
                             lambda *args: calls.append(args) or build(*args))
-        claimed_aut_group(n)
-        assert asked and 0 not in asked
-        # the 2 + phi(n) + 2 generators, and one translation back to 0 for
-        # each input translation
-        assert len(calls) == units(n).totient + 6
+        grp = claimed_aut_group(n)
+        points = {id(lev.transversal_inv): lev.point for lev in grp._levels}
+        assert asked and all(x != points[id(t)] for t, x in asked)
+        # the 2 + m generators, m = len(_linear_maps(n)); the flip fixing
+        # e_2; one translation back to 0 for each input translation; and
+        # one element at e_2 for each linear input, as none fixes e_2
+        m = len(symmetries._linear_maps(n))
+        assert len(calls) == (2 + m) + 1 + 2 + m
 
     @pytest.mark.parametrize("n", [31, 61])
     def test_lifted_levels_keep_one_array_per_orbit_point(self, n):
         # Whatever a level of G_0 stores, at degree n**2 it may hold its
-        # strong generators and one element per orbit point, and nothing more.
-        for lev in claimed_aut_group(n)._levels[1:]:
-            stored = [getattr(lev, name) for name in type(lev).__slots__]
-            perms = [p for value in stored
-                     for p in (value.values() if isinstance(value, Mapping) else
-                               value if isinstance(value, list) else [value])
-                     if isinstance(p, Permutation)]
-            arrays = {id(p.images) for p in perms}
+        # strong generators and one element per orbit point, and nothing
+        # more; the level at e_2 builds its elements on request, so it holds
+        # its strong generators alone
+        at_e2, at_e1 = claimed_aut_group(n)._levels[1:]
+        for lev in (at_e2, at_e1):
+            held = held_permutations(lev)
+            arrays = {id(p.images) for p in held}
             gens = {id(g.images) for g in lev.gens}
-            orbit = len(lev.transversal_inv)
-            assert all(p.degree == n * n for p in perms)
-            assert len({id(u.images) for u in lev.transversal_inv.values()}) == orbit
-            assert len(arrays - gens) <= orbit
+            assert all(p.degree == n * n for p in held)
+            assert len(arrays - gens) <= len(lev.transversal_inv)
+        assert {id(p.images) for p in held_permutations(at_e2)} == {
+            id(g.images) for g in at_e2.gens}
 
 
 class TestCliqueAction:

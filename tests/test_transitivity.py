@@ -243,7 +243,7 @@ class TestFirstLevelRooting:
         def refuse(*args):
             raise AssertionError("a permutation was built")
 
-        monkeypatch.setattr(symmetries_module._Translations, "__getitem__", refuse)
+        monkeypatch.setattr(symmetries_module._OnRequest, "__getitem__", refuse)
         monkeypatch.setattr(Permutation, "__init__", refuse)
         assert is_edge_transitive(grp, rooted) == expected
 
