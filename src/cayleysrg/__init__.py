@@ -38,9 +38,11 @@ from .search import (
     enumerate_automorphisms,
 )
 from .symmetries import (
+    AffineGroup,
     AutomorphismError,
     CliqueActionLabel,
     NamedAutomorphism,
+    claimed_affine_group,
     claimed_aut_group,
     claimed_origin_stabilizer,
     clique_action,
@@ -76,6 +78,7 @@ __all__ = [
     "NamedAutomorphism", "AutomorphismError", "CliqueActionLabel",
     "translation", "unit_scaling", "coordinate_swap", "clique_rotation",
     "check_graph_automorphism",
+    "AffineGroup", "claimed_affine_group",
     "claimed_aut_group", "claimed_origin_stabilizer", "clique_action",
     "AutomorphismList", "enumerate_automorphisms",
     "BRUTE_FORCE_MAX_MODULUS",

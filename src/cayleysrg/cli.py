@@ -3,17 +3,19 @@
 Three subcommands:
 
     cayleysrg analyze N [--oracle]
-        Certify regularity for modulus N (N <= 246) from the connection
-        set, build the claimed automorphism group and its origin
-        stabiliser, classify transitivity, optionally build the graph and
-        cross-check against the independent automorphism count of
-        search.py (N <= 31), and print one JSON report to stdout.
+        Certify regularity for modulus N (N <= 1000) from the connection
+        set, build the claimed automorphism group in affine form, the
+        translations and G_0's table over S, classify transitivity,
+        optionally build the graph and cross-check against the
+        independent automorphism count of search.py (N <= 31), and print
+        one JSON report to stdout.  A whole run takes at most about 0.75 s
+        and 210 MB (at 997; 2 vCPUs, CPython 3.11.7).
 
     cayleysrg export N --format {graph6,dot}
         Print the graph in the requested format (N <= 110).
 
     cayleysrg verify LO..HI [--oracle-upto M]
-        Run the analyze checks for every modulus in the range (HI <= 246),
+        Run the analyze checks for every modulus in the range (HI <= 1000),
         print a JSON summary to stdout and a table to stderr, one row as
         soon as each modulus finishes.
 
@@ -42,7 +44,9 @@ from .graph import build_graph, connection_indices
 from .regularity import (IntersectionArray, cayley_srg_params, check_strongly_regular,
                          intersection_array)
 from .search import BRUTE_FORCE_MAX_MODULUS, enumerate_automorphisms
-from .symmetries import claimed_aut_group
+# analyze_report reads the claimed group in affine form; claimed_aut_group
+# stays a name here for bench/tracing.py, which wraps it where cli imports it.
+from .symmetries import claimed_affine_group, claimed_aut_group  # noqa: F401
 from .transitivity import TransitivityReport, classify_action
 from .formats import to_dot, to_graph6
 
@@ -53,14 +57,17 @@ __all__ = ["main", "run", "analyze_report", "verify_range", "predicted_values"]
 # 1.5 s and 132 MB (whole CLI run, 2 vCPUs, CPython 3.11.7), so DOT sets
 # the cap.
 EXPORT_MAX_MODULUS = 110
-# analyze and verify: analyze builds no adjacency rows, and the group's chain
-# stores no transversal of degree n**2 but a 2-point one, so peak RSS is a
-# few arrays of n**2 entries, largest at 241: 0.3-0.4 s and 58 MB, group
-# 0.04-0.07 s, transitivity 0.03-0.04.  243 = 3^5 takes 0.3-0.4 s and 50 MB;
-# 236..246 otherwise take 46-56 MB each, and verify 236..246 about 0.9 s and
-# 62 MB (CI runs all three; 2 vCPUs, CPython 3.11.7).  Raising the cap waits
-# for measurements at 729, 840, 960, 997 and 1000.
-ANALYZE_MAX_MODULUS = 246
+# analyze and verify: analyze builds no adjacency rows and no permutation of
+# degree n**2; it reads the claimed group in affine form, whose largest part
+# is G_0's table over S, 6 phi(n) rows of 3n - 3 int32 indices.  Whole CLI
+# runs (2 vCPUs, CPython 3.11.7), wall time and peak RSS: 729 = 3^6 0.46-0.56 s
+# and 100 MB, 840 0.53-0.61 s and 99 MB, 960 0.67-0.71 s and 126 MB, the
+# prime 997, with the largest table, 0.69-0.72 s and 210 MB, 1000 0.70-0.74 s
+# and 145 MB; counting on S, the regularity stage, is 0.12-0.30 s of each.
+# Below the old cap of 246, 241 takes 0.27-0.28 s and 41 MB, 243 0.27 s and
+# 38 MB, and verify 236..246 0.5 s and 43 MB.  CI runs analyze at 241, 243,
+# 997 and 1000 and verify 236..246.
+ANALYZE_MAX_MODULUS = 1000
 
 
 def predicted_values(n: int) -> dict:
@@ -133,13 +140,15 @@ def analyze_report(n: int, with_oracle: bool = False) -> tuple[dict, list[str]]:
     arr = IntersectionArray(b=(srg.k, srg.k - srg.lam - 1), c=(1, srg.mu), diameter=2)
     timings["regularity"] = round(time.perf_counter() - t, 6)
 
+    # G = T x| G_0 in affine form: G_0's generators certified on S and its
+    # table over S, closed once; no permutation of degree n**2 is built.
     t = time.perf_counter()
-    grp = claimed_aut_group(n)
+    grp = claimed_affine_group(n)
     group_order = grp.order()
     timings["group"] = round(time.perf_counter() - t, 6)
 
     t = time.perf_counter()
-    stab_order = grp.point_stabilizer(0).order()
+    stab_order = grp.stabilizer_order()
     timings["stabilizer"] = round(time.perf_counter() - t, 6)
 
     t = time.perf_counter()

@@ -17,33 +17,42 @@ group of the graph.
 Every automorphism check in the package goes through the Cayley structure:
 every named map is affine, x -> Mx + t on Z_n x Z_n.  A translation is an
 automorphism of any Cayley graph, and a linear M is one exactly when
-M(S) = S (Babai, Spectra of Cayley graphs, JCTB 1979).  So the check
-reads M and t off the permutation, checks that it is that affine map on
-every vertex, and checks that M(S) = t + S on vertex indices: O(n**2)
-array work per map.  It runs on a stack of maps, a block of image arrays
-at a time, and refuses the first bad map as checking one at a time would.
-The check needs n alone: the factories check every map they build, the
-claimed groups their generators in two stacks, the translations and
-G_0's, and transitivity its chain's strong generators, with no graph built.
+M(S) = S (Babai, Spectra of Cayley graphs, JCTB 1979).  A map given as a
+2 x 2 matrix is certified on S alone, by _on_s: every image of S lies in
+S and no two are equal, O(n) work.  A map given as a permutation is
+certified by _certify, which reads M and t off it, checks that it is that
+affine map on every vertex, and checks that M(S) = t + S on vertex
+indices: O(n**2) array work per map.  It runs on a stack of maps, a block
+of image arrays at a time, and refuses the first bad map as checking one
+at a time would.  Both checks need n alone, with no graph built: the
+factories and claimed_aut_group's two translations go through _certify,
+as do the strong generators of a PermutationGroup handed to transitivity;
+G_0's generating matrices go through _on_s, in one place.
 check_graph_automorphism first refuses any graph but the one of modulus n
 with its first bad row, by graph.family_defect.
 
-The check is sound: it never accepts a map that is not an automorphism,
-nor any graph but the one Babai's criterion speaks of.  Its limit is that
-it refuses every map that is not affine, automorphism or not.  The paper
-proves that the family has no such automorphism, and the counting oracle
-in search.py confirms it independently for n <= 31.
+The checks are sound: they never accept a map that is not an
+automorphism, nor any graph but the one Babai's criterion speaks of.  The
+limit is that every map that is not affine is refused, automorphism or
+not.  The paper proves that the family has no such automorphism, and the
+counting oracle in search.py confirms it independently for n <= 31.
 
 The claimed group is named on that certificate, with no Schreier-Sims.
 The translations form a regular normal subgroup T, so the group is the
 semidirect product of T and G_0, the group of the certified linear maps,
 and its order is n**2 * |G_0| (Dixon and Mortimer, Permutation Groups,
-1996).  G_0 is named by its generating set: the scalings by a generating
-set of the units, the swap and the rotation.  A certified map fixing 0 is
-linear, so _table_over_s lists G_0 once as a table over S, and
-_origin_levels reads G_0's chain off it for both claimed groups, which
-name their chains to from_levels, with two transversals built on request.
-Schreier-Sims on the same generators is the tests' oracle for both.
+1996).  G_0 is named by its generating set, _linear_maps(n): the
+scalings by a generating set of the units, the swap and the rotation, as
+matrices.  claimed_affine_group(n) is the one place G_0 is certified and
+closed: an AffineGroup holds the matrices and G_0's table over S, closed
+once by _table_over_s, and it is what analyze reads, for the orders, the
+transitivity questions and the oracle's membership test, with no
+permutation of degree n**2 built.  The public PermutationGroups,
+claimed_aut_group and claimed_origin_stabilizer, are built from the same
+form: _origin_levels turns its matrices into permutations and reads G_0's
+chain off its table, and both name their chains to from_levels, with two
+transversals built on request.  Schreier-Sims on the same generators is
+the tests' oracle for both.
 """
 
 from __future__ import annotations
@@ -55,7 +64,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bsgs import PermutationGroup
-from .core import Permutation, _block_rows, check_point, perm_from_pair_map, units
+from .core import (Permutation, _block_rows, _coordinates, check_point, perm_from_pair_map,
+                   units)
 from .graph import (CayleyGraph, build_graph, connection_indices, family_defect,
                     zero_neighborhood_cliques)
 
@@ -67,6 +77,8 @@ __all__ = [
     "coordinate_swap",
     "clique_rotation",
     "check_graph_automorphism",
+    "AffineGroup",
+    "claimed_affine_group",
     "claimed_aut_group",
     "claimed_origin_stabilizer",
     "CliqueActionLabel",
@@ -94,6 +106,17 @@ class NamedAutomorphism:
     def __str__(self) -> str:
         inner = ", ".join(map(str, self.params))
         return f"{self.kind}({inner}) mod {self.n}"
+
+
+def _affine_stray(n: int, imgs: np.ndarray, x, y):
+    """t = (tx, ty), the image of (0, 0), of each row of the stacked image
+    arrays imgs, as columns, and the mask of the entries where the row is
+    not x -> Mx + t, the columns of M the images of (1, 0) and (0, 1) minus
+    t; x and y are the coordinates of the vertices, in index order."""
+    (tx, ty), (ax, ay), (bx, by) = (np.divmod(imgs[:, [c]], n) for c in (0, n, 1))
+    stray = imgs != (((ax - tx) * x + (bx - tx) * y + tx) % n * n
+                     + ((ay - ty) * x + (by - ty) * y + ty) % n)
+    return tx, ty, stray
 
 
 def _certify(n: int, perms) -> None:
@@ -125,9 +148,7 @@ def _certify(n: int, perms) -> None:
     for start in range(0, fit, step):
         imgs = np.stack([p.images for p in perms[start:min(start + step, fit)]],
                         dtype=np.int32)
-        (tx, ty), (ax, ay), (bx, by) = (np.divmod(imgs[:, [c]], n) for c in (0, n, 1))
-        stray = imgs != (((ax - tx) * x + (bx - tx) * y + tx) % n * n
-                         + ((ay - ty) * x + (by - ty) * y + ty) % n)
+        tx, ty, stray = _affine_stray(n, imgs, x, y)
         # p(S) and t + S have |S| members each, so they are equal when
         # p(s) - t lies in S for every s in S
         mx, my = np.divmod(imgs[:, hood], n)
@@ -192,16 +213,18 @@ def _shift(a: int, b: int):
     return lambda x, y: (x + a, y + b)
 
 
+def _matrix_map(m):
+    """The pair map of the matrix m = ((a, b), (c, d)): (x, y) -> (a x + b y, c x + d y)."""
+    (a, b), (c, d) = m
+    return lambda x, y: (a * x + b * y, c * x + d * y)
+
+
 def _scaling(u: int):
-    return lambda x, y: (u * x, u * y)
+    return ((u, 0), (0, u))
 
 
-def _swap(x, y):
-    return y, x
-
-
-def _rotation(x, y):
-    return -y, x - y
+_SWAP = ((0, 1), (1, 0))
+_ROTATION = ((0, -1), (1, -1))  # (x, y) -> (-y, x - y)
 
 
 def translation(n: int, a: int, b: int) -> NamedAutomorphism:
@@ -222,29 +245,30 @@ def unit_scaling(n: int, u: int) -> NamedAutomorphism:
     u %= n
     if u not in units(n):
         raise ValueError(f"{u} is not a unit mod {n}, scaling would not be a bijection")
-    return _named("unit_scaling", (u,), n, _scaling(u))
+    return _named("unit_scaling", (u,), n, _matrix_map(_scaling(u)))
 
 
 def coordinate_swap(n: int) -> NamedAutomorphism:
     """The swap (x, y) -> (y, x).  Order 2; exchanges the two axis cliques."""
-    return _named("coordinate_swap", (), n, _swap)
+    return _named("coordinate_swap", (), n, _matrix_map(_SWAP))
 
 
 def clique_rotation(n: int) -> NamedAutomorphism:
     """The map (x, y) -> (-y, x - y).  Order 3; cycles the three cliques of
     the origin neighbourhood (row axis to column axis to diagonal)."""
-    return _named("clique_rotation", (), n, _rotation)
+    return _named("clique_rotation", (), n, _matrix_map(_ROTATION))
 
 
 def _linear_maps(n: int) -> list:
-    """G_0's generating set: the scalings by _unit_generators(n), the swap, the rotation."""
-    return [*map(_scaling, _unit_generators(n)), _swap, _rotation]
+    """G_0's generating set as matrices: the scalings by _unit_generators(n),
+    the swap, the rotation."""
+    return [*map(_scaling, _unit_generators(n)), _SWAP, _ROTATION]
 
 
 def _linear(n: int, h1: int, h2: int) -> Permutation:
     """The linear map carrying e_1 = (1, 0) to vertex h1 and e_2 = (0, 1) to h2."""
     (a1, b1), (a2, b2) = divmod(h1, n), divmod(h2, n)
-    return perm_from_pair_map(n, lambda x, y: (a1 * x + a2 * y, b1 * x + b2 * y))
+    return perm_from_pair_map(n, _matrix_map(((a1, a2), (b1, b2))))
 
 
 def _unit_generators(n: int) -> list[int]:
@@ -261,36 +285,128 @@ def _unit_generators(n: int) -> list[int]:
     return kept
 
 
-def _table_over_s(n: int, gens) -> np.ndarray:
-    """The group that gens, the image arrays of certified maps fixing 0,
-    generate, as a table over S: one row per element, the indices in
-    connection_indices(n) of its images of S.  Each map is linear, so it is
-    named by its images of e_2 and e_1: the rows are closed from the
-    identity row, g taking row h to the row of g o h, and a row is kept
-    only when that key is new.  ValueError if a map carries S off S."""
+def _s_index(n: int, v) -> np.ndarray:
+    """The index of each vertex of v in connection_indices(n), -1 off S."""
     hood = connection_indices(n)
-    k = hood.size
-    pos = np.full(n * n, -1)
-    pos[hood] = np.arange(k)
-    steps = pos[np.array([img[hood] for img in gens], dtype=np.int64).reshape(-1, k)]
+    i = np.searchsorted(hood, v).clip(max=hood.size - 1)
+    return np.where(hood[i] == v, i, -1)
+
+
+def _on_s(n: int, matrices) -> np.ndarray:
+    """Each matrix M's permutation of S: row i lists the index in
+    connection_indices(n) of M s for each s in S.  M is certified an
+    automorphism by M(S) = S (Babai 1979), O(|S|) work: every image lies in
+    S and no two are equal.  So M is onto S, which spans Z_n x Z_n, and
+    invertible.  AutomorphismError at the first M that fails, with (0, w),
+    w the least vertex of M(S) symmetric-difference S, as _certify refuses
+    M's permutation.  ValueError, before any image is taken, at an input
+    that is not a 2 x 2 matrix of ints: a pair map such as a translation
+    may move vertex 0, and only a matrix is sure to fix it."""
+    for mat in matrices:
+        if not (isinstance(mat, (tuple, list, np.ndarray)) and np.shape(mat) == (2, 2)
+                and np.asarray(mat).dtype.kind in "iu"):
+            raise ValueError(f"a generator of G_0 must be a 2 x 2 matrix of ints, which "
+                             f"fixes vertex 0, so none moves vertex 0; got {mat!r}")
+    hood = connection_indices(n)
+    x, y = np.divmod(hood, n)
+    m = np.asarray(matrices, dtype=np.int64).reshape(-1, 2, 2) % n
+    images = ((m[:, 0, :1] * x + m[:, 0, 1:] * y) % n * n
+              + (m[:, 1, :1] * x + m[:, 1, 1:] * y) % n)
+    steps = _s_index(n, images)
+    bad = np.flatnonzero((np.sort(steps, axis=1) != np.arange(hood.size)).any(axis=1))
+    if bad.size:
+        witness = (0, min(set(images[bad[0]].tolist()) ^ set(hood.tolist())))
+        raise AutomorphismError(
+            f"not an automorphism: adjacency disagrees around vertex pair {witness}",
+            witness=witness,
+        )
+    return steps
+
+
+def _table_over_s(n: int, steps) -> np.ndarray:
+    """The group that certified linear maps generate, as a table over S: one
+    row per element, the indices in connection_indices(n) of its images of
+    S.  steps holds each map's row, as _on_s gives it.  A linear map is
+    named by its images of e_2 and e_1: the rows are closed from the
+    identity row, g taking row h to the row of g o h, and a row is kept only
+    when that key is new.  ValueError if a step holds -1, a map carrying S
+    off S."""
+    k = connection_indices(n).size
+    steps = np.asarray(steps, dtype=np.int64).reshape(-1, k)
     if (steps < 0).any():
         raise ValueError("a generator of G_0 carries S off S: the generators do "
                          "not act on the arcs at 0")
-    c2, c1 = pos[1], pos[n]
+    c2, c1 = _s_index(n, [1, n])
     # keys are below k^2: last keeps one product per key, seen old keys;
-    # only the rows of the products kept are gathered
-    seen, last = np.zeros(k * k, dtype=bool), np.empty(k * k, dtype=np.int64)
+    # only the rows of the products kept are gathered.  The rows are int32,
+    # as are the products' numbers in last, which halves the peak memory of
+    # the closure; the keys are computed in int64
+    seen, last = np.zeros(k * k, dtype=bool), np.empty(k * k, dtype=np.int32)
     seen[c2 * k + c1] = True
-    rows = [np.arange(k)[None]]
+    narrow = steps.astype(np.int32)
+    rows = [np.arange(k, dtype=np.int32)[None]]
     while (new := rows[-1]).size:
         keys = (steps[:, new[:, c2]] * k + steps[:, new[:, c1]]).ravel()
-        order = np.arange(keys.size)
+        order = np.arange(keys.size, dtype=np.int32)
         last[keys] = order
         fresh = np.flatnonzero((last[keys] == order) & ~seen[keys])
         seen[keys[fresh]] = True
         g, h = np.divmod(fresh, len(new))
-        rows.append(steps[g[:, None], new[h]])
+        rows.append(narrow[g[:, None], new[h]])
     return np.concatenate(rows)
+
+
+class AffineGroup:
+    """The group T x| G_0 on Z_n x Z_n in affine form: every x -> Mx + t,
+    t any vertex and M in G_0, the group the matrices generate.
+
+    matrices are 2 x 2, ((a, b), (c, d)) for (x, y) -> (a x + b y, c x + d y),
+    each certified on S alone by _on_s, and G_0 is held as its table over S,
+    closed once.  So the order is n**2 |G_0| (Dixon and Mortimer 1996), the
+    stabiliser of vertex 0 is G_0, and no permutation of degree n**2 is
+    built.  The table is read-only.
+    """
+
+    def __init__(self, n: int, matrices) -> None:
+        self.matrices = list(matrices)
+        self.table = _table_over_s(n, _on_s(n, self.matrices))
+        self.table.setflags(write=False)
+        self.n = n
+
+    @property
+    def degree(self) -> int:
+        return self.n * self.n
+
+    def order(self) -> int:
+        return self.degree * len(self.table)
+
+    def stabilizer_order(self) -> int:
+        """|G_0|, the order of the stabiliser of vertex 0: the row count."""
+        return len(self.table)
+
+    def contains(self, p: Permutation) -> bool:
+        """Whether p is in the group: p is affine, x -> Mx + t on every
+        vertex, by _certify's check, and M, named by its images of e_2 and
+        e_1, p(e_2) - t and p(e_1) - t, is a row of the table."""
+        if p.degree != self.degree:
+            raise ValueError(f"degree mismatch: {p.degree} vs {self.degree}")
+        n, img = self.n, p.images
+        if _affine_stray(n, img[None], *_coordinates(n))[2].any():
+            return False
+        t = int(img[0])
+        i2, i1 = _s_index(n, [(img[e] // n - t // n) % n * n + (img[e] - t) % n
+                              for e in (1, n)])
+        c2, c1 = _s_index(n, [1, n])
+        return bool(((self.table[:, c2] == i2) & (self.table[:, c1] == i1)).any())
+
+    def __contains__(self, p: Permutation) -> bool:
+        return self.contains(p)
+
+
+def claimed_affine_group(n: int) -> AffineGroup:
+    """The claimed group in affine form: T and G_0's generating set,
+    _linear_maps(n), the one place G_0 is certified and closed."""
+    return AffineGroup(n, _linear_maps(n))
 
 
 class _OnRequest(Mapping):
@@ -320,14 +436,14 @@ class _OnRequest(Mapping):
 
 
 def claimed_aut_group(n: int) -> PermutationGroup:
-    """The automorphism group predicted for the graph of modulus n.
+    """The automorphism group predicted for the graph of modulus n, as a
+    PermutationGroup of degree n**2.
 
-    Generated by the two axis translations and G_0's generating set,
-    _linear_maps(n), every one certified an automorphism by the affine check
-    (M(S) = S for the linear ones; Babai 1979).  Its order works out to
-    6 * n**2 * phi(n); whether it is the full automorphism group is exactly
-    what the oracle in search.py cross-checks for n <= 31, by counting Aut
-    from the graph alone.
+    Generated by the two axis translations, certified by the affine check,
+    and G_0's generating set, _linear_maps(n), certified by M(S) = S
+    (Babai 1979).  Its order works out to 6 * n**2 * phi(n); whether it is
+    the full automorphism group is exactly what the oracle in search.py
+    cross-checks for n <= 31, by counting Aut from the graph alone.
 
     The translations form a regular normal subgroup T, so G is the
     semidirect product of T and G_0, the stabiliser of vertex 0, and
@@ -349,24 +465,22 @@ def claimed_origin_stabilizer(n: int) -> PermutationGroup:
 
 
 def _origin_levels(n: int) -> tuple[list[Permutation], list, int]:
-    """G_0's generating set, _linear_maps(n), certified as one stack, so each
-    map is linear once it fixes vertex 0; its chain at e_2 = 1 and e_1 = n,
-    read off its table over S, level 0 generated by that set, its point x
-    mapped on request to the inverse of a row h with h(e_2) = x, level 1 by
-    the other rows that fix e_2; and its order, the row count."""
-    perms = _certified(n, _linear_maps(n))
-    if any(p.apply(0) != 0 for p in perms):
-        raise RuntimeError("a generator of G_0 moves vertex 0")
-    table = _table_over_s(n, [p.images for p in perms])
+    """Off claimed_affine_group(n): G_0's generating matrices as
+    permutations; its chain at e_2 = 1 and e_1 = n, read off the table over
+    S, level 0 generated by those maps, its point x mapped on request to the
+    inverse of a row h with h(e_2) = x, level 1 by the other rows that fix
+    e_2; and its order, the row count."""
+    form = claimed_affine_group(n)
+    perms = [perm_from_pair_map(n, _matrix_map(m)) for m in form.matrices]
     hood = connection_indices(n)
-    e2, e1 = np.searchsorted(hood, [1, n])
-    rows = hood[table[:, [e1, e2]]].tolist()
+    e2, e1 = _s_index(n, [1, n])
+    rows = hood[form.table[:, [e1, e2]]].tolist()
     # each image of e_2 keyed to the image of e_1 in its first row; row 0,
     # the identity, is the first row that fixes e_2
     back = {h2: h1 for h1, h2 in reversed(rows)}
     level = _OnRequest(n * n, back, lambda x: _linear(n, back[x], x).inverse())
     flips = [_linear(n, h1, h2) for h1, h2 in rows[1:] if h2 == 1]
-    return perms, [(1, perms, level), (n, flips)], len(table)
+    return perms, [(1, perms, level), (n, flips)], form.stabilizer_order()
 
 
 @dataclass(frozen=True)

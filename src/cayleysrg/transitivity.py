@@ -3,11 +3,21 @@
 Each question asks whether a group G of automorphisms of Gamma(n), the
 graph of graph.py, has a single orbit on one kind of object: vertices,
 edges, arcs, ordered pairs at a fixed distance, or 2-arcs (paths
-u ~ v ~ w with w != u).  Only G is handed in; n is read off its degree,
-n^2.  G must be vertex-transitive, which its chain shows when the first
-level's orbit covers every vertex, its chain must be based at vertex 0,
-and it must hold the translations by (1, 0) and (0, 1), as the claimed
-groups do; any other degree, group or chain is refused with ValueError.
+u ~ v ~ w with w != u).  Only G is handed in, in one of two forms.  An
+AffineGroup (symmetries), the form analyze reads, is T x| G_0 by
+construction, its generators certified and G_0's table over S closed, so
+it is read as it is.  A PermutationGroup is checked first, once per group,
+by _table_of: n is read off its degree, n^2; its strong generators are
+certified by the certificate of S in symmetries; it must be
+vertex-transitive, which its chain shows when the first level's orbit
+covers every vertex; its chain must be based at vertex 0; the next
+level's generators, which generate G_0, must fix 0; and it must hold the
+translations by (1, 0) and (0, 1), sifted through its chain.  Any other
+degree, group or chain is refused with ValueError, a generator that is no
+automorphism with AutomorphismError.  Then G_0's table is closed from the
+next level's generators, and both forms meet in one reader, _Rooted,
+over n and that table.  No graph is built or read.
+
 The objects of the whole graph are never closed under G.  Every question
 is answered at vertex 0 instead, by the correspondence between orbitals
 and suborbits (Cameron, Permutation Groups, 1999; Godsil and Royle,
@@ -18,20 +28,15 @@ Algebraic Graph Theory, 2001):
     with the G_0-orbits on the same objects starting at 0, and the G-orbit
     of such an object x has size n^2 * |G_0.x|.
 
-Before any of it, _Rooted certifies the chain's strong generators by the
-certificate of S in symmetries and refuses one of the next level's, which
-generate G_0, that moves 0, then sifts the translations by (1, 0) and
-(0, 1), so no graph is built or read.  The objects at
-0 come from S: the arcs (0, s), s in S; the distance-2 pairs (0, w), w
-neither 0 nor in S, as (a, b) off S and 0 has a, b != 0 and is
-(a, 0) + (0, b), so the diameter is 2; the 2-arcs 0 ~ s ~ s + t, t in S
-but -s.  A certified map fixing 0 is linear (Babai 1979), hence named by
-its images of e_2 and e_1.  So symmetries._table_over_s, which the
-claimed groups read G_0's chain off, lists G_0 once, as a
-table over S closed from the identity under the certified generators, and
-every question reads it; no orbit kernel runs.  The arc orbits are the
-columns' minima; the distance-2 orbit of w = x e_1 + y e_2 is
-x h(e_1) + y h(e_2) over the rows h, walked from the least vertex no
+The objects at 0 come from S: the arcs (0, s), s in S; the distance-2
+pairs (0, w), w neither 0 nor in S, as (a, b) off S and 0 has a, b != 0
+and is (a, 0) + (0, b), so the diameter is 2; the 2-arcs 0 ~ s ~ s + t,
+t in S but -s.  A certified map fixing 0 is linear (Babai 1979), hence
+named by its images of e_2 and e_1.  So symmetries._table_over_s lists
+G_0 once, as a table over S closed from the identity under the certified
+generators, and every question reads it; no orbit kernel runs.  The arc
+orbits are the columns' minima; the distance-2 orbit of w = x e_1 + y e_2
+is x h(e_1) + y h(e_2) over the rows h, walked from the least vertex no
 orbit holds yet.  An edge orbit pairs the arc orbit of (0, v) with that
 of (0, -v), onto which the translation by -v carries the reversed arcs
 (v, 0): the column minimum of -v.  Every 2-arc orbit at 0 has members
@@ -58,8 +63,8 @@ from .bsgs import PermutationGroup
 from .core import Permutation
 from .graph import GRAPH_MAX_MODULUS, connection_indices
 # check_graph_automorphism is never called here: bench/tracing.py patches it here
-from .symmetries import (_certify, _table_over_s, check_graph_automorphism,  # noqa: F401
-                         claimed_aut_group)
+from .symmetries import (AffineGroup, _certify, _s_index, _table_over_s,  # noqa: F401
+                         check_graph_automorphism, claimed_affine_group)
 
 __all__ = [
     "TransitivityResult",
@@ -114,39 +119,15 @@ class TransitivityReport:
 
 
 class _Rooted:
-    """The engine's one entry check: the group, of degree n^2, its strong
-    generators certified, vertex-transitive, rooted at vertex 0, its chain's
-    first base point, and holding T, with the image arrays of G_0's
-    generators, the next level's, and pos[v], the index of v in S or -1."""
+    """The one reader: the group G = T x| G_0 as n and G_0's table over S,
+    with S's indices, hood.  An AffineGroup is read as it is, a
+    PermutationGroup through _table_of, once per group."""
 
-    def __init__(self, grp: PermutationGroup) -> None:
-        n = isqrt(grp.degree)
-        if n * n != grp.degree or not 4 <= n <= GRAPH_MAX_MODULUS:
-            raise ValueError(f"group degree {grp.degree} is not n**2 for a modulus "
-                             f"4 <= n <= {GRAPH_MAX_MODULUS}")
-        _certify(n, grp.strong_generators)
-        if not grp.base or grp.transversal_sizes()[0] != grp.degree:
-            raise ValueError("the group is not vertex-transitive: its chain's first "
-                             "level does not cover every vertex")
-        if grp.base[0] != 0:
-            raise ValueError(f"the chain's first base point is {grp.base[0]}, "
-                             "not vertex 0")
-        self.stabilizer = [p.images for p in grp.stabilizer_generators(0)]
-        if any(img[0] != 0 for img in self.stabilizer):
-            raise ValueError("a generator of the chain's second level moves vertex 0, "
-                             "so it is not in G_0")
-        grid = np.arange(grp.degree).reshape(n, n)  # rolled by a row or a column: T's generators
-        if not all(grp.contains(Permutation(np.roll(grid, -1, axis).ravel())) for axis in (0, 1)):
-            raise ValueError("the group does not contain the translations by (1, 0) and (0, 1)")
-        self.group, self.n = grp, n
-        self.hood = connection_indices(n)
-        self.pos = np.full(grp.degree, -1)
-        self.pos[self.hood] = np.arange(self.hood.size)
-
-    @cached_property
-    def table(self) -> np.ndarray:
-        """G_0's table over S, closed under the next level's generators."""
-        return _table_over_s(self.n, self.stabilizer)
+    def __init__(self, grp: AffineGroup | PermutationGroup) -> None:
+        self.group = grp
+        self.n, self.table = ((grp.n, grp.table) if isinstance(grp, AffineGroup)
+                              else _table_of(grp))
+        self.hood = connection_indices(self.n)
 
     @cached_property
     def vertex_orbits(self):
@@ -154,18 +135,21 @@ class _Rooted:
         least[i], the index in S of the least member of the orbit of S's
         i-th member, then the arc orbits and the distance-2 orbits, each as
         its least pair (0, v) and its size under G, in order of v."""
-        table, hood, n, count = self.table, self.hood, self.n, self.group.degree
+        table, hood, n = self.table, self.hood, self.n
+        count = n * n
         least = table.min(axis=0)
         roots = np.flatnonzero(least == np.arange(hood.size))
         arcs = list(zip(((0, v) for v in hood[roots].tolist()),
                         (np.bincount(least)[roots] * count).tolist()))
         # h(x e_1 + y e_2) = x h(e_1) + y h(e_2), as h is linear; the least
-        # vertex no orbit holds yet starts the next orbit, and 0 is never free
-        (a1, b1), (a2, b2) = (np.divmod(hood[table[:, self.pos[e]]], n) for e in (n, 1))
+        # vertex no orbit holds yet starts the next orbit, searched from the
+        # last one on, and 0 is never free: the search ends at a vertex that
+        # is not free once none is
+        (a1, b1), (a2, b2) = (np.divmod(hood[table[:, i]], n) for i in _s_index(n, [n, 1]))
         free = np.ones(count, dtype=bool)
         free[0] = free[hood] = False
-        far = []
-        while w := int(free.argmax()):
+        far, w = [], 0
+        while free[w := w + int(free[w:].argmax())]:
             x, y = divmod(w, n)
             images = (x * a1 + y * a2) % n * n + (x * b1 + y * b2) % n
             free[images] = False
@@ -173,7 +157,34 @@ class _Rooted:
         return least, arcs, far
 
 
-def _context(grp: PermutationGroup, rooted: _Rooted | None) -> _Rooted:
+def _table_of(grp: PermutationGroup) -> tuple[int, np.ndarray]:
+    """n and G_0's table over S for a PermutationGroup, after the entry
+    checks: the degree is n^2, the strong generators are certified, the
+    chain's first level covers every vertex from vertex 0, the next level's
+    generators, which generate G_0, fix 0, and the group holds T."""
+    n = isqrt(grp.degree)
+    if n * n != grp.degree or not 4 <= n <= GRAPH_MAX_MODULUS:
+        raise ValueError(f"group degree {grp.degree} is not n**2 for a modulus "
+                         f"4 <= n <= {GRAPH_MAX_MODULUS}")
+    _certify(n, grp.strong_generators)
+    if not grp.base or grp.transversal_sizes()[0] != grp.degree:
+        raise ValueError("the group is not vertex-transitive: its chain's first "
+                         "level does not cover every vertex")
+    if grp.base[0] != 0:
+        raise ValueError(f"the chain's first base point is {grp.base[0]}, "
+                         "not vertex 0")
+    stabilizer = [p.images for p in grp.stabilizer_generators(0)]
+    if any(img[0] != 0 for img in stabilizer):
+        raise ValueError("a generator of the chain's second level moves vertex 0, "
+                         "so it is not in G_0")
+    grid = np.arange(grp.degree).reshape(n, n)  # rolled by a row or a column: T's generators
+    if not all(grp.contains(Permutation(np.roll(grid, -1, axis).ravel())) for axis in (0, 1)):
+        raise ValueError("the group does not contain the translations by (1, 0) and (0, 1)")
+    hood = connection_indices(n)
+    return n, _table_over_s(n, [_s_index(n, img[hood]) for img in stabilizer])
+
+
+def _context(grp, rooted: _Rooted | None) -> _Rooted:
     # classify_action shares one context between the is_*_transitive calls;
     # only one _Rooted built for this very group is trusted.
     if rooted is not None and rooted.group is grp:
@@ -188,7 +199,7 @@ def _result(parts: list[tuple[tuple[int, ...], int]]) -> TransitivityResult:
     return TransitivityResult(False, sizes, (parts[0][0], parts[1][0]))
 
 
-def is_vertex_transitive(grp: PermutationGroup,
+def is_vertex_transitive(grp: AffineGroup | PermutationGroup,
                          rooted: _Rooted | None = None) -> TransitivityResult:
     """One orbit on vertices, with n^2 of them: only vertex-transitive
     groups are accepted."""
@@ -196,7 +207,7 @@ def is_vertex_transitive(grp: PermutationGroup,
     return _result([((0,), grp.degree)])
 
 
-def is_edge_transitive(grp: PermutationGroup,
+def is_edge_transitive(grp: AffineGroup | PermutationGroup,
                        rooted: _Rooted | None = None) -> TransitivityResult:
     """One orbit on unordered edges or not, with a two-edge witness.
 
@@ -206,21 +217,22 @@ def is_edge_transitive(grp: PermutationGroup,
     """
     ctx = _context(grp, rooted)
     least, arcs, _ = ctx.vertex_orbits
-    n, hood, pos = ctx.n, ctx.hood, ctx.pos
+    n, hood = ctx.n, ctx.hood
     # the reversed arcs (v, 0), translated by -v, are the arcs (0, -v), in
-    # the orbit whose least member is mate[pos[v]]
-    mate = hood[least[pos[-(hood // n) % n * n + -hood % n]]]
-    return _result([((0, v), size // 2 if mate[pos[v]] == v else size)
-                    for (_, v), size in arcs if mate[pos[v]] >= v])
+    # the orbit whose least member is mate[v]
+    mate = dict(zip(hood.tolist(),
+                    hood[least[_s_index(n, -(hood // n) % n * n + -hood % n)]].tolist()))
+    return _result([((0, v), size // 2 if mate[v] == v else size)
+                    for (_, v), size in arcs if mate[v] >= v])
 
 
-def is_arc_transitive(grp: PermutationGroup,
+def is_arc_transitive(grp: AffineGroup | PermutationGroup,
                       rooted: _Rooted | None = None) -> TransitivityResult:
     """One orbit on ordered adjacent pairs or not."""
     return _result(_context(grp, rooted).vertex_orbits[1])
 
 
-def is_two_arc_transitive(grp: PermutationGroup,
+def is_two_arc_transitive(grp: AffineGroup | PermutationGroup,
                           rooted: _Rooted | None = None) -> TransitivityResult:
     """One orbit on paths u ~ v ~ w with w != u or not."""
     ctx = _context(grp, rooted)
@@ -232,15 +244,17 @@ def is_two_arc_transitive(grp: PermutationGroup,
     sums = (hood[roots, None] // n + hood // n) % n * n + (hood[roots, None] + hood) % n
     # the least s + h(t) names t's orbit under G_0,s; it is 0 at t = -s alone
     least = np.minimum.reduceat(sums[at[:, None], table[h]], np.cumsum(fixing) - fixing)
-    count = np.bincount((least + np.arange(roots.size)[:, None] * grp.degree).ravel())
-    found = np.flatnonzero(count)
-    i, w = np.divmod(found, grp.degree)
-    sizes = grp.degree * (len(table) // fixing[i]) * count[found]
+    # each (s, w) as one code, counted over its run in sorted order: memory
+    # in the objects, where a bincount over the codes took roots * n^2
+    codes = np.sort((least + np.arange(roots.size)[:, None] * grp.degree).ravel())
+    first = np.flatnonzero(np.diff(codes, prepend=-1))
+    i, w = np.divmod(codes[first], grp.degree)
+    sizes = grp.degree * (len(table) // fixing[i]) * np.diff(first, append=codes.size)
     return _result([((0, s, v), size) for s, v, size in zip(
         hood[roots[i]].tolist(), w.tolist(), sizes.tolist()) if v])
 
 
-def is_distance_transitive(grp: PermutationGroup,
+def is_distance_transitive(grp: AffineGroup | PermutationGroup,
                            rooted: _Rooted | None = None) -> DistanceTransitivityResult:
     """One orbit on ordered pairs at each distance 0, 1, 2 of Gamma(n),
     whose diameter is 2, or not."""
@@ -257,7 +271,7 @@ def is_distance_transitive(grp: PermutationGroup,
     )
 
 
-def classify_action(grp: PermutationGroup) -> TransitivityReport:
+def classify_action(grp: AffineGroup | PermutationGroup) -> TransitivityReport:
     """Answer all five transitivity questions for one group action.
 
     Ends with a consistency check of the implication chain (arc implies
@@ -302,5 +316,5 @@ def classify_action(grp: PermutationGroup) -> TransitivityReport:
 
 
 def classify(n: int) -> TransitivityReport:
-    """Classify the claimed group for modulus n."""
-    return classify_action(claimed_aut_group(n))
+    """Classify the claimed group for modulus n, in affine form."""
+    return classify_action(claimed_affine_group(n))

@@ -6,15 +6,19 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cayleysrg.cli as cli
+import cayleysrg.core as core
 import cayleysrg.regularity as regularity
+import cayleysrg.symmetries as symmetries
+import cayleysrg.transitivity as transitivity
 from cayleysrg import (
     BRUTE_FORCE_MAX_MODULUS,
-    PermutationGroup,
+    AffineGroup,
+    Permutation,
     from_graph6,
-    translation,
 )
 from cayleysrg.cli import (
     ANALYZE_MAX_MODULUS,
@@ -91,6 +95,31 @@ class TestAnalyze:
         assert report["intersection_array"] == {
             "b": list(arr.b), "c": list(arr.c), "diameter": arr.diameter}
 
+    @pytest.mark.parametrize("n", [*range(4, 42), 241, 243])
+    def test_analyze_builds_nothing_of_degree_n_squared_and_closes_g0_once(
+            self, n, monkeypatch):
+        # the degree of every permutation built, by either constructor or
+        # from a pair map, and the modulus of every closure of G_0's table
+        degrees, closed = [], []
+        init, trusted = Permutation.__init__, Permutation._trusted.__func__
+        monkeypatch.setattr(Permutation, "__init__", lambda p, images: degrees.append(
+            np.asarray(images).size) or init(p, images))
+        monkeypatch.setattr(Permutation, "_trusted", classmethod(
+            lambda cls, arr: degrees.append(arr.size) or trusted(cls, arr)))
+        build = core.perm_from_pair_map
+        for mod in (core, symmetries):
+            monkeypatch.setattr(mod, "perm_from_pair_map",
+                                lambda m, fn: degrees.append(m * m) or build(m, fn))
+        close = symmetries._table_over_s
+        for mod in (symmetries, transitivity):
+            monkeypatch.setattr(mod, "_table_over_s",
+                                lambda m, steps: closed.append(m) or close(m, steps))
+        report, failures = analyze_report(n)
+        assert failures == []
+        assert report["claimed_group_order"] == 6 * n * n * core.units(n).totient
+        assert n * n not in degrees
+        assert closed == [n]
+
     def test_modulus_bounds_are_usage_errors(self, capsys):
         for argv in (["analyze", "3"], ["analyze", "1001"]):
             with pytest.raises(SystemExit) as exc:
@@ -106,14 +135,14 @@ class TestAnalyze:
                             seen.append(("analyze", n)) or ({"n": n}, []))
         monkeypatch.setattr(cli, "verify_range", lambda lo, hi, oracle_upto=None:
                             seen.append(("verify", hi)) or {"all_passed": True})
-        assert ANALYZE_MAX_MODULUS == 246
-        assert main(["analyze", "246"]) == 0
-        assert main(["verify", "4..246"]) == 0
-        for argv in (["analyze", "247"], ["verify", "4..247"], ["verify", "247..247"]):
+        assert ANALYZE_MAX_MODULUS == 1000
+        assert main(["analyze", "1000"]) == 0
+        assert main(["verify", "4..1000"]) == 0
+        for argv in (["analyze", "1001"], ["verify", "4..1001"], ["verify", "1001..1001"]):
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 2
-        assert seen == [("analyze", 246), ("verify", 246)]
+        assert seen == [("analyze", 1000), ("verify", 1000)]
         capsys.readouterr()
 
     @pytest.mark.parametrize("text", ["\uff15", "1_0", " 7", "+7", "\u00b2", "7.0", "",
@@ -137,26 +166,28 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("n, with_oracle, message", [
         (3, False, "between 4 and"), (ANALYZE_MAX_MODULUS + 1, False, "between 4 and"),
-        (250, False, "between 4 and"), (BRUTE_FORCE_MAX_MODULUS + 1, True, "oracle needs"),
+        (5000, False, "between 4 and"), (BRUTE_FORCE_MAX_MODULUS + 1, True, "oracle needs"),
         (40, True, "oracle needs"),
     ])
     def test_analyze_report_refuses_before_any_stage(self, n, with_oracle, message,
                                                      monkeypatch):
         monkeypatch.setattr(cli, "connection_indices", None)
-        monkeypatch.setattr(cli, "claimed_aut_group", None)
+        monkeypatch.setattr(cli, "claimed_affine_group", None)
         with pytest.raises(ValueError, match=message):
             analyze_report(n, with_oracle=with_oracle)
 
     def test_oracle_refuses_a_proper_subgroup(self, capsys, monkeypatch):
-        def translations(n):
-            return PermutationGroup.from_generators(
-                [translation(n, 1, 0).perm, translation(n, 0, 1).perm])
+        # the affine form over the swap and the rotation alone: G_0 of order
+        # 6, so a group of order 6 n^2 that misses the unit scalings
+        def small(n):
+            return AffineGroup(n, [symmetries._SWAP, symmetries._ROTATION])
 
-        monkeypatch.setattr(cli, "claimed_aut_group", translations)
+        monkeypatch.setattr(cli, "claimed_affine_group", small)
         code, out, err = run_cli(capsys, "analyze", "5", "--oracle")
         assert code == 1
         report = json.loads(out)
-        assert report["claimed_group_order"] == 25
+        assert report["claimed_group_order"] == 150
+        assert report["stabilizer_order"] == 6
         assert report["oracle"] == {"brute_order": 600, "agreement": False}
         _, failures = analyze_report(5, with_oracle=True)
         assert "oracle" in failures
@@ -275,7 +306,7 @@ class TestVerify:
             assert exc.value.code == 2
         capsys.readouterr()
 
-    @pytest.mark.parametrize("rng", ["5..4", "4..300", "3..5"])
+    @pytest.mark.parametrize("rng", ["5..4", "4..1001", "3..5"])
     def test_a_range_out_of_bounds_is_named(self, rng, capsys, monkeypatch):
         monkeypatch.setattr(cli, "verify_range", None)  # parse only
         with pytest.raises(SystemExit) as exc:

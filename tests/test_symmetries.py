@@ -7,6 +7,7 @@ import pytest
 import cayleysrg.symmetries as symmetries
 import cayleysrg.transitivity as transitivity
 from cayleysrg import (
+    AffineGroup,
     AutomorphismError,
     CayleyGraph,
     CliqueActionLabel,
@@ -14,8 +15,10 @@ from cayleysrg import (
     PermutationGroup,
     ZnPair,
     check_graph_automorphism,
+    claimed_affine_group,
     claimed_aut_group,
     claimed_origin_stabilizer,
+    classify_action,
     clique_action,
     clique_rotation,
     connection_set,
@@ -379,6 +382,82 @@ class TestClaimedGroups:
             assert grp.contains(p)
 
 
+class TestAffineForm:
+    """claimed_affine_group, the form analyze reads, against the
+    PermutationGroup path: claimed_aut_group and its chain's membership."""
+
+    @pytest.mark.parametrize("n", [*range(4, 42), 61, 64, 81, 101, 120, 241, 243])
+    def test_orders_and_reports_match_the_permutation_group(self, claimed_group, n):
+        form = claimed_affine_group(n)
+        grp = claimed_group(n) if n < 200 else claimed_aut_group(n)
+        assert form.degree == grp.degree == n * n
+        assert form.order() == grp.order() == 6 * n * n * units(n).totient
+        assert form.stabilizer_order() == grp.point_stabilizer(0).order()
+        assert classify_action(form) == classify_action(grp)
+
+    @pytest.mark.parametrize("n", range(4, 32))
+    def test_membership_agrees_with_the_chain(self, claimed_group, n):
+        form, grp = claimed_affine_group(n), claimed_group(n)
+        rng = random.Random(n)
+        members = list(grp.generators)
+        for _ in range(6):
+            word = Permutation.identity(n * n)
+            for _ in range(8):
+                word = rng.choice(grp.generators) * word
+            members.append(word)
+        members += [translation(n, rng.randrange(n), rng.randrange(n)).perm for _ in range(4)]
+        shear = perm_from_pair_map(n, lambda x, y: (x + y, y))
+        transpositions = [list(range(n * n)) for _ in range(2)]
+        transpositions[0][1], transpositions[0][2] = 2, 1
+        # (0, 2) and (0, 3) fix 0, e_2 = 1 and e_1 = n: only the affine check
+        # tells the second transposition, and the second bijection below,
+        # from the identity
+        transpositions[1][2], transpositions[1][3] = 3, 2
+        outsiders = [
+            shear,
+            shear * translation(n, rng.randrange(n), rng.randrange(n)).perm,
+            *map(Permutation, transpositions),
+            # bijections that are not affine
+            perm_from_pair_map(n, lambda x, y: (x, y + x * x)),
+            perm_from_pair_map(n, lambda x, y: (x, y + x * x - x)),
+        ]
+        if n % 2:
+            # affine, its linear part carrying e_2 and e_1 into S, and no row
+            outsiders.append(perm_from_pair_map(n, lambda x, y: (x, 2 * y)))
+        for p in members:
+            assert form.contains(p) and p in form and grp.contains(p)
+        for p in outsiders:
+            assert not form.contains(p) and p not in form and not grp.contains(p)
+        with pytest.raises(ValueError, match="degree mismatch"):
+            form.contains(Permutation.identity(n * n + 1))
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 12, 31])
+    def test_the_certificate_refuses_the_shear_and_a_singular_map(self, n):
+        # the shear carries (1, 1) off S, with the witness the affine check
+        # gives its permutation; (x, y) -> (x, x) carries (0, 1) onto 0
+        shear = ((1, 1), (0, 1))
+        with pytest.raises(AutomorphismError, match="not an automorphism") as exc:
+            AffineGroup(n, [*symmetries._linear_maps(n), shear])
+        assert exc.value.witness == (0, 1) == _refusal(
+            symmetries._certify, n, [perm_from_pair_map(n, symmetries._matrix_map(shear))])[2]
+        with pytest.raises(AutomorphismError, match="not an automorphism") as exc:
+            AffineGroup(n, [((1, 0), (1, 0))])
+        assert exc.value.witness == (0, 0)
+
+    @pytest.mark.parametrize("n", [5, 7, 9, 11, 31])
+    def test_the_certificate_refuses_a_map_into_s_that_is_not_onto(self, n):
+        # (x, y) -> (0, x + y) carries S into S at odd n, (i, i) onto
+        # (0, 2i), but not onto it: two images are equal, and (1, 0) = n is
+        # the least vertex of S it misses
+        with pytest.raises(AutomorphismError, match="not an automorphism") as exc:
+            AffineGroup(n, [((0, 0), (1, 1))])
+        assert exc.value.witness == (0, n)
+
+    def test_the_table_is_read_only(self):
+        with pytest.raises(ValueError, match="read-only"):
+            claimed_affine_group(7).table[0, 0] = 1
+
+
 class TestAssembledGroup:
     """claimed_aut_group names the chain of T x| G_0 to from_levels, with
     G_0's levels read off its table over S; Schreier-Sims on the same
@@ -422,23 +501,41 @@ class TestAssembledGroup:
         assert claimed_origin_stabilizer(n).order() == 6 * units(n).totient
 
     def test_a_generator_of_g0_that_moves_vertex_0_is_refused(self, monkeypatch):
+        # G_0's inputs are matrices, which fix vertex 0: a translation, a
+        # pair map, is refused as no matrix, and so is an affine map written
+        # as a 2 x 3 matrix, which np.reshape alone would not catch
         linear = symmetries._linear_maps
-        monkeypatch.setattr(symmetries, "_linear_maps",
-                            lambda n: [*linear(n), symmetries._shift(1, 1)])
-        with pytest.raises(RuntimeError, match="moves vertex 0"):
-            claimed_aut_group(5)
+        for bad in (symmetries._shift(1, 1), ((1, 0, 1), (0, 1, 1))):
+            monkeypatch.setattr(symmetries, "_linear_maps", lambda n: [*linear(n), bad])
+            with pytest.raises(ValueError, match="a generator of G_0 must be a 2 x 2 matrix"):
+                claimed_aut_group(5)
 
     def test_the_origin_stabilizer_refuses_a_map_that_moves_vertex_0(self, monkeypatch):
         # refused before its table over S is closed
-        def spy(n, gens):
+        def spy(n, steps):
             raise AssertionError("_table_over_s was called")
 
         linear = symmetries._linear_maps
         monkeypatch.setattr(symmetries, "_linear_maps",
                             lambda n: [*linear(n), symmetries._shift(0, 1)])
         monkeypatch.setattr(symmetries, "_table_over_s", spy)
-        with pytest.raises(RuntimeError, match="a generator of G_0 moves vertex 0"):
+        with pytest.raises(ValueError, match="moves vertex 0"):
             claimed_origin_stabilizer(7)
+
+    def test_a_linear_input_that_carries_s_off_s_is_refused(self, monkeypatch):
+        # G_0's inputs are matrices, so each fixes vertex 0; the shear
+        # (x, y) -> (x + y, y) among them carries (1, 1) off S, and the form
+        # and both claimed groups refuse it before G_0's table is closed
+        def spy(n, steps):
+            raise AssertionError("_table_over_s was called")
+
+        linear = symmetries._linear_maps
+        monkeypatch.setattr(symmetries, "_linear_maps", lambda n: [*linear(n), ((1, 1), (0, 1))])
+        monkeypatch.setattr(symmetries, "_table_over_s", spy)
+        for build in (claimed_affine_group, claimed_aut_group, claimed_origin_stabilizer):
+            with pytest.raises(AutomorphismError, match="not an automorphism") as exc:
+                build(7)
+            assert exc.value.witness == (0, 1)
 
     def test_a_set_that_misses_a_scaling_fails_the_order_checks(self, monkeypatch):
         # U(15) needs the scalings by 2 and 7: without 7 the table, and so
@@ -461,8 +558,9 @@ class TestAssembledGroup:
         assert all(unit_scaling(n, u).perm in grp for u in units(n))
 
     def test_the_unit_generators_generate_the_units(self):
-        # by closure on residues, for every modulus up to 1000; up to the
-        # analyze cap, 246, they are at most 4 units, so at most 6 maps
+        # by closure on residues, for every modulus up to the analyze cap,
+        # 1000; they are at most 4 units, so at most 6 maps, but at 840,
+        # where they are 5
         for n in range(2, 1001):
             gens = symmetries._unit_generators(n)
             reached, todo = {1}, [1]
@@ -472,7 +570,7 @@ class TestAssembledGroup:
                 reached |= fresh
                 todo.extend(fresh)
             assert reached == set(units(n)), n
-            assert n > 246 or len(gens) <= 4, n
+            assert len(gens) <= (5 if n == 840 else 4), n
 
     @pytest.mark.parametrize("n", [*range(4, 42), 61, 101])
     def test_the_stabilizer_and_the_engine_list_the_same_table(self, claimed_group, n,

@@ -199,14 +199,21 @@ class TestFirstLevelRooting:
             with pytest.raises(ValueError, match="not vertex 0"):
                 question(grp)
 
-    def test_objects_the_group_does_not_act_on_are_refused(self, claimed_group):
-        # a stand-in stabiliser generator that moves vertex 0 carries the
-        # arcs at 0 off the objects listed there
+    def test_objects_the_group_does_not_act_on_are_refused(self, claimed_group,
+                                                           monkeypatch):
+        # a next level whose generator fixes 0 but swaps (0, 1) in S with
+        # (1, 2) off S carries the arcs at 0 off the objects listed there;
+        # with the certificate switched off, the table's closure refuses it
         grp = claimed_group(5)
-        rooted = transitivity._Rooted(grp)
-        rooted.stabilizer = [grp.generators[0].images]
-        with pytest.raises(ValueError, match="do not act"):
-            is_arc_transitive(grp, rooted)
+        swap = list(range(25))
+        swap[1], swap[7] = 7, 1
+        level = _Level(1, [Permutation(swap)])
+        level.recompute_orbit(25)
+        forged = PermutationGroup(grp.generators, 25, [grp._levels[0], level])
+        monkeypatch.setattr(transitivity, "_certify", lambda n, perms: None)
+        for question in QUESTIONS:
+            with pytest.raises(ValueError, match="do not act"):
+                question(forged)
 
     def test_second_level_that_moves_zero_is_refused(self, claimed_group):
         # the claimed generators and first level, with a next level that
@@ -284,13 +291,13 @@ def vertex_orbits_by_kernel(grp):
     other than 0, vertex v as object v - 1, as the engine found them before
     it read G_0 as a table over S: the vertex labels, then the arc orbits
     and the distance-2 orbits, each as its least pair (0, v) and its size."""
-    ctx = transitivity._Rooted(grp)
     count = grp.degree
-    labels = orbit_labels(count - 1, (img[1:] - 1 for img in ctx.stabilizer))
+    labels = orbit_labels(count - 1, (p.images[1:] - 1 for p in grp.stabilizer_generators(0)))
     firsts = np.flatnonzero(labels == np.arange(labels.size))
+    hood = set(connection_indices(math.isqrt(count)).tolist())
     arcs, far = [], []
     for v, size in zip((firsts + 1).tolist(), (np.bincount(labels)[firsts] * count).tolist()):
-        (far if ctx.pos[v] < 0 else arcs).append(((0, v), size))
+        (arcs if v in hood else far).append(((0, v), size))
     return labels, arcs, far
 
 
@@ -355,17 +362,19 @@ def two_arcs_by_kernel(grp):
     """is_two_arc_transitive by one kernel call on the k(k - 1) 2-arcs: a
     generator g of G_0 is linear, so it carries the 2-arc (a, b) to
     (sigma[a], sigma[b]), sigma its permutation of S's indices."""
-    ctx = transitivity._Rooted(grp)
-    rank, heads, sums = _two_arcs(ctx.n)
-    k = ctx.hood.size
+    n = math.isqrt(grp.degree)
+    hood = connection_indices(n)
+    rank, heads, sums = _two_arcs(n)
+    k = hood.size
     labels = orbit_labels(k * (k - 1), (
         np.take(rank, sigma[:, None] * k + sigma[heads]).ravel()
-        for sigma in (ctx.pos[img[ctx.hood]] for img in ctx.stabilizer)))
+        for sigma in (symmetries_module._s_index(n, p.images[hood])
+                      for p in grp.stabilizer_generators(0))))
     firsts = np.flatnonzero(labels == np.arange(labels.size))
     sizes = np.bincount(labels)[firsts] * grp.degree
     a, i = np.divmod(firsts, k - 1)
     return transitivity._result([((0, s, w), size) for s, w, size in zip(
-        ctx.hood[a].tolist(), sums[a, heads[a, i]].tolist(), sizes.tolist())])
+        hood[a].tolist(), sums[a, heads[a, i]].tolist(), sizes.tolist())])
 
 
 class TestTwoArcsOffTheTable:
