@@ -15,6 +15,7 @@ vertex-transitive groups by orbit computation at vertex 0.
 from .bsgs import PermutationGroup
 from .core import Permutation, UnitGroup, ZnPair, perm_from_pair_map, units
 from .graph import (
+    BUILD_MAX_MODULUS,
     GRAPH_MAX_MODULUS,
     CayleyGraph,
     CliqueTriple,
@@ -72,7 +73,7 @@ __all__ = [
     "Permutation", "ZnPair", "UnitGroup", "units", "perm_from_pair_map",
     "PermutationGroup",
     "CayleyGraph", "ConnectionSet", "CliqueTriple", "connection_set",
-    "build_graph", "zero_neighborhood_cliques", "GRAPH_MAX_MODULUS",
+    "build_graph", "zero_neighborhood_cliques", "BUILD_MAX_MODULUS", "GRAPH_MAX_MODULUS",
     "SrgParams", "IntersectionArray", "RegularityRefusal",
     "check_strongly_regular", "cayley_srg_params", "intersection_array", "diameter",
     "NamedAutomorphism", "AutomorphismError", "CliqueActionLabel",

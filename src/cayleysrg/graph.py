@@ -25,6 +25,7 @@ from .bitset import bfs_layers, iter_bits, mask_of
 from .core import ZnPair, _check_modulus, check_point
 
 __all__ = [
+    "BUILD_MAX_MODULUS",
     "GRAPH_MAX_MODULUS",
     "ConnectionSet",
     "connection_set",
@@ -37,12 +38,16 @@ __all__ = [
     "zero_neighborhood_cliques",
 ]
 
-# The rows hold n**4 bits, and the build does O(n**4) bit work: it takes
-# 0.010 s at n = 80, 0.025 s and 41 MB peak RSS at n = 100, and 0.11 s and
-# 94 MB at n = 150 (best of 3, 2 vCPUs, CPython 3.11.7).  The rows alone
-# pass 1 GB near n = 300, so moduli near this cap are accepted but not
-# practical.
+# Largest modulus the group side accepts (transitivity's entry checks on a
+# group of degree n**2); analyze builds no rows, so it reaches this cap.
 GRAPH_MAX_MODULUS = 1000
+
+# Largest modulus build_graph accepts.  The rows hold n**4 bits, n**4 / 8
+# bytes, and the build does O(n**4) bit work: 0.020 s and 42 MB peak RSS at
+# n = 100, 0.10 s and 96 MB at n = 150, 0.28 s and 238 MB at n = 200 (best
+# of 3, 2 vCPUs, CPython 3.11.7).  The rows alone pass 1 GB near n = 300.
+# The export cap (110) and the oracle's (31) lie below it.
+BUILD_MAX_MODULUS = 200
 
 
 @dataclass(frozen=True)
@@ -75,8 +80,11 @@ def connection_set(n: int) -> ConnectionSet:
 @lru_cache(maxsize=64)
 def connection_indices(n: int) -> np.ndarray:
     """The vertex indices of S, ascending and read-only, one copy per
-    modulus."""
-    hood = np.array(sorted(s.index for s in connection_set(n).members), dtype=np.int64)
+    modulus: (i, 0), (0, i) and (i, i) are the progressions i*n, i and
+    i*(n + 1) for 1 <= i < n, listed without building connection_set(n)."""
+    _check_modulus(n)
+    hood = np.array(sorted([*range(n, n * n, n), *range(1, n), *range(n + 1, n * n, n + 1)]),
+                    dtype=np.int64)
     hood.setflags(write=False)
     return hood
 
@@ -137,8 +145,9 @@ def build_graph(n: int) -> CayleyGraph:
     is an internal error, not a recoverable condition.
     """
     _check_modulus(n)
-    if n > GRAPH_MAX_MODULUS:
-        raise ValueError(f"modulus {n} exceeds the supported cap {GRAPH_MAX_MODULUS}")
+    if n > BUILD_MAX_MODULUS:
+        raise ValueError(f"modulus {n} exceeds the supported cap {BUILD_MAX_MODULUS}: "
+                         f"the rows would take {n ** 4 // 8 // 2 ** 20} MiB")
     conn = connection_set(n)
     for s in conn.members:
         if -s not in conn.members:

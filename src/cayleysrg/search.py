@@ -20,14 +20,19 @@ The search follows McKay & Piperno, *Practical graph isomorphism II*
   search per candidate looks for such an automorphism.  It refines after
   every individualisation, and drops a branch as soon as its refinement
   trace departs from the base path's.  A leaf is accepted when its
-  bijection carries every arc onto an arc.
+  bijection carries the out-neighbours of every vertex onto those of its
+  image, compared as ascending lists, each row listed once per graph.
 - Result.  The images of b_i form one orbit of the stabiliser of
   b_1, ..., b_{i-1}; |Aut| is the product of the orbit sizes.  The
   automorphisms found reach every image at every level, so they generate
   Aut; they and the orbit sizes are the whole result.
 
 Levels are counted from the deepest up.  A candidate that the automorphisms
-found so far already reach from b_i needs no search.
+found so far already reach from b_i needs no search, and neither does one
+in the orbit of a refused candidate y under them: they all fix
+b_1, ..., b_{i-1}, so if h among them carried y to z and some sigma
+fixing b_1, ..., b_{i-1} carried b_i to z, then h^-1 sigma would carry b_i
+to y.
 """
 
 from __future__ import annotations
@@ -43,9 +48,10 @@ from .core import Permutation, orbits
 __all__ = ["BRUTE_FORCE_MAX_MODULUS", "AutomorphismList", "enumerate_automorphisms"]
 
 # Largest modulus the oracle accepts, as vertex_count <= cap**2.  At the cap
-# (961 vertices) the count takes 1.0-1.6 s on 2 vCPUs with CPython 3.11.7,
-# and the oracle stage of analyze, the count plus one sift per generator
-# found (5 of them), about 1.5 s.  The counts for n = 17..31 take 10 s.
+# (961 vertices) the count takes 0.7-0.9 s on 2 vCPUs with CPython 3.11.7,
+# nearly all of it refinement, and the oracle stage of analyze, the build,
+# the count and the claimed group's membership test of each generator found
+# (5 of them), 0.7-0.8 s.  The counts for n = 17..31 take 5.0-6.4 s.
 BRUTE_FORCE_MAX_MODULUS = 31
 
 
@@ -189,6 +195,7 @@ class _Search:
 
     def __init__(self, g):
         self.adj = adj = list(g.adjacency)
+        self.out = [list(iter_bits(row)) for row in adj]   # out[v]: ascending
         vc = g.vertex_count
         root = _Partition({0: (1 << vc) - 1}, [0] * vc, (1 << vc) - 1 if vc > 1 else 0)
         _refine(adj, root, [0])
@@ -207,16 +214,22 @@ class _Search:
             self.nodes.append(node)
         self.leaf = node.labels()
 
+    def automorphism(self, labels: list[int]) -> list[int] | None:
+        """The images of the bijection carrying the base path's leaf onto
+        labels, cell by cell, when it is an automorphism, else None."""
+        images = [0] * len(self.leaf)
+        for a, b in zip(self.leaf, labels):
+            images[a] = b
+        # A bijection is an automorphism iff it carries the out-neighbours
+        # of every v onto those of its image, one sorted row at a time.
+        out, image = self.out, images.__getitem__
+        rows_kept = all(sorted(map(image, row)) == out[images[v]]
+                        for v, row in enumerate(out))
+        return images if rows_kept else None
+
     def _descend(self, part: _Partition, depth: int) -> list[int] | None:
         if depth == len(self.base):
-            images = [0] * len(self.leaf)
-            for a, b in zip(self.leaf, part.labels()):
-                images[a] = b
-            # A bijection maps the arcs one to one onto as many arcs, so it
-            # is an automorphism once every image of an arc is an arc.
-            arcs_kept = all(self.adj[images[v]] >> images[w] & 1
-                            for v, row in enumerate(self.adj) for w in iter_bits(row))
-            return images if arcs_kept else None
+            return self.automorphism(part.labels())
         c = self.targets[depth]
         for v in iter_bits(part.cells[c]):
             found = _individualise(self.adj, part, c, v, self.traces[depth])
@@ -258,13 +271,16 @@ def enumerate_automorphisms(g) -> AutomorphismList:
     for level in reversed(range(len(search.base))):
         x = search.base[level]
         reached = orbits(gens, [(x,)])[0]
+        refused: set = set()
         for y in iter_bits(search.nodes[level].cells[search.targets[level]]):
-            if (y,) in reached:
+            if (y,) in reached or (y,) in refused:
                 continue
             images = search.extend(level, y)
             if images is not None:
                 gens.append(images)
                 reached = orbits(gens, [(x,)])[0]
+            else:
+                refused.update(orbits(gens, [(y,)])[0])
         orbit_sizes.append(len(reached))
     return AutomorphismList(
         vertex_count=g.vertex_count,

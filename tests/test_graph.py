@@ -9,6 +9,9 @@ import cayleysrg.graph as graph_module
 import cayleysrg.regularity as regularity_module
 import cayleysrg.symmetries as symmetries_module
 from cayleysrg import (
+    BRUTE_FORCE_MAX_MODULUS,
+    BUILD_MAX_MODULUS,
+    GRAPH_MAX_MODULUS,
     AutomorphismError,
     CayleyGraph,
     ConnectionSet,
@@ -23,7 +26,7 @@ from cayleysrg import (
 )
 from cayleysrg.bitset import iter_bits
 from cayleysrg.cli import analyze_report
-from cayleysrg.graph import translation_defect
+from cayleysrg.graph import connection_indices, translation_defect
 from conftest import CountingRows, tampered_graphs
 
 
@@ -83,6 +86,24 @@ class TestConnectionSet:
     def test_small_modulus_rejected(self):
         with pytest.raises(ValueError):
             connection_set(3)
+        with pytest.raises(ValueError):
+            connection_indices(3)
+
+    def test_indices_are_the_sorted_members(self):
+        for n in range(4, 201):
+            hood = connection_indices(n)
+            assert hood.tolist() == sorted(s.index for s in connection_set(n).members), n
+            assert hood.dtype == np.int64 and not hood.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                hood[0] = 0
+
+    def test_indices_build_no_connection_set(self, monkeypatch):
+        monkeypatch.setattr(graph_module, "connection_set", None)
+        connection_indices.cache_clear()
+        try:
+            assert connection_indices(5).tolist() == [1, 2, 3, 4, 5, 6, 10, 12, 15, 18, 20, 24]
+        finally:
+            connection_indices.cache_clear()
 
 
 class TestBuildGraph:
@@ -153,6 +174,20 @@ class TestBuildGraph:
             build_graph(3)
         with pytest.raises(ValueError):
             build_graph(1001)
+
+    def test_build_cap_is_refused_before_any_row(self, monkeypatch):
+        # the rows of modulus 201 would take 194 MiB; nothing is built
+        monkeypatch.setattr(graph_module, "connection_set", None)
+        monkeypatch.setattr(graph_module, "_column_step", None)
+        with pytest.raises(ValueError, match=f"exceeds the supported cap {BUILD_MAX_MODULUS}: "
+                                             "the rows would take 194 MiB"):
+            build_graph(BUILD_MAX_MODULUS + 1)
+
+    def test_caps_are_ordered(self):
+        # the export and the oracle build rows, so they sit under the build
+        # cap; the group side, which builds none, reaches GRAPH_MAX_MODULUS
+        assert max(cli_module.EXPORT_MAX_MODULUS, BRUTE_FORCE_MAX_MODULUS) \
+            < BUILD_MAX_MODULUS < GRAPH_MAX_MODULUS == cli_module.ANALYZE_MAX_MODULUS
 
     def test_translation_relabelling_preserves_adjacency(self, graph):
         g = graph(7)

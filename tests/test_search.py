@@ -1,5 +1,7 @@
 import ast
+import hashlib
 import itertools
+import json
 import math
 import random
 from types import SimpleNamespace
@@ -206,6 +208,94 @@ class TestStabiliserChain:
         parts = {part for name in imported for part in name.split(".")}
         assert not parts & {"symmetries", "bsgs", "transitivity", "numpy"}, imported
         assert from_package == {"core.Permutation", "core.orbits", "bitset.iter_bits"}
+
+
+def arcs_kept_reference(g, images) -> bool:
+    """Whether a bijection carries every arc onto an arc, one arc at a time:
+    the oracle for the leaf check's sorted out-neighbour rows."""
+    rows = g.adjacency
+    return all(rows[images[v]] >> images[w] & 1
+               for v, row in enumerate(rows) for w in iter_bits(row))
+
+
+def chain_digest(graphs) -> str:
+    """sha256 of the JSON list of (base, generator images, orbit sizes)
+    that enumerate_automorphisms gives for each graph."""
+    chains = []
+    for g in graphs:
+        found = enumerate_automorphisms(g)
+        chains.append([list(found.base), [p.images.tolist() for p in found.generators],
+                       list(found.orbit_sizes)])
+    return hashlib.sha256(json.dumps(chains).encode()).hexdigest()
+
+
+class TestLeafAndPruning:
+    def leaf_labels(self, s, images):
+        """The labels that make s's leaf bijection the map with these images."""
+        return [images[a] for a in s.leaf]
+
+    @pytest.mark.parametrize("name", ["family_5", "family_6", *sorted(FIXTURES)])
+    def test_leaf_accepts_exactly_the_automorphisms(self, name):
+        g = build_graph(int(name[-1])) if name.startswith("family") else FIXTURES[name][0]
+        s = search._Search(g)
+        vc = g.vertex_count
+        assert s.automorphism(s.leaf) == list(range(vc))
+        for p in enumerate_automorphisms(g).generators:
+            images = p.images.tolist()
+            assert arcs_kept_reference(g, images)
+            assert s.automorphism(self.leaf_labels(s, images)) == images
+        rnd = random.Random(vc)
+        for _ in range(20):
+            images = list(range(vc))
+            rnd.shuffle(images)
+            kept = s.automorphism(self.leaf_labels(s, images))
+            assert (kept == images) == arcs_kept_reference(g, images)
+            assert kept in (None, images)
+
+    def test_leaf_refuses_a_bijection_that_breaks_one_arc(self):
+        # The rows of the graph of modulus 5 less the arc p(v) -> p(w), p an
+        # automorphism of the graph that moves v: p carries every arc that
+        # is left onto an arc but v -> w
+        g = build_graph(5)
+        p = enumerate_automorphisms(g).generators[0].images.tolist()
+        v = next(x for x in range(25) if p[x] != x)
+        w = next(iter_bits(g.adjacency[v]))
+        rows = list(g.adjacency)
+        rows[p[v]] &= ~(1 << p[w])
+        cut = SimpleNamespace(vertex_count=25, adjacency=rows)
+        broken = [(a, b) for a in range(25) for b in iter_bits(rows[a])
+                  if not rows[p[a]] >> p[b] & 1]
+        assert broken == [(v, w)]
+        s = search._Search(cut)
+        assert not arcs_kept_reference(cut, p)
+        assert s.automorphism(self.leaf_labels(s, p)) is None
+
+    # The searches extend runs, found and refused.  Pruning a refused
+    # candidate's orbit cut the refusals from 9, 15 and 21.
+    @pytest.mark.parametrize("n, found, refused", [(6, 4, 5), (10, 4, 5), (12, 5, 11)])
+    def test_refused_candidates_prune_their_orbits(self, monkeypatch, n, found, refused):
+        calls = {"found": 0, "refused": 0}
+        extend = search._Search.extend
+
+        def counted(self, level, y):
+            images = extend(self, level, y)
+            calls["found" if images is not None else "refused"] += 1
+            return images
+
+        monkeypatch.setattr(search._Search, "extend", counted)
+        result = enumerate_automorphisms(build_graph(n))
+        assert calls == {"found": found, "refused": refused}
+        assert len(result.generators) == found
+
+    def test_chains_of_the_family_are_pinned(self):
+        # base, generators and orbit sizes for the graphs of modulus 4..17,
+        # as the search gave them before the leaf and pruning changes
+        assert chain_digest(build_graph(n) for n in range(4, 18)) == \
+            "14c80fb47f0818ede7790337d7f971f88123db5a6746786fdf77c18e88b55d83"
+
+    def test_chains_outside_the_family_are_pinned(self):
+        assert chain_digest(FIXTURES[name][0] for name in sorted(FIXTURES)) == \
+            "35c33ad4c5836904d8673199bb9889567fae0502b957b553974ebf0a0c283b9b"
 
 
 class TestOutsideTheFamily:
