@@ -19,9 +19,10 @@ The search follows McKay & Piperno, *Practical graph isomorphism II*
   image of b_i under the automorphisms fixing b_1, ..., b_{i-1}.  One
   search per candidate looks for such an automorphism.  It refines after
   every individualisation, and drops a branch as soon as its refinement
-  trace departs from the base path's.  A leaf is accepted when its
-  bijection carries the out-neighbours of every vertex onto those of its
-  image, compared as ascending lists, each row listed once per graph.
+  trace departs from the base path's, one event per splitter W, which
+  splits cells by their arcs from W, counted bit-sliced.  A leaf is
+  accepted when its bijection carries the out-neighbours of every vertex
+  onto those of its image, as ascending lists, each row listed once.
 - Result.  The images of b_i form one orbit of the stabiliser of
   b_1, ..., b_{i-1}; |Aut| is the product of the orbit sizes.  The
   automorphisms found reach every image at every level, so they generate
@@ -48,10 +49,10 @@ from .core import Permutation, orbits
 __all__ = ["BRUTE_FORCE_MAX_MODULUS", "AutomorphismList", "enumerate_automorphisms"]
 
 # Largest modulus the oracle accepts, as vertex_count <= cap**2.  At the cap
-# (961 vertices) the count takes 0.7-0.9 s on 2 vCPUs with CPython 3.11.7,
+# (961 vertices) the count takes 0.32-0.38 s on 2 vCPUs with CPython 3.11.7,
 # nearly all of it refinement, and the oracle stage of analyze, the build,
 # the count and the claimed group's membership test of each generator found
-# (5 of them), 0.7-0.8 s.  The counts for n = 17..31 take 5.0-6.4 s.
+# (5 of them), 0.33-0.36 s.  The counts for n = 17..31 take 2.3-2.4 s.
 BRUTE_FORCE_MAX_MODULUS = 31
 
 
@@ -87,86 +88,93 @@ class AutomorphismList:
 class _Partition:
     """An ordered partition of the vertices.  A cell is named by its start,
     the number of vertices in earlier cells, so splitting one cell renames
-    no other.  active holds the vertices of non-singleton cells."""
+    no other.  cells holds the non-singleton cells, fixed[s] the vertex of
+    the singleton cell s, and active the vertices of non-singleton cells."""
 
-    __slots__ = ("cells", "cell_of", "active")
+    __slots__ = ("cells", "fixed", "active")
 
-    def __init__(self, cells: dict[int, int], cell_of: list[int], active: int):
+    def __init__(self, cells: dict[int, int], fixed: list[int], active: int):
         self.cells = cells
-        self.cell_of = cell_of
+        self.fixed = fixed
         self.active = active
 
     def copy(self) -> _Partition:
-        return _Partition(dict(self.cells), list(self.cell_of), self.active)
+        return _Partition(dict(self.cells), list(self.fixed), self.active)
 
     def target(self) -> int:
         """Start of the first smallest non-singleton cell."""
-        return min((m.bit_count(), s) for s, m in self.cells.items() if m & self.active)[1]
-
-    def labels(self) -> list[int]:
-        """The vertices of a discrete partition, in cell order."""
-        return [self.cells[s].bit_length() - 1 for s in sorted(self.cells)]
+        return min((m.bit_count(), s) for s, m in self.cells.items())[1]
 
 
 def _refine(adj, part: _Partition, splitters: list[int], expect=None):
     """Refine part in place to the coarsest equitable partition finer than
     it, starting from the cells named in splitters.
 
-    Splitting cell C by splitter W orders the fragments by their number of
-    out-neighbours in W, which is 0 for every vertex of C that W does not
-    reach; the rows need not be symmetric.  Every step reads and names only
-    cell starts, so the result and the trace, one (splitter, cell, sorted
-    (count, size) pairs) event per cell that W touches, commute with every
-    relabelling of the graph.  With expect given, the refinement stops and
-    returns None at the first event that differs from it.
+    Splitter W splits each cell into fragments by the number of arcs from W
+    into each vertex, in ascending order.  W's rows are summed into planes,
+    planes[i] the vertices whose count has bit i set: a cell is uniform when
+    each plane holds all of it or none, and a mixed one splits on the planes,
+    the highest first.  On digraphs the count is of arcs into the vertex;
+    read off W and the rows alone, it commutes with every relabelling.  So
+    do the result and the trace, one event per splitter, the (cell, counts,
+    sizes) of each non-singleton cell that W reaches, in cell order: every
+    step reads and names only cell starts.  With expect given, the
+    refinement stops and returns None at the first event that differs.
     """
     trace = []
     pending = set(splitters)
     queue = deque(splitters)
-    cells, cell_of = part.cells, part.cell_of
+    cells, fixed = part.cells, part.fixed
     while queue and part.active:
         s = queue.popleft()
         pending.discard(s)
-        w_mask = cells[s]
-        hit = 0
-        for w in iter_bits(w_mask):
-            hit |= adj[w]
-        hit &= part.active
-        by_cell: dict[int, dict[int, int]] = {}
-        for v in iter_bits(hit):
-            groups = by_cell.setdefault(cell_of[v], {})
-            k = (adj[v] & w_mask).bit_count()
-            groups[k] = groups.get(k, 0) | 1 << v
-        for c in sorted(by_cell):
-            groups = by_cell[c]
-            rest = cells[c] & ~hit
-            if rest:
-                groups[0] = groups.get(0, 0) | rest
-            counts = sorted(groups)
-            sizes = [groups[k].bit_count() for k in counts]
-            event = (s, c, tuple(zip(counts, sizes)))
-            if expect is not None and (
-                    len(trace) == len(expect) or expect[len(trace)] != event):
-                return None
-            trace.append(event)
-            if len(counts) == 1:
+        planes, reached = [], 0
+        for w in iter_bits(cells[s] if s in cells else 1 << fixed[s]):
+            carry = adj[w]
+            reached |= carry
+            for i, p in enumerate(planes):     # add the row, bit-sliced
+                planes[i] = p ^ carry
+                carry &= p
+            if carry:
+                planes.append(carry)
+        bits = [(1 << i, p) for i, p in enumerate(planes)]
+        event = []
+        for c in sorted([c for c, m in cells.items() if m & reached]):
+            m = cells[c]
+            k = 0
+            for bit, p in bits:
+                x = m & p
+                if x:
+                    if x != m:
+                        break
+                    k |= bit
+            else:
+                event.append((c, (k,), (m.bit_count(),)))
                 continue
+            groups = [(0, m)]
+            for bit, p in reversed(bits):
+                groups = [kf for k, f in groups for kf in ((k, f & ~p), (k | bit, f & p)) if kf[1]]
+            counts, frags = zip(*groups)
+            sizes = tuple(f.bit_count() for f in frags)
+            event.append((c, counts, sizes))
             # Hopcroft: a cell already used as a splitter needs all but one
             # largest fragment, the counts into that one follow.
             skip = None if c in pending else sizes.index(max(sizes))
+            del cells[c]
             start = c
-            for i, k in enumerate(counts):
-                frag = groups[k]
-                cells[start] = frag
-                if start != c:
-                    for v in iter_bits(frag):
-                        cell_of[v] = start
+            for i, frag in enumerate(frags):
                 if sizes[i] == 1:
+                    fixed[start] = frag.bit_length() - 1
                     part.active &= ~frag
+                else:
+                    cells[start] = frag
                 if i != skip and start not in pending:
                     pending.add(start)
                     queue.append(start)
                 start += sizes[i]
+        if expect is not None and (len(trace) == len(expect) or expect[len(trace)] != event):
+            return None
+        trace.append(event)
     if expect is not None and len(trace) != len(expect):
         return None
     return trace
@@ -176,13 +184,13 @@ def _individualise(adj, part: _Partition, c: int, v: int, expect=None):
     """Split v off the front of cell c of an equitable partition and refine.
     Returns the new partition and the trace, or None on a trace mismatch."""
     child = part.copy()
-    rest = child.cells[c] & ~(1 << v)
-    child.cells[c] = 1 << v
-    child.cells[c + 1] = rest
-    for u in iter_bits(rest):
-        child.cell_of[u] = c + 1
+    rest = child.cells.pop(c) & ~(1 << v)
+    child.fixed[c] = v
     child.active &= ~(1 << v)
-    if rest & (rest - 1) == 0:
+    if rest & (rest - 1):
+        child.cells[c + 1] = rest
+    else:
+        child.fixed[c + 1] = rest.bit_length() - 1
         child.active &= ~rest
     trace = _refine(adj, child, [c], expect)
     if trace is None:
@@ -197,7 +205,8 @@ class _Search:
         self.adj = adj = list(g.adjacency)
         self.out = [list(iter_bits(row)) for row in adj]   # out[v]: ascending
         vc = g.vertex_count
-        root = _Partition({0: (1 << vc) - 1}, [0] * vc, (1 << vc) - 1 if vc > 1 else 0)
+        full = (1 << vc) - 1 if vc > 1 else 0
+        root = _Partition({0: full} if full else {}, [0] * vc, full)
         _refine(adj, root, [0])
         self.nodes = [root]     # nodes[i]: the partition before b_i is split off
         self.targets = []       # targets[i]: start of the cell of b_i
@@ -212,7 +221,7 @@ class _Search:
             self.traces.append(trace)
             self.base.append(b)
             self.nodes.append(node)
-        self.leaf = node.labels()
+        self.leaf = node.fixed
 
     def automorphism(self, labels: list[int]) -> list[int] | None:
         """The images of the bijection carrying the base path's leaf onto
@@ -229,7 +238,7 @@ class _Search:
 
     def _descend(self, part: _Partition, depth: int) -> list[int] | None:
         if depth == len(self.base):
-            return self.automorphism(part.labels())
+            return self.automorphism(part.fixed)
         c = self.targets[depth]
         for v in iter_bits(part.cells[c]):
             found = _individualise(self.adj, part, c, v, self.traces[depth])

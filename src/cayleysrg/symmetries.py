@@ -66,8 +66,8 @@ import numpy as np
 from .bsgs import PermutationGroup
 from .core import (Permutation, _block_rows, _coordinates, check_point, perm_from_pair_map,
                    units)
-from .graph import (CayleyGraph, build_graph, connection_indices, family_defect,
-                    zero_neighborhood_cliques)
+# build_graph is not called here; it stays a name that bench/tracing.py wraps
+from .graph import CayleyGraph, build_graph, connection_indices, family_defect
 
 __all__ = [
     "AutomorphismError",
@@ -518,9 +518,9 @@ def clique_action(n: int, p: Permutation) -> CliqueActionLabel:
 
     p must fix vertex (0, 0) and carry each clique onto some clique; an
     origin-fixing automorphism always does, anything else is refused with
-    the offending vertex as witness.  The cliques are read off the built
-    graph, so an n past build_graph's cap, BUILD_MAX_MODULUS, is refused
-    with ValueError.
+    the offending vertex as witness.  The cliques are read off S, as
+    connection_indices(n) lists it: i*n, i and the rest, i*(n + 1), for
+    1 <= i < n, so no graph is built.
     """
     if not isinstance(p, Permutation):
         raise ValueError(f"map must be a Permutation, got {type(p).__name__}")
@@ -528,18 +528,19 @@ def clique_action(n: int, p: Permutation) -> CliqueActionLabel:
         raise ValueError(f"degree {p.degree} does not match {n * n} vertices")
     if p.apply(0) != 0:
         raise AutomorphismError("map does not fix the origin vertex", witness=0)
-    g = build_graph(n)
-    parts = zero_neighborhood_cliques(g).as_tuple()
-    imgs = p.images.tolist()
+    hood = connection_indices(n)
+    row, col = hood % n == 0, hood < n
+    parts = [hood[row], hood[col], hood[~(row | col)]]
+    targets = [set(part.tolist()) for part in parts]
     mapping = []
     for idx, part in enumerate(parts):
-        image = {imgs[v] for v in part}
-        for jdx, target in enumerate(parts):
+        image = set(p.images[part].tolist())
+        for jdx, target in enumerate(targets):
             if image == target:
                 mapping.append(jdx)
                 break
         else:
-            stray = min(image.difference(*[set(t) for t in parts]) or image)
+            stray = min(image.difference(*targets) or image)
             raise AutomorphismError(
                 f"clique {idx} is not carried onto a clique", witness=stray
             )

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+from collections import deque
 from types import SimpleNamespace
 from pathlib import Path
 
@@ -296,6 +297,144 @@ class TestLeafAndPruning:
     def test_chains_outside_the_family_are_pinned(self):
         assert chain_digest(FIXTURES[name][0] for name in sorted(FIXTURES)) == \
             "35c33ad4c5836904d8673199bb9889567fae0502b957b553974ebf0a0c283b9b"
+
+
+def refine_by_vertices(adj, cells, active, splitters):
+    """Refine the partition given by cells, every cell by its start, and
+    active one reached vertex at a time, each vertex counting its arcs from
+    the splitter on its own and filed into its cell's dict of fragments:
+    the oracle for search._refine's counts by splitter rows.  Returns the
+    refined cells and active."""
+    vc = len(adj)
+    into = [sum(1 << w for w in range(vc) if adj[w] >> v & 1) for v in range(vc)]
+    cells = dict(cells)
+    cell_of = [0] * vc
+    for s, m in cells.items():
+        for v in iter_bits(m):
+            cell_of[v] = s
+    pending = set(splitters)
+    queue = deque(splitters)
+    while queue and active:
+        s = queue.popleft()
+        pending.discard(s)
+        w_mask = cells[s]
+        hit = 0
+        for w in iter_bits(w_mask):
+            hit |= adj[w]
+        hit &= active
+        by_cell: dict[int, dict[int, int]] = {}
+        for v in iter_bits(hit):
+            groups = by_cell.setdefault(cell_of[v], {})
+            k = (into[v] & w_mask).bit_count()
+            groups[k] = groups.get(k, 0) | 1 << v
+        for c in sorted(by_cell):
+            groups = by_cell[c]
+            rest = cells[c] & ~hit
+            if rest:
+                groups[0] = groups.get(0, 0) | rest
+            counts = sorted(groups)
+            sizes = [groups[k].bit_count() for k in counts]
+            if len(counts) == 1:
+                continue
+            skip = None if c in pending else sizes.index(max(sizes))
+            start = c
+            for i, k in enumerate(counts):
+                frag = groups[k]
+                cells[start] = frag
+                if start != c:
+                    for v in iter_bits(frag):
+                        cell_of[v] = start
+                if sizes[i] == 1:
+                    active &= ~frag
+                if i != skip and start not in pending:
+                    pending.add(start)
+                    queue.append(start)
+                start += sizes[i]
+    return cells, active
+
+
+def random_digraph(rnd):
+    """A digraph on 2..14 vertices with no loops, its arcs drawn at random."""
+    vc = rnd.randint(2, 14)
+    density = rnd.choice([0.2, 0.4, 0.6])
+    rows = [sum(1 << v for v in range(vc) if v != u and rnd.random() < density)
+            for u in range(vc)]
+    return SimpleNamespace(vertex_count=vc, adjacency=rows)
+
+
+def relabelled(g, images):
+    """The graph with vertex v renamed images[v]."""
+    rows = [0] * g.vertex_count
+    for v, row in enumerate(g.adjacency):
+        rows[images[v]] = sum(1 << images[w] for w in iter_bits(row))
+    return SimpleNamespace(vertex_count=g.vertex_count, adjacency=rows)
+
+
+class TestRefinement:
+    def assert_same(self, part, cells, active):
+        assert part.active == active
+        assert part.cells == {s: m for s, m in cells.items() if m & (m - 1)}
+        assert all(part.fixed[s] == m.bit_length() - 1
+                   for s, m in cells.items() if not m & (m - 1))
+
+    def check_base_path(self, g):
+        """The reference refinement, run on its own from the unit
+        partition along the base path, meets search._refine's partition at
+        the root and after every base point is split off."""
+        adj, vc = list(g.adjacency), g.vertex_count
+        s = search._Search(g)
+        cells, active = refine_by_vertices(adj, {0: (1 << vc) - 1},
+                                           (1 << vc) - 1 if vc > 1 else 0, [0])
+        for level, node in enumerate(s.nodes):
+            self.assert_same(node, cells, active)
+            if level == len(s.base):
+                break
+            c = min((m.bit_count(), start) for start, m in cells.items() if m & active)[1]
+            b = next(iter_bits(cells[c]))
+            assert (c, b) == (s.targets[level], s.base[level])
+            rest = cells[c] & ~(1 << b)
+            cells[c], cells[c + 1] = 1 << b, rest
+            active &= ~(1 << b)
+            if rest & (rest - 1) == 0:
+                active &= ~rest
+            cells, active = refine_by_vertices(adj, cells, active, [c])
+        assert not active
+
+    @pytest.mark.parametrize("n", range(4, 18))
+    def test_family_base_path_against_refining_by_vertices(self, graph, n):
+        self.check_base_path(graph(n))
+
+    @pytest.mark.parametrize("name", sorted(FIXTURES))
+    def test_fixture_base_path_against_refining_by_vertices(self, name):
+        self.check_base_path(FIXTURES[name][0])
+
+    def test_digraph_base_paths_against_refining_by_vertices(self):
+        rnd = random.Random(2)
+        for _ in range(60):
+            self.check_base_path(random_digraph(rnd))
+
+    @pytest.mark.parametrize("name", ["family_7", "petersen", "digraph"])
+    def test_traces_survive_relabelling(self, name):
+        # The root trace, and the trace after each base point, name only
+        # cell starts and counts, so a relabelled graph gives the same lists.
+        g = {"family_7": build_graph(7), "petersen": FIXTURES["petersen"][0],
+             "digraph": random_digraph(random.Random(3))}[name]
+        vc = g.vertex_count
+        images = list(range(vc))
+        random.Random(7).shuffle(images)
+        h = relabelled(g, images)
+        traces = []
+        for rows in (g.adjacency, h.adjacency):
+            root = search._Partition({0: (1 << vc) - 1}, [0] * vc, (1 << vc) - 1)
+            traces.append(search._refine(list(rows), root, [0]))
+        assert traces[0] == traces[1]
+        s = search._Search(g)
+        node = search._Search(h).nodes[0]
+        for level, b in enumerate(s.base):
+            node, trace = search._individualise(list(h.adjacency), node, s.targets[level],
+                                                images[b])
+            assert trace == s.traces[level]
+        assert node.fixed == [images[v] for v in s.leaf]
 
 
 class TestOutsideTheFamily:

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import cayleysrg.graph as graph_module
 import cayleysrg.symmetries as symmetries
 import cayleysrg.transitivity as transitivity
 from cayleysrg import (
@@ -761,24 +762,38 @@ class TestCliqueAction:
     def test_rotation_cycles_all_three(self):
         assert clique_action(5, clique_rotation(5).perm).mapping == (1, 2, 0)
 
+    @pytest.mark.parametrize("n", [241, 997])
+    def test_cliques_past_the_build_cap(self, n):
+        for u in (2, 3, n - 1):
+            assert clique_action(n, unit_scaling(n, u).perm).is_identity
+        assert clique_action(n, coordinate_swap(n).perm).mapping == (1, 0, 2)
+        assert clique_action(n, clique_rotation(n).perm).mapping == (1, 2, 0)
+
+    @staticmethod
+    def forbid_builds(monkeypatch):
+        """Make every build of a graph fail the test, through either module."""
+        def build(n):
+            raise AssertionError(f"built the graph of modulus {n}")
+        monkeypatch.setattr(graph_module, "build_graph", build)
+        monkeypatch.setattr(symmetries, "build_graph", build)
+
     def test_a_map_that_is_not_a_permutation_is_refused_before_the_graph(
             self, monkeypatch):
-        monkeypatch.setattr(symmetries, "build_graph", None)
+        self.forbid_builds(monkeypatch)
         with pytest.raises(ValueError, match="must be a Permutation, got list"):
             clique_action(5, list(range(25)))
         with pytest.raises(ValueError, match="degree 16 does not match 25"):
             clique_action(5, Permutation.identity(16))
+        assert clique_action(5, coordinate_swap(5).perm).mapping == (1, 0, 2)
 
     def test_origin_mover_rejected(self):
         with pytest.raises(AutomorphismError, match="origin"):
             clique_action(5, translation(5, 1, 2).perm)
 
     def test_origin_mover_is_refused_before_the_graph(self, monkeypatch):
-        builds = []
-        monkeypatch.setattr(symmetries, "build_graph", lambda n: builds.append(n))
+        self.forbid_builds(monkeypatch)
         with pytest.raises(AutomorphismError, match="origin"):
             clique_action(200, translation(200, 1, 2).perm)
-        assert builds == []
 
     def test_clique_smasher_rejected(self):
         imgs = list(range(16))
