@@ -28,8 +28,8 @@ holds G_0 as a table over S and builds no permutation of degree n**2.
 PermutationGroup serves the public API: claimed_aut_group and
 claimed_origin_stabilizer, named to from_levels off that same form; the
 groups handed to classify_action and the is_*_transitive questions, whose
-chains transitivity checks and sifts; and the tests, where from_generators
-is the oracle of every named chain.
+chains transitivity checks, sifts and reads as an AffineGroup; and the
+tests, where from_generators is the oracle of every named chain.
 """
 
 from __future__ import annotations

@@ -38,8 +38,9 @@ __all__ = [
     "zero_neighborhood_cliques",
 ]
 
-# Largest modulus the group side accepts (transitivity's entry checks on a
-# group of degree n**2); analyze builds no rows, so it reaches this cap.
+# Largest modulus the group side accepts: symmetries.AffineGroup refuses any
+# other, and transitivity a group of degree n**2 past it; analyze builds no
+# rows, so it reaches this cap.
 GRAPH_MAX_MODULUS = 1000
 
 # Largest modulus build_graph accepts.  The rows hold n**4 bits, n**4 / 8

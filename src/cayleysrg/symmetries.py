@@ -27,7 +27,7 @@ of image arrays at a time, and refuses the first bad map as checking one
 at a time would.  Both checks need n alone, with no graph built: the
 factories and claimed_aut_group's two translations go through _certify,
 as do the strong generators of a PermutationGroup handed to transitivity;
-G_0's generating matrices go through _on_s, in one place.
+G_0's generating matrices go through _on_s, in AffineGroup alone.
 check_graph_automorphism first refuses any graph but the one of modulus n
 with its first bad row, by graph.family_defect.
 
@@ -43,11 +43,14 @@ semidirect product of T and G_0, the group of the certified linear maps,
 and its order is n**2 * |G_0| (Dixon and Mortimer, Permutation Groups,
 1996).  G_0 is named by its generating set, _linear_maps(n): the
 scalings by a generating set of the units, the swap and the rotation, as
-matrices.  claimed_affine_group(n) is the one place G_0 is certified and
-closed: an AffineGroup holds the matrices and G_0's table over S, closed
-once by _table_over_s, and it is what analyze reads, for the orders, the
+matrices.  AffineGroup's constructor is the one place G_0 is certified
+and closed: an AffineGroup holds the matrices, G_0's table over S, closed
+once by _table_over_s, and the suborbits read off it, and
+claimed_affine_group(n) is what analyze reads, for the orders, the
 transitivity questions and the oracle's membership test, with no
-permutation of degree n**2 built.  The public PermutationGroups,
+permutation of degree n**2 built.  transitivity reads every group as an
+AffineGroup, a PermutationGroup as the one of its T and the matrices of
+its next level's generators.  The public PermutationGroups,
 claimed_aut_group and claimed_origin_stabilizer, are built from the same
 form: _origin_levels turns its matrices into permutations and reads G_0's
 chain off its table, and both name their chains to from_levels, with two
@@ -60,14 +63,16 @@ from __future__ import annotations
 import operator
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .bsgs import PermutationGroup
-from .core import (Permutation, _block_rows, _coordinates, check_point, perm_from_pair_map,
-                   units)
+from .core import (Permutation, _block_rows, _check_modulus, _coordinates, check_point,
+                   perm_from_pair_map, units)
 # build_graph is not called here; it stays a name that bench/tracing.py wraps
-from .graph import CayleyGraph, build_graph, connection_indices, family_defect
+from .graph import (GRAPH_MAX_MODULUS, CayleyGraph, build_graph, connection_indices,
+                    family_defect)
 
 __all__ = [
     "AutomorphismError",
@@ -371,10 +376,16 @@ class AffineGroup:
     each certified on S alone by _on_s, and G_0 is held as its table over S,
     closed once.  So the order is n**2 |G_0| (Dixon and Mortimer 1996), the
     stabiliser of vertex 0 is G_0, and no permutation of degree n**2 is
-    built.  The table is read-only.
+    built.  The table is read-only.  A modulus outside
+    4..graph.GRAPH_MAX_MODULUS is refused with ValueError before any matrix
+    is read: the table has about 18 n phi(n) entries, 7 GB of int32 at
+    n = 10007.
     """
 
     def __init__(self, n: int, matrices) -> None:
+        _check_modulus(n)
+        if n > GRAPH_MAX_MODULUS:
+            raise ValueError(f"modulus {n} exceeds the group side's cap {GRAPH_MAX_MODULUS}")
         self.matrices = list(matrices)
         self.table = _table_over_s(n, _on_s(n, self.matrices))
         self.table.setflags(write=False)
@@ -409,10 +420,37 @@ class AffineGroup:
     def __contains__(self, p: Permutation) -> bool:
         return self.contains(p)
 
+    @cached_property
+    def vertex_orbits(self):
+        """G_0's orbits on the vertices other than 0, read off the table:
+        least[i], the index in S of the least member of the orbit of S's
+        i-th member, then the arc orbits and the distance-2 orbits, each as
+        its least pair (0, v) and its size under the group, in order of v."""
+        table, n = self.table, self.n
+        hood, count = connection_indices(n), self.degree
+        least = table.min(axis=0)
+        roots = np.flatnonzero(least == np.arange(hood.size))
+        arcs = list(zip(((0, v) for v in hood[roots].tolist()),
+                        (np.bincount(least)[roots] * count).tolist()))
+        # h(x e_1 + y e_2) = x h(e_1) + y h(e_2), as h is linear; the least
+        # vertex no orbit holds yet starts the next orbit, searched from the
+        # last one on, and 0 is never free: the search ends at a vertex that
+        # is not free once none is
+        (a1, b1), (a2, b2) = (np.divmod(hood[table[:, i]], n) for i in _s_index(n, [n, 1]))
+        free = np.ones(count, dtype=bool)
+        free[0] = free[hood] = False
+        far, w = [], 0
+        while free[w := w + int(free[w:].argmax())]:
+            x, y = divmod(w, n)
+            images = (x * a1 + y * a2) % n * n + (x * b1 + y * b2) % n
+            free[images] = False
+            far.append(((0, w), count * len(table) // int((images == w).sum())))
+        return least, arcs, far
+
 
 def claimed_affine_group(n: int) -> AffineGroup:
     """The claimed group in affine form: T and G_0's generating set,
-    _linear_maps(n), the one place G_0 is certified and closed."""
+    _linear_maps(n)."""
     return AffineGroup(n, _linear_maps(n))
 
 
@@ -458,8 +496,8 @@ def claimed_aut_group(n: int) -> PermutationGroup:
     the chain is a first level at vertex 0, whose transversal, the
     translations back to 0, is built on request, then G_0's levels.
     """
-    shifts = _certified(n, [_shift(1, 0), _shift(0, 1)])
     perms, levels, order = _origin_levels(n)
+    shifts = _certified(n, [_shift(1, 0), _shift(0, 1)])
     gens = [*shifts, *perms]
     # v -> the translation by -v, which mod n is the shift by (-(v // n), -v)
     back = _OnRequest(n * n, range(n * n), lambda v: perm_from_pair_map(n, _shift(-(v // n), -v)))

@@ -3,20 +3,21 @@
 Each question asks whether a group G of automorphisms of Gamma(n), the
 graph of graph.py, has a single orbit on one kind of object: vertices,
 edges, arcs, ordered pairs at a fixed distance, or 2-arcs (paths
-u ~ v ~ w with w != u).  Only G is handed in, in one of two forms.  An
-AffineGroup (symmetries), the form analyze reads, is T x| G_0 by
-construction, its generators certified and G_0's table over S closed, so
-it is read as it is.  A PermutationGroup is checked first, once per group,
-by _table_of: n is read off its degree, n^2; its strong generators are
-certified by the certificate of S in symmetries; it must be
-vertex-transitive, which its chain shows when the first level's orbit
-covers every vertex; its chain must be based at vertex 0; the next
+u ~ v ~ w with w != u).  Only G is handed in, and every question reads
+it in one form, _form(G), an AffineGroup (symmetries): T x| G_0, its
+generators certified and G_0's table over S closed when it was built.  An
+AffineGroup, the form analyze reads, is its own form.  A PermutationGroup
+is checked first, once per call: n is read off its degree, n^2; its
+strong generators are certified by the certificate of S in symmetries; it
+must be vertex-transitive, which its chain shows when the first level's
+orbit covers every vertex; its chain must be based at vertex 0; the next
 level's generators, which generate G_0, must fix 0; and it must hold the
 translations by (1, 0) and (0, 1), sifted through its chain.  Any other
 degree, group or chain is refused with ValueError, a generator that is no
-automorphism with AutomorphismError.  Then G_0's table is closed from the
-next level's generators, and both forms meet in one reader, _Rooted,
-over n and that table.  No graph is built or read.
+automorphism with AutomorphismError.  Then the next level's generators
+are read as matrices, and the AffineGroup of n and those matrices is the
+form; classify_action builds it once for all five questions.  No graph is
+built or read.
 
 The objects of the whole graph are never closed under G.  Every question
 is answered at vertex 0 instead, by the correspondence between orbitals
@@ -32,12 +33,13 @@ The objects at 0 come from S: the arcs (0, s), s in S; the distance-2
 pairs (0, w), w neither 0 nor in S, as (a, b) off S and 0 has a, b != 0
 and is (a, 0) + (0, b), so the diameter is 2; the 2-arcs 0 ~ s ~ s + t,
 t in S but -s.  A certified map fixing 0 is linear (Babai 1979), hence
-named by its images of e_2 and e_1.  So symmetries._table_over_s lists
-G_0 once, as a table over S closed from the identity under the certified
-generators, and every question reads it; no orbit kernel runs.  The arc
-orbits are the columns' minima; the distance-2 orbit of w = x e_1 + y e_2
-is x h(e_1) + y h(e_2) over the rows h, walked from the least vertex no
-orbit holds yet.  An edge orbit pairs the arc orbit of (0, v) with that
+named by its images of e_2 and e_1.  So the form lists G_0 once, as a
+table over S closed from the identity under the certified generators, and
+every question reads it and the form's vertex_orbits, the suborbits,
+computed once per form; no orbit kernel runs.  The arc orbits are the
+columns' minima; the distance-2 orbit of w = x e_1 + y e_2 is
+x h(e_1) + y h(e_2) over the rows h, walked from the least vertex no orbit
+holds yet.  An edge orbit pairs the arc orbit of (0, v) with that
 of (0, -v), onto which the translation by -v carries the reversed arcs
 (v, 0): the column minimum of -v.  Every 2-arc orbit at 0 has members
 0 ~ s ~ s + t with s the least member of its arc orbit; they form one
@@ -54,7 +56,6 @@ least members.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from math import isqrt
 
 import numpy as np
@@ -63,7 +64,7 @@ from .bsgs import PermutationGroup
 from .core import Permutation
 from .graph import GRAPH_MAX_MODULUS, connection_indices
 # check_graph_automorphism is never called here: bench/tracing.py patches it here
-from .symmetries import (AffineGroup, _certify, _s_index, _table_over_s,  # noqa: F401
+from .symmetries import (AffineGroup, _certify, _s_index,  # noqa: F401
                          check_graph_automorphism, claimed_affine_group)
 
 __all__ = [
@@ -118,50 +119,15 @@ class TransitivityReport:
     orbit_counts: dict
 
 
-class _Rooted:
-    """The one reader: the group G = T x| G_0 as n and G_0's table over S,
-    with S's indices, hood.  An AffineGroup is read as it is, a
-    PermutationGroup through _table_of, once per group."""
-
-    def __init__(self, grp: AffineGroup | PermutationGroup) -> None:
-        self.group = grp
-        self.n, self.table = ((grp.n, grp.table) if isinstance(grp, AffineGroup)
-                              else _table_of(grp))
-        self.hood = connection_indices(self.n)
-
-    @cached_property
-    def vertex_orbits(self):
-        """G_0's orbits on the vertices other than 0, read off the table:
-        least[i], the index in S of the least member of the orbit of S's
-        i-th member, then the arc orbits and the distance-2 orbits, each as
-        its least pair (0, v) and its size under G, in order of v."""
-        table, hood, n = self.table, self.hood, self.n
-        count = n * n
-        least = table.min(axis=0)
-        roots = np.flatnonzero(least == np.arange(hood.size))
-        arcs = list(zip(((0, v) for v in hood[roots].tolist()),
-                        (np.bincount(least)[roots] * count).tolist()))
-        # h(x e_1 + y e_2) = x h(e_1) + y h(e_2), as h is linear; the least
-        # vertex no orbit holds yet starts the next orbit, searched from the
-        # last one on, and 0 is never free: the search ends at a vertex that
-        # is not free once none is
-        (a1, b1), (a2, b2) = (np.divmod(hood[table[:, i]], n) for i in _s_index(n, [n, 1]))
-        free = np.ones(count, dtype=bool)
-        free[0] = free[hood] = False
-        far, w = [], 0
-        while free[w := w + int(free[w:].argmax())]:
-            x, y = divmod(w, n)
-            images = (x * a1 + y * a2) % n * n + (x * b1 + y * b2) % n
-            free[images] = False
-            far.append(((0, w), count * len(table) // int((images == w).sum())))
-        return least, arcs, far
-
-
-def _table_of(grp: PermutationGroup) -> tuple[int, np.ndarray]:
-    """n and G_0's table over S for a PermutationGroup, after the entry
-    checks: the degree is n^2, the strong generators are certified, the
-    chain's first level covers every vertex from vertex 0, the next level's
-    generators, which generate G_0, fix 0, and the group holds T."""
+def _form(grp: AffineGroup | PermutationGroup) -> AffineGroup:
+    """grp as an AffineGroup: as it is, or a PermutationGroup after the
+    entry checks (the degree is n^2, the strong generators are certified,
+    the chain's first level covers every vertex from vertex 0, the next
+    level's generators, which generate G_0, fix 0, and the group holds T)
+    as T and those generators, each read as the matrix whose columns are
+    its images of e_1 = n and e_2 = 1: a certified map fixing 0 is linear."""
+    if isinstance(grp, AffineGroup):
+        return grp
     n = isqrt(grp.degree)
     if n * n != grp.degree or not 4 <= n <= GRAPH_MAX_MODULUS:
         raise ValueError(f"group degree {grp.degree} is not n**2 for a modulus "
@@ -180,16 +146,8 @@ def _table_of(grp: PermutationGroup) -> tuple[int, np.ndarray]:
     grid = np.arange(grp.degree).reshape(n, n)  # rolled by a row or a column: T's generators
     if not all(grp.contains(Permutation(np.roll(grid, -1, axis).ravel())) for axis in (0, 1)):
         raise ValueError("the group does not contain the translations by (1, 0) and (0, 1)")
-    hood = connection_indices(n)
-    return n, _table_over_s(n, [_s_index(n, img[hood]) for img in stabilizer])
-
-
-def _context(grp, rooted: _Rooted | None) -> _Rooted:
-    # classify_action shares one context between the is_*_transitive calls;
-    # only one _Rooted built for this very group is trusted.
-    if rooted is not None and rooted.group is grp:
-        return rooted
-    return _Rooted(grp)
+    columns = [(divmod(int(img[n]), n), divmod(int(img[1]), n)) for img in stabilizer]
+    return AffineGroup(n, [((a1, a2), (b1, b2)) for (a1, b1), (a2, b2) in columns])
 
 
 def _result(parts: list[tuple[tuple[int, ...], int]]) -> TransitivityResult:
@@ -199,25 +157,23 @@ def _result(parts: list[tuple[tuple[int, ...], int]]) -> TransitivityResult:
     return TransitivityResult(False, sizes, (parts[0][0], parts[1][0]))
 
 
-def is_vertex_transitive(grp: AffineGroup | PermutationGroup,
-                         rooted: _Rooted | None = None) -> TransitivityResult:
+def is_vertex_transitive(grp: AffineGroup | PermutationGroup) -> TransitivityResult:
     """One orbit on vertices, with n^2 of them: only vertex-transitive
     groups are accepted."""
-    _context(grp, rooted)
+    _form(grp)
     return _result([((0,), grp.degree)])
 
 
-def is_edge_transitive(grp: AffineGroup | PermutationGroup,
-                       rooted: _Rooted | None = None) -> TransitivityResult:
+def is_edge_transitive(grp: AffineGroup | PermutationGroup) -> TransitivityResult:
     """One orbit on unordered edges or not, with a two-edge witness.
 
     An arc orbit and the orbit of its reversed arcs, a pairing as G_0 is
     linear, form one edge orbit, listed at the lesser least member, with
     half as many edges as arcs when the two orbits coincide.
     """
-    ctx = _context(grp, rooted)
-    least, arcs, _ = ctx.vertex_orbits
-    n, hood = ctx.n, ctx.hood
+    form = _form(grp)
+    least, arcs, _ = form.vertex_orbits
+    n, hood = form.n, connection_indices(form.n)
     # the reversed arcs (v, 0), translated by -v, are the arcs (0, -v), in
     # the orbit whose least member is mate[v]
     mate = dict(zip(hood.tolist(),
@@ -226,19 +182,18 @@ def is_edge_transitive(grp: AffineGroup | PermutationGroup,
                     for (_, v), size in arcs if mate[v] >= v])
 
 
-def is_arc_transitive(grp: AffineGroup | PermutationGroup,
-                      rooted: _Rooted | None = None) -> TransitivityResult:
+def is_arc_transitive(grp: AffineGroup | PermutationGroup) -> TransitivityResult:
     """One orbit on ordered adjacent pairs or not."""
-    return _result(_context(grp, rooted).vertex_orbits[1])
+    return _result(_form(grp).vertex_orbits[1])
 
 
-def is_two_arc_transitive(grp: AffineGroup | PermutationGroup,
-                          rooted: _Rooted | None = None) -> TransitivityResult:
+def is_two_arc_transitive(grp: AffineGroup | PermutationGroup) -> TransitivityResult:
     """One orbit on paths u ~ v ~ w with w != u or not."""
-    ctx = _context(grp, rooted)
-    table, hood, n = ctx.table, ctx.hood, ctx.n
+    form = _form(grp)
+    table, n = form.table, form.n
+    hood = connection_indices(n)
     # the arc orbits' roots s, the columns' minima, and G_0,s's rows h for each
-    roots = np.flatnonzero(ctx.vertex_orbits[0] == np.arange(hood.size))
+    roots = np.flatnonzero(form.vertex_orbits[0] == np.arange(hood.size))
     at, h = np.nonzero((table[:, roots] == roots).T)
     fixing = np.bincount(at)
     sums = (hood[roots, None] // n + hood // n) % n * n + (hood[roots, None] + hood) % n
@@ -254,11 +209,10 @@ def is_two_arc_transitive(grp: AffineGroup | PermutationGroup,
         hood[roots[i]].tolist(), w.tolist(), sizes.tolist()) if v])
 
 
-def is_distance_transitive(grp: AffineGroup | PermutationGroup,
-                           rooted: _Rooted | None = None) -> DistanceTransitivityResult:
+def is_distance_transitive(grp: AffineGroup | PermutationGroup) -> DistanceTransitivityResult:
     """One orbit on ordered pairs at each distance 0, 1, 2 of Gamma(n),
     whose diameter is 2, or not."""
-    _, arcs, far = _context(grp, rooted).vertex_orbits
+    _, arcs, far = _form(grp).vertex_orbits
     # the pairs (v, v) form one orbit, as G is vertex-transitive, and the
     # pairs at distance 1 are the arcs
     results = [_result(parts) for parts in ([((0, 0), grp.degree)], arcs, far)]
@@ -272,18 +226,19 @@ def is_distance_transitive(grp: AffineGroup | PermutationGroup,
 
 
 def classify_action(grp: AffineGroup | PermutationGroup) -> TransitivityReport:
-    """Answer all five transitivity questions for one group action.
+    """Answer all five transitivity questions for one group action, on its
+    form, built once.
 
     Ends with a consistency check of the implication chain (arc implies
     edge, 2-arc implies arc, distance implies arc); a violation cannot come
     from the mathematics, only from a broken orbit engine.
     """
-    rooted = _Rooted(grp)
-    vertex = is_vertex_transitive(grp, rooted)
-    edge = is_edge_transitive(grp, rooted)
-    arc = is_arc_transitive(grp, rooted)
-    distance = is_distance_transitive(grp, rooted)
-    two_arc = is_two_arc_transitive(grp, rooted)
+    form = _form(grp)
+    vertex = is_vertex_transitive(form)
+    edge = is_edge_transitive(form)
+    arc = is_arc_transitive(form)
+    distance = is_distance_transitive(form)
+    two_arc = is_two_arc_transitive(form)
 
     if arc.transitive and not edge.transitive:
         raise RuntimeError("orbit engine inconsistency: arc without edge transitivity")
@@ -293,7 +248,7 @@ def classify_action(grp: AffineGroup | PermutationGroup) -> TransitivityReport:
         raise RuntimeError("orbit engine inconsistency: distance without arc transitivity")
 
     return TransitivityReport(
-        n=rooted.n,
+        n=form.n,
         vertex_transitive=vertex.transitive,
         edge_transitive=edge.transitive,
         arc_transitive=arc.transitive,

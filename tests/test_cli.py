@@ -13,7 +13,6 @@ import cayleysrg.cli as cli
 import cayleysrg.core as core
 import cayleysrg.regularity as regularity
 import cayleysrg.symmetries as symmetries
-import cayleysrg.transitivity as transitivity
 from cayleysrg import (
     BRUTE_FORCE_MAX_MODULUS,
     AffineGroup,
@@ -111,9 +110,8 @@ class TestAnalyze:
             monkeypatch.setattr(mod, "perm_from_pair_map",
                                 lambda m, fn: degrees.append(m * m) or build(m, fn))
         close = symmetries._table_over_s
-        for mod in (symmetries, transitivity):
-            monkeypatch.setattr(mod, "_table_over_s",
-                                lambda m, steps: closed.append(m) or close(m, steps))
+        monkeypatch.setattr(symmetries, "_table_over_s",
+                            lambda m, steps: closed.append(m) or close(m, steps))
         report, failures = analyze_report(n)
         assert failures == []
         assert report["claimed_group_order"] == 6 * n * n * core.units(n).totient

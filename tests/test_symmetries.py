@@ -538,6 +538,21 @@ class TestAssembledGroup:
                 build(7)
             assert exc.value.witness == (0, 1)
 
+    def test_a_modulus_past_the_cap_is_refused_before_g0_is_certified(self, monkeypatch):
+        # past the cap of 1000, where the table would grow to 7 GB at
+        # 10007, every builder of the group and classify refuse the modulus
+        # before G_0's matrices are read; so is a modulus below 4
+        def spy(*args):
+            raise AssertionError("G_0 was certified or closed")
+
+        monkeypatch.setattr(symmetries, "_on_s", spy)
+        monkeypatch.setattr(symmetries, "_table_over_s", spy)
+        for n, match in ((1001, "exceeds the group side's cap 1000"), (3, "at least 4")):
+            for build in (AffineGroup, claimed_affine_group, claimed_aut_group,
+                          claimed_origin_stabilizer, transitivity.classify):
+                with pytest.raises(ValueError, match=match):
+                    build(n) if build is not AffineGroup else build(n, [])
+
     def test_a_set_that_misses_a_scaling_fails_the_order_checks(self, monkeypatch):
         # U(15) needs the scalings by 2 and 7: without 7 the table, and so
         # the chain, lists only a G_0 of order 24, which the scaling by 7 is
@@ -578,7 +593,7 @@ class TestAssembledGroup:
                                                               monkeypatch):
         # the table claimed_origin_stabilizer reads its chain off, and the
         # one transitivity closes from the claimed group's next level
-        engine = transitivity._Rooted(claimed_group(n)).table
+        engine = transitivity._form(claimed_group(n)).table
         tables = []
         close = symmetries._table_over_s
         monkeypatch.setattr(symmetries, "_table_over_s",

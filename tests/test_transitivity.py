@@ -186,7 +186,7 @@ class TestFirstLevelRooting:
         # of G_0, of order 6 phi(n)
         assert classify_action(claimed_group(n)) == claimed_oracle(n)
         phi = sum(math.gcd(u, n) == 1 for u in range(n))
-        assert len(transitivity._Rooted(claimed_group(n)).table) == 6 * phi
+        assert len(transitivity._form(claimed_group(n)).table) == 6 * phi
 
     @pytest.mark.parametrize("n", [5, 6])
     def test_chain_based_off_zero_is_refused(self, claimed_group, n):
@@ -203,7 +203,8 @@ class TestFirstLevelRooting:
                                                            monkeypatch):
         # a next level whose generator fixes 0 but swaps (0, 1) in S with
         # (1, 2) off S carries the arcs at 0 off the objects listed there;
-        # with the certificate switched off, the table's closure refuses it
+        # with the certificate switched off, the form's own check of G_0's
+        # matrices on S refuses it
         grp = claimed_group(5)
         swap = list(range(25))
         swap[1], swap[7] = 7, 1
@@ -212,7 +213,7 @@ class TestFirstLevelRooting:
         forged = PermutationGroup(grp.generators, 25, [grp._levels[0], level])
         monkeypatch.setattr(transitivity, "_certify", lambda n, perms: None)
         for question in QUESTIONS:
-            with pytest.raises(ValueError, match="do not act"):
+            with pytest.raises(AutomorphismError, match="not an automorphism"):
                 question(forged)
 
     def test_second_level_that_moves_zero_is_refused(self, claimed_group):
@@ -241,18 +242,18 @@ class TestFirstLevelRooting:
 
     @pytest.mark.parametrize("n", [12, 30, 31])
     def test_the_edge_pairing_builds_no_translation(self, claimed_group, n, monkeypatch):
-        # the reversed arcs are read off G_0's table: once the entry check
-        # has sifted the two translations, no element of degree n^2 is made
-        grp = claimed_group(n)
-        rooted = transitivity._Rooted(grp)
-        expected = is_edge_transitive(grp, rooted)
+        # the reversed arcs are read off G_0's table: once the form is built,
+        # its entry check having sifted the two translations, no element of
+        # degree n^2 is made
+        form = transitivity._form(claimed_group(n))
+        expected = is_edge_transitive(form)
 
         def refuse(*args):
             raise AssertionError("a permutation was built")
 
         monkeypatch.setattr(symmetries_module._OnRequest, "__getitem__", refuse)
         monkeypatch.setattr(Permutation, "__init__", refuse)
-        assert is_edge_transitive(grp, rooted) == expected
+        assert is_edge_transitive(form) == expected
 
 
 # sha256 (first 16 hex digits) of the canonical JSON of the transitivity
@@ -287,7 +288,7 @@ def tails_read_off_the_rows(g):
 
 
 def vertex_orbits_by_kernel(grp):
-    """_Rooted.vertex_orbits by one kernel call on the n^2 - 1 vertices
+    """AffineGroup.vertex_orbits by one kernel call on the n^2 - 1 vertices
     other than 0, vertex v as object v - 1, as the engine found them before
     it read G_0 as a table over S: the vertex labels, then the arc orbits
     and the distance-2 orbits, each as its least pair (0, v) and its size."""
@@ -318,7 +319,7 @@ class TestObjectsFromS:
         assert layers == [1, in_s, (1 << n * n) - 2 - in_s]
         # the arc orbits hold S, the first layer, and the distance-2
         # orbits the rest, the second; the kernel says which vertices each holds
-        _, arcs, far = transitivity._Rooted(claimed_group(n)).vertex_orbits
+        _, arcs, far = transitivity._form(claimed_group(n)).vertex_orbits
         labels = vertex_orbits_by_kernel(claimed_group(n))[0]
         assert _members(labels, [v for (_, v), _ in arcs]) == layers[1]
         assert _members(labels, [v for (_, v), _ in far]) == layers[2]
@@ -328,12 +329,12 @@ class TestObjectsFromS:
     @pytest.mark.parametrize("n", [*range(4, 42), 61, 64, 81, 101, 125, 128, 243])
     def test_vertex_orbits_match_the_kernel(self, claimed_group, n):
         grp = claimed_group(n) if n < 200 else claimed_aut_group(n)
-        ctx = transitivity._Rooted(grp)
-        least, arcs, far = ctx.vertex_orbits
+        least, arcs, far = transitivity._form(grp).vertex_orbits
         labels, *orbits = vertex_orbits_by_kernel(grp)
         assert [arcs, far] == orbits
         # least names the least member of each member's arc orbit by its index in S
-        assert np.array_equal(ctx.hood[least], labels[ctx.hood - 1] + 1)
+        hood = connection_indices(n)
+        assert np.array_equal(hood[least], labels[hood - 1] + 1)
 
 
 # Oracle for the 2-arcs: the k(k - 1) 2-arcs at 0, numbered by a k x k rank
@@ -405,7 +406,7 @@ class TestTwoArcsOffTheTable:
         assert grp.base[0] == 0
         assert classify_action(grp) == classify_action(claimed_group(n))
         phi = sum(math.gcd(u, n) == 1 for u in range(n))
-        assert len(transitivity._Rooted(grp).table) == 6 * phi
+        assert len(transitivity._form(grp).table) == 6 * phi
 
     @pytest.mark.parametrize("forge", ["identity", "translation", "swap", "repeat", "coset"])
     def test_forged_transversal_element_is_refused(self, claimed_group, forge):
@@ -451,7 +452,7 @@ class TestTwoArcsOffTheTable:
                        for i, u in enumerate(level.transversal_inv.values())})
         chain = PermutationGroup(grp.generators, 49,
                                  [first, _Level(level.point, level.gens, forged), *rest])
-        assert len(transitivity._Rooted(chain).table) == 36
+        assert len(transitivity._form(chain).table) == 36
         assert is_two_arc_transitive(chain) == two_arcs_by_kernel(chain)
         assert classify_action(chain) == classify_action(grp)
 
@@ -480,6 +481,13 @@ class TestNoGraph:
         # the spies see a graph that is built and read
         symmetries_module.build_graph(n).neighbors(0)
         assert built == [n] and reads[0].reads == 1
+
+    @pytest.mark.parametrize("n", [241, 243])
+    def test_the_public_path_gives_the_affine_report(self, n):
+        # the largest phi(n) up to 246 and 3^5, whose table is closed in
+        # the most rounds: the PermutationGroup the public API builds,
+        # checked and read as its form, against the affine form analyze reads
+        assert classify_action(claimed_aut_group(n)) == classify(n)
 
 
 class TestPinnedReports:
@@ -610,14 +618,6 @@ class TestGenericActions:
         grp = claimed_group(6)
         classify_action(grp)
         assert checked == [(6, grp.strong_generators)]
-
-    def test_context_of_another_group_is_not_trusted(self, claimed_group):
-        rooted = transitivity._Rooted(claimed_group(4))
-        imgs = list(range(16))
-        imgs[1], imgs[2] = imgs[2], imgs[1]
-        bad = PermutationGroup.from_generators([Permutation(imgs)])
-        with pytest.raises(AutomorphismError):
-            is_two_arc_transitive(bad, rooted)
 
     def test_forged_chain_is_refused(self, claimed_group):
         # the claimed generators and first level, with a next level whose
