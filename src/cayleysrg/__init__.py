@@ -7,7 +7,7 @@ the connection set (graphs handed in are counted on their rows, from
 vertex 0 alone once the rows are shown invariant under translation, from
 every vertex otherwise), constructs the predicted automorphism group
 from explicit coordinate maps, cross-checks it against an independent
-count of the automorphism group along a stabiliser chain (n <= 31), and
+count of the automorphism group along a stabiliser chain (n <= 55), and
 classifies the vertex, edge, arc, distance and 2-arc transitivity of
 vertex-transitive groups by orbit computation at vertex 0.
 """

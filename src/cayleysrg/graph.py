@@ -47,7 +47,7 @@ GRAPH_MAX_MODULUS = 1000
 # bytes, and the build does O(n**4) bit work: 0.020 s and 42 MB peak RSS at
 # n = 100, 0.10 s and 96 MB at n = 150, 0.28 s and 238 MB at n = 200 (best
 # of 3, 2 vCPUs, CPython 3.11.7).  The rows alone pass 1 GB near n = 300.
-# The export cap (110) and the oracle's (31) lie below it.
+# The export cap (110) and the oracle's (55) lie below it.
 BUILD_MAX_MODULUS = 200
 
 

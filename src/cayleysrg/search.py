@@ -20,7 +20,9 @@ The search follows McKay & Piperno, *Practical graph isomorphism II*
   search per candidate looks for such an automorphism.  It refines after
   every individualisation, and drops a branch as soon as its refinement
   trace departs from the base path's, one event per splitter W, which
-  splits cells by their arcs from W, counted bit-sliced.  A leaf is
+  splits cells by their arcs from W, counted bit-sliced: a vertex's row
+  alone when W is one vertex, and a cell reached then either lies in the
+  row or splits in two.  A leaf is
   accepted when its bijection carries the out-neighbours of every vertex
   onto those of its image, as ascending lists, each row listed once.
 - Result.  The images of b_i form one orbit of the stabiliser of
@@ -48,12 +50,27 @@ from .core import Permutation, orbits
 
 __all__ = ["BRUTE_FORCE_MAX_MODULUS", "AutomorphismList", "enumerate_automorphisms"]
 
-# Largest modulus the oracle accepts, as vertex_count <= cap**2.  At the cap
-# (961 vertices) the count takes 0.32-0.38 s on 2 vCPUs with CPython 3.11.7,
-# nearly all of it refinement, and the oracle stage of analyze, the build,
-# the count and the claimed group's membership test of each generator found
-# (5 of them), 0.33-0.36 s.  The counts for n = 17..31 take 2.3-2.4 s.
-BRUTE_FORCE_MAX_MODULUS = 31
+# Largest modulus the oracle accepts, as vertex_count <= cap**2: the largest
+# n such that the count at every modulus up to it takes under 3 s, nearly
+# all of it refinement.  enumerate_automorphisms(build_graph(n)), one
+# process per modulus, best of 2 (from 52 to 56, the range over three
+# such runs) on 2 vCPUs with CPython 3.11.7, and the process's peak RSS,
+# the build included:
+#   n  time    RSS      n  time       RSS      n  time       RSS
+#   31 0.27 s  37 MB    42 0.99 s     52 MB    52 2.0-2.4 s  74 MB
+#   32 0.32 s  38 MB    43 1.00 s     53 MB    53 1.8-2.0 s  76 MB
+#   33 0.34 s  39 MB    44 1.04 s     55 MB    54 1.9-2.2 s  79 MB
+#   34 0.32 s  40 MB    45 1.13 s     57 MB    55 2.5-2.9 s  82 MB
+#   35 0.46 s  42 MB    46 1.18 s     59 MB    56 3.3-3.7 s  85 MB
+#   36 0.56 s  43 MB    47 1.38 s     61 MB    57 3.09 s     88 MB
+#   37 0.42 s  44 MB    48 1.78 s     64 MB    58 2.70 s     91 MB
+#   38 0.53 s  45 MB    49 1.54 s     66 MB    59 2.90 s     95 MB
+#   39 0.68 s  48 MB    50 1.41 s     68 MB    60 4.75 s     99 MB
+#   40 0.91 s  49 MB    51 1.97 s     71 MB    61 3.18 s    103 MB
+#   41 0.79 s  50 MB
+# Composite moduli cost up to about twice their prime neighbours.  The cap
+# stays below BUILD_MAX_MODULUS, as the count reads the built rows.
+BRUTE_FORCE_MAX_MODULUS = 55
 
 
 @dataclass(frozen=True)
@@ -114,49 +131,88 @@ def _refine(adj, part: _Partition, splitters: list[int], expect=None):
     into each vertex, in ascending order.  W's rows are summed into planes,
     planes[i] the vertices whose count has bit i set: a cell is uniform when
     each plane holds all of it or none, and a mixed one splits on the planes,
-    the highest first.  On digraphs the count is of arcs into the vertex;
-    read off W and the rows alone, it commutes with every relabelling.  So
-    do the result and the trace, one event per splitter, the (cell, counts,
-    sizes) of each non-singleton cell that W reaches, in cell order: every
-    step reads and names only cell starts.  With expect given, the
-    refinement stops and returns None at the first event that differs.
+    the highest first.  A singleton W, or one whose rows are disjoint, has
+    one plane, its row or their union, and a mixed cell splits into the
+    vertices off it and those on it.  On digraphs the count is of arcs into
+    the vertex; read off W and the rows alone, it commutes with every
+    relabelling.  So do the result and the trace, one event per splitter,
+    one entry per non-singleton cell that W reaches, in cell order: (cell,
+    count, size) for a uniform cell and (cell, counts, sizes) for a split
+    one, every step reading and naming only cell starts.  With expect given,
+    the refinement stops and returns None at the first event that differs.
     """
     trace = []
     pending = set(splitters)
     queue = deque(splitters)
-    cells, fixed = part.cells, part.fixed
-    while queue and part.active:
+    cells, fixed, active = part.cells, part.fixed, part.active
+    while queue and active:
         s = queue.popleft()
         pending.discard(s)
-        planes, reached = [], 0
-        for w in iter_bits(cells[s] if s in cells else 1 << fixed[s]):
-            carry = adj[w]
-            reached |= carry
-            for i, p in enumerate(planes):     # add the row, bit-sliced
-                planes[i] = p ^ carry
-                carry &= p
-            if carry:
-                planes.append(carry)
-        bits = [(1 << i, p) for i, p in enumerate(planes)]
-        event = []
-        for c in sorted([c for c, m in cells.items() if m & reached]):
-            m = cells[c]
-            k = 0
-            for bit, p in bits:
-                x = m & p
-                if x:
-                    if x != m:
-                        break
-                    k |= bit
-            else:
-                event.append((c, (k,), (m.bit_count(),)))
-                continue
-            groups = [(0, m)]
-            for bit, p in reversed(bits):
-                groups = [kf for k, f in groups for kf in ((k, f & ~p), (k | bit, f & p)) if kf[1]]
-            counts, frags = zip(*groups)
-            sizes = tuple(f.bit_count() for f in frags)
-            event.append((c, counts, sizes))
+        if s in cells:
+            planes, reached = [], 0
+            for w in iter_bits(cells[s]):
+                carry = adj[w]
+                reached |= carry
+                for i, p in enumerate(planes):     # add the row, bit-sliced
+                    planes[i] = p ^ carry
+                    carry &= p
+                if carry:
+                    planes.append(carry)
+        else:
+            reached = adj[fixed[s]]
+            planes = [reached]
+        hit = [c for c, m in cells.items() if m & reached]
+        if len(hit) > 1:
+            hit.sort()
+        event, splits = [], []
+        add = event.append
+        if len(planes) == 1:
+            for c in hit:
+                m = cells[c]
+                x = m & reached
+                if x == m:
+                    add((c, 1, m.bit_count()))
+                    continue
+                frags = (m ^ x, x)
+                sizes = (frags[0].bit_count(), x.bit_count())
+                add((c, (0, 1), sizes))
+                splits.append((c, frags, sizes))
+        else:
+            bits = [(1 << i, p) for i, p in enumerate(planes)]
+            for c in hit:
+                m = cells[c]
+                k = 0
+                for bit, p in bits:
+                    x = m & p
+                    if x:
+                        if x != m:
+                            break
+                        k |= bit
+                else:
+                    add((c, k, m.bit_count()))
+                    continue
+                counts, frags = [0], [m]
+                for bit, p in reversed(bits):
+                    if not m & p:
+                        continue
+                    ks, fs = counts, frags
+                    counts, frags = [], []
+                    for k, f in zip(ks, fs):
+                        x = f & p
+                        if x != f:
+                            counts.append(k)
+                            frags.append(f ^ x)
+                        if x:
+                            counts.append(k | bit)
+                            frags.append(x)
+                sizes = tuple([f.bit_count() for f in frags])
+                add((c, tuple(counts), sizes))
+                splits.append((c, frags, sizes))
+        if expect is not None and (len(trace) == len(expect) or expect[len(trace)] != event):
+            trace = None
+            break
+        trace.append(event)
+        for c, frags, sizes in splits:
             # Hopcroft: a cell already used as a splitter needs all but one
             # largest fragment, the counts into that one follow.
             skip = None if c in pending else sizes.index(max(sizes))
@@ -165,17 +221,15 @@ def _refine(adj, part: _Partition, splitters: list[int], expect=None):
             for i, frag in enumerate(frags):
                 if sizes[i] == 1:
                     fixed[start] = frag.bit_length() - 1
-                    part.active &= ~frag
+                    active &= ~frag
                 else:
                     cells[start] = frag
                 if i != skip and start not in pending:
                     pending.add(start)
                     queue.append(start)
                 start += sizes[i]
-        if expect is not None and (len(trace) == len(expect) or expect[len(trace)] != event):
-            return None
-        trace.append(event)
-    if expect is not None and len(trace) != len(expect):
+    part.active = active
+    if expect is not None and trace is not None and len(trace) != len(expect):
         return None
     return trace
 
@@ -258,6 +312,17 @@ class _Search:
         return self._descend(found[0], level + 1)
 
 
+def _close(gens: list[list[int]], points: set, queue: list[int]) -> set:
+    """Add to points the queued points and everything gens reach from them;
+    returns points."""
+    while queue:
+        v = queue.pop()
+        if v not in points:
+            points.add(v)
+            queue.extend([images[v] for images in gens])
+    return points
+
+
 def enumerate_automorphisms(g) -> AutomorphismList:
     """The automorphism group of g, counted along a stabiliser chain.
 
@@ -278,18 +343,19 @@ def enumerate_automorphisms(g) -> AutomorphismList:
     gens: list[list[int]] = []
     orbit_sizes = []
     for level in reversed(range(len(search.base))):
-        x = search.base[level]
-        reached = orbits(gens, [(x,)])[0]
+        reached = _close(gens, set(), [search.base[level]])
         refused: set = set()
         for y in iter_bits(search.nodes[level].cells[search.targets[level]]):
-            if (y,) in reached or (y,) in refused:
+            if y in reached or y in refused:
                 continue
             images = search.extend(level, y)
             if images is not None:
                 gens.append(images)
-                reached = orbits(gens, [(x,)])[0]
+                # reached is closed under the earlier generators, so its
+                # growth starts from its images under the new one
+                _close(gens, reached, [images[v] for v in reached])
             else:
-                refused.update(orbits(gens, [(y,)])[0])
+                refused |= _close(gens, set(), [y])
         orbit_sizes.append(len(reached))
     return AutomorphismList(
         vertex_count=g.vertex_count,

@@ -35,7 +35,7 @@ The checks are sound: they never accept a map that is not an
 automorphism, nor any graph but the one Babai's criterion speaks of.  The
 limit is that every map that is not affine is refused, automorphism or
 not.  The paper proves that the family has no such automorphism, and the
-counting oracle in search.py confirms it independently for n <= 31.
+counting oracle in search.py confirms it independently for n <= 55.
 
 The claimed group is named on that certificate, with no Schreier-Sims.
 The translations form a regular normal subgroup T, so the group is the
@@ -403,19 +403,29 @@ class AffineGroup:
         return len(self.table)
 
     def contains(self, p: Permutation) -> bool:
-        """Whether p is in the group: p is affine, x -> Mx + t on every
-        vertex, by _certify's check, and M, named by its images of e_2 and
-        e_1, p(e_2) - t and p(e_1) - t, is a row of the table."""
-        if p.degree != self.degree:
-            raise ValueError(f"degree mismatch: {p.degree} vs {self.degree}")
-        n, img = self.n, p.images
-        if _affine_stray(n, img[None], *_coordinates(n))[2].any():
+        """Whether p is in the group: contains_all of p alone."""
+        return self.contains_all([p])
+
+    def contains_all(self, perms) -> bool:
+        """Whether every p of perms is in the group: p is affine, x -> Mx + t
+        on every vertex, by _certify's check, and M, named by its images of
+        e_2 and e_1, p(e_2) - t and p(e_1) - t, is a row of the table.  The
+        maps are checked as one stack of image arrays."""
+        perms = list(perms)
+        for p in perms:
+            if p.degree != self.degree:
+                raise ValueError(f"degree mismatch: {p.degree} vs {self.degree}")
+        if not perms:
+            return True
+        n = self.n
+        imgs = np.stack([p.images for p in perms])
+        tx, ty, stray = _affine_stray(n, imgs, *_coordinates(n))
+        if stray.any():
             return False
-        t = int(img[0])
-        i2, i1 = _s_index(n, [(img[e] // n - t // n) % n * n + (img[e] - t) % n
-                              for e in (1, n)])
-        c2, c1 = _s_index(n, [1, n])
-        return bool(((self.table[:, c2] == i2) & (self.table[:, c1] == i1)).any())
+        ex, ey = np.divmod(imgs[:, [1, n]], n)
+        keys = _s_index(n, (ex - tx) % n * n + (ey - ty) % n)
+        rows = self.table[:, _s_index(n, [1, n])]
+        return bool((rows == keys[:, None]).all(axis=2).any(axis=1).all())
 
     def __contains__(self, p: Permutation) -> bool:
         return self.contains(p)
@@ -488,7 +498,7 @@ def claimed_aut_group(n: int) -> PermutationGroup:
     and G_0's generating set, _linear_maps(n), certified by M(S) = S
     (Babai 1979).  Its order works out to 6 * n**2 * phi(n); whether it is
     the full automorphism group is exactly what the oracle in search.py
-    cross-checks for n <= 31, by counting Aut from the graph alone.
+    cross-checks for n <= 55, by counting Aut from the graph alone.
 
     The translations form a regular normal subgroup T, so G is the
     semidirect product of T and G_0, the stabiliser of vertex 0, and

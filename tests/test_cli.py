@@ -165,7 +165,7 @@ class TestAnalyze:
     @pytest.mark.parametrize("n, with_oracle, message", [
         (3, False, "between 4 and"), (ANALYZE_MAX_MODULUS + 1, False, "between 4 and"),
         (5000, False, "between 4 and"), (BRUTE_FORCE_MAX_MODULUS + 1, True, "oracle needs"),
-        (40, True, "oracle needs"),
+        (ANALYZE_MAX_MODULUS, True, "oracle needs"),
     ])
     def test_analyze_report_refuses_before_any_stage(self, n, with_oracle, message,
                                                      monkeypatch):

@@ -161,7 +161,8 @@ class TestStabiliserChain:
         assert len(exhaustive) == EXPECTED_COUNTS[n]
         assert set(brute_list(n).elements) == set(exhaustive)
 
-    @pytest.mark.parametrize("n", range(4, BRUTE_FORCE_MAX_MODULUS + 1))
+    # 32 up to the cap take about 30 s in all: CI counts them
+    @pytest.mark.parametrize("n", range(4, 32))
     def test_count_is_the_predicted_order(self, graph, n):
         found = enumerate_automorphisms(graph(n))
         assert len(found) == 6 * n * n * units(n).totient
@@ -219,14 +220,11 @@ def arcs_kept_reference(g, images) -> bool:
                for v, row in enumerate(rows) for w in iter_bits(row))
 
 
-def chain_digest(graphs) -> str:
-    """sha256 of the JSON list of (base, generator images, orbit sizes)
-    that enumerate_automorphisms gives for each graph."""
-    chains = []
-    for g in graphs:
-        found = enumerate_automorphisms(g)
-        chains.append([list(found.base), [p.images.tolist() for p in found.generators],
-                       list(found.orbit_sizes)])
+def chain_digest(counts) -> str:
+    """sha256 of the JSON list of (base, generator images, orbit sizes) of
+    each result of enumerate_automorphisms in counts."""
+    chains = [[list(found.base), [p.images.tolist() for p in found.generators],
+               list(found.orbit_sizes)] for found in counts]
     return hashlib.sha256(json.dumps(chains).encode()).hexdigest()
 
 
@@ -288,14 +286,36 @@ class TestLeafAndPruning:
         assert calls == {"found": found, "refused": refused}
         assert len(result.generators) == found
 
+    # The _individualise calls of the count, and how many of them a trace
+    # refused: a trace that lost information would give the same chains but
+    # refuse fewer candidates, and only these counts would show it.
+    @pytest.mark.parametrize("n, calls, refused", [
+        (4, 11, 0), (5, 9, 0), (6, 16, 5), (7, 13, 0), (8, 18, 5), (9, 13, 2),
+        (10, 16, 5), (11, 11, 0), (12, 24, 11), (13, 11, 0), (14, 16, 5),
+        (15, 17, 4), (16, 20, 7), (17, 13, 0),
+    ])
+    def test_trace_refusals_are_pinned(self, monkeypatch, n, calls, refused):
+        made = []
+        individualise = search._individualise
+
+        def counted(*args):
+            found = individualise(*args)
+            made.append(found is None)
+            return found
+
+        monkeypatch.setattr(search, "_individualise", counted)
+        enumerate_automorphisms(build_graph(n))
+        assert (len(made), sum(made)) == (calls, refused)
+
     def test_chains_of_the_family_are_pinned(self):
         # base, generators and orbit sizes for the graphs of modulus 4..17,
         # as the search gave them before the leaf and pruning changes
-        assert chain_digest(build_graph(n) for n in range(4, 18)) == \
+        assert chain_digest(enumerate_automorphisms(build_graph(n)) for n in range(4, 18)) == \
             "14c80fb47f0818ede7790337d7f971f88123db5a6746786fdf77c18e88b55d83"
 
     def test_chains_outside_the_family_are_pinned(self):
-        assert chain_digest(FIXTURES[name][0] for name in sorted(FIXTURES)) == \
+        assert chain_digest(enumerate_automorphisms(FIXTURES[name][0])
+                            for name in sorted(FIXTURES)) == \
             "35c33ad4c5836904d8673199bb9889567fae0502b957b553974ebf0a0c283b9b"
 
 
@@ -400,9 +420,57 @@ class TestRefinement:
             cells, active = refine_by_vertices(adj, cells, active, [c])
         assert not active
 
+    def check_candidate_paths(self, g):
+        """Every refinement of enumerate_automorphisms, on the base path and
+        on every candidate path, that gives a partition meets the reference
+        refinement run from the same parent partition."""
+        adj, vc = list(g.adjacency), g.vertex_count
+        individualise = search._individualise
+        checked = []
+
+        def spy(rows, part, c, v, expect=None):
+            cells, s = dict(part.cells), 0
+            while s < vc:       # every cell by its start, singletons too
+                if s in part.cells:
+                    s += part.cells[s].bit_count()
+                else:
+                    cells[s] = 1 << part.fixed[s]
+                    s += 1
+            active = part.active
+            found = individualise(rows, part, c, v, expect)
+            if found is not None:
+                rest = cells[c] & ~(1 << v)
+                cells[c], cells[c + 1] = 1 << v, rest
+                active &= ~(1 << v)
+                if rest & (rest - 1) == 0:
+                    active &= ~rest
+                self.assert_same(found[0], *refine_by_vertices(adj, cells, active, [c]))
+                checked.append(expect is not None)
+            return found
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(search, "_individualise", spy)
+            found = enumerate_automorphisms(g)
+        assert checked.count(False) == len(found.base)
+        return checked.count(True)
+
     @pytest.mark.parametrize("n", range(4, 18))
     def test_family_base_path_against_refining_by_vertices(self, graph, n):
         self.check_base_path(graph(n))
+
+    @pytest.mark.parametrize("n", range(4, 13))
+    def test_family_candidate_paths_against_refining_by_vertices(self, n):
+        assert self.check_candidate_paths(build_graph(n))
+
+    @pytest.mark.parametrize("name", sorted(FIXTURES))
+    def test_fixture_candidate_paths_against_refining_by_vertices(self, name):
+        self.check_candidate_paths(FIXTURES[name][0])
+
+    def test_digraph_candidate_paths_against_refining_by_vertices(self):
+        rnd = random.Random(2)
+        paths = sum(self.check_candidate_paths(random_digraph(rnd))
+                    for _ in range(60))
+        assert paths
 
     @pytest.mark.parametrize("name", sorted(FIXTURES))
     def test_fixture_base_path_against_refining_by_vertices(self, name):

@@ -429,8 +429,14 @@ class TestAffineForm:
             assert form.contains(p) and p in form and grp.contains(p)
         for p in outsiders:
             assert not form.contains(p) and p not in form and not grp.contains(p)
+        # the stacked check: one outsider anywhere in the stack refuses it
+        assert form.contains_all(members) and form.contains_all([])
+        for i, p in enumerate(outsiders):
+            assert not form.contains_all(members[:i] + [p] + members[i:])
         with pytest.raises(ValueError, match="degree mismatch"):
             form.contains(Permutation.identity(n * n + 1))
+        with pytest.raises(ValueError, match="degree mismatch"):
+            form.contains_all(members + [Permutation.identity(n * n + 1)])
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7, 12, 31])
     def test_the_certificate_refuses_the_shear_and_a_singular_map(self, n):
