@@ -5,11 +5,11 @@ Three subcommands:
     cayleysrg analyze N [--oracle]
         Certify regularity for modulus N (N <= 1000) from the connection
         set, build the claimed automorphism group in affine form, the
-        translations and G_0's table over S, classify transitivity,
-        optionally build the graph and cross-check against the
-        independent automorphism count of search.py (N <= 55), and print
-        one JSON report to stdout.  A whole run takes at most about 0.75 s
-        and 210 MB (at 997; 2 vCPUs, CPython 3.11.7).
+        translations and G_0's keys, classify transitivity, optionally
+        build the graph and cross-check against the independent
+        automorphism count of search.py (N <= 55), and print one JSON
+        report to stdout.  A whole run takes at most about 0.75 s and 75 MB
+        (at 960 to 1000; 2 vCPUs, CPython 3.11.7).
 
     cayleysrg export N --format {graph6,dot}
         Print the graph in the requested format (N <= 110).
@@ -58,15 +58,13 @@ __all__ = ["main", "run", "analyze_report", "verify_range", "predicted_values"]
 # the cap.
 EXPORT_MAX_MODULUS = 110
 # analyze and verify: analyze builds no adjacency rows and no permutation of
-# degree n**2; it reads the claimed group in affine form, whose largest part
-# is G_0's table over S, 6 phi(n) rows of 3n - 3 int32 indices.  Whole CLI
-# runs (2 vCPUs, CPython 3.11.7), wall time and peak RSS: 729 = 3^6 0.46-0.56 s
-# and 100 MB, 840 0.53-0.61 s and 99 MB, 960 0.67-0.71 s and 126 MB, the
-# prime 997, with the largest table, 0.69-0.72 s and 210 MB, 1000 0.70-0.74 s
-# and 145 MB; counting on S, the regularity stage, is 0.12-0.30 s of each.
-# Below the old cap of 246, 241 takes 0.27-0.28 s and 41 MB, 243 0.27 s and
-# 38 MB, and verify 236..246 0.5 s and 43 MB.  CI runs analyze at 241, 243,
-# 997 and 1000 and verify 236..246.
+# degree n**2; it names G_0 by 6 phi(n) keys and walks the n**2 vertices
+# once.  Whole CLI runs (2 vCPUs, CPython 3.11.7), wall time and peak RSS:
+# 729 = 3^6 0.32-0.48 s and 52 MB, 840 0.54-0.60 s and 58 MB, 960
+# 0.55-0.78 s and 68 MB, 997 0.52-0.70 s and 73 MB, 1000 0.57-0.73 s and
+# 71 MB, of which counting on S, the regularity stage, is 0.12-0.35 s; 241
+# takes 0.19-0.27 s and 33 MB, 243 0.25-0.29 s and 34 MB.  CI runs analyze
+# at 241, 243, 997 and 1000 and verify 236..246.
 ANALYZE_MAX_MODULUS = 1000
 
 
@@ -141,7 +139,7 @@ def analyze_report(n: int, with_oracle: bool = False) -> tuple[dict, list[str]]:
     timings["regularity"] = round(time.perf_counter() - t, 6)
 
     # G = T x| G_0 in affine form: G_0's generators certified on S and its
-    # table over S, closed once; no permutation of degree n**2 is built.
+    # keys, closed once; no permutation of degree n**2 is built.
     t = time.perf_counter()
     grp = claimed_affine_group(n)
     group_order = grp.order()

@@ -41,21 +41,15 @@ The claimed group is named on that certificate, with no Schreier-Sims.
 The translations form a regular normal subgroup T, so the group is the
 semidirect product of T and G_0, the group of the certified linear maps,
 and its order is n**2 * |G_0| (Dixon and Mortimer, Permutation Groups,
-1996).  G_0 is named by its generating set, _linear_maps(n): the
-scalings by a generating set of the units, the swap and the rotation, as
-matrices.  AffineGroup's constructor is the one place G_0 is certified
-and closed: an AffineGroup holds the matrices, G_0's table over S, closed
-once by _table_over_s, and the suborbits read off it, and
-claimed_affine_group(n) is what analyze reads, for the orders, the
-transitivity questions and the oracle's membership test, with no
-permutation of degree n**2 built.  transitivity reads every group as an
-AffineGroup, a PermutationGroup as the one of its T and the matrices of
-its next level's generators.  The public PermutationGroups,
-claimed_aut_group and claimed_origin_stabilizer, are built from the same
-form: _origin_levels turns its matrices into permutations and reads G_0's
-chain off its table, and both name their chains to from_levels, with two
-transversals built on request.  Schreier-Sims on the same generators is
-the tests' oracle for both.
+1996).  G_0's inputs are _linear_maps(n): the scalings by a generating set
+of the units, the swap and the rotation, as matrices.  A linear h is fixed
+by its key, h(e_2) and h(e_1), as h(x e_1 + y e_2) = x h(e_1) + y h(e_2),
+so AffineGroup's constructor, the one place G_0 is certified and closed,
+names it by |G_0| keys (_keys_over_s).  analyze and transitivity read
+every group as an AffineGroup.  The public PermutationGroups,
+claimed_aut_group and claimed_origin_stabilizer, name their chains to
+from_levels off the same keys (_origin_levels), with two transversals
+built on request; Schreier-Sims is the tests' oracle.
 """
 
 from __future__ import annotations
@@ -282,10 +276,10 @@ def _unit_generators(n: int) -> list[int]:
 
     It is not minimal: at n = 17 and 31 it keeps 2 and 3 where 3 alone, a
     primitive root, generates U(n).  More maps make the closure of G_0's
-    table (_table_over_s) shallower, and that pays: with the one primitive
-    root in place of the greedy set the closure took 0.27 ms against 0.16 at
-    n = 17, 0.52 against 0.25 at 31, 12.6 against 9.1 at 241 and 140
-    against 126 at 997 (best of 5, 2 vCPUs, CPython 3.11.7)."""
+    keys (_keys_over_s) shallower, and that pays: with one primitive root in
+    place of the greedy set it took 0.23 ms against 0.12 at n = 17, 0.38
+    against 0.17 at 31, 2.9 against 0.37 at 241 and 18.8 against 7.7 at 997
+    (best of 5, 2 vCPUs, CPython 3.11.7)."""
     reached, kept = {1}, []
     for u in units(n):
         if u not in reached:
@@ -335,37 +329,31 @@ def _on_s(n: int, matrices) -> np.ndarray:
     return steps
 
 
-def _table_over_s(n: int, steps) -> np.ndarray:
-    """The group that certified linear maps generate, as a table over S: one
-    row per element, the indices in connection_indices(n) of its images of
-    S.  steps holds each map's row, as _on_s gives it.  A linear map is
-    named by its images of e_2 and e_1: the rows are closed from the
-    identity row, g taking row h to the row of g o h, and a row is kept only
-    when that key is new.  ValueError if a step holds -1, a map carrying S
-    off S."""
+def _keys_over_s(n: int, steps) -> np.ndarray:
+    """The group that certified linear maps generate, by its keys: row h
+    holds the indices in connection_indices(n) of h(e_2) and h(e_1).  steps
+    holds each map's permutation of S, as _on_s gives it.  The keys are
+    closed from the identity's, g taking h's key to its images, the key of
+    g o h, and a key is kept only when it is new.  ValueError if a step
+    holds -1, a map carrying S off S."""
     k = connection_indices(n).size
     steps = np.asarray(steps, dtype=np.int64).reshape(-1, k)
     if (steps < 0).any():
         raise ValueError("a generator of G_0 carries S off S: the generators do "
                          "not act on the arcs at 0")
-    c2, c1 = _s_index(n, [1, n])
-    # keys are below k^2: last keeps one product per key, seen old keys;
-    # only the rows of the products kept are gathered.  The rows are int32,
-    # as are the products' numbers in last, which halves the peak memory of
-    # the closure; the keys are computed in int64
+    # codes are below k^2: last keeps one product per code, seen old codes
     seen, last = np.zeros(k * k, dtype=bool), np.empty(k * k, dtype=np.int32)
-    seen[c2 * k + c1] = True
-    narrow = steps.astype(np.int32)
-    rows = [np.arange(k, dtype=np.int32)[None]]
-    while (new := rows[-1]).size:
-        keys = (steps[:, new[:, c2]] * k + steps[:, new[:, c1]]).ravel()
-        order = np.arange(keys.size, dtype=np.int32)
-        last[keys] = order
-        fresh = np.flatnonzero((last[keys] == order) & ~seen[keys])
-        seen[keys[fresh]] = True
-        g, h = np.divmod(fresh, len(new))
-        rows.append(narrow[g[:, None], new[h]])
-    return np.concatenate(rows)
+    keys = [_s_index(n, [[1, n]])]
+    seen[keys[0][0, 0] * k + keys[0][0, 1]] = True
+    while (new := keys[-1]).size:
+        images = steps[:, new]
+        codes = (images[..., 0] * k + images[..., 1]).ravel()
+        order = np.arange(codes.size, dtype=np.int32)
+        last[codes] = order
+        fresh = np.flatnonzero((last[codes] == order) & ~seen[codes])
+        seen[codes[fresh]] = True
+        keys.append(images.reshape(-1, 2)[fresh])
+    return np.concatenate(keys).astype(np.int32)
 
 
 class AffineGroup:
@@ -373,13 +361,12 @@ class AffineGroup:
     t any vertex and M in G_0, the group the matrices generate.
 
     matrices are 2 x 2, ((a, b), (c, d)) for (x, y) -> (a x + b y, c x + d y),
-    each certified on S alone by _on_s, and G_0 is held as its table over S,
-    closed once.  So the order is n**2 |G_0| (Dixon and Mortimer 1996), the
-    stabiliser of vertex 0 is G_0, and no permutation of degree n**2 is
-    built.  The table is read-only.  A modulus outside
-    4..graph.GRAPH_MAX_MODULUS is refused with ValueError before any matrix
-    is read: the table has about 18 n phi(n) entries, 7 GB of int32 at
-    n = 10007.
+    each certified on S alone by _on_s, and G_0 is held as its read-only
+    keys, closed once by _keys_over_s.  So the order is n**2 |G_0| (Dixon
+    and Mortimer 1996), and no permutation of degree n**2 is built.  A
+    modulus outside 4..graph.GRAPH_MAX_MODULUS is refused with ValueError
+    before any matrix is read: the closure's two arrays over the k**2
+    possible keys would take 4.5 GB at n = 10007, and the walk's n**2.
     """
 
     def __init__(self, n: int, matrices) -> None:
@@ -387,8 +374,8 @@ class AffineGroup:
         if n > GRAPH_MAX_MODULUS:
             raise ValueError(f"modulus {n} exceeds the group side's cap {GRAPH_MAX_MODULUS}")
         self.matrices = list(matrices)
-        self.table = _table_over_s(n, _on_s(n, self.matrices))
-        self.table.setflags(write=False)
+        self.keys = _keys_over_s(n, _on_s(n, self.matrices))
+        self.keys.setflags(write=False)
         self.n = n
 
     @property
@@ -396,11 +383,11 @@ class AffineGroup:
         return self.n * self.n
 
     def order(self) -> int:
-        return self.degree * len(self.table)
+        return self.degree * len(self.keys)
 
     def stabilizer_order(self) -> int:
-        """|G_0|, the order of the stabiliser of vertex 0: the row count."""
-        return len(self.table)
+        """|G_0|, the order of the stabiliser of vertex 0: the key count."""
+        return len(self.keys)
 
     def contains(self, p: Permutation) -> bool:
         """Whether p is in the group: contains_all of p alone."""
@@ -408,9 +395,9 @@ class AffineGroup:
 
     def contains_all(self, perms) -> bool:
         """Whether every p of perms is in the group: p is affine, x -> Mx + t
-        on every vertex, by _certify's check, and M, named by its images of
-        e_2 and e_1, p(e_2) - t and p(e_1) - t, is a row of the table.  The
-        maps are checked as one stack of image arrays."""
+        on every vertex, by _certify's check, and M's key, its images of e_2
+        and e_1, p(e_2) - t and p(e_1) - t, is one of the keys.  The maps are
+        checked as one stack of image arrays."""
         perms = list(perms)
         for p in perms:
             if p.degree != self.degree:
@@ -424,38 +411,47 @@ class AffineGroup:
             return False
         ex, ey = np.divmod(imgs[:, [1, n]], n)
         keys = _s_index(n, (ex - tx) % n * n + (ey - ty) % n)
-        rows = self.table[:, _s_index(n, [1, n])]
-        return bool((rows == keys[:, None]).all(axis=2).any(axis=1).all())
+        return bool((self.keys == keys[:, None]).all(axis=2).any(axis=1).all())
 
     def __contains__(self, p: Permutation) -> bool:
         return self.contains(p)
 
     @cached_property
+    def columns(self):
+        """[h(e_1), h(e_2)] as int32 coordinates, one element h per column."""
+        keys = np.array([self.keys[:, 1], self.keys[:, 0]])
+        return np.array(np.divmod(connection_indices(self.n).astype(np.int32)[keys],
+                                  self.n)).swapaxes(0, 1)
+
+    @cached_property
     def vertex_orbits(self):
-        """G_0's orbits on the vertices other than 0, read off the table:
-        least[i], the index in S of the least member of the orbit of S's
-        i-th member, then the arc orbits and the distance-2 orbits, each as
-        its least pair (0, v) and its size under the group, in order of v."""
-        table, n = self.table, self.n
-        hood, count = connection_indices(n), self.degree
-        least = table.min(axis=0)
-        roots = np.flatnonzero(least == np.arange(hood.size))
-        arcs = list(zip(((0, v) for v in hood[roots].tolist()),
-                        (np.bincount(least)[roots] * count).tolist()))
-        # h(x e_1 + y e_2) = x h(e_1) + y h(e_2), as h is linear; the least
-        # vertex no orbit holds yet starts the next orbit, searched from the
-        # last one on, and 0 is never free: the search ends at a vertex that
-        # is not free once none is
-        (a1, b1), (a2, b2) = (np.divmod(hood[table[:, i]], n) for i in _s_index(n, [n, 1]))
+        """G_0's orbits on the vertices but 0, from one walk: label[v] for v
+        in S, the least member of v's orbit; the arc orbits and the
+        distance-2 orbits, each as its least pair (0, v) and its size under
+        the group, in order of v; the elements of G_0 fixing each arc
+        orbit's least member, as indices into keys.  G_0 fixes S."""
+        n, count = self.n, self.degree
+        c1, c2 = self.columns
+        label = np.zeros(count, dtype=np.int32)
         free = np.ones(count, dtype=bool)
-        free[0] = free[hood] = False
-        far, w = [], 0
+        free[0] = False
+        # the least vertex no orbit holds yet starts the next orbit, searched
+        # from the last one on; once none is free the search stays at w
+        arcs, far, fixers, w = [], [], [], 0
         while free[w := w + int(free[w:].argmax())]:
             x, y = divmod(w, n)
-            images = (x * a1 + y * a2) % n * n + (x * b1 + y * b2) % n
+            xy = (x * c1 + y * c2) % n
+            images = (xy[0] * n + xy[1]).astype(np.intp)
             free[images] = False
-            far.append(((0, w), count * len(table) // int((images == w).sum())))
-        return least, arcs, far
+            fixing = np.flatnonzero(images == w)
+            size = count * len(self.keys) // fixing.size
+            if x == 0 or y == 0 or x == y:
+                label[images] = w
+                arcs.append(((0, w), size))
+                fixers.append(fixing)
+            else:
+                far.append(((0, w), size))
+        return label, arcs, far, fixers
 
 
 def claimed_affine_group(n: int) -> AffineGroup:
@@ -521,17 +517,15 @@ def claimed_origin_stabilizer(n: int) -> PermutationGroup:
 
 def _origin_levels(n: int) -> tuple[list[Permutation], list, int]:
     """Off claimed_affine_group(n): G_0's generating matrices as
-    permutations; its chain at e_2 = 1 and e_1 = n, read off the table over
-    S, level 0 generated by those maps, its point x mapped on request to the
-    inverse of a row h with h(e_2) = x, level 1 by the other rows that fix
-    e_2; and its order, the row count."""
+    permutations; its chain at e_2 = 1 and e_1 = n, read off the keys,
+    level 0 generated by those maps, its point x mapped on request to the
+    inverse of an element h with h(e_2) = x, level 1 by the other elements
+    that fix e_2; and its order, the key count."""
     form = claimed_affine_group(n)
     perms = [perm_from_pair_map(n, _matrix_map(m)) for m in form.matrices]
-    hood = connection_indices(n)
-    e2, e1 = _s_index(n, [1, n])
-    rows = hood[form.table[:, [e1, e2]]].tolist()
-    # each image of e_2 keyed to the image of e_1 in its first row; row 0,
-    # the identity, is the first row that fixes e_2
+    rows = connection_indices(n)[form.keys[:, ::-1]].tolist()
+    # each image of e_2 keyed to the image of e_1 in its first key; key 0,
+    # the identity's, is the first that fixes e_2
     back = {h2: h1 for h1, h2 in reversed(rows)}
     level = _OnRequest(n * n, back, lambda x: _linear(n, back[x], x).inverse())
     flips = [_linear(n, h1, h2) for h1, h2 in rows[1:] if h2 == 1]

@@ -5,7 +5,7 @@ graph of graph.py, has a single orbit on one kind of object: vertices,
 edges, arcs, ordered pairs at a fixed distance, or 2-arcs (paths
 u ~ v ~ w with w != u).  Only G is handed in, and every question reads
 it in one form, _form(G), an AffineGroup (symmetries): T x| G_0, its
-generators certified and G_0's table over S closed when it was built.  An
+generators certified and G_0's keys closed when it was built.  An
 AffineGroup, the form analyze reads, is its own form.  A PermutationGroup
 is checked first, once per call: n is read off its degree, n^2; its
 strong generators are certified by the certificate of S in symmetries; it
@@ -32,20 +32,16 @@ Algebraic Graph Theory, 2001):
 The objects at 0 come from S: the arcs (0, s), s in S; the distance-2
 pairs (0, w), w neither 0 nor in S, as (a, b) off S and 0 has a, b != 0
 and is (a, 0) + (0, b), so the diameter is 2; the 2-arcs 0 ~ s ~ s + t,
-t in S but -s.  A certified map fixing 0 is linear (Babai 1979), hence
-named by its images of e_2 and e_1.  So the form lists G_0 once, as a
-table over S closed from the identity under the certified generators, and
-every question reads it and the form's vertex_orbits, the suborbits,
-computed once per form; no orbit kernel runs.  The arc orbits are the
-columns' minima; the distance-2 orbit of w = x e_1 + y e_2 is
-x h(e_1) + y h(e_2) over the rows h, walked from the least vertex no orbit
-holds yet.  An edge orbit pairs the arc orbit of (0, v) with that
-of (0, -v), onto which the translation by -v carries the reversed arcs
-(v, 0): the column minimum of -v.  Every 2-arc orbit at 0 has members
-0 ~ s ~ s + t with s the least member of its arc orbit; they form one
-orbit of G_0,s, the rows fixing s, and the G-orbit has n^2 |G_0.s|
-|G_0,s.t| members.  The pairs at distance 0 form one orbit, as G is
-vertex-transitive.
+t in S but -s.  A certified map h fixing 0 is linear (Babai 1979), so
+h(x e_1 + y e_2) = x h(e_1) + y h(e_2), and the form lists G_0 by its
+keys.  Its vertex_orbits, one walk over the vertices, give the arc and
+distance-2 orbits, the orbit label of each member of S and G_0,s for each
+arc orbit's least member s; no orbit kernel runs.  An edge orbit pairs the
+arc orbit of (0, v) with that of (0, -v), onto which the translation by
+-v carries the reversed arcs (v, 0).  Every 2-arc orbit at 0 has members
+0 ~ s ~ s + t, which form one orbit of G_0,s, named by its least s + h(t),
+and the G-orbit has n^2 |G_0.s| |G_0,s.t| members.  The pairs at
+distance 0 form one orbit, as G is vertex-transitive.
 
 Reports equal those of closing every object of the graph under G.  Every
 G-orbit has a member starting at 0, the least vertex, and the orbits at 0
@@ -61,11 +57,11 @@ from math import isqrt
 import numpy as np
 
 from .bsgs import PermutationGroup
-from .core import Permutation
-from .graph import GRAPH_MAX_MODULUS, connection_indices
+from .core import Permutation, _block_rows
+from .graph import GRAPH_MAX_MODULUS
 # check_graph_automorphism is never called here: bench/tracing.py patches it here
-from .symmetries import (AffineGroup, _certify, _s_index,  # noqa: F401
-                         check_graph_automorphism, claimed_affine_group)
+from .symmetries import (AffineGroup, _certify, check_graph_automorphism,  # noqa: F401
+                         claimed_affine_group)
 
 __all__ = [
     "TransitivityResult",
@@ -172,12 +168,10 @@ def is_edge_transitive(grp: AffineGroup | PermutationGroup) -> TransitivityResul
     half as many edges as arcs when the two orbits coincide.
     """
     form = _form(grp)
-    least, arcs, _ = form.vertex_orbits
-    n, hood = form.n, connection_indices(form.n)
+    (label, arcs, *_), n = form.vertex_orbits, form.n
     # the reversed arcs (v, 0), translated by -v, are the arcs (0, -v), in
-    # the orbit whose least member is mate[v]
-    mate = dict(zip(hood.tolist(),
-                    hood[least[_s_index(n, -(hood // n) % n * n + -hood % n)]].tolist()))
+    # the orbit whose least member is label[-v]
+    mate = {v: int(label[-(v // n) % n * n + -v % n]) for (_, v), _ in arcs}
     return _result([((0, v), size // 2 if mate[v] == v else size)
                     for (_, v), size in arcs if mate[v] >= v])
 
@@ -190,29 +184,44 @@ def is_arc_transitive(grp: AffineGroup | PermutationGroup) -> TransitivityResult
 def is_two_arc_transitive(grp: AffineGroup | PermutationGroup) -> TransitivityResult:
     """One orbit on paths u ~ v ~ w with w != u or not."""
     form = _form(grp)
-    table, n = form.table, form.n
-    hood = connection_indices(n)
-    # the arc orbits' roots s, the columns' minima, and G_0,s's rows h for each
-    roots = np.flatnonzero(form.vertex_orbits[0] == np.arange(hood.size))
-    at, h = np.nonzero((table[:, roots] == roots).T)
-    fixing = np.bincount(at)
-    sums = (hood[roots, None] // n + hood // n) % n * n + (hood[roots, None] + hood) % n
-    # the least s + h(t) names t's orbit under G_0,s; it is 0 at t = -s alone
-    least = np.minimum.reduceat(sums[at[:, None], table[h]], np.cumsum(fixing) - fixing)
-    # each (s, w) as one code, counted over its run in sorted order: memory
-    # in the objects, where a bincount over the codes took roots * n^2
-    codes = np.sort((least + np.arange(roots.size)[:, None] * grp.degree).ravel())
+    n, count = form.n, form.degree
+    c1, c2 = form.columns
+    _, arcs, _, fixers = form.vertex_orbits
+    # G_0,s for each arc orbit's least member s, the roots in descending order
+    at = np.repeat(np.arange(len(arcs))[::-1], [f.size for f in reversed(fixers)])
+    h = np.concatenate(fixers[::-1])
+    # S holds i d for d = e_1, e_2 and e_1 + e_2 and 0 < i < n, and h(i d) = i h(d)
+    d = np.array([c1, c2, (c1 + c2) % n]).transpose(2, 1, 0)[..., None]
+    i = np.arange(1, n, dtype=np.int32)
+    s = np.array([divmod(v, n) for (_, v), _ in arcs], dtype=np.int32)[..., None, None]
+    # the least s + h(t) over G_0,s, 0 at t = -s alone, as a running minimum
+    # down the elements, a block at a time, of r n^2 + s + h(t), r s's index:
+    # it starts afresh at each root, whose codes lie below the roots' before
+    least = np.empty((len(arcs), 3 * n - 3), dtype=np.int64)
+    carry, step = len(arcs) * count, _block_rows(3 * n - 3)
+    for start in range(0, at.size, step):
+        r, g = at[start:start + step], h[start:start + step]
+        xy = s[r] + d[g] * i
+        xy -= xy // n * n  # xy % n, which takes four times as long on int32
+        codes = (xy[:, 0] * n + xy[:, 1]).reshape(r.size, -1) + r[:, None] * count
+        np.minimum(codes[0], carry, out=codes[0])
+        carry = np.minimum.accumulate(codes, axis=0, out=codes)[-1]
+        ends = np.flatnonzero(np.diff(r, append=-1))
+        least[r[ends]] = codes[ends]
+    # each (s, w) as one code, counted over its run in sorted order: the
+    # G-orbit has n^2 |G_0.s| |G_0,s.t| members, (0, s)'s arcs times the run
+    codes = np.sort(least.ravel())
     first = np.flatnonzero(np.diff(codes, prepend=-1))
-    i, w = np.divmod(codes[first], grp.degree)
-    sizes = grp.degree * (len(table) // fixing[i]) * np.diff(first, append=codes.size)
-    return _result([((0, s, v), size) for s, v, size in zip(
-        hood[roots[i]].tolist(), w.tolist(), sizes.tolist()) if v])
+    r, w = np.divmod(codes[first], count)
+    runs = np.diff(first, append=codes.size).tolist()
+    return _result([((0, arcs[j][0][1], v), arcs[j][1] * run)
+                    for j, v, run in zip(r.tolist(), w.tolist(), runs) if v])
 
 
 def is_distance_transitive(grp: AffineGroup | PermutationGroup) -> DistanceTransitivityResult:
     """One orbit on ordered pairs at each distance 0, 1, 2 of Gamma(n),
     whose diameter is 2, or not."""
-    _, arcs, far = _form(grp).vertex_orbits
+    _, arcs, far, _ = _form(grp).vertex_orbits
     # the pairs (v, v) form one orbit, as G is vertex-transitive, and the
     # pairs at distance 1 are the arcs
     results = [_result(parts) for parts in ([((0, 0), grp.degree)], arcs, far)]

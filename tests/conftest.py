@@ -16,6 +16,8 @@ from cayleysrg import (
     enumerate_automorphisms,
 )
 from cayleysrg.bitset import iter_bits
+from cayleysrg.graph import connection_indices
+from cayleysrg.symmetries import _s_index
 
 
 def automorphism_witness(g, p):
@@ -157,6 +159,34 @@ def pair_map_reference(n, fn):
         assert q.n == n, f"pair map changed modulus: {n} to {q.n}"
         images[v] = q.index
     return Permutation(images)
+
+
+def table_over_s(n: int, steps) -> np.ndarray:
+    """The group that certified linear maps generate, as a table over S: one
+    row per element, the indices in connection_indices(n) of its images of
+    S.  steps holds each map's row, as symmetries._on_s gives it.  The rows
+    are closed from the identity row, g taking row h to the row of g o h,
+    and a row is kept only when its key, its images of e_2 and e_1, is new.
+
+    The engine listed G_0 this way before it named each element by its key
+    alone; kept as the oracle of symmetries._keys_over_s, whose keys must be
+    this table's columns at e_2 and e_1, row for row.
+    """
+    k = connection_indices(n).size
+    steps = np.asarray(steps, dtype=np.int64).reshape(-1, k)
+    c2, c1 = _s_index(n, [1, n])
+    seen, last = np.zeros(k * k, dtype=bool), np.empty(k * k, dtype=np.int64)
+    seen[c2 * k + c1] = True
+    rows = [np.arange(k)[None]]
+    while (new := rows[-1]).size:
+        keys = (steps[:, new[:, c2]] * k + steps[:, new[:, c1]]).ravel()
+        order = np.arange(keys.size)
+        last[keys] = order
+        fresh = np.flatnonzero((last[keys] == order) & ~seen[keys])
+        seen[keys[fresh]] = True
+        g, h = np.divmod(fresh, len(new))
+        rows.append(steps[g[:, None], new[h]])
+    return np.concatenate(rows)
 
 
 def orbit_labels(size: int, steps):

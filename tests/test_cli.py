@@ -98,7 +98,7 @@ class TestAnalyze:
     def test_analyze_builds_nothing_of_degree_n_squared_and_closes_g0_once(
             self, n, monkeypatch):
         # the degree of every permutation built, by either constructor or
-        # from a pair map, and the modulus of every closure of G_0's table
+        # from a pair map, and the modulus of every closure of G_0's keys
         degrees, closed = [], []
         init, trusted = Permutation.__init__, Permutation._trusted.__func__
         monkeypatch.setattr(Permutation, "__init__", lambda p, images: degrees.append(
@@ -109,8 +109,8 @@ class TestAnalyze:
         for mod in (core, symmetries):
             monkeypatch.setattr(mod, "perm_from_pair_map",
                                 lambda m, fn: degrees.append(m * m) or build(m, fn))
-        close = symmetries._table_over_s
-        monkeypatch.setattr(symmetries, "_table_over_s",
+        close = symmetries._keys_over_s
+        monkeypatch.setattr(symmetries, "_keys_over_s",
                             lambda m, steps: closed.append(m) or close(m, steps))
         report, failures = analyze_report(n)
         assert failures == []

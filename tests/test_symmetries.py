@@ -38,6 +38,7 @@ from conftest import (
     chain_of,
     held_permutations,
     pair_map_reference,
+    table_over_s,
     tampered_graphs,
 )
 
@@ -387,6 +388,18 @@ class TestAffineForm:
     """claimed_affine_group, the form analyze reads, against the
     PermutationGroup path: claimed_aut_group and its chain's membership."""
 
+    @pytest.mark.parametrize("n", [*range(4, 61), 64, 81, 120, 241, 243])
+    def test_each_key_names_the_oracle_row(self, n):
+        # the linear map of each key (h(e_2), h(e_1)), applied to S, gives
+        # the oracle table's row, in the oracle's order: the keys name G_0's
+        # elements with nothing lost or added
+        hood = connection_indices(n)
+        table = table_over_s(n, symmetries._on_s(n, symmetries._linear_maps(n)))
+        (a2, a1), (b2, b1) = np.divmod(hood[claimed_affine_group(n).keys.T, None], n)
+        x, y = np.divmod(hood, n)
+        rows = symmetries._s_index(n, (x * a1 + y * a2) % n * n + (x * b1 + y * b2) % n)
+        assert np.array_equal(rows, table)
+
     @pytest.mark.parametrize("n", [*range(4, 42), 61, 64, 81, 101, 120, 241, 243])
     def test_orders_and_reports_match_the_permutation_group(self, claimed_group, n):
         form = claimed_affine_group(n)
@@ -460,14 +473,14 @@ class TestAffineForm:
             AffineGroup(n, [((0, 0), (1, 1))])
         assert exc.value.witness == (0, n)
 
-    def test_the_table_is_read_only(self):
+    def test_the_keys_are_read_only(self):
         with pytest.raises(ValueError, match="read-only"):
-            claimed_affine_group(7).table[0, 0] = 1
+            claimed_affine_group(7).keys[0, 0] = 1
 
 
 class TestAssembledGroup:
     """claimed_aut_group names the chain of T x| G_0 to from_levels, with
-    G_0's levels read off its table over S; Schreier-Sims on the same
+    G_0's levels read off its keys; Schreier-Sims on the same
     generators is the oracle."""
 
     @pytest.mark.parametrize("n", range(4, 32))
@@ -518,41 +531,41 @@ class TestAssembledGroup:
                 claimed_aut_group(5)
 
     def test_the_origin_stabilizer_refuses_a_map_that_moves_vertex_0(self, monkeypatch):
-        # refused before its table over S is closed
+        # refused before its keys are closed
         def spy(n, steps):
-            raise AssertionError("_table_over_s was called")
+            raise AssertionError("_keys_over_s was called")
 
         linear = symmetries._linear_maps
         monkeypatch.setattr(symmetries, "_linear_maps",
                             lambda n: [*linear(n), symmetries._shift(0, 1)])
-        monkeypatch.setattr(symmetries, "_table_over_s", spy)
+        monkeypatch.setattr(symmetries, "_keys_over_s", spy)
         with pytest.raises(ValueError, match="moves vertex 0"):
             claimed_origin_stabilizer(7)
 
     def test_a_linear_input_that_carries_s_off_s_is_refused(self, monkeypatch):
         # G_0's inputs are matrices, so each fixes vertex 0; the shear
         # (x, y) -> (x + y, y) among them carries (1, 1) off S, and the form
-        # and both claimed groups refuse it before G_0's table is closed
+        # and both claimed groups refuse it before G_0's keys are closed
         def spy(n, steps):
-            raise AssertionError("_table_over_s was called")
+            raise AssertionError("_keys_over_s was called")
 
         linear = symmetries._linear_maps
         monkeypatch.setattr(symmetries, "_linear_maps", lambda n: [*linear(n), ((1, 1), (0, 1))])
-        monkeypatch.setattr(symmetries, "_table_over_s", spy)
+        monkeypatch.setattr(symmetries, "_keys_over_s", spy)
         for build in (claimed_affine_group, claimed_aut_group, claimed_origin_stabilizer):
             with pytest.raises(AutomorphismError, match="not an automorphism") as exc:
                 build(7)
             assert exc.value.witness == (0, 1)
 
     def test_a_modulus_past_the_cap_is_refused_before_g0_is_certified(self, monkeypatch):
-        # past the cap of 1000, where the table would grow to 7 GB at
-        # 10007, every builder of the group and classify refuse the modulus
+        # past the cap of 1000, where the closure's arrays over the k**2
+        # possible keys would grow to 4.5 GB at 10007, every builder of the group and classify refuse the modulus
         # before G_0's matrices are read; so is a modulus below 4
         def spy(*args):
             raise AssertionError("G_0 was certified or closed")
 
         monkeypatch.setattr(symmetries, "_on_s", spy)
-        monkeypatch.setattr(symmetries, "_table_over_s", spy)
+        monkeypatch.setattr(symmetries, "_keys_over_s", spy)
         for n, match in ((1001, "exceeds the group side's cap 1000"), (3, "at least 4")):
             for build in (AffineGroup, claimed_affine_group, claimed_aut_group,
                           claimed_origin_stabilizer, transitivity.classify):
@@ -560,7 +573,7 @@ class TestAssembledGroup:
                     build(n) if build is not AffineGroup else build(n, [])
 
     def test_a_set_that_misses_a_scaling_fails_the_order_checks(self, monkeypatch):
-        # U(15) needs the scalings by 2 and 7: without 7 the table, and so
+        # U(15) needs the scalings by 2 and 7: without 7 the keys, and so
         # the chain, lists only a G_0 of order 24, which the scaling by 7 is
         # outside; that chain is consistent, so the report's order checks
         # are what refuse it
@@ -597,15 +610,16 @@ class TestAssembledGroup:
     @pytest.mark.parametrize("n", [*range(4, 42), 61, 101])
     def test_the_stabilizer_and_the_engine_list_the_same_table(self, claimed_group, n,
                                                               monkeypatch):
-        # the table claimed_origin_stabilizer reads its chain off, and the
-        # one transitivity closes from the claimed group's next level
-        engine = transitivity._form(claimed_group(n)).table
-        tables = []
-        close = symmetries._table_over_s
-        monkeypatch.setattr(symmetries, "_table_over_s",
-                            lambda *args: tables.append(close(*args)) or tables[-1])
+        # G_0's table of keys: the one claimed_origin_stabilizer reads its
+        # chain off, and the one transitivity closes from the claimed
+        # group's next level
+        engine = transitivity._form(claimed_group(n)).keys
+        closed = []
+        close = symmetries._keys_over_s
+        monkeypatch.setattr(symmetries, "_keys_over_s",
+                            lambda *args: closed.append(close(*args)) or closed[-1])
         g0 = claimed_origin_stabilizer(n)
-        (own,) = tables
+        (own,) = closed
         assert len(own) == len(engine) == g0.order() == 6 * units(n).totient
         assert np.array_equal(np.unique(own, axis=0), np.unique(engine, axis=0))
         assert len(np.unique(own, axis=0)) == len(own)

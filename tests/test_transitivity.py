@@ -182,11 +182,11 @@ class TestFirstLevelRooting:
 
     @pytest.mark.parametrize("n", range(4, 14))
     def test_claimed_group_never_closes_the_vertices(self, claimed_group, claimed_oracle, n):
-        # every answer is read off G_0's table over S, one row per element
-        # of G_0, of order 6 phi(n)
+        # every answer is read off G_0's keys, one per element of G_0, of
+        # order 6 phi(n)
         assert classify_action(claimed_group(n)) == claimed_oracle(n)
         phi = sum(math.gcd(u, n) == 1 for u in range(n))
-        assert len(transitivity._form(claimed_group(n)).table) == 6 * phi
+        assert len(transitivity._form(claimed_group(n)).keys) == 6 * phi
 
     @pytest.mark.parametrize("n", [5, 6])
     def test_chain_based_off_zero_is_refused(self, claimed_group, n):
@@ -242,7 +242,7 @@ class TestFirstLevelRooting:
 
     @pytest.mark.parametrize("n", [12, 30, 31])
     def test_the_edge_pairing_builds_no_translation(self, claimed_group, n, monkeypatch):
-        # the reversed arcs are read off G_0's table: once the form is built,
+        # the reversed arcs are read off the vertex labels: once the form is built,
         # its entry check having sifted the two translations, no element of
         # degree n^2 is made
         form = transitivity._form(claimed_group(n))
@@ -290,8 +290,8 @@ def tails_read_off_the_rows(g):
 def vertex_orbits_by_kernel(grp):
     """AffineGroup.vertex_orbits by one kernel call on the n^2 - 1 vertices
     other than 0, vertex v as object v - 1, as the engine found them before
-    it read G_0 as a table over S: the vertex labels, then the arc orbits
-    and the distance-2 orbits, each as its least pair (0, v) and its size."""
+    it read G_0 off its elements: the vertex labels, then the arc orbits and
+    the distance-2 orbits, each as its least pair (0, v) and its size."""
     count = grp.degree
     labels = orbit_labels(count - 1, (p.images[1:] - 1 for p in grp.stabilizer_generators(0)))
     firsts = np.flatnonzero(labels == np.arange(labels.size))
@@ -319,7 +319,7 @@ class TestObjectsFromS:
         assert layers == [1, in_s, (1 << n * n) - 2 - in_s]
         # the arc orbits hold S, the first layer, and the distance-2
         # orbits the rest, the second; the kernel says which vertices each holds
-        _, arcs, far = transitivity._form(claimed_group(n)).vertex_orbits
+        _, arcs, far, _ = transitivity._form(claimed_group(n)).vertex_orbits
         labels = vertex_orbits_by_kernel(claimed_group(n))[0]
         assert _members(labels, [v for (_, v), _ in arcs]) == layers[1]
         assert _members(labels, [v for (_, v), _ in far]) == layers[2]
@@ -329,12 +329,21 @@ class TestObjectsFromS:
     @pytest.mark.parametrize("n", [*range(4, 42), 61, 64, 81, 101, 125, 128, 243])
     def test_vertex_orbits_match_the_kernel(self, claimed_group, n):
         grp = claimed_group(n) if n < 200 else claimed_aut_group(n)
-        least, arcs, far = transitivity._form(grp).vertex_orbits
+        form = transitivity._form(grp)
+        label, arcs, far, fixers = form.vertex_orbits
         labels, *orbits = vertex_orbits_by_kernel(grp)
         assert [arcs, far] == orbits
-        # least names the least member of each member's arc orbit by its index in S
+        # label names the least member of each member of S's orbit
         hood = connection_indices(n)
-        assert np.array_equal(hood[least], labels[hood - 1] + 1)
+        assert np.array_equal(label[hood], labels[hood - 1] + 1)
+        # and the walk lists the elements that fix each arc orbit's least
+        # member s, |G_0| / |G_0.s| of them
+        c1, c2 = form.columns
+        for ((_, s), size), fixing in zip(arcs, fixers):
+            x, y = divmod(s, n)
+            fixed = np.flatnonzero(((x * c1 + y * c2) % n == [[x], [y]]).all(axis=0))
+            assert np.array_equal(fixing, fixed)
+            assert fixing.size * size == grp.order()
 
 
 # Oracle for the 2-arcs: the k(k - 1) 2-arcs at 0, numbered by a k x k rank
@@ -406,7 +415,7 @@ class TestTwoArcsOffTheTable:
         assert grp.base[0] == 0
         assert classify_action(grp) == classify_action(claimed_group(n))
         phi = sum(math.gcd(u, n) == 1 for u in range(n))
-        assert len(transitivity._form(grp).table) == 6 * phi
+        assert len(transitivity._form(grp).keys) == 6 * phi
 
     @pytest.mark.parametrize("forge", ["identity", "translation", "swap", "repeat", "coset"])
     def test_forged_transversal_element_is_refused(self, claimed_group, forge):
@@ -441,8 +450,8 @@ class TestTwoArcsOffTheTable:
         # element u, under keys no point has, r the swap of e_2 = (0, 1) and
         # (0, 2), two members of S: a product of the transversals lists G_0
         # and the coset G_0 r, 72 rows closed under G_0, with distinct images
-        # of e_2 and e_1 and the identity among them; the table, closed from
-        # the identity under G_0's generators, lists the 36 of G_0
+        # of e_2 and e_1 and the identity among them; the keys, closed from
+        # the identity's under G_0's generators, list the 36 of G_0
         grp = claimed_group(7)
         first, level, *rest = grp._levels
         swap = np.arange(49)
@@ -452,7 +461,7 @@ class TestTwoArcsOffTheTable:
                        for i, u in enumerate(level.transversal_inv.values())})
         chain = PermutationGroup(grp.generators, 49,
                                  [first, _Level(level.point, level.gens, forged), *rest])
-        assert len(transitivity._form(chain).table) == 36
+        assert len(transitivity._form(chain).keys) == 36
         assert is_two_arc_transitive(chain) == two_arcs_by_kernel(chain)
         assert classify_action(chain) == classify_action(grp)
 
