@@ -22,13 +22,12 @@ the first form a complete chain of the first base point's stabiliser, so
 point_stabilizer reuses them as they are; it serves that point only.  Each
 constructor sifts each of its own inputs once, as a self-check.
 
-Which stage reads what: analyze and verify read none of this module; they
-run on symmetries.AffineGroup, which names G_0 by its keys and builds no
-permutation of degree n**2.  PermutationGroup serves the public API:
-claimed_aut_group and claimed_origin_stabilizer, named to from_levels off
-that same form; the groups handed to classify_action and the
-is_*_transitive questions, which transitivity checks, sifts and reads as
-an AffineGroup; and the tests, where from_generators is every chain's oracle.
+Which stage reads what: analyze, verify and transitivity read none of this
+module; they run on symmetries.AffineGroup, which names G_0 by its keys and
+builds no permutation of degree n**2.  PermutationGroup serves the public
+API, claimed_aut_group and claimed_origin_stabilizer, named to from_levels
+off that same form, and the tests, where from_generators is every chain's
+oracle.
 """
 
 from __future__ import annotations

@@ -327,7 +327,10 @@ def enumerate_automorphisms(g) -> AutomorphismList:
     """The automorphism group of g, counted along a stabiliser chain.
 
     g needs only vertex_count and adjacency, the rows as int bitmasks;
-    row v holds the out-neighbours of v, so digraphs are counted too.
+    row v holds the out-neighbours of v, so digraphs are counted too.  A
+    row count other than vertex_count, or a row that is negative or has a
+    bit at or past vertex_count, is refused with ValueError naming the
+    first bad row.
     The result is deterministic: the same graph gives the same base,
     generators and orbit sizes.
     """
@@ -339,6 +342,16 @@ def enumerate_automorphisms(g) -> AutomorphismList:
             f"{g.vertex_count} vertices exceed the search cap of {cap} "
             f"(modulus {BRUTE_FORCE_MAX_MODULUS}); build the claimed group instead"
         )
+    # one row per vertex, each a set of vertices: iter_bits never ends on a
+    # negative row, and a bit at or past vertex_count names no vertex
+    rows, top = g.adjacency, 1 << g.vertex_count
+    for v, row in enumerate(rows):
+        if v >= g.vertex_count or not 0 <= row < top:
+            raise ValueError(f"row {v} of {len(rows)} is no set of the "
+                             f"{g.vertex_count} vertices")
+    if len(rows) < g.vertex_count:
+        raise ValueError(f"row {len(rows)} is missing: {len(rows)} rows for "
+                         f"{g.vertex_count} vertices")
     search = _Search(g)
     gens: list[list[int]] = []
     orbit_sizes = []

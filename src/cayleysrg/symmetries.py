@@ -25,8 +25,7 @@ affine map on every vertex, and checks that M(S) = t + S on vertex
 indices: O(n**2) array work per map.  It runs on a stack of maps, a block
 of image arrays at a time, and refuses the first bad map as checking one
 at a time would.  Both checks need n alone, with no graph built: the
-factories and claimed_aut_group's two translations go through _certify,
-as do the strong generators of a PermutationGroup handed to transitivity;
+factories and claimed_aut_group's two translations go through _certify;
 G_0's generating matrices go through _on_s, in AffineGroup alone.
 check_graph_automorphism first refuses any graph but the one of modulus n
 with its first bad row, by graph.family_defect.
@@ -45,8 +44,8 @@ and its order is n**2 * |G_0| (Dixon and Mortimer, Permutation Groups,
 of the units, the swap and the rotation, as matrices.  A linear h is fixed
 by its key, h(e_2) and h(e_1), as h(x e_1 + y e_2) = x h(e_1) + y h(e_2),
 so AffineGroup's constructor, the one place G_0 is certified and closed,
-names it by |G_0| keys (_keys_over_s).  analyze and transitivity read
-every group as an AffineGroup.  The public PermutationGroups,
+names it by |G_0| keys (_keys_over_s).  analyze and transitivity take
+no other group type.  The public PermutationGroups,
 claimed_aut_group and claimed_origin_stabilizer, name their chains to
 from_levels off the same keys (_origin_levels), with two transversals
 built on request; Schreier-Sims is the tests' oracle.

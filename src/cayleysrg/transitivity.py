@@ -3,21 +3,11 @@
 Each question asks whether a group G of automorphisms of Gamma(n), the
 graph of graph.py, has a single orbit on one kind of object: vertices,
 edges, arcs, ordered pairs at a fixed distance, or 2-arcs (paths
-u ~ v ~ w with w != u).  Only G is handed in, and every question reads
-it in one form, _form(G), an AffineGroup (symmetries): T x| G_0, its
-generators certified and G_0's keys closed when it was built.  An
-AffineGroup, the form analyze reads, is its own form.  A PermutationGroup
-is checked first, once per call: n is read off its degree, n^2; its
-strong generators are certified by the certificate of S in symmetries; it
-must be vertex-transitive, which its chain shows when the first level's
-orbit covers every vertex; its chain must be based at vertex 0; the next
-level's generators, which generate G_0, must fix 0; and it must hold the
-translations by (1, 0) and (0, 1), sifted through its chain.  Any other
-degree, group or chain is refused with ValueError, a generator that is no
-automorphism with AutomorphismError.  Then the next level's generators
-are read as matrices, and the AffineGroup of n and those matrices is the
-form; classify_action builds it once for all five questions.  No graph is
-built or read.
+u ~ v ~ w with w != u).  G is handed in as an AffineGroup (symmetries):
+T x| G_0, G_0's generating matrices certified on S and its keys closed
+when it was built, so it is vertex-transitive and every question reads it
+as it is.  Any other object is refused with ValueError, naming its type,
+before any work.  No graph is built or read.
 
 The objects of the whole graph are never closed under G.  Every question
 is answered at vertex 0 instead, by the correspondence between orbitals
@@ -33,8 +23,8 @@ The objects at 0 come from S: the arcs (0, s), s in S; the distance-2
 pairs (0, w), w neither 0 nor in S, as (a, b) off S and 0 has a, b != 0
 and is (a, 0) + (0, b), so the diameter is 2; the 2-arcs 0 ~ s ~ s + t,
 t in S but -s.  A certified map h fixing 0 is linear (Babai 1979), so
-h(x e_1 + y e_2) = x h(e_1) + y h(e_2), and the form lists G_0 by its
-keys.  Its vertex_orbits, one walk over the vertices, give the arc and
+h(x e_1 + y e_2) = x h(e_1) + y h(e_2), and the AffineGroup lists G_0 by
+its keys.  Its vertex_orbits, one walk over the vertices, give the arc and
 distance-2 orbits, the orbit label of each member of S and G_0,s for each
 arc orbit's least member s; no orbit kernel runs.  An edge orbit pairs the
 arc orbit of (0, v) with that of (0, -v), onto which the translation by
@@ -52,16 +42,12 @@ least members.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
 
 import numpy as np
 
-from .bsgs import PermutationGroup
-from .core import Permutation, _block_rows
-from .graph import GRAPH_MAX_MODULUS
+from .core import _block_rows
 # check_graph_automorphism is never called here: bench/tracing.py patches it here
-from .symmetries import (AffineGroup, _certify, check_graph_automorphism,  # noqa: F401
-                         claimed_affine_group)
+from .symmetries import AffineGroup, check_graph_automorphism, claimed_affine_group  # noqa: F401
 
 __all__ = [
     "TransitivityResult",
@@ -115,35 +101,11 @@ class TransitivityReport:
     orbit_counts: dict
 
 
-def _form(grp: AffineGroup | PermutationGroup) -> AffineGroup:
-    """grp as an AffineGroup: as it is, or a PermutationGroup after the
-    entry checks (the degree is n^2, the strong generators are certified,
-    the chain's first level covers every vertex from vertex 0, the next
-    level's generators, which generate G_0, fix 0, and the group holds T)
-    as T and those generators, each read as the matrix whose columns are
-    its images of e_1 = n and e_2 = 1: a certified map fixing 0 is linear."""
-    if isinstance(grp, AffineGroup):
-        return grp
-    n = isqrt(grp.degree)
-    if n * n != grp.degree or not 4 <= n <= GRAPH_MAX_MODULUS:
-        raise ValueError(f"group degree {grp.degree} is not n**2 for a modulus "
-                         f"4 <= n <= {GRAPH_MAX_MODULUS}")
-    _certify(n, grp.strong_generators)
-    if not grp.base or grp.transversal_sizes()[0] != grp.degree:
-        raise ValueError("the group is not vertex-transitive: its chain's first "
-                         "level does not cover every vertex")
-    if grp.base[0] != 0:
-        raise ValueError(f"the chain's first base point is {grp.base[0]}, "
-                         "not vertex 0")
-    stabilizer = [p.images for p in grp.stabilizer_generators(0)]
-    if any(img[0] != 0 for img in stabilizer):
-        raise ValueError("a generator of the chain's second level moves vertex 0, "
-                         "so it is not in G_0")
-    grid = np.arange(grp.degree).reshape(n, n)  # rolled by a row or a column: T's generators
-    if not all(grp.contains(Permutation(np.roll(grid, -1, axis).ravel())) for axis in (0, 1)):
-        raise ValueError("the group does not contain the translations by (1, 0) and (0, 1)")
-    columns = [(divmod(int(img[n]), n), divmod(int(img[1]), n)) for img in stabilizer]
-    return AffineGroup(n, [((a1, a2), (b1, b2)) for (a1, b1), (a2, b2) in columns])
+def _affine(grp: AffineGroup) -> AffineGroup:
+    """grp, refused with ValueError unless it is an AffineGroup."""
+    if not isinstance(grp, AffineGroup):
+        raise ValueError(f"the orbit engine reads an AffineGroup, not {type(grp).__name__}")
+    return grp
 
 
 def _result(parts: list[tuple[tuple[int, ...], int]]) -> TransitivityResult:
@@ -153,22 +115,19 @@ def _result(parts: list[tuple[tuple[int, ...], int]]) -> TransitivityResult:
     return TransitivityResult(False, sizes, (parts[0][0], parts[1][0]))
 
 
-def is_vertex_transitive(grp: AffineGroup | PermutationGroup) -> TransitivityResult:
-    """One orbit on vertices, with n^2 of them: only vertex-transitive
-    groups are accepted."""
-    _form(grp)
-    return _result([((0,), grp.degree)])
+def is_vertex_transitive(grp: AffineGroup) -> TransitivityResult:
+    """One orbit on vertices, with n^2 of them, as the group holds T."""
+    return _result([((0,), _affine(grp).degree)])
 
 
-def is_edge_transitive(grp: AffineGroup | PermutationGroup) -> TransitivityResult:
+def is_edge_transitive(grp: AffineGroup) -> TransitivityResult:
     """One orbit on unordered edges or not, with a two-edge witness.
 
     An arc orbit and the orbit of its reversed arcs, a pairing as G_0 is
     linear, form one edge orbit, listed at the lesser least member, with
     half as many edges as arcs when the two orbits coincide.
     """
-    form = _form(grp)
-    (label, arcs, *_), n = form.vertex_orbits, form.n
+    (label, arcs, *_), n = _affine(grp).vertex_orbits, grp.n
     # the reversed arcs (v, 0), translated by -v, are the arcs (0, -v), in
     # the orbit whose least member is label[-v]
     mate = {v: int(label[-(v // n) % n * n + -v % n]) for (_, v), _ in arcs}
@@ -176,17 +135,16 @@ def is_edge_transitive(grp: AffineGroup | PermutationGroup) -> TransitivityResul
                     for (_, v), size in arcs if mate[v] >= v])
 
 
-def is_arc_transitive(grp: AffineGroup | PermutationGroup) -> TransitivityResult:
+def is_arc_transitive(grp: AffineGroup) -> TransitivityResult:
     """One orbit on ordered adjacent pairs or not."""
-    return _result(_form(grp).vertex_orbits[1])
+    return _result(_affine(grp).vertex_orbits[1])
 
 
-def is_two_arc_transitive(grp: AffineGroup | PermutationGroup) -> TransitivityResult:
+def is_two_arc_transitive(grp: AffineGroup) -> TransitivityResult:
     """One orbit on paths u ~ v ~ w with w != u or not."""
-    form = _form(grp)
-    n, count = form.n, form.degree
-    c1, c2 = form.columns
-    _, arcs, _, fixers = form.vertex_orbits
+    _, arcs, _, fixers = _affine(grp).vertex_orbits
+    n, count = grp.n, grp.degree
+    c1, c2 = grp.columns
     # G_0,s for each arc orbit's least member s, the roots in descending order
     at = np.repeat(np.arange(len(arcs))[::-1], [f.size for f in reversed(fixers)])
     h = np.concatenate(fixers[::-1])
@@ -218,10 +176,10 @@ def is_two_arc_transitive(grp: AffineGroup | PermutationGroup) -> TransitivityRe
                     for j, v, run in zip(r.tolist(), w.tolist(), runs) if v])
 
 
-def is_distance_transitive(grp: AffineGroup | PermutationGroup) -> DistanceTransitivityResult:
+def is_distance_transitive(grp: AffineGroup) -> DistanceTransitivityResult:
     """One orbit on ordered pairs at each distance 0, 1, 2 of Gamma(n),
     whose diameter is 2, or not."""
-    _, arcs, far, _ = _form(grp).vertex_orbits
+    _, arcs, far, _ = _affine(grp).vertex_orbits
     # the pairs (v, v) form one orbit, as G is vertex-transitive, and the
     # pairs at distance 1 are the arcs
     results = [_result(parts) for parts in ([((0, 0), grp.degree)], arcs, far)]
@@ -234,20 +192,18 @@ def is_distance_transitive(grp: AffineGroup | PermutationGroup) -> DistanceTrans
     )
 
 
-def classify_action(grp: AffineGroup | PermutationGroup) -> TransitivityReport:
-    """Answer all five transitivity questions for one group action, on its
-    form, built once.
+def classify_action(grp: AffineGroup) -> TransitivityReport:
+    """Answer all five transitivity questions for one group action.
 
     Ends with a consistency check of the implication chain (arc implies
     edge, 2-arc implies arc, distance implies arc); a violation cannot come
     from the mathematics, only from a broken orbit engine.
     """
-    form = _form(grp)
-    vertex = is_vertex_transitive(form)
-    edge = is_edge_transitive(form)
-    arc = is_arc_transitive(form)
-    distance = is_distance_transitive(form)
-    two_arc = is_two_arc_transitive(form)
+    vertex = is_vertex_transitive(grp)
+    edge = is_edge_transitive(grp)
+    arc = is_arc_transitive(grp)
+    distance = is_distance_transitive(grp)
+    two_arc = is_two_arc_transitive(grp)
 
     if arc.transitive and not edge.transitive:
         raise RuntimeError("orbit engine inconsistency: arc without edge transitivity")
@@ -257,7 +213,7 @@ def classify_action(grp: AffineGroup | PermutationGroup) -> TransitivityReport:
         raise RuntimeError("orbit engine inconsistency: distance without arc transitivity")
 
     return TransitivityReport(
-        n=form.n,
+        n=grp.n,
         vertex_transitive=vertex.transitive,
         edge_transitive=edge.transitive,
         arc_transitive=arc.transitive,

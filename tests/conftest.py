@@ -1,4 +1,5 @@
 import gc
+import math
 import types
 
 import numpy as np
@@ -17,7 +18,7 @@ from cayleysrg import (
 )
 from cayleysrg.bitset import iter_bits
 from cayleysrg.graph import connection_indices
-from cayleysrg.symmetries import _s_index
+from cayleysrg.symmetries import AffineGroup, _s_index
 
 
 def automorphism_witness(g, p):
@@ -39,6 +40,23 @@ def automorphism_witness(g, p):
         if mapped != expected:
             return (v, next(iter_bits(mapped ^ expected)))
     return None
+
+
+def affine_form(grp):
+    """A PermutationGroup of degree n**2, whose chain is based at vertex 0,
+    as the AffineGroup the transitivity engine reads: T and its chain's
+    second-level generators, each read as the matrix whose columns are its
+    images of e_1 = n and e_2 = 1, as a certified map fixing 0 is linear.
+
+    The bridge by which a chain built another way, by Schreier-Sims or by
+    claimed_aut_group, is fed to the engine; T alone, a chain of one level,
+    is AffineGroup(n, []).  It checks nothing of the chain: AffineGroup
+    certifies the matrices on S.
+    """
+    n = math.isqrt(grp.degree)
+    columns = [(divmod(int(p.images[n]), n), divmod(int(p.images[1]), n))
+               for p in grp.stabilizer_generators(0)]
+    return AffineGroup(n, [((a1, a2), (b1, b2)) for (a1, b1), (a2, b2) in columns])
 
 
 class CountingRows(tuple):

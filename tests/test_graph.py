@@ -27,7 +27,7 @@ from cayleysrg import (
 from cayleysrg.bitset import iter_bits
 from cayleysrg.cli import analyze_report
 from cayleysrg.graph import connection_indices, translation_defect
-from conftest import CountingRows, tampered_graphs
+from conftest import CountingRows, affine_form, tampered_graphs
 
 
 # Rows and columns per block of the symmetry check: one block unpacks to
@@ -343,7 +343,7 @@ class TestKeptProof:
         check_strongly_regular(g)
         assert proofs == [n]
         rows.reads = 0
-        classify_action(claimed_group(n))
+        classify_action(affine_form(claimed_group(n)))
         assert proofs == [n]
         assert rows.reads == 0
 

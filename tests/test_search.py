@@ -539,6 +539,24 @@ class TestOutsideTheFamily:
         with pytest.raises(ValueError, match="need at least one vertex"):
             enumerate_automorphisms(Plain(0, []))
 
+    @pytest.mark.parametrize("rows, bad", [
+        ((0b110, -1, 0b011), r"row 1 of 3 is no set"),  # iter_bits(-1) never ends
+        ((0b110, 0b1101, 0b011), r"row 1 of 3 is no set"),  # a bit at vertex 3
+        ((0b110, 0b101, 0b011, 0), r"row 3 of 4 is no set"),
+        ((0b110, 0b101), r"row 2 is missing"),
+    ], ids=["negative", "bit_past_the_last_vertex", "extra_row", "missing_row"])
+    def test_malformed_rows_are_refused(self, rows, bad, monkeypatch):
+        # before any search starts
+        monkeypatch.setattr(search, "_Search", None)
+        with pytest.raises(ValueError, match=bad):
+            enumerate_automorphisms(SimpleNamespace(vertex_count=3, adjacency=rows))
+
+    def test_directed_triangle(self):
+        # the arcs 0 -> 1 -> 2 -> 0: the rotations alone
+        found = enumerate_automorphisms(SimpleNamespace(vertex_count=3,
+                                                        adjacency=(0b010, 0b100, 0b001)))
+        assert len(found) == 3
+
     def test_digraphs_against_every_permutation(self):
         # Rows that are not symmetric: refinement meets vertices that a
         # splitter reaches but that have no out-neighbour in it.

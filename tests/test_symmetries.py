@@ -34,6 +34,7 @@ from cayleysrg.cli import analyze_report
 from cayleysrg.graph import connection_indices
 from conftest import (
     affine_check_reference,
+    affine_form,
     automorphism_witness,
     chain_of,
     held_permutations,
@@ -407,7 +408,7 @@ class TestAffineForm:
         assert form.degree == grp.degree == n * n
         assert form.order() == grp.order() == 6 * n * n * units(n).totient
         assert form.stabilizer_order() == grp.point_stabilizer(0).order()
-        assert classify_action(form) == classify_action(grp)
+        assert classify_action(form) == classify_action(affine_form(grp))
 
     @pytest.mark.parametrize("n", range(4, 32))
     def test_membership_agrees_with_the_chain(self, claimed_group, n):
@@ -611,9 +612,9 @@ class TestAssembledGroup:
     def test_the_stabilizer_and_the_engine_list_the_same_table(self, claimed_group, n,
                                                               monkeypatch):
         # G_0's table of keys: the one claimed_origin_stabilizer reads its
-        # chain off, and the one transitivity closes from the claimed
-        # group's next level
-        engine = transitivity._form(claimed_group(n)).keys
+        # chain off, and the one the bridge closes from the claimed group's
+        # next level
+        engine = affine_form(claimed_group(n)).keys
         closed = []
         close = symmetries._keys_over_s
         monkeypatch.setattr(symmetries, "_keys_over_s",
