@@ -25,9 +25,9 @@ constructor sifts each of its own inputs once, as a self-check.
 Which stage reads what: analyze, verify and transitivity read none of this
 module; they run on symmetries.AffineGroup, which names G_0 by its keys and
 builds no permutation of degree n**2.  PermutationGroup serves the public
-API, claimed_aut_group and claimed_origin_stabilizer, named to from_levels
-off that same form, and the tests, where from_generators is every chain's
-oracle.
+API, claimed_aut_group, named to from_levels off that same form, and
+claimed_origin_stabilizer, its point_stabilizer at 0, and the tests, where
+from_generators is every chain's oracle.
 """
 
 from __future__ import annotations

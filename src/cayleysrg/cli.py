@@ -37,7 +37,7 @@ import sys
 import time
 
 from .core import units
-from .graph import build_graph, connection_indices
+from .graph import GRAPH_MAX_MODULUS, build_graph, connection_indices
 # analyze_report calls neither check_strongly_regular nor intersection_array;
 # they stay names here because bench/tracing.py wraps every regularity entry
 # point where cli imports it.
@@ -64,8 +64,9 @@ EXPORT_MAX_MODULUS = 110
 # 0.55-0.78 s and 68 MB, 997 0.52-0.70 s and 73 MB, 1000 0.57-0.73 s and
 # 71 MB, of which counting on S, the regularity stage, is 0.12-0.35 s; 241
 # takes 0.19-0.27 s and 33 MB, 243 0.25-0.29 s and 34 MB.  CI runs analyze
-# at 241, 243, 997 and 1000 and verify 236..246.
-ANALYZE_MAX_MODULUS = 1000
+# at 241, 243, 997 and 1000 and verify 236..246.  It is the group side's
+# cap, which AffineGroup enforces.
+ANALYZE_MAX_MODULUS = GRAPH_MAX_MODULUS
 
 
 def predicted_values(n: int) -> dict:

@@ -30,10 +30,11 @@ __all__ = [
 
 MIN_MODULUS = 4
 
-# Entries in one block of a stacked pass over image arrays.  A batch of
-# permutations is cut into blocks of this many entries, at least one row
-# each, so each temporary of a pass stays within 512 KB of int64, whatever
-# the number of rows, while every batch of the moduli up to 31 is one block.
+# Entries in one block of a stacked pass: regularity.cayley_srg_params cuts
+# the |S|**2 differences of S, and transitivity's 2-arc pass the elements of
+# G_0 fixing each arc, into blocks of this many entries, at least one row
+# of |S| each, so each temporary of a pass stays within 512 KB of int64,
+# whatever the number of rows.
 _BLOCK_ENTRIES = 1 << 16
 
 

@@ -39,8 +39,8 @@ __all__ = [
 ]
 
 # Largest modulus the group side accepts: symmetries.AffineGroup refuses any
-# other, and transitivity a group of degree n**2 past it; analyze builds no
-# rows, so it reaches this cap.
+# other.  analyze builds no rows, so it reaches this cap, and
+# cli.ANALYZE_MAX_MODULUS is this value.
 GRAPH_MAX_MODULUS = 1000
 
 # Largest modulus build_graph accepts.  The rows hold n**4 bits, n**4 / 8
@@ -139,24 +139,29 @@ def build_graph(n: int) -> CayleyGraph:
     translation by (i, 0) carries row (0, j) onto row (i, j): in the
     row-major order that is a rotation by i*n bits over n**2 bits.  Only
     row 0 is set from S, once; every other row is a few big-int operations
-    on an earlier one, O(n**2) of them in all.  S = -S makes
-    the adjacency symmetric, since w - v lies in S exactly when v - w does,
-    so a connection set that is not closed under negation is refused.  Every
-    row is still checked for a self-loop and for degree 3n - 3.  A bad row
-    is an internal error, not a recoverable condition.
+    on an earlier one, O(n**2) of them in all.  S = -S makes the adjacency
+    symmetric, since w - v lies in S exactly when v - w does, so S, as the
+    indices row 0 is set from, is refused with its least member whose
+    negative it lacks.  Every row is still checked for a self-loop and for
+    degree 3n - 3.  A bad row is an internal error, not a recoverable
+    condition.
     """
     _check_modulus(n)
     if n > BUILD_MAX_MODULUS:
         raise ValueError(f"modulus {n} exceeds the supported cap {BUILD_MAX_MODULUS}: "
                          f"the rows would take {n ** 4 // 8 // 2 ** 20} MiB")
-    conn = connection_set(n)
-    for s in conn.members:
-        if -s not in conn.members:
-            raise RuntimeError(f"connection set holds ({s.i}, {s.j}) but not its negative")
     vertex_count = n * n
+    hood = connection_indices(n)
+    in_s = np.zeros(vertex_count, dtype=bool)
+    in_s[hood] = True
+    si, sj = np.divmod(hood, n)
+    lonely = hood[~in_s[(-si % n) * n + (-sj % n)]]
+    if lonely.size:
+        i, j = divmod(int(lonely.min()), n)
+        raise RuntimeError(f"connection set holds ({i}, {j}) but not its negative")
     full = (1 << vertex_count) - 1
     next_column = _column_step(n)
-    first_rows = [mask_of(connection_indices(n), vertex_count)]
+    first_rows = [mask_of(hood, vertex_count)]
     for _ in range(1, n):
         first_rows.append(next_column(first_rows[-1]))
     # row (i, j) is row (0, j) rotated by i*n bits: one shift of the row
@@ -174,7 +179,7 @@ def build_graph(n: int) -> CayleyGraph:
             raise RuntimeError(f"vertex {v} adjacent to itself")
         if row.bit_count() != k:
             raise RuntimeError(f"vertex {v} has degree {row.bit_count()}, expected {k}")
-    return CayleyGraph(n=n, connection=conn, adjacency=tuple(rows))
+    return CayleyGraph(n=n, connection=connection_set(n), adjacency=tuple(rows))
 
 
 def _column_step(n: int):

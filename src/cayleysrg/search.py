@@ -105,18 +105,17 @@ class AutomorphismList:
 class _Partition:
     """An ordered partition of the vertices.  A cell is named by its start,
     the number of vertices in earlier cells, so splitting one cell renames
-    no other.  cells holds the non-singleton cells, fixed[s] the vertex of
-    the singleton cell s, and active the vertices of non-singleton cells."""
+    no other.  cells holds the non-singleton cells and fixed[s] the vertex
+    of the singleton cell s."""
 
-    __slots__ = ("cells", "fixed", "active")
+    __slots__ = ("cells", "fixed")
 
-    def __init__(self, cells: dict[int, int], fixed: list[int], active: int):
+    def __init__(self, cells: dict[int, int], fixed: list[int]):
         self.cells = cells
         self.fixed = fixed
-        self.active = active
 
     def copy(self) -> _Partition:
-        return _Partition(dict(self.cells), list(self.fixed), self.active)
+        return _Partition(dict(self.cells), list(self.fixed))
 
     def target(self) -> int:
         """Start of the first smallest non-singleton cell."""
@@ -144,8 +143,8 @@ def _refine(adj, part: _Partition, splitters: list[int], expect=None):
     trace = []
     pending = set(splitters)
     queue = deque(splitters)
-    cells, fixed, active = part.cells, part.fixed, part.active
-    while queue and active:
+    cells, fixed = part.cells, part.fixed
+    while queue and cells:
         s = queue.popleft()
         pending.discard(s)
         if s in cells:
@@ -221,14 +220,12 @@ def _refine(adj, part: _Partition, splitters: list[int], expect=None):
             for i, frag in enumerate(frags):
                 if sizes[i] == 1:
                     fixed[start] = frag.bit_length() - 1
-                    active &= ~frag
                 else:
                     cells[start] = frag
                 if i != skip and start not in pending:
                     pending.add(start)
                     queue.append(start)
                 start += sizes[i]
-    part.active = active
     if expect is not None and trace is not None and len(trace) != len(expect):
         return None
     return trace
@@ -240,12 +237,10 @@ def _individualise(adj, part: _Partition, c: int, v: int, expect=None):
     child = part.copy()
     rest = child.cells.pop(c) & ~(1 << v)
     child.fixed[c] = v
-    child.active &= ~(1 << v)
     if rest & (rest - 1):
         child.cells[c + 1] = rest
     else:
         child.fixed[c + 1] = rest.bit_length() - 1
-        child.active &= ~rest
     trace = _refine(adj, child, [c], expect)
     if trace is None:
         return None
@@ -260,14 +255,14 @@ class _Search:
         self.out = [list(iter_bits(row)) for row in adj]   # out[v]: ascending
         vc = g.vertex_count
         full = (1 << vc) - 1 if vc > 1 else 0
-        root = _Partition({0: full} if full else {}, [0] * vc, full)
+        root = _Partition({0: full} if full else {}, [0] * vc)
         _refine(adj, root, [0])
         self.nodes = [root]     # nodes[i]: the partition before b_i is split off
         self.targets = []       # targets[i]: start of the cell of b_i
         self.traces = []        # traces[i]: refinement trace after b_i
         self.base = []
         node = root
-        while node.active:
+        while node.cells:
             c = node.target()
             b = next(iter_bits(node.cells[c]))
             node, trace = _individualise(adj, node, c, b)

@@ -22,9 +22,8 @@ M(S) = S (Babai, Spectra of Cayley graphs, JCTB 1979).  A map given as a
 S and no two are equal, O(n) work.  A map given as a permutation is
 certified by _certify, which reads M and t off it, checks that it is that
 affine map on every vertex, and checks that M(S) = t + S on vertex
-indices: O(n**2) array work per map.  It runs on a stack of maps, a block
-of image arrays at a time, and refuses the first bad map as checking one
-at a time would.  Both checks need n alone, with no graph built: the
+indices: O(n**2) array work per map, one map at a time, refusing the
+first bad one.  Both checks need n alone, with no graph built: the
 factories and claimed_aut_group's two translations go through _certify;
 G_0's generating matrices go through _on_s, in AffineGroup alone.
 check_graph_automorphism first refuses any graph but the one of modulus n
@@ -45,10 +44,10 @@ of the units, the swap and the rotation, as matrices.  A linear h is fixed
 by its key, h(e_2) and h(e_1), as h(x e_1 + y e_2) = x h(e_1) + y h(e_2),
 so AffineGroup's constructor, the one place G_0 is certified and closed,
 names it by |G_0| keys (_keys_over_s).  analyze and transitivity take
-no other group type.  The public PermutationGroups,
-claimed_aut_group and claimed_origin_stabilizer, name their chains to
-from_levels off the same keys (_origin_levels), with two transversals
-built on request; Schreier-Sims is the tests' oracle.
+no other group type.  The public PermutationGroup, claimed_aut_group,
+names its chain to from_levels off the same keys, with two transversals
+built on request, and claimed_origin_stabilizer is that chain's tail;
+Schreier-Sims is the tests' oracle.
 """
 
 from __future__ import annotations
@@ -61,8 +60,8 @@ from functools import cached_property
 import numpy as np
 
 from .bsgs import PermutationGroup
-from .core import (Permutation, _block_rows, _check_modulus, _coordinates, check_point,
-                   perm_from_pair_map, units)
+from .core import (Permutation, _check_modulus, _coordinates, check_point, perm_from_pair_map,
+                   units)
 # build_graph is not called here; it stays a name that bench/tracing.py wraps
 from .graph import (GRAPH_MAX_MODULUS, CayleyGraph, build_graph, connection_indices,
                     family_defect)
@@ -119,9 +118,7 @@ def _affine_stray(n: int, imgs: np.ndarray, x, y):
 
 def _certify(n: int, perms) -> None:
     """Raise AutomorphismError at the first of perms that is not an affine
-    automorphism of the graph of modulus n.  The maps are checked as the
-    rows of stacked image arrays, a block of core._BLOCK_ENTRIES entries at
-    a time.
+    automorphism of the graph of modulus n, checking one map at a time.
 
     For each p, t is the image of (0, 0), and the columns of M are the
     images of (1, 0) and (0, 1) minus t.  A p that is not x -> Mx + t on
@@ -133,47 +130,32 @@ def _certify(n: int, perms) -> None:
     ValueError once every p before it has passed.
     """
     size = n * n
-    perms = list(perms)
-    fit = next((i for i, p in enumerate(perms)
-                if not isinstance(p, Permutation) or p.degree != size), len(perms))
     # int32 holds every value below, at most 3 n**2, for any n whose graph
     # can be built, and its arithmetic is about 2.5 times faster
     x, y = np.divmod(np.arange(size, dtype=np.int32), n)
     hood = connection_indices(n)
-    in_s = np.zeros(size, dtype=bool)
-    in_s[hood] = True
-    step = _block_rows(size)
-    for start in range(0, fit, step):
-        imgs = np.stack([p.images for p in perms[start:min(start + step, fit)]],
-                        dtype=np.int32)
+    si, sj = np.divmod(hood, n)
+    for p in perms:
+        if not isinstance(p, Permutation):
+            raise ValueError(f"maps must be Permutation, got {type(p).__name__}")
+        if p.degree != size:
+            raise ValueError(f"degree {p.degree} does not match {size} vertices")
+        imgs = p.images[None].astype(np.int32)
         tx, ty, stray = _affine_stray(n, imgs, x, y)
-        # p(S) and t + S have |S| members each, so they are equal when
-        # p(s) - t lies in S for every s in S
-        mx, my = np.divmod(imgs[:, hood], n)
-        off_s = ~in_s[(mx - tx) % n * n + (my - ty) % n]
-        bad = np.flatnonzero(stray.any(axis=1) | off_s.any(axis=1))
-        if not bad.size:
-            continue
-        r = bad[0]
-        if stray[r].any():
-            v = int(np.argmax(stray[r]))
+        if stray.any():
+            v = int(np.argmax(stray))
             raise AutomorphismError(
                 f"map is not affine on Z_{n} x Z_{n}: vertex {v} breaks x -> Mx + t",
                 witness=v,
             )
-        si, sj = np.divmod(hood, n)
-        mapped = set(imgs[r, hood].tolist())
-        expected = set(((si + tx[r]) % n * n + (sj + ty[r]) % n).tolist())
-        witness = (0, min(mapped ^ expected))
-        raise AutomorphismError(
-            f"not an automorphism: adjacency disagrees around vertex pair {witness}",
-            witness=witness,
-        )
-    if fit < len(perms):
-        bad = perms[fit]
-        raise ValueError(f"degree {bad.degree} does not match {size} vertices"
-                         if isinstance(bad, Permutation) else
-                         f"maps must be Permutation, got {type(bad).__name__}")
+        mapped = set(imgs[0, hood].tolist())
+        expected = set(((si + tx[0]) % n * n + (sj + ty[0]) % n).tolist())
+        if mapped != expected:
+            witness = (0, min(mapped ^ expected))
+            raise AutomorphismError(
+                f"not an automorphism: adjacency disagrees around vertex pair {witness}",
+                witness=witness,
+            )
 
 
 def check_graph_automorphism(g: CayleyGraph, *perms: Permutation) -> None:
@@ -196,7 +178,7 @@ def check_graph_automorphism(g: CayleyGraph, *perms: Permutation) -> None:
 
 
 def _certified(n: int, maps) -> list[Permutation]:
-    """The permutations the pair maps induce, certified as one stack."""
+    """The permutations the pair maps induce, each certified."""
     perms = [perm_from_pair_map(n, fn) for fn in maps]
     _certify(n, perms)
     return perms
@@ -499,36 +481,32 @@ def claimed_aut_group(n: int) -> PermutationGroup:
     semidirect product of T and G_0, the stabiliser of vertex 0, and
     |G| = n**2 * |G_0| (Dixon and Mortimer, Permutation Groups, 1996).  So
     the chain is a first level at vertex 0, whose transversal, the
-    translations back to 0, is built on request, then G_0's levels.
+    translations back to 0, is built on request, then G_0's levels, read
+    off claimed_affine_group(n)'s keys: at e_2 = 1, generated by G_0's
+    generating matrices as permutations, its point x mapped on request to
+    the inverse of an element h with h(e_2) = x; at e_1 = n, generated by
+    the other elements that fix e_2.  One from_levels call names it all,
+    so each generator is sifted once, in generator order.
     """
-    perms, levels, order = _origin_levels(n)
-    shifts = _certified(n, [_shift(1, 0), _shift(0, 1)])
-    gens = [*shifts, *perms]
-    # v -> the translation by -v, which mod n is the shift by (-(v // n), -v)
-    back = _OnRequest(n * n, range(n * n), lambda v: perm_from_pair_map(n, _shift(-(v // n), -v)))
-    return PermutationGroup.from_levels(gens, [(0, gens, back), *levels], n * n * order)
-
-
-def claimed_origin_stabilizer(n: int) -> PermutationGroup:
-    """G_0, the subgroup fixing vertex (0, 0), from _origin_levels."""
-    return PermutationGroup.from_levels(*_origin_levels(n))
-
-
-def _origin_levels(n: int) -> tuple[list[Permutation], list, int]:
-    """Off claimed_affine_group(n): G_0's generating matrices as
-    permutations; its chain at e_2 = 1 and e_1 = n, read off the keys,
-    level 0 generated by those maps, its point x mapped on request to the
-    inverse of an element h with h(e_2) = x, level 1 by the other elements
-    that fix e_2; and its order, the key count."""
     form = claimed_affine_group(n)
     perms = [perm_from_pair_map(n, _matrix_map(m)) for m in form.matrices]
+    gens = [*_certified(n, [_shift(1, 0), _shift(0, 1)]), *perms]
+    # v -> the translation by -v, which mod n is the shift by (-(v // n), -v)
+    back = _OnRequest(n * n, range(n * n), lambda v: perm_from_pair_map(n, _shift(-(v // n), -v)))
     rows = connection_indices(n)[form.keys[:, ::-1]].tolist()
     # each image of e_2 keyed to the image of e_1 in its first key; key 0,
     # the identity's, is the first that fixes e_2
-    back = {h2: h1 for h1, h2 in reversed(rows)}
-    level = _OnRequest(n * n, back, lambda x: _linear(n, back[x], x).inverse())
+    first = {h2: h1 for h1, h2 in reversed(rows)}
+    at_e2 = _OnRequest(n * n, first, lambda x: _linear(n, first[x], x).inverse())
     flips = [_linear(n, h1, h2) for h1, h2 in rows[1:] if h2 == 1]
-    return perms, [(1, perms, level), (n, flips)], form.stabilizer_order()
+    return PermutationGroup.from_levels(gens, [(0, gens, back), (1, perms, at_e2), (n, flips)],
+                                        n * n * form.stabilizer_order())
+
+
+def claimed_origin_stabilizer(n: int) -> PermutationGroup:
+    """G_0, the subgroup fixing vertex (0, 0): claimed_aut_group(n)'s own
+    tail, its chain past the first level."""
+    return claimed_aut_group(n).point_stabilizer(0)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,6 @@ from cayleysrg import (
     GRAPH_MAX_MODULUS,
     AutomorphismError,
     CayleyGraph,
-    ConnectionSet,
     ZnPair,
     build_graph,
     check_graph_automorphism,
@@ -235,12 +234,23 @@ class TestRowsByTranslation:
     def test_rows_are_symmetric(self, n):
         _check_symmetric(list(build_graph(n).adjacency))
 
-    def test_connection_set_without_a_negative_is_refused(self, monkeypatch):
-        full = connection_set(5)
-        lopsided = ConnectionSet(n=5, members=full.members - {ZnPair(1, 0, 5)})
-        monkeypatch.setattr(graph_module, "connection_set", lambda n: lopsided)
-        with pytest.raises(RuntimeError, match=r"holds \(4, 0\) but not its negative"):
+    @staticmethod
+    def refusal_with_hood(monkeypatch, hood):
+        # the rows are set from connection_indices, so S = -S is checked there
+        monkeypatch.setattr(graph_module, "connection_indices", lambda n: np.array(hood))
+        with pytest.raises(RuntimeError, match="but not its negative") as exc:
             build_graph(5)
+        return str(exc.value)
+
+    def test_connection_set_without_a_negative_is_refused(self, monkeypatch):
+        hood = [v for v in connection_indices(5).tolist() if v != 5]    # (1, 0) dropped
+        assert "holds (4, 0) but" in self.refusal_with_hood(monkeypatch, hood)
+
+    def test_a_same_size_swap_without_negatives_is_refused(self, monkeypatch):
+        # (1, 0) swapped for (1, 2): every row still has degree 3n - 3, but
+        # (1, 2) and (4, 0) lack their negatives, and the least is named
+        hood = sorted(7 if v == 5 else v for v in connection_indices(5).tolist())
+        assert "holds (1, 2) but" in self.refusal_with_hood(monkeypatch, hood)
 
 
 def _defect_reference(n, rows):

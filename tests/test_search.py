@@ -392,7 +392,8 @@ def relabelled(g, images):
 
 class TestRefinement:
     def assert_same(self, part, cells, active):
-        assert part.active == active
+        # the cells are disjoint, so their sum is their union
+        assert sum(part.cells.values()) == active
         assert part.cells == {s: m for s, m in cells.items() if m & (m - 1)}
         assert all(part.fixed[s] == m.bit_length() - 1
                    for s, m in cells.items() if not m & (m - 1))
@@ -436,7 +437,7 @@ class TestRefinement:
                 else:
                     cells[s] = 1 << part.fixed[s]
                     s += 1
-            active = part.active
+            active = sum(part.cells.values())
             found = individualise(rows, part, c, v, expect)
             if found is not None:
                 rest = cells[c] & ~(1 << v)
@@ -493,7 +494,7 @@ class TestRefinement:
         h = relabelled(g, images)
         traces = []
         for rows in (g.adjacency, h.adjacency):
-            root = search._Partition({0: (1 << vc) - 1}, [0] * vc, (1 << vc) - 1)
+            root = search._Partition({0: (1 << vc) - 1}, [0] * vc)
             traces.append(search._refine(list(rows), root, [0]))
         assert traces[0] == traces[1]
         s = search._Search(g)
