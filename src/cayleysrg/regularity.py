@@ -249,10 +249,12 @@ def cayley_srg_params(n: int, hood) -> SrgParams:
     """
     _check_modulus(n)
     size = n * n
-    hood = np.asarray(hood, dtype=np.int64)
-    if hood.ndim != 1 or hood.size and (hood[0] < 0 or hood[-1] >= size
-                                        or (np.diff(hood) <= 0).any()):
+    # floats and bools are refused, not truncated to integers
+    hood = np.asarray(hood)
+    if hood.ndim != 1 or hood.size and (hood.dtype.kind not in "iu" or hood[0] < 0
+                                        or hood[-1] >= size or (hood[1:] <= hood[:-1]).any()):
         raise ValueError(f"hood must be ascending vertex indices below {size}")
+    hood = hood.astype(np.int64)
     adjacent = np.zeros(size, dtype=bool)
     adjacent[hood] = True
     if adjacent[0]:

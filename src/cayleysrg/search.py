@@ -147,19 +147,15 @@ def _refine(adj, part: _Partition, splitters: list[int], expect=None):
     while queue and cells:
         s = queue.popleft()
         pending.discard(s)
-        if s in cells:
-            planes, reached = [], 0
-            for w in iter_bits(cells[s]):
-                carry = adj[w]
-                reached |= carry
-                for i, p in enumerate(planes):     # add the row, bit-sliced
-                    planes[i] = p ^ carry
-                    carry &= p
-                if carry:
-                    planes.append(carry)
-        else:
-            reached = adj[fixed[s]]
-            planes = [reached]
+        planes, reached = [], 0
+        for w in iter_bits(cells[s]) if s in cells else (fixed[s],):
+            carry = adj[w]
+            reached |= carry
+            for i, p in enumerate(planes):     # add the row, bit-sliced
+                planes[i] = p ^ carry
+                carry &= p
+            if carry:
+                planes.append(carry)
         hit = [c for c, m in cells.items() if m & reached]
         if len(hit) > 1:
             hit.sort()

@@ -210,6 +210,7 @@ _ROTATION = ((0, -1), (1, -1))  # (x, y) -> (-y, x - y)
 def translation(n: int, a: int, b: int) -> NamedAutomorphism:
     """The translation (x, y) -> (x + a, y + b); the regular action of the
     vertex group on itself."""
+    _check_modulus(n)
     if type(a) is not int or type(b) is not int:
         raise ValueError(f"translation offsets must be ints, got {a!r}, {b!r}")
     a %= n
@@ -220,6 +221,7 @@ def translation(n: int, a: int, b: int) -> NamedAutomorphism:
 def unit_scaling(n: int, u: int) -> NamedAutomorphism:
     """The scaling (x, y) -> (u x, u y) for a unit u.  Non-units are refused
     since the map would collapse residues."""
+    _check_modulus(n)
     if type(u) is not int:
         raise ValueError(f"scaling factor must be an int, got {u!r}")
     u %= n

@@ -30,8 +30,9 @@ arc orbit's least member s; no orbit kernel runs.  An edge orbit pairs the
 arc orbit of (0, v) with that of (0, -v), onto which the translation by
 -v carries the reversed arcs (v, 0).  Every 2-arc orbit at 0 has members
 0 ~ s ~ s + t, which form one orbit of G_0,s, named by its least s + h(t),
-and the G-orbit has n^2 |G_0.s| |G_0,s.t| members.  The pairs at
-distance 0 form one orbit, as G is vertex-transitive.
+and the G-orbit has n^2 |G_0.s| |G_0,s.t| members; the roots s are read
+one at a time.  The pairs at distance 0 form one orbit, as G is
+vertex-transitive.
 
 Reports equal those of closing every object of the graph under G.  Every
 G-orbit has a member starting at 0, the least vertex, and the orbits at 0
@@ -143,37 +144,27 @@ def is_arc_transitive(grp: AffineGroup) -> TransitivityResult:
 def is_two_arc_transitive(grp: AffineGroup) -> TransitivityResult:
     """One orbit on paths u ~ v ~ w with w != u or not."""
     _, arcs, _, fixers = _affine(grp).vertex_orbits
-    n, count = grp.n, grp.degree
-    c1, c2 = grp.columns
-    # G_0,s for each arc orbit's least member s, the roots in descending order
-    at = np.repeat(np.arange(len(arcs))[::-1], [f.size for f in reversed(fixers)])
-    h = np.concatenate(fixers[::-1])
+    n, c1, c2 = grp.n, *grp.columns
     # S holds i d for d = e_1, e_2 and e_1 + e_2 and 0 < i < n, and h(i d) = i h(d)
     d = np.array([c1, c2, (c1 + c2) % n]).transpose(2, 1, 0)[..., None]
     i = np.arange(1, n, dtype=np.int32)
-    s = np.array([divmod(v, n) for (_, v), _ in arcs], dtype=np.int32)[..., None, None]
-    # the least s + h(t) over G_0,s, 0 at t = -s alone, as a running minimum
-    # down the elements, a block at a time, of r n^2 + s + h(t), r s's index:
-    # it starts afresh at each root, whose codes lie below the roots' before
-    least = np.empty((len(arcs), 3 * n - 3), dtype=np.int64)
-    carry, step = len(arcs) * count, _block_rows(3 * n - 3)
-    for start in range(0, at.size, step):
-        r, g = at[start:start + step], h[start:start + step]
-        xy = s[r] + d[g] * i
-        xy -= xy // n * n  # xy % n, which takes four times as long on int32
-        codes = (xy[:, 0] * n + xy[:, 1]).reshape(r.size, -1) + r[:, None] * count
-        np.minimum(codes[0], carry, out=codes[0])
-        carry = np.minimum.accumulate(codes, axis=0, out=codes)[-1]
-        ends = np.flatnonzero(np.diff(r, append=-1))
-        least[r[ends]] = codes[ends]
-    # each (s, w) as one code, counted over its run in sorted order: the
-    # G-orbit has n^2 |G_0.s| |G_0,s.t| members, (0, s)'s arcs times the run
-    codes = np.sort(least.ravel())
-    first = np.flatnonzero(np.diff(codes, prepend=-1))
-    r, w = np.divmod(codes[first], count)
-    runs = np.diff(first, append=codes.size).tolist()
-    return _result([((0, arcs[j][0][1], v), arcs[j][1] * run)
-                    for j, v, run in zip(r.tolist(), w.tolist(), runs) if v])
+    # each arc orbit's least member s as (x, y), read one root at a time in
+    # ascending order, so the orbits come out in order of (s, w)
+    roots = np.array([divmod(s, n) for (_, s), _ in arcs], dtype=np.int32)[..., None, None]
+    step, parts = _block_rows(3 * n - 3), []
+    for ((_, s), size), fixing, root in zip(arcs, fixers, roots):
+        # w, the least s + h(t) over G_0,s for each t, 0 at t = -s alone, as
+        # a running minimum a block of elements at a time
+        least = grp.degree
+        for start in range(0, fixing.size, step):
+            xy = root + d[fixing[start:start + step]] * i
+            xy -= xy // n * n  # xy % n, which takes four times as long on int32
+            least = np.minimum(least, (xy[:, 0] * n + xy[:, 1]).min(axis=0))
+        # the t sharing a w form one orbit of G_0,s, whose G-orbit has
+        # n^2 |G_0.s| |G_0,s.t| members, (0, s)'s arcs times the run
+        ws, runs = np.unique(least, return_counts=True)
+        parts += [((0, s, w), size * run) for w, run in zip(ws.tolist(), runs.tolist()) if w]
+    return _result(parts)
 
 
 def is_distance_transitive(grp: AffineGroup) -> DistanceTransitivityResult:

@@ -358,7 +358,10 @@ class TestCayleySrgParams:
         assert counted_on(n, members) == (
             f"connection set holds {n + 2} but not its negative {5 * n + 4}", (0, n + 2))
 
-    @pytest.mark.parametrize("hood", [[3, 1, 2], [1, 1, 2], [-1, 1], [1, 25], [[1, 2]]])
+    # the floats would truncate to S at n = 5, and the bools to {0, 1}
+    @pytest.mark.parametrize("hood", [[3, 1, 2], [1, 1, 2], [-1, 1], [1, 25], [[1, 2]],
+                                      [1.9, 2.2, 3.0, 4.0, 5.0, 6, 10, 12, 15, 18, 20, 24],
+                                      np.array([False, True])])
     def test_indices_that_are_not_ascending_vertices_are_a_value_error(self, hood):
         with pytest.raises(ValueError, match="ascending vertex indices"):
             cayley_srg_params(5, hood)

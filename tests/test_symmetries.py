@@ -81,6 +81,15 @@ class TestFactories:
         with pytest.raises(ValueError, match="factor must be an int"):
             unit_scaling(5, bad)
 
+    @pytest.mark.parametrize("n", [0, 3, -5])
+    def test_a_modulus_below_four_is_refused_before_any_reduction(self, n):
+        # translation and unit_scaling reduce their parameters mod n, which
+        # at 0 would divide by zero; every factory names the modulus instead
+        for make in (lambda: translation(n, 1, 2), lambda: unit_scaling(n, 1),
+                     lambda: coordinate_swap(n), lambda: clique_rotation(n)):
+            with pytest.raises(ValueError, match=f"modulus must be at least 4, got {n}$"):
+                make()
+
     @pytest.mark.parametrize("n", [*range(4, 14), 31])
     def test_maps_match_the_per_vertex_reference(self, n):
         cases = [

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import cayleysrg.core as core
 import cayleysrg.graph as graph_module
 import cayleysrg.symmetries as symmetries_module
 import cayleysrg.transitivity as transitivity
@@ -16,6 +17,7 @@ from cayleysrg import (
     PermutationGroup,
     TransitivityReport,
     ZnPair,
+    claimed_affine_group,
     claimed_aut_group,
     classify,
     classify_action,
@@ -329,6 +331,17 @@ class TestTwoArcsOffTheTable:
     def test_table_matches_the_kernel(self, claimed_group, n):
         form = affine_form(claimed_group(n))
         assert is_two_arc_transitive(form) == two_arcs_by_kernel(claimed_group(n))
+
+    # composites with several arc-orbit roots; at the default block size
+    # each root's stabiliser fits in one block, at these sizes it spans many
+    @pytest.mark.parametrize("block", [1, 50, 700])
+    @pytest.mark.parametrize("n", [6, 12, 16, 24, 30, 36, 60, 64, 81, 120])
+    def test_any_block_size_gives_the_same_orbits(self, monkeypatch, n, block):
+        form = claimed_affine_group(n)
+        expected = is_two_arc_transitive(form)
+        assert len(form.vertex_orbits[1]) > 1
+        monkeypatch.setattr(core, "_BLOCK_ENTRIES", block)
+        assert is_two_arc_transitive(form) == expected
 
     @pytest.mark.parametrize("n", [*range(4, 42), 61, 101])
     def test_oracle_tails_match_the_rows(self, graph, n):
